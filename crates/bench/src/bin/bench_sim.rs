@@ -6,6 +6,8 @@
 //! cargo run --release -p oslay-bench --bin bench_sim -- --smoke --out /tmp/BENCH_sim.json
 //! ```
 //!
+//! A bad value for one of its own flags prints the usage text and exits 2.
+//!
 //! Measured cases:
 //! - `replay_base` / `replay_opt_s`: buffered (`Vec`) replay of the Shell
 //!   workload through the plain cache.
@@ -18,7 +20,8 @@
 //!   `trace_bytes_per_event` land in the derived section.
 //! - `matrix_1t` / `matrix_nt`: the Figure-12 style 4-case × 5-level
 //!   simulation matrix at 1 vs `--threads` workers; their ratio is the
-//!   `parallel_speedup` derived field.
+//!   `parallel_speedup` derived field. At `--threads 1` only
+//!   `matrix_1t` runs and no speedup is derived.
 //! - `sweep_per_point` / `sweep_single_pass`: the committed design-space
 //!   grid (4 KB–256 KB at 1–8 ways on 32-byte lines, plus 64/128-byte
 //!   lines at 8 KB, under Base/C-H/OptS) replayed point by point vs
@@ -66,6 +69,26 @@ struct Args {
     gate_window: usize,
 }
 
+/// `bench_sim`'s own flags, on top of the common experiment set.
+const USAGE: &str = "usage: bench_sim [common flags] [--smoke] [--out FILE] \
+     [--history FILE | --no-history] [--gate] [--gate-tolerance F] [--gate-window N]\n\
+     \x20 --smoke              CI smoke run: a ~1k-block trace (overrides --scale/--blocks)\n\
+     \x20 --out FILE           report path (default: BENCH_sim.json)\n\
+     \x20 --history FILE       bench history to append to (default: results/bench_history.jsonl)\n\
+     \x20 --no-history         record no history\n\
+     \x20 --gate               exit 1 when a case falls more than the tolerance below its median\n\
+     \x20 --gate-tolerance F   allowed fall below the median, in (0, 1) (default 0.2)\n\
+     \x20 --gate-window N      prior runs in the rolling median, at least 1 (default 10)";
+
+/// Reports a bad command line with the usage text and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!(
+        "bench_sim: {message}\n{USAGE}\n{}",
+        oslay_bench::usage_text()
+    );
+    std::process::exit(2);
+}
+
 fn parse_args() -> Args {
     let mut out = std::path::PathBuf::from("BENCH_sim.json");
     let mut smoke = false;
@@ -75,7 +98,10 @@ fn parse_args() -> Args {
     let mut gate_window = 10;
     let common = run_args_with(StudyConfig::small(), |arg, rest| match arg {
         "--out" => {
-            out = rest.pop_front().expect("--out needs a path").into();
+            out = rest
+                .pop_front()
+                .unwrap_or_else(|| usage_error("--out needs a path"))
+                .into();
             true
         }
         "--smoke" => {
@@ -83,7 +109,10 @@ fn parse_args() -> Args {
             true
         }
         "--history" => {
-            history = Some(rest.pop_front().expect("--history needs a path").into());
+            let path = rest
+                .pop_front()
+                .unwrap_or_else(|| usage_error("--history needs a path"));
+            history = Some(path.into());
             true
         }
         "--no-history" => {
@@ -95,23 +124,33 @@ fn parse_args() -> Args {
             true
         }
         "--gate-tolerance" => {
-            gate_tolerance = rest
+            let v = rest
                 .pop_front()
-                .expect("--gate-tolerance needs a value")
-                .parse()
-                .expect("--gate-tolerance must be a number in (0, 1)");
-            assert!(
-                gate_tolerance > 0.0 && gate_tolerance < 1.0,
-                "--gate-tolerance must be in (0, 1)"
-            );
+                .unwrap_or_else(|| usage_error("--gate-tolerance needs a value"));
+            gate_tolerance = v
+                .parse::<f64>()
+                .ok()
+                .filter(|t| *t > 0.0 && *t < 1.0)
+                .unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--gate-tolerance must be a number in (0, 1), got {v:?}"
+                    ))
+                });
             true
         }
         "--gate-window" => {
-            gate_window = rest
+            let v = rest
                 .pop_front()
-                .expect("--gate-window needs a value")
-                .parse()
-                .expect("--gate-window must be an integer");
+                .unwrap_or_else(|| usage_error("--gate-window needs a value"));
+            gate_window = v
+                .parse::<usize>()
+                .ok()
+                .filter(|&w| w >= 1)
+                .unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--gate-window must be a positive integer, got {v:?}"
+                    ))
+                });
             true
         }
         _ => false,
@@ -313,18 +352,24 @@ fn main() {
     report.push_derived("trace_bytes_per_event", store_summary.bytes_per_event());
 
     // The sharded experiment matrix at one worker vs the requested count.
+    // At one requested worker the two runs would be the same case, so it
+    // runs once and no speedup is derived.
     let one = measure("matrix_1t", || run_matrix(&study, &sim, 1));
-    let many = measure(&format!("matrix_{}t", args.threads), || {
-        run_matrix(&study, &sim, args.threads)
-    });
-    let speedup = if many.secs > 0.0 {
-        one.secs / many.secs
-    } else {
-        0.0
-    };
+    let one_secs = one.secs;
     report.push_case(one);
-    report.push_case(many);
-    report.push_derived("parallel_speedup", speedup);
+    let speedup = (args.threads > 1).then(|| {
+        let many = measure(&format!("matrix_{}t", args.threads), || {
+            run_matrix(&study, &sim, args.threads)
+        });
+        let speedup = if many.secs > 0.0 {
+            one_secs / many.secs
+        } else {
+            0.0
+        };
+        report.push_case(many);
+        report.push_derived("parallel_speedup", speedup);
+        speedup
+    });
 
     // The committed design-space grid, replayed per point vs in one
     // pass per workload. Both run at the requested worker count; the
@@ -416,10 +461,12 @@ fn main() {
     let text = std::fs::read_to_string(&args.out).expect("re-read bench report");
     validate(&text).expect("bench report validates against schema");
     println!();
-    println!(
-        "parallel speedup at {} thread(s): {:.2}x",
-        args.threads, speedup
-    );
+    if let Some(speedup) = speedup {
+        println!(
+            "parallel speedup at {} thread(s): {speedup:.2}x",
+            args.threads
+        );
+    }
     println!("single-pass sweep speedup: {sweep_speedup:.2}x");
     println!(
         "trace store: {:.2}x over fixed-width ({:.2} B/event)",

@@ -33,11 +33,13 @@
 //! stopped conflicting, which new conflicts appeared.
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use oslay_model::{Domain, SeedKind};
 use oslay_observe::{AttrClass, AttributionProbe};
 
+use crate::sim::line_runs;
 use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
 
 /// Placement class of a code address — the categories of the paper's
@@ -138,13 +140,58 @@ impl CodeRef {
 /// Address → [`CodeRef`] reverse map for one layout pair.
 ///
 /// Built once per layout from `(start, len, code)` spans (the layout
-/// crate provides the builder for its `Layout` type), then queried on the
-/// miss path by binary search. Spans must not overlap; gaps are allowed
-/// and resolve to `None`.
+/// crate provides the builder for its `Layout` type). Spans must not
+/// overlap; gaps are allowed and resolve to `None`.
+///
+/// Lookups run in O(1) through a *rank index* built alongside the sorted
+/// span table. The spans are grouped into dense *regions*, split wherever
+/// two neighbours sit more than 64 KiB apart (the OS image and the
+/// application code are two regions). Each region is cut into
+/// equal address buckets, and the index records, per bucket, how many
+/// spans start at or before the bucket's first byte. A lookup reads that
+/// count and steps over the few spans starting inside the bucket, instead
+/// of binary-searching the whole table. Buckets are cache-line sized
+/// (32 bytes) unless that would take more than four index entries per
+/// span of the region; sparser regions get coarser buckets, so the index
+/// never outgrows the span table.
 #[derive(Clone, Debug, Default)]
 pub struct AddressMap {
     /// Sorted, non-overlapping `(start, end, code)` spans.
     spans: Vec<(u64, u64, CodeRef)>,
+    /// Dense regions of `spans`, by ascending address.
+    regions: Vec<MapRegion>,
+    /// Per region, per bucket: the number of spans starting at or before
+    /// the bucket's first address (an index into `spans`).
+    ranks: Vec<u32>,
+}
+
+/// Neighbouring spans further apart than this many bytes go into
+/// separate [`AddressMap`] regions, so a large hole costs no index.
+const REGION_GAP: u64 = 1 << 16;
+
+/// log2 of the finest [`AddressMap`] bucket: one 32-byte cache line.
+const MIN_BUCKET_SHIFT: u32 = 5;
+
+/// Index entries a region may spend per span it holds.
+const BUCKETS_PER_SPAN: u64 = 4;
+
+/// One dense run of spans and its slice of the rank index.
+#[derive(Copy, Clone, Debug)]
+struct MapRegion {
+    /// Start of the region's first span.
+    lo: u64,
+    /// First bucket's address: `lo` aligned down to a bucket. A coarse
+    /// bucket may reach back over the previous region, so lookups pick
+    /// the region by `lo`, never by `base`.
+    base: u64,
+    /// End of the region's last span.
+    end: u64,
+    /// log2 of the bucket size.
+    shift: u32,
+    /// Where the region's buckets start in `ranks`.
+    offset: usize,
+    /// Index one past the region's last span.
+    last: usize,
 }
 
 impl AddressMap {
@@ -168,14 +215,75 @@ impl AddressMap {
                 pair[1].0
             );
         }
-        Self { spans }
+        assert!(
+            u32::try_from(spans.len()).is_ok(),
+            "span count fits the rank index"
+        );
+        let mut regions = Vec::new();
+        let mut ranks = Vec::new();
+        let mut first = 0;
+        while first < spans.len() {
+            let mut last = first + 1;
+            while last < spans.len() && spans[last].0 - spans[last - 1].1 <= REGION_GAP {
+                last += 1;
+            }
+            let (lo, end) = (spans[first].0, spans[last - 1].1);
+            let budget = BUCKETS_PER_SPAN * (last - first) as u64;
+            let buckets = |shift: u32| ((end - 1) >> shift) - (lo >> shift) + 1;
+            let mut shift = MIN_BUCKET_SHIFT;
+            while buckets(shift) > budget {
+                shift += 1;
+            }
+            let base = lo >> shift << shift;
+            let offset = ranks.len();
+            let mut i = first;
+            for b in 0..buckets(shift) {
+                let at = base + (b << shift);
+                while i < last && spans[i].0 <= at {
+                    i += 1;
+                }
+                ranks.push(i as u32);
+            }
+            regions.push(MapRegion {
+                lo,
+                base,
+                end,
+                shift,
+                offset,
+                last,
+            });
+            first = last;
+        }
+        Self {
+            spans,
+            regions,
+            ranks,
+        }
+    }
+
+    /// Number of spans starting at or before `addr` (the index of the
+    /// first span starting after it).
+    #[inline]
+    fn rank(&self, addr: u64) -> usize {
+        let r = self.regions.partition_point(|region| region.lo <= addr);
+        let Some(region) = r.checked_sub(1).map(|r| &self.regions[r]) else {
+            return 0;
+        };
+        if addr >= region.end {
+            return region.last;
+        }
+        let bucket = ((addr - region.base) >> region.shift) as usize;
+        let mut i = self.ranks[region.offset + bucket] as usize;
+        while i < region.last && self.spans[i].0 <= addr {
+            i += 1;
+        }
+        i
     }
 
     /// The code containing `addr`, if any span covers it.
     #[must_use]
     pub fn lookup(&self, addr: u64) -> Option<CodeRef> {
-        let i = self.spans.partition_point(|&(start, _, _)| start <= addr);
-        let &(start, end, code) = self.spans.get(i.checked_sub(1)?)?;
+        let &(start, end, code) = self.spans.get(self.rank(addr).checked_sub(1)?)?;
         debug_assert!(start <= addr);
         (addr < end).then_some(code)
     }
@@ -183,10 +291,32 @@ impl AddressMap {
     /// Like [`AddressMap::lookup`], but returns the half-open address
     /// range sharing `addr`'s answer: the containing span, or the gap
     /// between spans. Callers memoize the range so that the sequential
-    /// fetches of one basic block cost a single binary search.
+    /// fetches of one basic block cost a single index lookup.
     #[must_use]
     pub fn lookup_span(&self, addr: u64) -> (u64, u64, Option<CodeRef>) {
-        let i = self.spans.partition_point(|&(start, _, _)| start <= addr);
+        self.range_at(addr, self.rank(addr))
+    }
+
+    /// [`AddressMap::lookup_span`] plus the range's rank, trying the rank
+    /// `hint` before the index. Replay passes the rank after its last
+    /// range: control falls through into the next span most of the time,
+    /// and checking that costs two loads from a line already in cache.
+    #[inline]
+    pub(crate) fn lookup_span_hinted(
+        &self,
+        addr: u64,
+        hint: usize,
+    ) -> ((u64, u64, Option<CodeRef>), usize) {
+        let fits = hint <= self.spans.len()
+            && hint.checked_sub(1).is_none_or(|j| self.spans[j].0 <= addr)
+            && self.spans.get(hint).is_none_or(|next| addr < next.0);
+        let i = if fits { hint } else { self.rank(addr) };
+        (self.range_at(addr, i), i)
+    }
+
+    /// The range holding `addr`, given its rank `i`.
+    #[inline]
+    fn range_at(&self, addr: u64, i: usize) -> (u64, u64, Option<CodeRef>) {
         let next_start = self.spans.get(i).map_or(u64::MAX, |&(start, _, _)| start);
         match i.checked_sub(1).and_then(|j| self.spans.get(j)) {
             Some(&(start, end, code)) if addr < end => (start, end, Some(code)),
@@ -667,18 +797,23 @@ impl AttributionReport {
 /// access, and keeps per-set, per-class, and per-pair rollups. Implements
 /// [`InstructionCache`], so the standard simulation driver works
 /// unchanged; call [`AttributedCache::report`] afterwards for the
-/// rollups.
+/// rollups. Its `access_words` touches the cache and the shadow store
+/// once per cache line and bulk-counts the line's remaining words; the
+/// rollups and statistics equal a word-by-word replay's.
 pub struct AttributedCache {
     inner: Cache,
     map: Arc<AddressMap>,
     shadow: ShadowTags,
     /// Last resolved map range `(start, end, code)` — sequential fetches
     /// of one block stay inside one span, so almost every access resolves
-    /// here instead of binary-searching the map. Starts empty
+    /// here instead of in the map's index. Starts empty
     /// (`start > end`, matching nothing).
     span_memo: (u64, u64, Option<CodeRef>),
+    /// The memo's rank in the map (the fall-through hint for the next
+    /// range).
+    memo_rank: usize,
     /// victim line → line whose fill displaced it.
-    last_evictor: HashMap<u64, u64>,
+    last_evictor: FastMap<u64, u64>,
     set_accesses: Vec<u64>,
     set_misses: Vec<u64>,
     class_misses: [u64; 3],
@@ -691,13 +826,66 @@ pub struct AttributedCache {
     epoch: Option<u32>,
     epoch_conflicts: BTreeMap<u32, u64>,
     pairs: PairTable,
-    matrix: ConflictMatrix,
     probe: Option<Arc<dyn AttributionProbe + Send + Sync>>,
 }
 
 /// Pair rollup keyed by the stable `(block, block)` identity; the value
 /// keeps the first-seen [`CodeRef`]s alongside the count.
-type PairTable = HashMap<(RoutineKey, RoutineKey), (CodeRef, CodeRef, u64)>;
+type PairTable = FastMap<(RoutineKey, RoutineKey), (CodeRef, CodeRef, u64)>;
+
+/// A hash map on [`MulHasher`].
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MulHasher>>;
+
+/// A small multiplicative hasher for the engine's integer-keyed tables
+/// (line addresses, block-pair keys). SipHash's flooding resistance buys
+/// nothing for keys the simulator itself produces, and the workspace takes
+/// no external dependencies. Each word is folded in as
+/// `(h.rotl(5) ^ w) · φ`; `finish` rotates the well-mixed high bits down,
+/// because line addresses leave the product's low bits zero and the
+/// table picks buckets from the low bits.
+#[derive(Copy, Clone, Debug, Default)]
+struct MulHasher(u64);
+
+impl MulHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+impl Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
 
 impl std::fmt::Debug for AttributedCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -722,7 +910,8 @@ impl AttributedCache {
             map,
             shadow: ShadowTags::new(lines),
             span_memo: (1, 0, None),
-            last_evictor: HashMap::new(),
+            memo_rank: 0,
+            last_evictor: FastMap::default(),
             set_accesses: vec![0; sets],
             set_misses: vec![0; sets],
             class_misses: [0; 3],
@@ -732,8 +921,7 @@ impl AttributedCache {
             context: None,
             epoch: None,
             epoch_conflicts: BTreeMap::new(),
-            pairs: HashMap::new(),
-            matrix: ConflictMatrix::default(),
+            pairs: FastMap::default(),
             probe: None,
         }
     }
@@ -770,6 +958,16 @@ impl AttributedCache {
                 count,
             })
             .collect();
+        // The routine matrix is the pair table rolled up per routine (a
+        // block belongs to one routine, so the first-seen refs suffice).
+        let mut matrix = ConflictMatrix::default();
+        for pair in &pairs {
+            matrix.add(
+                pair.evictor.routine_key(),
+                pair.victim.routine_key(),
+                pair.count,
+            );
+        }
         pairs.sort_by(|a, b| {
             b.count
                 .cmp(&a.count)
@@ -788,26 +986,55 @@ impl AttributedCache {
             entry_misses: self.entry_misses,
             epoch_conflicts: self.epoch_conflicts.iter().map(|(&t, &c)| (t, c)).collect(),
             pairs,
-            matrix: self.matrix.clone(),
+            matrix,
         }
     }
 
     fn census_slot(code: Option<CodeRef>) -> usize {
         code.map_or(CENSUS_SLOTS - 1, |c| c.class.index())
     }
-}
 
-impl InstructionCache for AttributedCache {
-    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
+    /// Points the span memo at the map range holding `addr`.
+    #[inline]
+    fn resolve(&mut self, addr: u64) {
+        if !(self.span_memo.0 <= addr && addr < self.span_memo.1) {
+            (self.span_memo, self.memo_rank) =
+                self.map.lookup_span_hinted(addr, self.memo_rank + 1);
+        }
+    }
+
+    /// Counts the `words` word fetches from `addr` into the census, one
+    /// map range at a time, and returns the code of the first.
+    #[inline]
+    fn count_refs(&mut self, addr: u64, words: u32) -> Option<CodeRef> {
+        let word = u64::from(oslay_model::WORD_BYTES);
+        self.resolve(addr);
+        let first = self.span_memo.2;
+        let (mut addr, mut left) = (addr, u64::from(words));
+        loop {
+            let (_, end, code) = self.span_memo;
+            let n = (end - addr).div_ceil(word).min(left);
+            self.census_refs[Self::census_slot(code)] += n;
+            left -= n;
+            if left == 0 {
+                return first;
+            }
+            addr += n * word;
+            self.resolve(addr);
+        }
+    }
+
+    /// One line run: the attributed access of the word at `addr`, then
+    /// `run - 1` further words of the same line. Those are hits on the
+    /// line the first access just made MRU, in the cache and in the
+    /// shadow store alike, so they only bump the hit, set and census
+    /// counts.
+    #[inline]
+    fn access_run(&mut self, addr: u64, run: u32, domain: Domain) -> AccessOutcome {
         let detail = self.inner.access_detailed(addr, domain);
-        self.set_accesses[detail.set as usize] += 1;
-        let code = if self.span_memo.0 <= addr && addr < self.span_memo.1 {
-            self.span_memo.2
-        } else {
-            self.span_memo = self.map.lookup_span(addr);
-            self.span_memo.2
-        };
-        self.census_refs[Self::census_slot(code)] += 1;
+        self.inner.record_hits(domain, u64::from(run - 1));
+        self.set_accesses[detail.set as usize] += u64::from(run);
+        let code = self.count_refs(addr, run);
         // The shadow stack sees every access (hits keep the LRU order
         // honest); its verdict is read before this touch takes effect.
         let was_resident = self.shadow.touch(detail.line);
@@ -832,13 +1059,10 @@ impl InstructionCache for AttributedCache {
                 if let Some(&evictor_line) = self.last_evictor.get(&detail.line) {
                     evictor_known = true;
                     if let (Some(victim), Some(evictor)) = (code, self.map.lookup(evictor_line)) {
-                        let entry = self
-                            .pairs
+                        self.pairs
                             .entry((evictor.block_key(), victim.block_key()))
-                            .or_insert((evictor, victim, 0));
-                        entry.2 += 1;
-                        self.matrix
-                            .add(evictor.routine_key(), victim.routine_key(), 1);
+                            .or_insert((evictor, victim, 0))
+                            .2 += 1;
                     }
                 }
             }
@@ -851,6 +1075,22 @@ impl InstructionCache for AttributedCache {
         }
         detail.outcome
     }
+}
+
+impl InstructionCache for AttributedCache {
+    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
+        self.access_run(addr, 1, domain)
+    }
+
+    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+        let mut missed = 0u64;
+        for (addr, run) in line_runs(base, words, self.inner.config().line_shift()) {
+            if self.access_run(addr, run, domain).is_miss() {
+                missed += 1;
+            }
+        }
+        missed
+    }
 
     fn stats(&self) -> &MissStats {
         self.inner.stats()
@@ -860,6 +1100,7 @@ impl InstructionCache for AttributedCache {
         self.inner.reset();
         self.shadow.clear();
         self.span_memo = (1, 0, None);
+        self.memo_rank = 0;
         self.last_evictor.clear();
         self.set_accesses.fill(0);
         self.set_misses.fill(0);
@@ -871,7 +1112,6 @@ impl InstructionCache for AttributedCache {
         self.epoch = None;
         self.epoch_conflicts.clear();
         self.pairs.clear();
-        self.matrix = ConflictMatrix::default();
     }
 
     fn note_os_enter(&mut self, kind: SeedKind) {
@@ -1080,6 +1320,22 @@ mod tests {
             // memoization contract).
             for a in start..end.min(80) {
                 assert_eq!(map.lookup(a), got, "addr {addr}, range member {a}");
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_lookup_ignores_wrong_hints() {
+        let map = AddressMap::build([
+            (16, 16, code(Domain::Os, 0, 0, CodeClass::MainSeq)),
+            (32, 8, code(Domain::Os, 1, 0, CodeClass::Cold)),
+            (48, 8, code(Domain::Os, 2, 0, CodeClass::Loop)),
+        ]);
+        for addr in 0..70u64 {
+            for hint in 0..6 {
+                let (range, rank) = map.lookup_span_hinted(addr, hint);
+                assert_eq!(range, map.lookup_span(addr), "addr {addr} hint {hint}");
+                assert_eq!(rank, map.rank(addr), "addr {addr} hint {hint}");
             }
         }
     }

@@ -196,19 +196,8 @@ impl Bank {
     /// replacement state untouched, exactly as the dense cache's
     /// coalesced path reasons.
     fn access_run(&mut self, base: u64, words: u32, domain: Domain) {
-        let word = u64::from(oslay_model::WORD_BYTES);
-        let line = 1u64 << self.line_shift;
-        let mut w = 0u32;
-        while w < words {
-            let addr = base + u64::from(w) * word;
-            // Words left in this line, rounding up: fetch bases are
-            // byte-granular, so a partial trailing word still belongs to
-            // (and ends) the line. `line` is a power of two, so the
-            // offset is a mask, not a division.
-            let in_line = ((line - (addr & (line - 1))).div_ceil(word)) as u32;
-            let run = in_line.min(words - w);
+        for (addr, _) in crate::sim::line_runs(base, words, self.line_shift) {
             self.access_line(addr >> self.line_shift, domain);
-            w += run;
         }
     }
 

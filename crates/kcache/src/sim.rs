@@ -424,6 +424,45 @@ impl Cache {
             evicted: evicted_valid.then(|| evictee << self.line_shift),
         }
     }
+
+    /// Counts `n` hits by `domain` without touching replacement state:
+    /// the trailing words of a line run, bulk-counted after the run's
+    /// first access made the line MRU.
+    #[inline]
+    pub(crate) fn record_hits(&mut self, domain: Domain, n: u64) {
+        self.stats.record_hits(domain, n);
+    }
+}
+
+/// Splits the fetch of `words` consecutive instruction words at `base`
+/// into per-cache-line runs `(first word address, words in the run)`, for
+/// lines of `1 << line_shift` bytes.
+///
+/// Block layouts are byte-granular, so a fetch base need not be
+/// word-aligned: a run counts the words left in the line rounding up, and
+/// a partial trailing word still belongs to (and ends) its line. Only the
+/// first word of a run can change replacement state; the rest are
+/// guaranteed hits on the line it just made MRU.
+#[inline]
+pub(crate) fn line_runs(
+    base: u64,
+    words: u32,
+    line_shift: u32,
+) -> impl Iterator<Item = (u64, u32)> {
+    let word = u64::from(oslay_model::WORD_BYTES);
+    let mask = (1u64 << line_shift) - 1;
+    let (mut addr, mut left) = (base, words);
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        let in_line = (mask + 1 - (addr & mask)).div_ceil(word) as u32;
+        let run = in_line.min(left);
+        let first = addr;
+        left -= run;
+        addr += u64::from(run) * word;
+        Some((first, run))
+    })
 }
 
 impl InstructionCache for Cache {
@@ -433,17 +472,8 @@ impl InstructionCache for Cache {
     }
 
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
-        let word = u64::from(oslay_model::WORD_BYTES);
-        let line = u64::from(self.cfg.line());
         let mut missed = 0u64;
-        let mut w = 0u32;
-        while w < words {
-            let addr = base + u64::from(w) * word;
-            // Words left in this cache line, rounding up: block layouts are
-            // byte-granular, so a fetch base need not be word-aligned and a
-            // partial trailing word still belongs to (and ends) this line.
-            let in_line = (line - (addr % line)).div_ceil(word) as u32;
-            let run = in_line.min(words - w);
+        for (addr, run) in line_runs(base, words, self.line_shift) {
             if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
                 missed += 1;
             }
@@ -451,7 +481,6 @@ impl InstructionCache for Cache {
             // hits: the line is resident and already MRU, so re-touching
             // it per word would not change any replacement state.
             self.stats.record_hits(domain, u64::from(run) - 1);
-            w += run;
         }
         missed
     }

@@ -172,9 +172,20 @@ mod tests {
 
     // The tests drive the `GlobalAlloc` methods directly instead of
     // installing the allocator (a test harness must not hijack the global
-    // allocator), so the counters move deterministically.
+    // allocator), so the counters move deterministically — as long as no
+    // two of them run at once: every test holds this lock, because the
+    // process-wide counters see all of their calls.
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn alloc_and_dealloc_move_the_counters() {
+        let _serial = serial();
         let layout = Layout::from_size_align(4096, 8).unwrap();
         let before = snapshot();
         unsafe {
@@ -195,6 +206,7 @@ mod tests {
 
     #[test]
     fn realloc_counts_new_size_and_releases_old() {
+        let _serial = serial();
         let layout = Layout::from_size_align(64, 8).unwrap();
         let before = snapshot();
         unsafe {
@@ -210,6 +222,7 @@ mod tests {
 
     #[test]
     fn thread_counters_track_this_thread_only() {
+        let _serial = serial();
         let layout = Layout::from_size_align(128, 8).unwrap();
         let (c0, b0) = thread_snapshot();
         unsafe {
@@ -231,6 +244,7 @@ mod tests {
 
     #[test]
     fn flight_probe_reports_thread_counters() {
+        let _serial = serial();
         install_flight_probe();
         let layout = Layout::from_size_align(64, 8).unwrap();
         let before = oslay_observe::flight::alloc_probe_sample().expect("probe installed");
@@ -245,6 +259,7 @@ mod tests {
 
     #[test]
     fn reset_peak_rebases_to_live() {
+        let _serial = serial();
         let layout = Layout::from_size_align(1 << 16, 8).unwrap();
         unsafe {
             let p = CountingAlloc.alloc(layout);

@@ -182,8 +182,8 @@ pub const MIN_SEARCH_WALK_CANDIDATES_PER_SEC: f64 = 2_000.0;
 pub const MIN_ABSINT_CLASSIFY_POINTS_PER_SEC: f64 = 2_000.0;
 
 /// Validates serialized `BENCH_sim.json` text: it must parse as a
-/// [`RunReport`] and carry at least one `bench.*` case section whose
-/// `events_per_sec` field is strictly positive. When the derived section
+/// [`RunReport`] and carry at least one `bench.*` case section, each
+/// named once, whose `events_per_sec` field is strictly positive. When the derived section
 /// records a `trace_compression_ratio`, it must meet
 /// [`MIN_TRACE_COMPRESSION_RATIO`]; a recorded `sweep_speedup` must
 /// meet [`MIN_SWEEP_SPEEDUP`]. A report that measures the layout-search
@@ -205,6 +205,11 @@ pub fn validate(text: &str) -> Result<(), String> {
         .collect();
     if case_sections.is_empty() {
         return Err("no bench.<case> sections".to_owned());
+    }
+    for (i, name) in case_sections.iter().enumerate() {
+        if case_sections[..i].contains(name) {
+            return Err(format!("duplicate case section {name}"));
+        }
     }
     for name in &case_sections {
         let eps = report
@@ -300,6 +305,19 @@ mod tests {
         });
         assert!(validate(&r.to_json()).is_err(), "zero throughput");
         assert!(validate("{ not json").is_err());
+    }
+
+    #[test]
+    fn validate_rejects_duplicate_case_names() {
+        let mut r = sample();
+        let mut again = r.cases[0].clone();
+        again.secs = 0.5;
+        r.push_case(again);
+        let err = validate(&r.to_json()).expect_err("a case measured twice fails");
+        assert!(
+            err.contains("duplicate case section bench.replay_base"),
+            "{err}"
+        );
     }
 
     #[test]
