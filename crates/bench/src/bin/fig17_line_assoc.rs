@@ -12,7 +12,7 @@
 //! Extra flags: `--single-pass` (default) evaluates each sweep's grid in
 //! one trace pass per workload — sub-figure (a) spans four line sizes
 //! (four banked tag arrays side by side), sub-figure (b) four
-//! associativities sharing one stack per layout; `--per-point` replays
+//! associativities sharing one bank per layout; `--per-point` replays
 //! each point separately. Output is byte-identical either way.
 
 use std::sync::Arc;

@@ -120,7 +120,7 @@ fn fig16_grid(study: &Study) -> Vec<SweepPoint> {
 
 /// One Figure-17 sub-grid: a fixed 8 KB capacity swept across `configs`,
 /// three OS layouts each — the line sweep exercises banked tag arrays,
-/// the associativity sweep one shared stack per layout.
+/// the associativity sweep one shared bank per layout.
 fn fig17_grid(study: &Study, configs: &[CacheConfig]) -> Vec<SweepPoint> {
     let layouts: Vec<Arc<Layout>> = KINDS
         .iter()

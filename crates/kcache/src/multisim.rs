@@ -9,27 +9,30 @@
 //!
 //! Two mechanisms make one pass suffice:
 //!
-//! * **Stack inclusion (Mattson).** All configurations sharing a line
-//!   size are served by one bank of per-set LRU recency stacks. Under
-//!   true-LRU, the residents of an `A`-way set are exactly the `A` most
-//!   recently used lines mapping to it, and set index masks nest:
-//!   configurations with more sets split each stack's coarse set into
-//!   finer ones selected by low key bits. One walk down the stack
-//!   therefore yields, for every `(sets, ways)` point at once, the hit /
-//!   miss outcome (stack distance within the point's set vs. its
-//!   associativity) and the evicted line on a miss (the point's LRU
-//!   resident, i.e. the `A`-th same-set entry from the top).
+//! * **Stack inclusion (Mattson).** Under true LRU, the residents of an
+//!   `A`-way set are exactly the `A` most recently used lines mapping to
+//!   it. So all configurations sharing a line size *and* a set count are
+//!   served by one **level** of per-set LRU recency stacks, each exactly
+//!   as deep as the level's largest associativity. A line's position `p`
+//!   in its set's stack is its stack distance: every point with
+//!   `ways <= p` misses, and its victim is the stack entry at
+//!   `ways - 1` (absent while the set is not yet full). Entries deeper
+//!   than the level's largest associativity are resident in none of its
+//!   points, so the bounded stack is exact by construction.
 //! * **Banked tag arrays.** Configurations with different line sizes
 //!   cannot share a stack (their keys differ), so each line size gets
-//!   its own bank and the banks run side by side on the same stream,
-//!   each coalescing sequential fetches into line runs at its own line
-//!   size.
+//!   its own bank of levels and the banks run side by side on the same
+//!   stream, each coalescing sequential fetches into line runs at its own
+//!   line size.
 //!
-//! Stacks are bounded: a coarse set's stack only needs the union of every
-//! configuration's residents — `sum(A_c * sets_c / coarse_sets)` entries —
-//! plus one slot of slack. Entries below every configuration's residency
-//! depth are dead (no future access outcome can depend on them, see
-//! [`Bank::prune`]) and are discarded lazily when a stack overflows.
+//! An access walks a bank's levels from the fewest sets to the most. A
+//! line at the top of its coarse set's stack was the last line touched in
+//! that set, hence also in every finer set that contains it: the walk
+//! stops there, and the dominant case (a repeat of the last line) costs
+//! one load. Otherwise each level scans its set's stack for the key, so a
+//! non-MRU access costs at most the sum of the levels' largest
+//! associativities. A large fully associative point is therefore
+//! expensive: it is a one-set level whose scan is `O(ways)`.
 
 use oslay_model::Domain;
 use oslay_observe::Probe;
@@ -37,23 +40,24 @@ use oslay_observe::Probe;
 use crate::sim::EvictTable;
 use crate::{CacheConfig, MissKind, MissStats};
 
-/// Sentinel for "no eviction recorded for this point in this access".
-/// Line keys are `addr >> line_shift`; a real key collides with the
-/// sentinel only for the topmost line of the address space, which layouts
-/// never produce (the dense cache debug-asserts the same).
+/// Empty stack slot, and "no victim" for a miss into a set that is not
+/// yet full. Line keys are `addr >> line_shift`; a real key collides with
+/// the sentinel only for the topmost line of the address space, which
+/// layouts never produce (the dense cache debug-asserts the same).
 const NO_VICTIM: u64 = u64::MAX;
 
 /// Per-configuration simulation state: everything a dedicated
 /// [`crate::Cache`] would have accumulated, minus what is shared across
-/// the group (word counts) or derivable from the bank stack (occupancy).
+/// the group (word counts) or derivable from the level's stacks
+/// (occupancy).
 #[derive(Clone, Debug)]
 struct PointState {
     cfg: CacheConfig,
     /// `num_sets - 1` for this point.
     set_mask: u64,
     ways: u32,
-    /// Index of this point's set-bit count in the bank's `svals`.
-    si: usize,
+    /// Index of the bank level holding this point's set count.
+    level: usize,
     /// Mirrors the dense cache's bounded provenance table bit for bit:
     /// same per-set capacity, same round-robin drop, same record-then-
     /// classify order, so classification degrades identically under cap
@@ -67,130 +71,100 @@ struct PointState {
     evict_by_domain: [u64; 2],
 }
 
-/// One bank: every configuration sharing a line size, on per-coarse-set
-/// LRU recency stacks.
+impl PointState {
+    /// Replicates the dense cache's miss path for `key`: record the
+    /// eviction of `victim` (unless the set had a free way), then
+    /// classify against the provenance table. The order matters under
+    /// the table's cap.
+    fn miss(&mut self, key: u64, victim: u64, domain: Domain) {
+        let set = (key & self.set_mask) as u32;
+        if victim != NO_VICTIM {
+            self.evict.record(set, victim, domain);
+            self.evict_by_domain[domain.index()] += 1;
+        }
+        let kind = MissKind::classify(domain, self.evict.lookup(set, key));
+        self.misses_by_kind[kind.index()] += 1;
+        if kind == MissKind::Cold {
+            self.cold_by_domain[domain.index()] += 1;
+        }
+    }
+}
+
+/// Every configuration of a bank that shares one set count, on per-set
+/// LRU stacks exactly `depth` slots deep.
+#[derive(Clone, Debug)]
+struct Level {
+    /// `num_sets - 1`: `key & set_mask` selects the stack.
+    set_mask: u64,
+    /// Slots per set: the largest associativity among the level's points.
+    depth: usize,
+    /// Stack entries (line keys), set-major, most recent first. Valid
+    /// entries form a prefix of each stack; the rest hold [`NO_VICTIM`],
+    /// which never equals a key.
+    entries: Vec<u64>,
+    /// The level's points as `(ways, point index)`, ways strictly
+    /// ascending (within a bank `(sets, ways)` determines the
+    /// configuration).
+    points: Vec<(usize, usize)>,
+}
+
+/// One bank: every configuration sharing a line size, one [`Level`] per
+/// distinct set count.
 #[derive(Clone, Debug)]
 struct Bank {
     /// `log2(line)`: `addr >> line_shift` is the line key.
     line_shift: u32,
-    /// Set bits of the coarsest configuration in the bank.
-    s_min: u32,
-    /// `2^s_min - 1`: `key & coarse_mask` selects the stack.
-    coarse_mask: u64,
-    /// Stack slots per coarse set: `cap + 1` (one slot of slack so an
-    /// insert can complete before the lazy prune runs).
-    region: usize,
-    /// Maximum live entries per coarse set: the union bound over every
-    /// configuration's residents.
-    cap: usize,
-    /// Current stack depth per coarse set; read only off the MRU fast
-    /// path (the hot path needs exactly one load to test the top slot —
-    /// unused slots hold [`NO_VICTIM`], which never equals a key).
-    lens: Vec<u32>,
-    /// Stack entries (line keys), coarse-set-major, most recent first.
-    entries: Vec<u64>,
-    /// Distinct set-bit counts in the bank, ascending.
-    svals: Vec<u32>,
-    /// Per distinct set-bit count: the largest associativity (liveness
-    /// bound used by the prune pass).
-    max_ways: Vec<u32>,
-    /// Flat eviction thresholds, grouped by `svals` index: block `si`
-    /// spans `thr_start[si]..thr_start[si + 1]` of `thr_ways` /
-    /// `thr_point`, its associativities strictly ascending (within a
-    /// bank `(sets, ways)` determines the configuration). Flat arrays
-    /// keep the walk's inner loop free of nested-`Vec` pointer chasing.
-    thr_start: Vec<u32>,
-    /// Associativity at which each threshold fires.
-    thr_ways: Vec<u32>,
-    /// Point index whose victim each threshold records.
-    thr_point: Vec<u32>,
+    /// Levels in ascending set count.
+    levels: Vec<Level>,
     points: Vec<PointState>,
-    // Walk scratch, persisted to keep the hot path allocation-free.
-    /// Same-set entries seen so far, per distinct set-bit count.
-    counts: Vec<u32>,
-    /// Next unfired threshold per distinct set-bit count (absolute index
-    /// into the flat threshold arrays).
-    thr_ptr: Vec<u32>,
-    /// Victim line recorded per point. Valid only for points whose
-    /// eviction threshold fired in the current walk (equivalently:
-    /// whose same-set count reached its ways); stale slots are never
-    /// read, so no per-access reset is needed.
-    victims: Vec<u64>,
-    /// Prune scratch: per distinct set-bit count, one counter per fine
-    /// set within a coarse set.
-    prune_counts: Vec<Vec<u32>>,
 }
 
 impl Bank {
     fn new(line_shift: u32, cfgs: &[CacheConfig]) -> Self {
         debug_assert!(!cfgs.is_empty());
-        let svals_of = |c: &CacheConfig| c.num_sets().trailing_zeros();
-        let s_min = cfgs.iter().map(svals_of).min().expect("non-empty bank");
-        let mut svals: Vec<u32> = cfgs.iter().map(svals_of).collect();
-        svals.sort_unstable();
-        svals.dedup();
-        let mut max_ways = vec![0u32; svals.len()];
-        let mut grouped: Vec<Vec<(u32, u32)>> = vec![Vec::new(); svals.len()];
-        let mut cap = 0usize;
+        let mut sets: Vec<u32> = cfgs.iter().map(CacheConfig::num_sets).collect();
+        sets.sort_unstable();
+        sets.dedup();
+        let mut levels: Vec<Level> = sets
+            .iter()
+            .map(|&n| Level {
+                set_mask: u64::from(n - 1),
+                depth: 0,
+                entries: Vec::new(),
+                points: Vec::new(),
+            })
+            .collect();
         let mut points = Vec::with_capacity(cfgs.len());
         for (pi, cfg) in cfgs.iter().enumerate() {
-            let s = svals_of(cfg);
-            let si = svals.iter().position(|&v| v == s).expect("s is listed");
-            grouped[si].push((cfg.ways(), pi as u32));
-            max_ways[si] = max_ways[si].max(cfg.ways());
-            cap += (cfg.ways() as usize) << (s - s_min);
+            let li = sets
+                .binary_search(&cfg.num_sets())
+                .expect("set count is listed");
+            levels[li].points.push((cfg.ways() as usize, pi));
             points.push(PointState {
                 cfg: *cfg,
                 set_mask: cfg.set_mask(),
                 ways: cfg.ways(),
-                si,
+                level: li,
                 evict: EvictTable::new(cfg.num_sets() as usize, EvictTable::DEFAULT_CAP),
                 misses_by_kind: [0; 5],
                 cold_by_domain: [0; 2],
                 evict_by_domain: [0; 2],
             });
         }
-        let mut thr_start = Vec::with_capacity(svals.len() + 1);
-        let mut thr_ways = Vec::with_capacity(cfgs.len());
-        let mut thr_point = Vec::with_capacity(cfgs.len());
-        for g in &mut grouped {
-            g.sort_unstable();
-            thr_start.push(thr_ways.len() as u32);
-            for &(ways, pi) in g.iter() {
-                thr_ways.push(ways);
-                thr_point.push(pi);
-            }
+        for level in &mut levels {
+            level.points.sort_unstable();
+            level.depth = level.points.last().expect("a level has a point").0;
+            level.entries = vec![NO_VICTIM; (level.set_mask as usize + 1) * level.depth];
         }
-        thr_start.push(thr_ways.len() as u32);
-        let coarse_sets = 1usize << s_min;
-        let region = cap + 1;
-        let prune_counts = svals
-            .iter()
-            .map(|&s| vec![0u32; 1usize << (s - s_min)])
-            .collect();
         Self {
             line_shift,
-            s_min,
-            coarse_mask: (coarse_sets - 1) as u64,
-            region,
-            cap,
-            lens: vec![0; coarse_sets],
-            entries: vec![NO_VICTIM; coarse_sets * region],
-            counts: vec![0; svals.len()],
-            thr_ptr: vec![0; svals.len()],
-            victims: vec![NO_VICTIM; points.len()],
-            prune_counts,
-            svals,
-            max_ways,
-            thr_start,
-            thr_ways,
-            thr_point,
+            levels,
             points,
         }
     }
 
     /// Splits a `words`-long sequential fetch into line runs at this
-    /// bank's line size and touches the stack once per run — after the
+    /// bank's line size and touches the stacks once per run — after the
     /// first word of a line the rest of the run is guaranteed hits in
     /// every configuration of the bank (same line size), leaving all
     /// replacement state untouched, exactly as the dense cache's
@@ -201,243 +175,89 @@ impl Bank {
         }
     }
 
-    /// One line-granular access: walk the coarse set's recency stack,
-    /// settle every configuration's outcome, then move `key` to the top.
+    /// One line-granular access: per level, settle every point's outcome
+    /// from the key's stack distance, then move `key` to the top.
     fn access_line(&mut self, key: u64, domain: Domain) {
         debug_assert_ne!(key, NO_VICTIM, "address in the topmost line");
-        let coarse = (key & self.coarse_mask) as usize;
-        let base = coarse * self.region;
-        // MRU fast path: the key already tops its stack, so it has zero
-        // same-set predecessors in every configuration — a universal hit
-        // (every `ways >= 1`) that moves nothing. Hits are derived from
-        // the shared access counts, so there is nothing to record; an
-        // empty stack's top slot holds [`NO_VICTIM`], which never equals
-        // a key. This is the only load the 90%+ common case performs.
-        if self.entries[base] == key {
-            return;
-        }
-        let len = self.lens[coarse] as usize;
-
-        // Walk top (MRU) down, counting same-set predecessors per
-        // distinct set-bit count. An entry `e` shares `key`'s set in
-        // every configuration whose set bits fit inside the common low
-        // bits: `s <= trailing_zeros(e ^ key)`. The walk stops at `key`:
-        // entries below it cannot change any outcome (a hit needs only
-        // the predecessors; a miss at depth >= A means the set is full
-        // and its victim was already seen at depth A). Once every
-        // threshold has fired the counting is over too — every point's
-        // outcome and victim are settled — and only the key's position
-        // is still unknown, so the remainder degrades to a plain scan.
-        let mut found = false;
-        let mut pos = len;
-        let mut fired = 0u32;
-        let total = self.victims.len() as u32;
-        {
-            let Self {
-                entries,
-                counts,
-                thr_ptr,
-                thr_start,
-                thr_ways,
-                thr_point,
-                victims,
-                svals,
-                ..
-            } = self;
-            counts.fill(0);
-            thr_ptr.copy_from_slice(&thr_start[..svals.len()]);
-            let stack = &entries[base..base + len];
-            let mut p = 0;
-            while p < len {
-                let e = stack[p];
+        let Self { levels, points, .. } = self;
+        for level in levels {
+            let depth = level.depth;
+            let set = (key & level.set_mask) as usize;
+            let stack = &mut level.entries[set * depth..(set + 1) * depth];
+            // MRU here means MRU in every finer set too (they hold a
+            // subset of this set's lines): a universal hit that moves
+            // nothing. Hits are derived from the shared access counts,
+            // so there is nothing to record.
+            if stack[0] == key {
+                return;
+            }
+            // Hoist `key` to the top in one pass, shifting every entry
+            // above its old slot down by one. `pos` ends as the key's
+            // stack distance, or `depth` if it was resident in no point;
+            // then `carry` holds the deepest entry, now pushed out of
+            // every point of the level.
+            let mut carry = key;
+            let mut pos = depth;
+            for (p, slot) in stack.iter_mut().enumerate() {
+                let e = std::mem::replace(slot, carry);
                 if e == key {
-                    found = true;
                     pos = p;
                     break;
                 }
-                let t = (e ^ key).trailing_zeros();
-                for ((&sv, c), (ptr, &end)) in svals
-                    .iter()
-                    .zip(counts.iter_mut())
-                    .zip(thr_ptr.iter_mut().zip(thr_start[1..].iter()))
-                {
-                    if sv > t {
-                        break;
-                    }
-                    *c += 1;
-                    let idx = *ptr as usize;
-                    if idx < end as usize && thr_ways[idx] == *c {
-                        // `e` is this point's LRU resident: the line a
-                        // dedicated cache would evict if this access
-                        // misses.
-                        victims[thr_point[idx] as usize] = e;
-                        *ptr += 1;
-                        fired += 1;
-                    }
-                }
-                p += 1;
-                if fired == total {
-                    if let Some(off) = stack[p..].iter().position(|&x| x == key) {
-                        found = true;
-                        pos = p + off;
-                    }
+                carry = e;
+            }
+            for &(ways, pi) in &level.points {
+                if ways > pos {
                     break;
                 }
-            }
-        }
-
-        // Settle each missing point by replicating the dense miss path:
-        // record the eviction first, then classify against the provenance
-        // table (order matters under its cap). A found key with no
-        // threshold fired is a hit for every point (each count stayed
-        // below its smallest associativity) — nothing to settle.
-        if !found {
-            // Global miss: the key is in no configuration (the stack
-            // holds a superset of every point's residents), so every
-            // point misses; those whose set is full (count reached ways,
-            // i.e. their threshold fired) also evict their victim.
-            for pi in 0..self.points.len() {
-                let point = &mut self.points[pi];
-                let set = (key & point.set_mask) as u32;
-                if self.counts[point.si] >= point.ways {
-                    point.evict.record(set, self.victims[pi], domain);
-                    point.evict_by_domain[domain.index()] += 1;
-                }
-                let kind = MissKind::classify(domain, point.evict.lookup(set, key));
-                point.misses_by_kind[kind.index()] += 1;
-                if kind == MissKind::Cold {
-                    point.cold_by_domain[domain.index()] += 1;
-                }
-            }
-        } else if fired > 0 {
-            // Hit in some configurations: exactly the points whose
-            // threshold fired saw `ways` same-set lines above the key —
-            // a conflict miss with a full set. The fired thresholds are
-            // the walk-front prefix of each set-bit count's block, so
-            // the missing points are enumerated directly; every other
-            // point is a hit and is never touched.
-            for si in 0..self.svals.len() {
-                for idx in self.thr_start[si] as usize..self.thr_ptr[si] as usize {
-                    let pi = self.thr_point[idx] as usize;
-                    let point = &mut self.points[pi];
-                    let set = (key & point.set_mask) as u32;
-                    point.evict.record(set, self.victims[pi], domain);
-                    point.evict_by_domain[domain.index()] += 1;
-                    let kind = MissKind::classify(domain, point.evict.lookup(set, key));
-                    point.misses_by_kind[kind.index()] += 1;
-                    if kind == MissKind::Cold {
-                        point.cold_by_domain[domain.index()] += 1;
-                    }
-                }
-            }
-        }
-
-        // Update the stack: hoist `key` to the top, preserving the
-        // relative recency of everything above its old position.
-        if found {
-            self.entries.copy_within(base..base + pos, base + 1);
-            self.entries[base] = key;
-        } else {
-            self.entries.copy_within(base..base + len, base + 1);
-            self.entries[base] = key;
-            let new_len = len + 1;
-            self.lens[coarse] = new_len as u32;
-            if new_len > self.cap {
-                self.prune(coarse);
+                // The `ways`-th most recent line before the hoist (now one
+                // slot down) is this point's LRU resident; an empty slot
+                // means the set had a free way.
+                let victim = if ways < depth { stack[ways] } else { carry };
+                points[pi].miss(key, victim, domain);
             }
         }
     }
 
-    /// Lazy liveness prune: drops stack entries resident in no
-    /// configuration. Such an entry has, for every set-bit count `s`, at
-    /// least `max_ways(s)` same-set entries above it — so any future
-    /// access that would have walked past it already sees a full set
-    /// (hit/miss unchanged) with its victim above (eviction unchanged),
-    /// and deeper same-set entries keep at least `max_ways(s)`
-    /// predecessors (their outcomes unchanged too). Residents of some
-    /// configuration are never dropped, so at most
-    /// `sum(ways_c * 2^(s_c - s_min))` = `cap` entries are live; called
-    /// at `cap + 1`, the pass always reclaims at least one slot.
-    fn prune(&mut self, coarse: usize) {
-        let base = coarse * self.region;
-        for c in &mut self.prune_counts {
-            c.fill(0);
-        }
-        let len = self.lens[coarse] as usize;
-        let mut write = 0usize;
-        for p in 0..len {
-            let e = self.entries[base + p];
-            let mut live = false;
-            for si in 0..self.svals.len() {
-                // Fine-set index within this coarse set: the key bits
-                // between `s_min` and `s`.
-                let fid =
-                    ((e >> self.s_min) & ((1u64 << (self.svals[si] - self.s_min)) - 1)) as usize;
-                let seen = self.prune_counts[si][fid];
-                if seen < self.max_ways[si] {
-                    live = true;
-                }
-                // Dead entries still count: residency depth is measured
-                // over all same-set lines in the stack, dead or not.
-                self.prune_counts[si][fid] = seen + 1;
-            }
-            if live {
-                self.entries[base + write] = e;
-                write += 1;
-            }
-        }
-        debug_assert!(write <= self.cap, "prune must reclaim the slack slot");
-        // Clear the reclaimed tail so the MRU fast path stays safe on
-        // any slot the stack may shrink back onto.
-        self.entries[base + write..base + len].fill(NO_VICTIM);
-        self.lens[coarse] = write as u32;
-    }
-
-    /// Final per-set occupancy of one point, reconstructed from the
-    /// stack: a set holds `min(same-set stack entries, ways)` valid
-    /// lines (the stack keeps at least every resident, and a set with
-    /// fewer than `ways` distinct lines ever accessed has never pruned).
+    /// Final per-set occupancy of one point, read off its level: a set
+    /// holds `min(valid stack entries, ways)` lines.
     fn occupancy(&self, pi: usize) -> Vec<u32> {
         let point = &self.points[pi];
-        let mut occ = vec![0u32; point.cfg.num_sets() as usize];
-        for (&len, stack) in self.lens.iter().zip(self.entries.chunks_exact(self.region)) {
-            for &e in &stack[..len as usize] {
-                let set = (e & point.set_mask) as usize;
-                if occ[set] < point.ways {
-                    occ[set] += 1;
-                }
-            }
-        }
-        occ
+        let level = &self.levels[point.level];
+        level
+            .entries
+            .chunks_exact(level.depth)
+            .map(|stack| {
+                let valid = stack.iter().take_while(|&&e| e != NO_VICTIM).count();
+                valid.min(point.ways as usize) as u32
+            })
+            .collect()
     }
 
-    /// Structural stack invariants (test hook): depth within the cap,
-    /// entries unique, and every entry in its home coarse set. A
+    /// Structural stack invariants (test hook): in every set's stack the
+    /// valid entries form a prefix, are unique, and map to that set. A
     /// violation means stack inclusion has been broken.
     fn check(&self) -> Result<(), String> {
-        for (coarse, (&len, stack)) in self
-            .lens
-            .iter()
-            .zip(self.entries.chunks_exact(self.region))
-            .enumerate()
-        {
-            let len = len as usize;
-            if len > self.cap {
-                return Err(format!(
-                    "coarse set {coarse}: depth {len} exceeds cap {}",
-                    self.cap
-                ));
-            }
-            let slice = &stack[..len];
-            for (i, &e) in slice.iter().enumerate() {
-                if (e & self.coarse_mask) as usize != coarse {
+        for level in &self.levels {
+            let sets = level.set_mask + 1;
+            for (set, stack) in level.entries.chunks_exact(level.depth).enumerate() {
+                let valid = stack.iter().take_while(|&&e| e != NO_VICTIM).count();
+                if let Some(hole) = stack[valid..].iter().position(|&e| e != NO_VICTIM) {
                     return Err(format!(
-                        "coarse set {coarse}: entry {e:#x} belongs to set {}",
-                        e & self.coarse_mask
+                        "{sets} sets, set {set}: valid slot {} after an empty one",
+                        valid + hole
                     ));
                 }
-                if slice[..i].contains(&e) {
-                    return Err(format!("coarse set {coarse}: duplicate entry {e:#x}"));
+                for (i, &e) in stack[..valid].iter().enumerate() {
+                    if (e & level.set_mask) as usize != set {
+                        return Err(format!(
+                            "{sets} sets, set {set}: entry {e:#x} belongs to set {}",
+                            e & level.set_mask
+                        ));
+                    }
+                    if stack[..i].contains(&e) {
+                        return Err(format!("{sets} sets, set {set}: duplicate entry {e:#x}"));
+                    }
                 }
             }
         }
@@ -616,10 +436,10 @@ impl MultiSim {
         probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
     }
 
-    /// Verifies the structural invariants of every bank stack (bounded
-    /// depth, unique entries, correct coarse-set homing). Test hook for
-    /// the property suite: any violation means the capped stack has lost
-    /// inclusion.
+    /// Verifies the structural invariants of every level's stacks (valid
+    /// entries form a prefix, are unique, and are homed to their own
+    /// set). Test hook for the property suite: any violation means the
+    /// stacks have lost inclusion.
     ///
     /// # Errors
     ///
@@ -714,9 +534,10 @@ mod tests {
     }
 
     #[test]
-    fn prune_pressure_preserves_equality() {
-        // Tiny caches, address span far beyond every capacity: the
-        // coarse stacks overflow constantly, exercising the lazy prune.
+    fn eviction_pressure_preserves_equality() {
+        // Tiny caches, address span far beyond every capacity: every
+        // level's stacks overflow constantly, pushing lines out of the
+        // deepest slot.
         let grid = vec![
             CacheConfig::new(64, 16, 1),
             CacheConfig::new(128, 16, 2),
@@ -730,7 +551,7 @@ mod tests {
             for c in &mut dense {
                 c.access_words(base, words, domain);
             }
-            multi.check_inclusion().expect("capped stack stays sound");
+            multi.check_inclusion().expect("stacks stay sound");
         });
         for (pi, c) in dense.iter().enumerate() {
             assert_eq!(multi.stats(pi), *c.stats(), "point {pi} ({})", grid[pi]);
@@ -836,10 +657,10 @@ mod tests {
     }
 
     #[test]
-    fn matches_reference_caches_under_prune_pressure() {
-        // Same property on the capped stack: tiny caches, an address span
-        // far beyond every capacity, inclusion checked as the lazy prune
-        // fires.
+    fn matches_reference_caches_under_eviction_pressure() {
+        // Same property under constant overflow: tiny caches, an address
+        // span far beyond every capacity, inclusion checked as lines fall
+        // off the bottom of the stacks.
         use crate::reference::ReferenceCache;
 
         let grid = vec![
@@ -867,10 +688,10 @@ mod tests {
                 stats.record(domain, detail.outcome);
             }
             if step % 1024 == 0 {
-                multi.check_inclusion().expect("capped stack stays sound");
+                multi.check_inclusion().expect("stacks stay sound");
             }
         }
-        multi.check_inclusion().expect("capped stack stays sound");
+        multi.check_inclusion().expect("stacks stay sound");
         for (pi, (_, stats)) in refs.iter().enumerate() {
             assert_eq!(multi.stats(pi), *stats, "point {pi} ({})", grid[pi]);
         }
@@ -890,35 +711,197 @@ mod tests {
             m.check_inclusion().expect("healthy after the stream");
             m
         };
-        let deep_coarse = |m: &MultiSim| {
-            m.banks[0]
-                .lens
-                .iter()
-                .position(|&l| l >= 2)
-                .expect("a stack at least two deep")
+        // The start of a stack holding at least two valid entries, in the
+        // first level of the 32-byte bank (32 sets, four ways deep).
+        let deep_stack = |m: &MultiSim| {
+            let level = &m.banks[0].levels[0];
+            assert!(level.set_mask > 0 && level.depth >= 2);
+            let set = level
+                .entries
+                .chunks_exact(level.depth)
+                .position(|s| s[1] != NO_VICTIM)
+                .expect("a stack at least two deep");
+            set * level.depth
         };
 
         // A duplicated entry.
         let mut m = filled();
-        let base = deep_coarse(&m) * m.banks[0].region;
-        m.banks[0].entries[base + 1] = m.banks[0].entries[base];
+        let at = deep_stack(&m);
+        let entries = &mut m.banks[0].levels[0].entries;
+        entries[at + 1] = entries[at];
         let err = m.check_inclusion().expect_err("duplicate goes undetected");
         assert!(err.contains("duplicate"), "{err}");
 
-        // An entry homed to the wrong coarse set (flipping the lowest key
-        // bit moves it: every grid bank has more than one coarse set).
+        // An entry homed to the wrong set (flipping the lowest key bit
+        // moves it: the level has more than one set).
         let mut m = filled();
-        let base = deep_coarse(&m) * m.banks[0].region;
-        m.banks[0].entries[base] ^= 1;
+        let at = deep_stack(&m);
+        m.banks[0].levels[0].entries[at] ^= 1;
         let err = m.check_inclusion().expect_err("mis-homed entry undetected");
         assert!(err.contains("belongs to"), "{err}");
 
-        // A stack deeper than the inclusion cap.
+        // A hole: a valid slot after an empty one.
         let mut m = filled();
-        let coarse = deep_coarse(&m);
-        m.banks[0].lens[coarse] = m.banks[0].cap as u32 + 1;
-        let err = m.check_inclusion().expect_err("over-deep stack undetected");
-        assert!(err.contains("exceeds cap"), "{err}");
+        let at = deep_stack(&m);
+        m.banks[0].levels[0].entries[at] = NO_VICTIM;
+        let err = m.check_inclusion().expect_err("hole undetected");
+        assert!(err.contains("after an empty one"), "{err}");
+    }
+
+    #[test]
+    fn edge_geometries_match_dense_and_reference_caches() {
+        // Each case is its own simulator, differenced per point against a
+        // probed dense `Cache` and the map-based `ReferenceCache` on the
+        // same stream: stats, miss and eviction counters, the occupancy
+        // gauge and the per-set occupancy histogram.
+        use std::sync::Arc;
+
+        use crate::reference::ReferenceCache;
+
+        let cases: [(&str, Vec<CacheConfig>); 6] = [
+            (
+                "one set (fully associative)",
+                vec![
+                    CacheConfig::new(256, 32, 8),
+                    CacheConfig::new(128, 32, 4),
+                    CacheConfig::new(256, 32, 1),
+                ],
+            ),
+            (
+                "line = one word",
+                vec![
+                    CacheConfig::new(256, 4, 1),
+                    CacheConfig::new(512, 4, 2),
+                    CacheConfig::new(64, 4, 16),
+                ],
+            ),
+            (
+                "set counts 16 and 1024 only",
+                vec![
+                    CacheConfig::new(512, 32, 1),
+                    CacheConfig::new(1024, 32, 2),
+                    CacheConfig::new(32 * 1024, 32, 1),
+                ],
+            ),
+            (
+                "ways 1 and 4 at one set count",
+                vec![CacheConfig::new(1024, 16, 1), CacheConfig::new(4096, 16, 4)],
+            ),
+            (
+                "direct-mapped only",
+                vec![
+                    CacheConfig::new(1024, 64, 1),
+                    CacheConfig::new(4096, 64, 1),
+                    CacheConfig::new(512, 64, 1),
+                ],
+            ),
+            (
+                "duplicate configurations",
+                vec![
+                    CacheConfig::new(1024, 32, 2),
+                    CacheConfig::new(1024, 32, 2),
+                    CacheConfig::new(2048, 16, 1),
+                    CacheConfig::new(1024, 32, 2),
+                ],
+            ),
+        ];
+        for (name, grid) in cases {
+            let mut multi = MultiSim::new(&grid);
+            let mut dense: Vec<(Arc<MetricRegistry>, Cache)> = grid
+                .iter()
+                .map(|&c| {
+                    let reg = Arc::new(MetricRegistry::new());
+                    (reg.clone(), Cache::with_probe(c, reg))
+                })
+                .collect();
+            // Per point: the reference cache, its stats, and its
+            // evictions by evictor domain.
+            let mut refs: Vec<(ReferenceCache, MissStats, [u64; 2])> = grid
+                .iter()
+                .map(|&c| (ReferenceCache::new(c), MissStats::default(), [0; 2]))
+                .collect();
+            random_stream(0xED6E, 12_000, 8 * 1024, |base, words, domain| {
+                multi.access_words(base, words, domain);
+                for (_, c) in &mut dense {
+                    c.access_words(base, words, domain);
+                }
+                for (r, stats, evicted) in &mut refs {
+                    for w in 0..u64::from(words) {
+                        let detail = r.access_detailed(base + 4 * w, domain);
+                        stats.record(domain, detail.outcome);
+                        if detail.evicted.is_some() {
+                            evicted[domain.index()] += 1;
+                        }
+                    }
+                }
+            });
+            multi.check_inclusion().expect("stacks stay sound");
+            for (pi, ((reg, c), (_, ref_stats, ref_evicted))) in dense.iter().zip(&refs).enumerate()
+            {
+                let at = format!("{name}: point {pi} ({})", grid[pi]);
+                assert_eq!(multi.stats(pi), *c.stats(), "{at} vs dense");
+                assert_eq!(multi.stats(pi), *ref_stats, "{at} vs reference");
+                c.record_occupancy();
+                let mine = MetricRegistry::new();
+                multi.report_into(pi, &mine);
+                assert_eq!(mine.counters(), reg.counters(), "{at} counters");
+                assert_eq!(mine.gauges(), reg.gauges(), "{at} gauges");
+                assert_eq!(mine.histograms(), reg.histograms(), "{at} histograms");
+                for (domain, metric) in [
+                    (Domain::Os, "cache.evict.by_os"),
+                    (Domain::App, "cache.evict.by_app"),
+                ] {
+                    let n = mine
+                        .counters()
+                        .iter()
+                        .find(|(k, _)| k == metric)
+                        .map_or(0, |&(_, n)| n);
+                    assert_eq!(n, ref_evicted[domain.index()], "{at} {metric}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evict_table_cap_pressure_matches_dense_cache() {
+        // A 1-set, 2-way point over far more distinct lines than the
+        // provenance table's per-set cap: records are dropped round-robin
+        // and refetched lines reclassify as cold. The single-pass point
+        // must degrade exactly as the dense cache does.
+        use std::sync::Arc;
+
+        let cfg = CacheConfig::new(32, 16, 2);
+        assert_eq!(cfg.num_sets(), 1);
+        let lines = 3 * EvictTable::DEFAULT_CAP as u64;
+        let mut multi = MultiSim::new(&[cfg]);
+        let reg = Arc::new(MetricRegistry::new());
+        let mut dense = Cache::with_probe(cfg, reg.clone());
+        let mut rng = Rng::seed_from_u64(0xCA9);
+        for _ in 0..60_000u32 {
+            let addr = 16 * rng.gen_range(0..lines);
+            let domain = if rng.gen_range(0..3u32) == 0 {
+                Domain::App
+            } else {
+                Domain::Os
+            };
+            multi.access(addr, domain);
+            dense.access(addr, domain);
+        }
+        assert_eq!(
+            dense.evict_records(),
+            EvictTable::DEFAULT_CAP,
+            "the cap binds"
+        );
+        // Cold misses beyond the distinct lines touched: dropped records
+        // did reclassify refetched lines.
+        assert!(dense.stats().misses(MissKind::Cold) > lines);
+        assert_eq!(multi.stats(0), *dense.stats());
+        let mine = MetricRegistry::new();
+        multi.report_into(0, &mine);
+        dense.record_occupancy();
+        assert_eq!(mine.counters(), reg.counters());
+        assert_eq!(mine.gauges(), reg.gauges());
+        assert_eq!(mine.histograms(), reg.histograms());
     }
 
     #[test]
