@@ -172,44 +172,30 @@ fi
 grep -q "corrupt block" "$tmpdir/verify_err.txt"
 rm -rf "$tmpdir"
 
-echo "== sweep engine gate: single-pass vs per-point, 1 and 2 workers =="
+echo "== sweep gate: 1 vs 2 workers =="
 # fig15 sweeps sizes at 32-byte lines; fig17 is the committed figure with
-# 64- and 128-byte banks and mixed associativities.
+# 64- and 128-byte banks and mixed associativities. Single-pass vs
+# per-point equality is pinned by crates/bench/tests/multisim.rs.
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"
 for fig in fig15_cache_size_speedup fig17_line_assoc; do
-  for mode in single-pass per-point; do
-    for t in 1 2; do
-      d="$tmpdir/$fig/${mode}_t$t"
-      mkdir -p "$d/results"
-      (
-        cd "$d"
-        cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
-          -p oslay-bench --bin "$fig" -- \
-          --scale tiny --threads "$t" "--$mode" > stdout.txt 2> /dev/null
-      )
-    done
+  for t in 1 2; do
+    mkdir -p "$tmpdir/$fig/t$t/results"
+    (
+      cd "$tmpdir/$fig/t$t"
+      cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+        -p oslay-bench --bin "$fig" -- \
+        --scale tiny --threads "$t" > stdout.txt 2> /dev/null
+    )
   done
-  # The rendered figure must be byte-identical across modes and worker
-  # counts...
-  for v in single-pass_t2 per-point_t1 per-point_t2; do
-    diff "$tmpdir/$fig/single-pass_t1/stdout.txt" "$tmpdir/$fig/$v/stdout.txt"
-  done
+  diff "$tmpdir/$fig/t1/stdout.txt" "$tmpdir/$fig/t2/stdout.txt"
 done
-# ...fig15's run report (fig17 writes none) must be worker-count invariant
-# within each mode (wall clock and allocator telemetry aside)...
+# fig15's run report (fig17 writes none) must be worker-count invariant,
+# wall clock and allocator telemetry aside.
 fig15="$tmpdir/fig15_cache_size_speedup"
 nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
-for mode in single-pass per-point; do
-  diff <(grep -vE "$nondet" "$fig15/${mode}_t1/results/fig15_cache_size_speedup.json") \
-       <(grep -vE "$nondet" "$fig15/${mode}_t2/results/fig15_cache_size_speedup.json")
-done
-# ...and across modes every figure section and metric must agree; only
-# the phase-span counts may differ (single-pass records one replay pass
-# per case, per-point one per grid point).
-crossdet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes|count)"'
-diff <(grep -vE "$crossdet" "$fig15/single-pass_t1/results/fig15_cache_size_speedup.json") \
-     <(grep -vE "$crossdet" "$fig15/per-point_t1/results/fig15_cache_size_speedup.json")
+diff <(grep -vE "$nondet" "$fig15/t1/results/fig15_cache_size_speedup.json") \
+     <(grep -vE "$nondet" "$fig15/t2/results/fig15_cache_size_speedup.json")
 rm -rf "$tmpdir"
 
 echo "== telemetry gate: inert probes, worker-invariant timeline, dash 0/1 =="

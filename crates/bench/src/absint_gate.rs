@@ -17,8 +17,9 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use oslay::cache::{AddressMap, AttributedCache, Cache, CacheConfig, InstructionCache};
+use oslay::cache::{AttributedCache, Cache, CacheConfig, InstructionCache};
 use oslay::{OsLayout, Study};
+use oslay_layout::Layout;
 use oslay_model::{Domain, WORD_BYTES};
 use oslay_trace::{TraceEvent, TraceSink};
 use oslay_verify::{
@@ -212,7 +213,6 @@ pub fn run_absint_gate(
     config: CacheConfig,
     threads: usize,
 ) -> AbsintGateOutcome {
-    let program = &study.kernel().program;
     let classifications: Vec<(String, Classification, Arc<LayoutView>)> = layouts
         .iter()
         .map(|(name, os)| {
@@ -227,13 +227,16 @@ pub fn run_absint_gate(
         .iter()
         .map(|(_, _, view)| Arc::new(LayoutWords::new(view, &config)))
         .collect();
-    let app_views: Vec<Option<Arc<LayoutWords>>> = study
+    let app_layouts: Vec<Option<Layout>> = study
         .cases()
         .iter()
-        .map(|case| {
-            study
-                .app_base_layout(case)
-                .map(|l| Arc::new(LayoutWords::new(&LayoutView::from_layout(&l), &config)))
+        .map(|case| study.app_base_layout(case))
+        .collect();
+    let app_views: Vec<Option<LayoutWords>> = app_layouts
+        .iter()
+        .map(|l| {
+            l.as_ref()
+                .map(|l| LayoutWords::new(&LayoutView::from_layout(l), &config))
         })
         .collect();
 
@@ -243,22 +246,12 @@ pub fn run_absint_gate(
     let rows = oslay::exec::parallel_map(threads, jobs, |_, (l, c)| {
         let case = &study.cases()[c];
         let (name, classification, _) = &classifications[l];
-        let os = &layouts[l].1;
-        let mut spans =
-            oslay_layout::layout_spans(program, &os.layout, Domain::Os, os.classes.as_deref());
-        if let (Some(app_layout), Some(app_program)) = (study.app_base_layout(case), &case.app) {
-            spans.extend(oslay_layout::layout_spans(
-                app_program,
-                &app_layout,
-                Domain::App,
-                None,
-            ));
-        }
+        let map = crate::address_map(study, case, &layouts[l].1, app_layouts[c].as_ref());
         let words = &os_words[l];
         let mut recorder = MissRecorder {
-            cache: AttributedCache::new(Cache::new(config), Arc::new(AddressMap::build(spans))),
+            cache: AttributedCache::new(Cache::new(config), Arc::new(map)),
             os: words,
-            app: app_views[c].as_deref(),
+            app: app_views[c].as_ref(),
             point_miss: (0..words.base.len())
                 .map(|b| vec![0u64; words.num_slots(b)])
                 .collect(),

@@ -4,7 +4,7 @@
 //! workload case, named by [`archive_file_name`]. [`record_archive`]
 //! writes one from a live study; [`run_archived_figure12_matrix`] then
 //! reproduces the Figure-12 matrix from the files alone — same ladder,
-//! same sharding contract, same registry merge order as the live
+//! same executor, same registry merge order as the live
 //! [`crate::run_figure12_matrix`] — so a live run and an archived replay
 //! produce byte-identical reports at any worker count.
 
@@ -17,7 +17,7 @@ use oslay_layout::Layout;
 use oslay_observe::{MetricRegistry, Probe};
 use oslay_tracestore::{StoreError, StoreSummary, TraceReader, TraceWriter};
 
-use crate::{app_layout_for, figure12_ladder};
+use crate::{app_layout_for, figure12_ladder, into_rows, ladder_os_layouts, run_ordered, Job};
 
 /// The archive file name for a workload case: its display name lowered
 /// with every non-alphanumeric run collapsed to `_`, plus the `.otr`
@@ -65,64 +65,22 @@ pub fn record_archive(
     results.into_iter().collect()
 }
 
-/// The memory layouts one replay runs under: the OS image plus the
-/// optional application side.
-#[derive(Clone, Copy)]
-pub struct LayoutPair<'a> {
-    /// The placed OS layout.
-    pub os: &'a Layout,
-    /// The application layout, `None` for OS-only workloads.
-    pub app: Option<&'a Layout>,
-}
-
-/// Replays one archived case through a probed cache, mirroring
-/// [`crate::run_probed_on`] event for event: same replayer, same probe
-/// wiring, same final occupancy snapshot. The only difference is the
-/// event source — a [`TraceReader`] instead of a regenerated walk — so
-/// the metric registry and result are identical when the archive is
-/// faithful.
-///
-/// # Errors
-///
-/// Returns a [`StoreError`] if the store cannot be opened or a block
-/// fails its CRC or decode (the error names the block).
-pub fn replay_archived_probed(
-    study: &Study,
-    case: &WorkloadCase,
-    path: &Path,
-    layouts: LayoutPair<'_>,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    registry: &Arc<MetricRegistry>,
-) -> Result<SimResult, StoreError> {
-    let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(registry) as _;
-    let mut cache = Cache::with_probe(cache_cfg, probe);
-    let mut reader = TraceReader::open(path)?;
-    let result = {
-        let mut replayer = study.replayer_for(case, layouts.os, layouts.app, &mut cache, sim);
-        reader.replay_into(&mut replayer)?;
-        replayer.finish()
-    };
-    cache.record_occupancy();
-    Ok(result)
-}
-
 /// Reproduces the Figure-12 matrix from an archive directory, returning
 /// `results[case][level]` exactly like [`crate::run_figure12_matrix`].
 ///
 /// Single-pass: each case's store is opened and decoded **once**, and a
 /// [`FanoutSink`] feeds the decoded stream to one [`Replayer`] per
 /// ladder level side by side — five replays for one decode, instead of
-/// re-opening and re-decoding the store per level. Each level records
-/// into a private registry shard; shards fold into `registry`
-/// case-major, level-minor — the same order the per-level job list used
-/// — so against the same study this is byte-identical to the live
-/// matrix at any worker count.
+/// re-opening and re-decoding the store per level. A case job owns its
+/// five cells of the matrix as output slots, one registry shard each, so
+/// the shards fold into `registry` case-major, level-minor — the order
+/// of the live matrix — and against the same study this is
+/// byte-identical to it at any worker count.
 ///
 /// # Errors
 ///
 /// Returns the first [`StoreError`] in case order (a missing file, or a
-/// corrupt block named by index).
+/// corrupt block named by index); `registry` is then left untouched.
 pub fn run_archived_figure12_matrix(
     study: &Study,
     dir: &Path,
@@ -132,35 +90,23 @@ pub fn run_archived_figure12_matrix(
     registry: &Arc<MetricRegistry>,
 ) -> Result<Vec<Vec<SimResult>>, StoreError> {
     let ladder = figure12_ladder();
-    let mut kinds: Vec<oslay::OsLayoutKind> = Vec::new();
-    for &(_, kind, _) in &ladder {
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-    let layouts: Vec<(oslay::OsLayoutKind, oslay::OsLayout)> = kinds
-        .into_iter()
-        .map(|kind| (kind, study.os_layout(kind, cache_cfg.size())))
+    let layouts = ladder_os_layouts(study, cache_cfg.size());
+    let width = ladder.len();
+    let jobs = study
+        .cases()
+        .iter()
+        .enumerate()
+        .map(|(c, case)| Job {
+            label: case.name().to_owned(),
+            slots: (c * width..(c + 1) * width).collect(),
+            input: case,
+        })
         .collect();
-    let jobs: Vec<usize> = (0..study.cases().len()).collect();
-    let ladder_ref = &ladder;
-    let layouts_ref = &layouts;
-    // Same timeline contract as the live matrix: one group allocated
-    // before the fan-out, one scope per job in job-index order, so an
-    // archived replay's telemetry document is byte-identical across
-    // worker counts.
-    let group = oslay_observe::timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, move |i, c| {
-        let case = &study.cases()[c];
-        let _t = oslay_observe::timeline::scope(group, i as u64, case.name().to_owned());
-        let path = dir.join(archive_file_name(case));
-
-        // One probed cache + registry shard per ladder level. The app
-        // layouts live beside them: each replayer borrows its level's.
-        let shards: Vec<Arc<MetricRegistry>> = (0..ladder_ref.len())
-            .map(|_| Arc::new(MetricRegistry::new()))
-            .collect();
-        let apps: Vec<Option<Layout>> = ladder_ref
+    let flat = run_ordered(threads, jobs, registry, |case, shards| {
+        // One probed cache per ladder level, recording into that level's
+        // shard. The app layouts live beside them: each replayer borrows
+        // its level's.
+        let apps: Vec<Option<Layout>> = ladder
             .iter()
             .map(|&(_, _, side)| app_layout_for(study, case, side, cache_cfg.size()))
             .collect();
@@ -173,13 +119,8 @@ pub fn run_archived_figure12_matrix(
             .collect();
         let mut replayers: Vec<_> = caches
             .iter_mut()
-            .zip(ladder_ref.iter().zip(&apps))
-            .map(|(cache, (&(_, kind, _), app))| {
-                let os = &layouts_ref
-                    .iter()
-                    .find(|&&(k, _)| k == kind)
-                    .expect("every ladder kind is memoized")
-                    .1;
+            .zip(layouts.iter().zip(&apps))
+            .map(|(cache, (os, app))| {
                 study.replayer_for(case, &os.layout, app.as_ref(), cache, sim)
             })
             .collect();
@@ -192,7 +133,7 @@ pub fn run_archived_figure12_matrix(
                     .map(|r| r as &mut dyn oslay_trace::TraceSink)
                     .collect(),
             );
-            let mut reader = TraceReader::open(&path)?;
+            let mut reader = TraceReader::open(&dir.join(archive_file_name(case)))?;
             reader.replay_into(&mut fan)?;
         }
 
@@ -200,19 +141,9 @@ pub fn run_archived_figure12_matrix(
         for cache in &mut caches {
             cache.record_occupancy();
         }
-        Ok::<_, StoreError>(row.into_iter().zip(shards).collect::<Vec<_>>())
-    });
-    let mut results: Vec<Vec<SimResult>> = Vec::with_capacity(study.cases().len());
-    for levels in sharded {
-        let levels = levels?;
-        let mut row = Vec::with_capacity(ladder.len());
-        for (r, shard) in levels {
-            registry.merge_from(&shard);
-            row.push(r);
-        }
-        results.push(row);
-    }
-    Ok(results)
+        Ok::<_, StoreError>(row)
+    })?;
+    Ok(into_rows(flat, width))
 }
 
 #[cfg(test)]

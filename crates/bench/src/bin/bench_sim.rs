@@ -24,10 +24,12 @@
 //!   `matrix_1t` runs and no speedup is derived.
 //! - `sweep_per_point` / `sweep_single_pass`: the committed design-space
 //!   grid (4 KB–256 KB at 1–8 ways on 32-byte lines, plus 64/128-byte
-//!   lines at 8 KB, under Base/C-H/OptS) replayed point by point vs
-//!   evaluated in one trace pass per workload (`oslay_cache::MultiSim`);
-//!   their ratio is the `sweep_speedup` derived field, recorded at every
-//!   scale but smoke (a ~1k-block trace measures only setup overhead).
+//!   lines at 8 KB, under Base/C-H/OptS) replayed point by point by the
+//!   reference `run_sweep` vs evaluated in one trace pass per workload by
+//!   `run_sweep_single_pass` (`oslay_cache::MultiSim`), the driver the
+//!   figure binaries use; their ratio is the `sweep_speedup` derived
+//!   field, recorded at every scale but smoke (a ~1k-block trace
+//!   measures only setup overhead).
 //! - `search_score`: the layout-search inner loop in isolation — a
 //!   single hill-climbing walk from the OptS seed; `events` counts
 //!   incremental objective evaluations (trial applies), so the rate is
@@ -46,9 +48,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use oslay::cache::{Cache, CacheConfig};
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
+use oslay::{OsLayoutKind, SimConfig, SimResult, Study, StudyConfig};
 use oslay_bench::{
-    run_args_with, run_figure12_matrix, run_sweep_mode, scale_name, AppSide, SweepPoint,
+    run_args_with, run_figure12_matrix, run_sweep, run_sweep_single_pass, scale_name, AppSide,
+    SweepPoint,
 };
 use oslay_observe::MetricRegistry;
 use oslay_perf::alloc;
@@ -207,11 +210,14 @@ fn run_matrix(study: &Study, sim: &SimConfig, threads: usize) -> u64 {
     let cfg = CacheConfig::paper_default();
     let registry = Arc::new(MetricRegistry::new());
     let matrix = run_figure12_matrix(study, cfg, sim, threads, &registry);
-    matrix
-        .iter()
-        .flatten()
-        .map(|r| r.stats.total_accesses())
-        .sum()
+    accesses(matrix.iter().flatten())
+}
+
+/// Total accesses summed over `results` (the per-point sweep replay
+/// touches each access once per point, so both sweep drivers report the
+/// same event count).
+fn accesses<'a>(results: impl IntoIterator<Item = &'a SimResult>) -> u64 {
+    results.into_iter().map(|r| r.stats.total_accesses()).sum()
 }
 
 /// The committed design-space grid: every (size, associativity) point in
@@ -255,22 +261,6 @@ fn sweep_grid(study: &Study) -> Vec<SweepPoint> {
         }
     }
     points
-}
-
-/// One full sweep of the grid in the given mode; returns total accesses
-/// summed over every grid point (the per-point replay touches each
-/// access once per point, so both modes report the same event count).
-fn run_sweep_bench(study: &Study, sim: &SimConfig, threads: usize, single_pass: bool) -> u64 {
-    let registry = Arc::new(MetricRegistry::new());
-    let results = run_sweep_mode(
-        study,
-        sweep_grid(study),
-        sim,
-        threads,
-        &registry,
-        single_pass,
-    );
-    results.iter().map(|r| r.stats.total_accesses()).sum()
 }
 
 fn main() {
@@ -378,10 +368,14 @@ fn main() {
     // measure — so the gated derived field is only recorded at real
     // scales (the smoke run still prints the observed ratio).
     let per_point = measure("sweep_per_point", || {
-        run_sweep_bench(&study, &sim, args.threads, false)
+        let grid = sweep_grid(&study);
+        let results = run_sweep(&study, grid, &sim, args.threads, &Arc::default());
+        accesses(&results)
     });
     let single_pass = measure("sweep_single_pass", || {
-        run_sweep_bench(&study, &sim, args.threads, true)
+        let grid = sweep_grid(&study);
+        let results = run_sweep_single_pass(&study, grid, &sim, args.threads, &Arc::default());
+        accesses(&results)
     });
     let sweep_speedup = if single_pass.secs > 0.0 {
         per_point.secs / single_pass.secs

@@ -8,25 +8,19 @@
 //! C-H at 32 KB (the cache then holds the working set); with a 30-cycle
 //! penalty the speedups are in the 10–25% range, peaking at 8 KB.
 //!
-//! Extra flags: `--single-pass` (default) evaluates the whole grid in one
-//! trace pass per workload; `--per-point` replays each point separately.
-//! Output is byte-identical either way.
+//! The whole grid is evaluated in one trace pass per workload
+//! (`run_sweep_single_pass`).
 
 use std::sync::Arc;
 
 use oslay::analysis::report::{f, pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::perf::ExecTimeModel;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{
-    banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, Reporter, SweepPoint,
-};
+use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, Reporter, SweepPoint};
 
 fn main() {
-    let mut single_pass = true;
-    let args = run_args_with(StudyConfig::paper(), |arg, _| {
-        sweep_mode_arg(arg, &mut single_pass)
-    });
+    let args = run_args();
     let config = args.config.clone();
     banner("Figure 15: miss rate vs cache size; speedup model", &config);
     let mut reporter = Reporter::new("fig15_cache_size_speedup");
@@ -39,44 +33,25 @@ fn main() {
         OsLayoutKind::OptS,
     ];
 
-    // One memoized OS layout per (kind, size); building a layout costs
-    // far more than replaying through it.
-    let layouts: Vec<((OsLayoutKind, u32), Arc<oslay_layout::Layout>)> = sizes
-        .iter()
-        .flat_map(|&size| kinds.map(|kind| (kind, size)))
-        .map(|key| (key, Arc::new(study.os_layout(key.0, key.1).layout)))
-        .collect();
-    let layout_for = |kind, size| {
-        Arc::clone(
-            &layouts
-                .iter()
-                .find(|&&(k, _)| k == (kind, size))
-                .expect("every (kind, size) is memoized")
-                .1,
-        )
-    };
+    // One OS layout per (kind, size), shared by every workload's points;
+    // building a layout costs far more than replaying through it.
     let mut points = Vec::new();
     for &size in &sizes {
         let cfg = CacheConfig::new(size, 32, 1);
+        let layouts = kinds.map(|kind| Arc::new(study.os_layout(kind, size).layout));
         for wi in 0..study.cases().len() {
-            for kind in kinds {
+            for os in &layouts {
                 points.push(SweepPoint {
                     case: wi,
-                    os: layout_for(kind, size),
+                    os: Arc::clone(os),
                     app: AppSide::Base,
                     cache: cfg,
                 });
             }
         }
     }
-    let results = run_sweep_mode(
-        &study,
-        points,
-        &SimConfig::fast(),
-        args.threads,
-        &registry,
-        single_pass,
-    );
+    let results =
+        run_sweep_single_pass(&study, points, &SimConfig::fast(), args.threads, &registry);
 
     // miss_rate[size][workload][layout]
     let mut rates = vec![vec![[0.0f64; 3]; study.cases().len()]; sizes.len()];

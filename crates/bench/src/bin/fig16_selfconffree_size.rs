@@ -8,23 +8,19 @@
 //! cache the smaller 3.0% one; paper SCF sizes: 0 / 376 / 1286 / 2514
 //! bytes.
 //!
-//! Extra flags: `--single-pass` (default) evaluates the whole grid in one
-//! trace pass per workload; `--per-point` replays each point separately.
-//! Output is byte-identical either way.
+//! The whole grid is evaluated in one trace pass per workload
+//! (`run_sweep_single_pass`).
 
 use std::sync::Arc;
 
 use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, SweepPoint};
+use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, SweepPoint};
 use oslay_observe::MetricRegistry;
 
 fn main() {
-    let mut single_pass = true;
-    let args = run_args_with(StudyConfig::paper(), |arg, _| {
-        sweep_mode_arg(arg, &mut single_pass)
-    });
+    let args = run_args();
     let config = args.config;
     banner("Figure 16: SelfConfFree-area size sweep", &config);
     let study = Study::generate_with_threads(&config, args.threads);
@@ -67,14 +63,8 @@ fn main() {
         }
     }
     let registry = Arc::new(MetricRegistry::new());
-    let results = run_sweep_mode(
-        &study,
-        points,
-        &SimConfig::fast(),
-        args.threads,
-        &registry,
-        single_pass,
-    );
+    let results =
+        run_sweep_single_pass(&study, points, &SimConfig::fast(), args.threads, &registry);
 
     let mut results = results.into_iter();
     for (si, &size) in sizes.iter().enumerate() {

@@ -9,18 +9,17 @@
 //! of the same conflicts: 55% at direct-mapped, 41% at 8-way) — yet
 //! direct-mapped OptS still beats 8-way Base.
 //!
-//! Extra flags: `--single-pass` (default) evaluates each sweep's grid in
-//! one trace pass per workload — sub-figure (a) spans four line sizes
-//! (four banked tag arrays side by side), sub-figure (b) four
-//! associativities sharing one bank per layout; `--per-point` replays
-//! each point separately. Output is byte-identical either way.
+//! Each sweep's grid is evaluated in one trace pass per workload
+//! (`run_sweep_single_pass`): sub-figure (a) spans four line sizes (four
+//! banked tag arrays side by side), sub-figure (b) four associativities
+//! sharing one bank per layout.
 
 use std::sync::Arc;
 
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{banner, run_args_with, run_sweep_mode, sweep_mode_arg, AppSide, SweepPoint};
+use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, SweepPoint};
 use oslay_layout::Layout;
 use oslay_observe::MetricRegistry;
 
@@ -30,7 +29,7 @@ const KINDS: [OsLayoutKind; 3] = [
     OsLayoutKind::OptS,
 ];
 
-fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, single_pass: bool) {
+fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize) {
     // Every config here keeps the same 8 KB capacity, so one memoized
     // layout per kind serves the whole grid.
     let layouts: Vec<Arc<Layout>> = KINDS
@@ -51,14 +50,7 @@ fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, singl
         }
     }
     let registry = Arc::new(MetricRegistry::new());
-    let results = run_sweep_mode(
-        study,
-        points,
-        &SimConfig::fast(),
-        threads,
-        &registry,
-        single_pass,
-    );
+    let results = run_sweep_single_pass(study, points, &SimConfig::fast(), threads, &registry);
 
     let mut results = results.into_iter();
     let mut table = TextTable::new(["Workload/config", "Base", "C-H", "OptS", "OptS/Base"]);
@@ -81,10 +73,7 @@ fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize, singl
 }
 
 fn main() {
-    let mut single_pass = true;
-    let args = run_args_with(StudyConfig::paper(), |arg, _| {
-        sweep_mode_arg(arg, &mut single_pass)
-    });
+    let args = run_args();
     let config = args.config;
     banner(
         "Figure 17: line-size and associativity sweeps (8KB)",
@@ -97,7 +86,7 @@ fn main() {
         .iter()
         .map(|&l| (format!("{l}B-line"), CacheConfig::new(8192, l, 1)))
         .collect();
-    sweep(&study, &lines, args.threads, single_pass);
+    sweep(&study, &lines, args.threads);
     println!();
 
     println!("(b) Associativity (32B lines):");
@@ -105,6 +94,6 @@ fn main() {
         .iter()
         .map(|&w| (format!("{w}-way"), CacheConfig::new(8192, 32, w)))
         .collect();
-    sweep(&study, &ways, args.threads, single_pass);
+    sweep(&study, &ways, args.threads);
     oslay_bench::flush_trace();
 }

@@ -19,14 +19,13 @@
 //!                               # this to prove the checker fires)
 //!      [--predict] [--top K]    # also print the static conflict
 //!                               # prediction for the OS layouts
-//!      [--absint]               # also run the abstract-interpretation
-//!                               # classification on every OS layout
 //! ```
 //!
 //! External layouts (`--layout-file`) always get the full static
 //! treatment: structural invariants, the conflict prediction, *and* the
 //! abstract-interpretation classification — they come from outside the
-//! builders, so nothing else has vetted them.
+//! builders, so nothing else has vetted them. The classification of the
+//! built layouts is the `analyze` binary's job.
 
 use std::collections::VecDeque;
 use std::process::ExitCode;
@@ -49,7 +48,6 @@ struct LintArgs {
     deny_warnings: bool,
     mutate: Option<String>,
     predict: bool,
-    absint: bool,
     top: usize,
 }
 
@@ -62,7 +60,6 @@ fn parse_args() -> LintArgs {
     let mut deny_warnings = false;
     let mut mutate: Option<String> = None;
     let mut predict = false;
-    let mut absint = false;
     let mut top = 10usize;
     let argv: VecDeque<String> = std::env::args().skip(1).collect();
     let args = parse_run_args(argv, StudyConfig::small(), |arg, rest| match arg {
@@ -107,10 +104,6 @@ fn parse_args() -> LintArgs {
             predict = true;
             true
         }
-        "--absint" => {
-            absint = true;
-            true
-        }
         "--top" => {
             let v = rest.pop_front().expect("--top needs a value");
             top = v.parse().expect("--top must be an integer");
@@ -132,7 +125,6 @@ fn parse_args() -> LintArgs {
         deny_warnings,
         mutate,
         predict,
-        absint,
         top,
     }
 }
@@ -351,8 +343,6 @@ fn main() -> ExitCode {
     let line = cache_cfg.line();
 
     let mut reports: Vec<VerifyReport> = Vec::new();
-    // OS-layout views the optional absint pass runs over.
-    let mut os_views: Vec<LayoutView> = Vec::new();
 
     if let Some(mutation) = &args.mutate {
         // Mutation mode: corrupt the OptL layout and verify only it.
@@ -374,14 +364,12 @@ fn main() -> ExitCode {
                     let layout = oslay_layout::base_layout(program, 0);
                     let view = LayoutView::from_layout(&layout);
                     reports.push(verify_structural(program, &view));
-                    os_views.push(view);
                 }
                 "ch" => {
                     let layout =
                         oslay_layout::chang_hwu_layout(program, study.averaged_os_profile(), 0);
                     let view = LayoutView::from_layout(&layout);
                     reports.push(verify_structural(program, &view));
-                    os_views.push(view);
                 }
                 "opts" | "optl" => {
                     let params = if which == "optl" {
@@ -400,7 +388,6 @@ fn main() -> ExitCode {
                     if args.predict {
                         print_prediction(&study, &view.name.clone(), &view, args.top);
                     }
-                    os_views.push(view);
                 }
                 "call" => {
                     // Per-loop logical caches deliberately reuse SCF
@@ -414,7 +401,6 @@ fn main() -> ExitCode {
                     );
                     let view = LayoutView::from_layout(&opt.layout);
                     reports.push(verify_structural(program, &view));
-                    os_views.push(view);
                 }
                 "opta" => {
                     // The application half of OptA, per workload that has
@@ -473,11 +459,6 @@ fn main() -> ExitCode {
     }
 
     let mut failed = false;
-    if args.absint {
-        for view in &os_views {
-            failed |= print_absint(&study, view, cache_cfg);
-        }
-    }
     for report in &reports {
         print_report(report, args.json);
         failed |= report.fails(args.deny_warnings);

@@ -27,10 +27,8 @@ use std::path::PathBuf;
 
 use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{
-    banner, run_args_with, run_attributed_matrix, run_attributed_row, run_layout_search, Reporter,
-};
+use oslay::{OsLayout, OsLayoutKind, SimConfig, Study, StudyConfig};
+use oslay_bench::{banner, run_args_with, run_attributed_layouts, run_layout_search, Reporter};
 use oslay_search::{ObjectiveWeights, SearchParams};
 
 fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
@@ -218,22 +216,23 @@ fn main() {
         OsLayoutKind::OptS,
         OsLayoutKind::OptL,
     ];
-    let matrix = run_attributed_matrix(&study, &kinds, cfg, &sim, args.threads, &registry);
-    let row = run_attributed_row(&study, &searched.os, cfg, &sim, args.threads, &registry);
+    let mut layouts: Vec<(String, OsLayout)> = kinds
+        .iter()
+        .map(|&kind| (kind.name().to_owned(), study.os_layout(kind, cfg.size())))
+        .collect();
+    layouts.push(("Search".to_owned(), searched.os));
+    let matrix = run_attributed_layouts(&study, &layouts, cfg, &sim, args.threads, &registry);
     println!("Attributed replay, miss rate % (8KB direct-mapped, app side Base):");
     let mut table = TextTable::new(["Workload", "Base", "C-H", "OptS", "OptL", "Search"]);
     let mut beats = 0usize;
     for (c, case) in study.cases().iter().enumerate() {
         let mut cells = vec![case.name().to_owned()];
         let mut fields = Vec::new();
-        for (k, kind) in kinds.iter().enumerate() {
-            let r = &matrix[c][k].0;
+        for ((name, _), (r, _)) in layouts.iter().zip(&matrix[c]) {
             cells.push(format!("{:.3}", r.miss_rate() * 100.0));
-            fields.push((kind.name().to_lowercase().replace('-', "_"), r.miss_rate()));
+            fields.push((name.to_lowercase().replace('-', "_"), r.miss_rate()));
         }
-        let (search_result, _) = &row[c];
-        cells.push(format!("{:.3}", search_result.miss_rate() * 100.0));
-        fields.push(("search".to_owned(), search_result.miss_rate()));
+        let search_result = &matrix[c][4].0;
         let opts = &matrix[c][2].0;
         if search_result.stats.total_misses() <= opts.stats.total_misses() {
             beats += 1;

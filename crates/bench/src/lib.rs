@@ -19,12 +19,11 @@ pub mod diag;
 pub mod digest;
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oslay::cache::{
-    AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, InstructionCache,
-};
+use oslay::cache::{AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig};
 use oslay::{
     MultiGroupReplayer, MultiLane, OsLayout, OsLayoutKind, SimConfig, SimResult, Study,
     StudyConfig, WorkloadCase,
@@ -320,37 +319,6 @@ pub fn run_probed_on(
     result
 }
 
-/// Like [`run_case`], but routes the cache's miss/eviction events into
-/// `registry` and records a final set-occupancy snapshot, so the run
-/// report carries `cache.*` metrics alongside the aggregate statistics.
-#[must_use]
-pub fn run_case_probed(
-    study: &Study,
-    case: &WorkloadCase,
-    os_kind: OsLayoutKind,
-    app_side: AppSide,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    registry: &Arc<MetricRegistry>,
-) -> SimResult {
-    let os = study.os_layout(os_kind, cache_cfg.size());
-    let app = app_layout_for(study, case, app_side, cache_cfg.size());
-    let _t = timeline::scope(
-        timeline::group(),
-        0,
-        format!("{}/{}", case.name(), os_kind.name()),
-    );
-    run_probed_on(
-        study,
-        case,
-        &os.layout,
-        app.as_ref(),
-        cache_cfg,
-        sim,
-        registry,
-    )
-}
-
 /// Like [`run_case`], but through the attribution engine: every miss is
 /// classified compulsory/capacity/conflict, charged to its cache set,
 /// Figure 13 block class, OS entry class, and (for conflicts) its
@@ -379,6 +347,33 @@ pub fn run_case_attributed(
     run_attributed_on(study, case, &os, app.as_ref(), cache_cfg, sim, registry)
 }
 
+/// The attribution address map of one replay: the OS layout's spans,
+/// tagged with its block classes, plus the application's when the
+/// workload has one (app and OS address spaces are disjoint, so one map
+/// holds both).
+fn address_map(
+    study: &Study,
+    case: &WorkloadCase,
+    os: &OsLayout,
+    app: Option<&Layout>,
+) -> AddressMap {
+    let mut spans = oslay_layout::layout_spans(
+        &study.kernel().program,
+        &os.layout,
+        Domain::Os,
+        os.classes.as_deref(),
+    );
+    if let (Some(app_layout), Some(app_program)) = (app, case.app.as_ref()) {
+        spans.extend(oslay_layout::layout_spans(
+            app_program,
+            app_layout,
+            Domain::App,
+            None,
+        ));
+    }
+    AddressMap::build(spans)
+}
+
 /// Like [`run_case_attributed`], but with precomputed layouts (the
 /// sharded drivers memoize each [`OsLayout`] once and fan the replay jobs
 /// out over it).
@@ -392,22 +387,7 @@ pub fn run_attributed_on(
     sim: &SimConfig,
     registry: Option<&Arc<MetricRegistry>>,
 ) -> (SimResult, AttributionReport) {
-    let mut spans = oslay_layout::layout_spans(
-        &study.kernel().program,
-        &os.layout,
-        Domain::Os,
-        os.classes.as_deref(),
-    );
-    if let (Some(app_layout), Some(app_program)) = (app, case.app.as_ref()) {
-        // App and OS address spaces are disjoint, so one map holds both.
-        spans.extend(oslay_layout::layout_spans(
-            app_program,
-            app_layout,
-            Domain::App,
-            None,
-        ));
-    }
-    let map = Arc::new(AddressMap::build(spans));
+    let map = Arc::new(address_map(study, case, os, app));
     let mut cache = match registry {
         Some(reg) => {
             let probe: Arc<dyn AttributionProbe + Send + Sync> = Arc::clone(reg) as _;
@@ -419,16 +399,115 @@ pub fn run_attributed_on(
     (result, cache.report())
 }
 
+/// One job of `run_ordered`: its timeline label, the output slots it
+/// fills, and its input.
+struct Job<T> {
+    label: String,
+    slots: Vec<usize>,
+    input: T,
+}
+
+/// The one executor behind every sharded driver.
+///
+/// Fans `jobs` out over up to `threads` workers
+/// ([`oslay::exec::parallel_map`]), each inside its own timeline scope
+/// (one group for the whole fan-out, allocated before it, indexed by job
+/// order). A job receives one private [`MetricRegistry`] shard per
+/// output slot it declared and returns one result per slot, in the same
+/// order. Every `(result, shard)` then lands at its slot, and the shards
+/// fold into `registry` in **slot order** — counters and histograms merge
+/// commutatively, gauges overwrite in that fixed order — so the returned
+/// results and the final registry are identical at any worker count and
+/// independent of which job settled which slot. The slots of all jobs
+/// must partition `0..n`.
+///
+/// # Errors
+///
+/// Returns the first job error in job order; `registry` is then left
+/// untouched.
+fn run_ordered<T, R, E, F>(
+    threads: usize,
+    jobs: Vec<Job<T>>,
+    registry: &MetricRegistry,
+    run: F,
+) -> Result<Vec<R>, E>
+where
+    T: Send,
+    R: Send,
+    E: Send,
+    F: Fn(T, &[Arc<MetricRegistry>]) -> Result<Vec<R>, E> + Sync,
+{
+    let n: usize = jobs.iter().map(|j| j.slots.len()).sum();
+    let group = timeline::group();
+    let settled = oslay::exec::parallel_map(threads, jobs, |i, job| {
+        let _t = timeline::scope(group, i as u64, job.label);
+        let shards: Vec<Arc<MetricRegistry>> = job
+            .slots
+            .iter()
+            .map(|_| Arc::new(MetricRegistry::new()))
+            .collect();
+        let results = run(job.input, &shards)?;
+        assert_eq!(results.len(), shards.len(), "one result per slot");
+        Ok((job.slots, results, shards))
+    });
+    let mut placed: Vec<Option<(R, Arc<MetricRegistry>)>> = (0..n).map(|_| None).collect();
+    for job in settled {
+        let (slots, results, shards) = job?;
+        for (slot, pair) in slots.into_iter().zip(results.into_iter().zip(shards)) {
+            assert!(
+                placed[slot].replace(pair).is_none(),
+                "slot {slot} settled twice"
+            );
+        }
+    }
+    Ok(placed
+        .into_iter()
+        .map(|pair| {
+            let (r, shard) = pair.expect("every slot settled");
+            registry.merge_from(&shard);
+            r
+        })
+        .collect())
+}
+
+/// Splits a case-major result list into one row of `width` per case.
+fn into_rows<R>(flat: Vec<R>, width: usize) -> Vec<Vec<R>> {
+    let mut flat = flat.into_iter();
+    let mut rows = Vec::new();
+    loop {
+        let row: Vec<R> = flat.by_ref().take(width).collect();
+        if row.is_empty() {
+            return rows;
+        }
+        rows.push(row);
+    }
+}
+
+/// The OS layout of every Figure-12 ladder level, each distinct kind
+/// built once (OptA shares OptS's) — building a layout costs far more
+/// than replaying a small trace through it.
+fn ladder_os_layouts(study: &Study, cache_size: u32) -> Vec<Arc<OsLayout>> {
+    let mut built: Vec<(OsLayoutKind, Arc<OsLayout>)> = Vec::new();
+    figure12_ladder()
+        .into_iter()
+        .map(|(_, kind, _)| {
+            if let Some((_, os)) = built.iter().find(|(k, _)| *k == kind) {
+                return Arc::clone(os);
+            }
+            let os = Arc::new(study.os_layout(kind, cache_size));
+            built.push((kind, Arc::clone(&os)));
+            os
+        })
+        .collect()
+}
+
 /// Runs the whole Figure-12 matrix — every workload × every ladder level
 /// — over up to `threads` workers, returning `results[case][level]`.
 ///
-/// The OS layout of each distinct kind is built once, on the caller's
-/// thread, and shared read-only by the replay jobs (building a layout
-/// costs far more than replaying a small trace through it). Each job
-/// records its cache events into a private registry; the shards are
-/// folded into `registry` in job-index order — counters and histograms
-/// merge commutatively and gauges overwrite in the fixed order — so the
-/// final registry state is identical at any worker count, and equal to a
+/// One replay job per cell over the memoized ladder layouts, each
+/// recording its cache events into a private registry shard that
+/// `run_ordered` folds into `registry` in cell order, so the final
+/// registry state is identical at any worker count, and equal to a
 /// sequential run's.
 #[must_use]
 pub fn run_figure12_matrix(
@@ -439,56 +518,24 @@ pub fn run_figure12_matrix(
     registry: &Arc<MetricRegistry>,
 ) -> Vec<Vec<SimResult>> {
     let ladder = figure12_ladder();
-    let mut kinds: Vec<OsLayoutKind> = Vec::new();
-    for &(_, kind, _) in &ladder {
-        if !kinds.contains(&kind) {
-            kinds.push(kind);
-        }
-    }
-    let layouts: Vec<(OsLayoutKind, OsLayout)> = kinds
-        .into_iter()
-        .map(|kind| (kind, study.os_layout(kind, cache_cfg.size())))
-        .collect();
-    let jobs: Vec<(usize, usize)> = (0..study.cases().len())
+    let layouts = ladder_os_layouts(study, cache_cfg.size());
+    let jobs = (0..study.cases().len())
         .flat_map(|c| (0..ladder.len()).map(move |l| (c, l)))
+        .enumerate()
+        .map(|(i, (c, l))| Job {
+            label: format!("{}/{}", study.cases()[c].name(), ladder[l].0),
+            slots: vec![i],
+            input: (c, l),
+        })
         .collect();
-    // One merge group for the whole matrix, allocated before the fan-out
-    // so timeline runs land in job-index order at any worker count.
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (c, l)| {
+    let Ok(flat) = run_ordered(threads, jobs, registry, |(c, l), shards| {
         let case = &study.cases()[c];
-        let (level, kind, side) = ladder[l];
-        let _t = timeline::scope(group, i as u64, format!("{}/{level}", case.name()));
-        let os = &layouts
-            .iter()
-            .find(|&&(k, _)| k == kind)
-            .expect("every ladder kind is memoized")
-            .1;
-        let app = app_layout_for(study, case, side, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_probed_on(
-            study,
-            case,
-            &os.layout,
-            app.as_ref(),
-            cache_cfg,
-            sim,
-            &shard,
-        );
-        (r, shard)
+        let app = app_layout_for(study, case, ladder[l].2, cache_cfg.size());
+        let os = &layouts[l].layout;
+        let r = run_probed_on(study, case, os, app.as_ref(), cache_cfg, sim, &shards[0]);
+        Ok::<_, Infallible>(vec![r])
     });
-    let mut results: Vec<Vec<SimResult>> = Vec::with_capacity(study.cases().len());
-    let mut sharded = sharded.into_iter();
-    for _ in 0..study.cases().len() {
-        let mut row = Vec::with_capacity(figure12_ladder().len());
-        for _ in 0..figure12_ladder().len() {
-            let (r, shard) = sharded.next().expect("one result per job");
-            registry.merge_from(&shard);
-            row.push(r);
-        }
-        results.push(row);
-    }
-    results
+    into_rows(flat, ladder.len())
 }
 
 /// One evaluation point of a parameter sweep: a workload replayed under
@@ -496,8 +543,7 @@ pub fn run_figure12_matrix(
 ///
 /// The sweep binaries (Figures 15–17) build their full point grids up
 /// front — memoizing each distinct layout in an [`Arc`] — and hand them
-/// to [`run_sweep`], which shards the replays exactly like
-/// [`run_figure12_matrix`].
+/// to [`run_sweep_single_pass`].
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
     /// Index into [`Study::cases`].
@@ -511,13 +557,13 @@ pub struct SweepPoint {
     pub cache: CacheConfig,
 }
 
-/// Replays every sweep point over up to `threads` workers, returning one
-/// [`SimResult`] per point, in point order.
+/// Replays every sweep point separately over up to `threads` workers,
+/// returning one [`SimResult`] per point, in point order — the reference
+/// [`run_sweep_single_pass`] is checked against.
 ///
-/// Same sharding contract as [`run_figure12_matrix`]: every job records
-/// into a private registry and the shards fold into `registry` in point
-/// order, so the registry state — and therefore the run report — is
-/// byte-identical at any worker count.
+/// One job per point; the shards fold into `registry` in point order, so
+/// the registry state — and therefore the run report — is byte-identical
+/// at any worker count.
 #[must_use]
 pub fn run_sweep(
     study: &Study,
@@ -527,20 +573,21 @@ pub fn run_sweep(
     registry: &Arc<MetricRegistry>,
 ) -> Vec<SimResult> {
     let apps = memoized_app_layouts(study, &points);
-    let jobs: Vec<(SweepPoint, Option<Arc<Layout>>)> = points.into_iter().zip(apps).collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (p, app)| {
+    let jobs = points
+        .into_iter()
+        .zip(apps)
+        .enumerate()
+        .map(|(i, (p, app))| Job {
+            label: format!("{}@{}", study.cases()[p.case].name(), p.cache),
+            slots: vec![i],
+            input: (p, app),
+        })
+        .collect();
+    let Ok(out) = run_ordered(threads, jobs, registry, |(p, app), shards| {
         let case = &study.cases()[p.case];
-        let _t = timeline::scope(group, i as u64, format!("{}@{}", case.name(), p.cache));
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_probed_on(study, case, &p.os, app.as_deref(), p.cache, sim, &shard);
-        (r, shard)
+        let r = run_probed_on(study, case, &p.os, app.as_deref(), p.cache, sim, &shards[0]);
+        Ok::<_, Infallible>(vec![r])
     });
-    let mut out = Vec::with_capacity(sharded.len());
-    for (r, shard) in sharded {
-        registry.merge_from(&shard);
-        out.push(r);
-    }
     out
 }
 
@@ -581,20 +628,20 @@ fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<
 /// byte-identical run-report metrics) at any worker count.
 ///
 /// Points are partitioned by case in first-appearance order; each case
-/// job walks the trace once ([`Study::stream_case`]) and feeds every
-/// distinct layout pair's [`MultiLane`], whose
-/// [`oslay::cache::MultiSim`] settles all cache organizations of that
-/// pair simultaneously — stack inclusion across sizes/associativities
-/// sharing a line size, banked tag arrays across line sizes. Each grid
-/// point's cache events are then mirrored into a private registry shard
-/// and the shards fold into `registry` in global point order, the same
-/// merge contract as [`run_sweep`].
+/// job walks the trace once and feeds every distinct layout pair's
+/// [`MultiLane`], whose [`oslay::cache::MultiSim`] settles all cache
+/// organizations of that pair simultaneously — stack inclusion across
+/// sizes/associativities sharing a line size, banked tag arrays across
+/// line sizes. A case job owns the scattered global indices of its
+/// points as output slots and mirrors each point's cache events into
+/// that slot's shard, so `run_ordered` folds them in global point
+/// order, the same order as [`run_sweep`].
 ///
 /// Only aggregate statistics can be collected this way: a [`SimConfig`]
 /// requesting miss maps or per-block counts falls back to [`run_sweep`]
 /// (no committed sweep grid requests either). The timeline stream
-/// differs from per-point mode — one recorded run per case rather than
-/// per point — but is itself worker-count-invariant.
+/// records one run per case rather than per point, and is itself
+/// worker-count-invariant.
 #[must_use]
 pub fn run_sweep_single_pass(
     study: &Study,
@@ -617,20 +664,13 @@ pub fn run_sweep_single_pass(
         configs: Vec<CacheConfig>,
         origin: Vec<usize>,
     }
-    struct CaseJob {
-        case: usize,
-        lanes: Vec<LaneSpec>,
-    }
-    let mut jobs: Vec<CaseJob> = Vec::new();
+    let mut cases: Vec<(usize, Vec<LaneSpec>)> = Vec::new();
     for (gi, (p, app)) in points.iter().zip(&apps).enumerate() {
-        let job = match jobs.iter_mut().find(|j| j.case == p.case) {
-            Some(j) => j,
+        let lanes = match cases.iter().position(|(c, _)| *c == p.case) {
+            Some(j) => &mut cases[j].1,
             None => {
-                jobs.push(CaseJob {
-                    case: p.case,
-                    lanes: Vec::new(),
-                });
-                jobs.last_mut().expect("just pushed")
+                cases.push((p.case, Vec::new()));
+                &mut cases.last_mut().expect("just pushed").1
             }
         };
         // Lane identity: same OS layout (pointer fast path, then
@@ -641,32 +681,38 @@ pub fn run_sweep_single_pass(
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             _ => false,
         };
-        let lane = match job
-            .lanes
-            .iter_mut()
-            .find(|l| (Arc::ptr_eq(&l.os, &p.os) || l.os == p.os) && same_app(l))
+        let lane = match lanes
+            .iter()
+            .position(|l| (Arc::ptr_eq(&l.os, &p.os) || l.os == p.os) && same_app(l))
         {
-            Some(l) => l,
+            Some(k) => &mut lanes[k],
             None => {
-                job.lanes.push(LaneSpec {
+                lanes.push(LaneSpec {
                     os: Arc::clone(&p.os),
                     app: app.clone(),
                     configs: Vec::new(),
                     origin: Vec::new(),
                 });
-                job.lanes.last_mut().expect("just pushed")
+                lanes.last_mut().expect("just pushed")
             }
         };
         lane.configs.push(p.cache);
         lane.origin.push(gi);
     }
+    let jobs = cases
+        .into_iter()
+        .map(|(c, lanes)| Job {
+            label: format!("{}@multi", study.cases()[c].name()),
+            slots: lanes
+                .iter()
+                .flat_map(|l| l.origin.iter().copied())
+                .collect(),
+            input: (c, lanes),
+        })
+        .collect();
 
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, job| {
-        let case = &study.cases()[job.case];
-        let _t = timeline::scope(group, i as u64, format!("{}@multi", case.name()));
-        let lanes: Vec<MultiLane> = job
-            .lanes
+    let Ok(out) = run_ordered(threads, jobs, registry, |(c, specs), shards| {
+        let lanes: Vec<MultiLane> = specs
             .iter()
             .map(|l| MultiLane::new(Arc::clone(&l.os), l.app.clone(), &l.configs))
             .collect();
@@ -677,97 +723,79 @@ pub fn run_sweep_single_pass(
             // re-running the engine walk per case.
             use oslay::trace::TraceSink as _;
             let _span = oslay_observe::span("study.sim");
-            for event in case.trace.events() {
+            for event in study.cases()[c].trace.events() {
                 replayer.event(*event);
             }
         }
-        let lanes = replayer.finish();
-        // One (result, registry shard) per grid point of this case,
-        // tagged with its global index for the ordered fold below.
+        // Slots run lane by lane, organization by organization, exactly
+        // as the job declared them.
+        let mut shards = shards.iter();
         let mut settled = Vec::new();
-        for (lane, spec) in lanes.iter().zip(&job.lanes) {
-            for (k, &gi) in spec.origin.iter().enumerate() {
-                let shard = Arc::new(MetricRegistry::new());
+        for (lane, spec) in replayer.finish().iter().zip(&specs) {
+            for k in 0..spec.configs.len() {
+                let shard = shards.next().expect("one shard per slot");
                 lane.sim().report_into(k, shard.as_ref());
-                settled.push((
-                    gi,
-                    SimResult {
-                        stats: lane.sim().stats(k),
-                        os_miss_map: None,
-                        os_self_miss_map: None,
-                        os_cross_miss_map: None,
-                        os_block_misses: None,
-                        app_block_misses: None,
-                    },
-                    shard,
-                ));
+                settled.push(SimResult {
+                    stats: lane.sim().stats(k),
+                    os_miss_map: None,
+                    os_self_miss_map: None,
+                    os_cross_miss_map: None,
+                    os_block_misses: None,
+                    app_block_misses: None,
+                });
             }
         }
-        settled
+        Ok::<_, Infallible>(settled)
     });
-
-    let n = apps.len();
-    let mut slots: Vec<Option<(SimResult, Arc<MetricRegistry>)>> = vec![None; n];
-    for (gi, r, shard) in sharded.into_iter().flatten() {
-        slots[gi] = Some((r, shard));
-    }
-    let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        let (r, shard) = slot.expect("every grid point settled by its case job");
-        registry.merge_from(&shard);
-        out.push(r);
-    }
     out
 }
 
-/// Handles the sweep-mode flags shared by the fig15/16/17 binaries:
-/// `--single-pass` selects [`run_sweep_single_pass`] (their default),
-/// `--per-point` selects the legacy [`run_sweep`]. Returns whether the
-/// token was consumed, for use inside a [`run_args_with`] `extra`
-/// handler.
-pub fn sweep_mode_arg(arg: &str, single_pass: &mut bool) -> bool {
-    match arg {
-        "--single-pass" => {
-            *single_pass = true;
-            true
-        }
-        "--per-point" => {
-            *single_pass = false;
-            true
-        }
-        _ => false,
-    }
-}
-
-/// Dispatches a sweep grid to [`run_sweep_single_pass`] or the per-point
-/// [`run_sweep`] according to the mode flag parsed by
-/// [`sweep_mode_arg`]. Results are identical either way; only wall-clock
-/// (and the timeline grouping) differs.
+/// Runs every workload under each named OS layout through the
+/// attribution engine, over up to `threads` workers, returning
+/// `results[case][layout]` (the application always keeps its Base
+/// layout, as in Figures 13 and 14).
+///
+/// One job per cell, shards folded into `registry` in cell order by
+/// `run_ordered`, so output is identical at any worker count. The
+/// layout names label the timeline runs.
 #[must_use]
-pub fn run_sweep_mode(
+pub fn run_attributed_layouts(
     study: &Study,
-    points: Vec<SweepPoint>,
+    layouts: &[(String, OsLayout)],
+    cache_cfg: CacheConfig,
     sim: &SimConfig,
     threads: usize,
     registry: &Arc<MetricRegistry>,
-    single_pass: bool,
-) -> Vec<SimResult> {
-    if single_pass {
-        run_sweep_single_pass(study, points, sim, threads, registry)
-    } else {
-        run_sweep(study, points, sim, threads, registry)
-    }
+) -> Vec<Vec<(SimResult, AttributionReport)>> {
+    let jobs = (0..study.cases().len())
+        .flat_map(|c| (0..layouts.len()).map(move |k| (c, k)))
+        .enumerate()
+        .map(|(i, (c, k))| Job {
+            label: format!("{}/{}", study.cases()[c].name(), layouts[k].0),
+            slots: vec![i],
+            input: (c, k),
+        })
+        .collect();
+    let Ok(flat) = run_ordered(threads, jobs, registry, |(c, k), shards| {
+        let case = &study.cases()[c];
+        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
+        let os = &layouts[k].1;
+        let r = run_attributed_on(
+            study,
+            case,
+            os,
+            app.as_ref(),
+            cache_cfg,
+            sim,
+            Some(&shards[0]),
+        );
+        Ok::<_, Infallible>(vec![r])
+    });
+    into_rows(flat, layouts.len())
 }
 
-/// Runs every workload under every OS layout kind in `kinds` through the
-/// attribution engine, over up to `threads` workers, returning
-/// `results[case][kind]` (the application always keeps its Base layout,
-/// as in Figures 13 and 14).
-///
-/// Same sharding contract as [`run_figure12_matrix`]: one memoized OS
-/// layout per kind, one private registry per job, shards folded into
-/// `registry` in job-index order so output is identical at any worker
-/// count.
+/// [`run_attributed_layouts`] over the named layout kinds, each built
+/// once.
 #[must_use]
 pub fn run_attributed_matrix(
     study: &Study,
@@ -777,47 +805,16 @@ pub fn run_attributed_matrix(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<Vec<(SimResult, AttributionReport)>> {
-    let layouts: Vec<OsLayout> = kinds
+    let layouts: Vec<(String, OsLayout)> = kinds
         .iter()
-        .map(|&kind| study.os_layout(kind, cache_cfg.size()))
+        .map(|&kind| {
+            (
+                kind.name().to_owned(),
+                study.os_layout(kind, cache_cfg.size()),
+            )
+        })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..study.cases().len())
-        .flat_map(|c| (0..kinds.len()).map(move |k| (c, k)))
-        .collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, (c, k)| {
-        let case = &study.cases()[c];
-        let _t = timeline::scope(
-            group,
-            i as u64,
-            format!("{}/{}", case.name(), kinds[k].name()),
-        );
-        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_attributed_on(
-            study,
-            case,
-            &layouts[k],
-            app.as_ref(),
-            cache_cfg,
-            sim,
-            Some(&shard),
-        );
-        (r, shard)
-    });
-    let mut results: Vec<Vec<(SimResult, AttributionReport)>> =
-        Vec::with_capacity(study.cases().len());
-    let mut sharded = sharded.into_iter();
-    for _ in 0..study.cases().len() {
-        let mut row = Vec::with_capacity(kinds.len());
-        for _ in 0..kinds.len() {
-            let (r, shard) = sharded.next().expect("one result per job");
-            registry.merge_from(&shard);
-            row.push(r);
-        }
-        results.push(row);
-    }
-    results
+    run_attributed_layouts(study, &layouts, cache_cfg, sim, threads, registry)
 }
 
 /// Materializes a searched [`LayoutView`](oslay_verify::LayoutView) back
@@ -974,40 +971,10 @@ pub fn run_layout_search(
     }
 }
 
-/// Attributed replay of one explicit OS layout across every workload
-/// (app side Base), sharded like [`run_attributed_matrix`] — used to
-/// rank a searched layout against the named kinds.
-#[must_use]
-pub fn run_attributed_row(
-    study: &Study,
-    os: &OsLayout,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-    threads: usize,
-    registry: &Arc<MetricRegistry>,
-) -> Vec<(SimResult, AttributionReport)> {
-    let jobs: Vec<usize> = (0..study.cases().len()).collect();
-    let group = timeline::group();
-    let sharded = oslay::exec::parallel_map(threads, jobs, |i, c| {
-        let case = &study.cases()[c];
-        let _t = timeline::scope(group, i as u64, format!("{}/Search", case.name()));
-        let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
-        let shard = Arc::new(MetricRegistry::new());
-        let r = run_attributed_on(study, case, os, app.as_ref(), cache_cfg, sim, Some(&shard));
-        (r, shard)
-    });
-    let mut out = Vec::with_capacity(sharded.len());
-    for (r, shard) in sharded {
-        registry.merge_from(&shard);
-        out.push(r);
-    }
-    out
-}
-
 /// JSON run-report plumbing shared by the experiment binaries.
 ///
 /// Owns the [`MetricRegistry`] that probed caches feed
-/// ([`run_case_probed`]) and the [`RunReport`] under construction.
+/// ([`run_probed_on`]) and the [`RunReport`] under construction.
 /// [`Reporter::finish`] folds in the global phase-span recorder and
 /// writes `results/<name>.json` beside the `.txt` capture of stdout.
 #[derive(Debug)]
@@ -1107,20 +1074,6 @@ pub mod timing {
             None => println!("{name:<40} {median:>12.2?}"),
         }
     }
-}
-
-/// Evaluates one workload with explicit layouts on an arbitrary cache
-/// organization (used by the Sep/Resv experiment).
-#[must_use]
-pub fn run_case_on(
-    study: &Study,
-    case: &WorkloadCase,
-    os_layout: &Layout,
-    app_layout: Option<&Layout>,
-    cache: &mut dyn InstructionCache,
-    sim: &SimConfig,
-) -> SimResult {
-    study.simulate(case, os_layout, app_layout, cache, sim)
 }
 
 /// The layout ladder of Figure 12, with the app side each level uses.
@@ -1223,6 +1176,62 @@ mod tests {
         let args = parse_run_args(argv, StudyConfig::paper(), |_, _| false);
         assert!(args.verify);
         assert!(!parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false).verify);
+    }
+
+    #[test]
+    fn run_ordered_folds_in_slot_order() {
+        // Jobs settle their slots out of order (the single-pass pattern)
+        // and finish in job order, so neither job order nor completion
+        // order agrees with slot order: a fold in either would leave the
+        // gauge at slot 1's write instead of slot 5's.
+        const PLAN: [&[usize]; 3] = [&[5, 2], &[0, 4], &[3, 1]];
+        for threads in [1, 8] {
+            let jobs = PLAN
+                .iter()
+                .enumerate()
+                .map(|(j, slots)| Job {
+                    label: format!("job{j}"),
+                    slots: slots.to_vec(),
+                    input: j,
+                })
+                .collect();
+            let registry = MetricRegistry::new();
+            let Ok(out) = run_ordered(threads, jobs, &registry, |j, shards| {
+                std::thread::sleep(std::time::Duration::from_millis(10 * j as u64));
+                for (&slot, shard) in PLAN[j].iter().zip(shards) {
+                    shard.gauge_set("slot", slot as f64);
+                    shard.counter_add("slots", 1);
+                    shard.counter_add("slot_sum", slot as u64);
+                }
+                Ok::<_, Infallible>(PLAN[j].iter().map(|&slot| slot * 10).collect())
+            });
+            assert_eq!(out, [0, 10, 20, 30, 40, 50], "results in slot order");
+            assert_eq!(registry.gauge("slot"), Some(5.0), "gauge fold at {threads}");
+            assert_eq!(registry.counter("slots"), 6);
+            assert_eq!(registry.counter("slot_sum"), 15);
+        }
+    }
+
+    #[test]
+    fn run_ordered_returns_the_first_error_and_merges_nothing() {
+        let jobs = (0..4)
+            .map(|j| Job {
+                label: String::new(),
+                slots: vec![j],
+                input: j,
+            })
+            .collect();
+        let registry = MetricRegistry::new();
+        let out = run_ordered(2, jobs, &registry, |j, shards| {
+            shards[0].counter_add("jobs", 1);
+            if j % 2 == 0 {
+                Ok(vec![j])
+            } else {
+                Err(j)
+            }
+        });
+        assert_eq!(out, Err(1));
+        assert!(registry.is_empty());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 use std::sync::Arc;
 
 use oslay::cache::CacheConfig;
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{run_attributed_matrix, run_figure12_matrix};
+use oslay::{OsLayout, OsLayoutKind, SimConfig, Study, StudyConfig};
+use oslay_bench::{run_attributed_layouts, run_attributed_matrix, run_figure12_matrix};
 use oslay_observe::MetricRegistry;
 
 fn study() -> Study {
@@ -66,6 +66,57 @@ fn attributed_matrix_reports_are_identical_across_threads() {
         registry_snapshot(&registry),
         registry_snapshot(&baseline_registry)
     );
+}
+
+#[test]
+fn attributed_layout_list_is_identical_across_threads_and_matches_the_matrix() {
+    let study = study();
+    let cfg = CacheConfig::paper_default();
+    let sim = SimConfig::full();
+    let kinds = [OsLayoutKind::Base, OsLayoutKind::OptS];
+    let mut layouts: Vec<(String, OsLayout)> = kinds
+        .iter()
+        .map(|&kind| (kind.name().to_owned(), study.os_layout(kind, cfg.size())))
+        .collect();
+    // A layout no kind builds: OptS with Figure 16's 2.0% SelfConfFree area.
+    layouts.push((
+        "OptS-scf1286".to_owned(),
+        study.os_opt_s_with_scf(cfg.size(), Some(1286)),
+    ));
+    let runs: Vec<_> = [1, 4]
+        .into_iter()
+        .map(|threads| {
+            let registry = Arc::new(MetricRegistry::new());
+            let rows = run_attributed_layouts(&study, &layouts, cfg, &sim, threads, &registry);
+            let cells: Vec<Vec<_>> = rows
+                .into_iter()
+                .map(|row| row.into_iter().map(|(r, attr)| (r.stats, attr)).collect())
+                .collect();
+            (cells, registry_snapshot(&registry))
+        })
+        .collect();
+    assert_eq!(runs[0].0.len(), study.cases().len());
+    assert!(runs[0].0.iter().all(|row| row.len() == layouts.len()));
+    assert_eq!(runs[0].0, runs[1].0, "results diverge at 4 threads");
+    assert_eq!(
+        runs[0].1, runs[1].1,
+        "metric registry diverges at 4 threads"
+    );
+
+    let matrix = run_attributed_matrix(
+        &study,
+        &kinds,
+        cfg,
+        &sim,
+        1,
+        &Arc::new(MetricRegistry::new()),
+    );
+    for (row, matrix_row) in runs[0].0.iter().zip(&matrix) {
+        for ((stats, attr), (r, mattr)) in row.iter().zip(matrix_row) {
+            assert_eq!(stats, &r.stats);
+            assert_eq!(attr, mattr);
+        }
+    }
 }
 
 #[test]
