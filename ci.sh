@@ -173,12 +173,13 @@ grep -q "corrupt block" "$tmpdir/verify_err.txt"
 rm -rf "$tmpdir"
 
 echo "== sweep gate: 1 vs 2 workers =="
-# fig15 sweeps sizes at 32-byte lines; fig17 is the committed figure with
-# 64- and 128-byte banks and mixed associativities. Single-pass vs
-# per-point equality is pinned by crates/bench/tests/multisim.rs.
+# fig15 sweeps sizes at 32-byte lines; fig16 sweeps SelfConfFree-area
+# sizes at three cache sizes; fig17 is the committed figure with 64- and
+# 128-byte banks and mixed associativities. Single-pass vs per-point
+# equality is pinned by crates/bench/tests/multisim.rs.
 tmpdir="$(mktemp -d)"
 repo_root="$PWD"
-for fig in fig15_cache_size_speedup fig17_line_assoc; do
+for fig in fig15_cache_size_speedup fig16_selfconffree_size fig17_line_assoc; do
   for t in 1 2; do
     mkdir -p "$tmpdir/$fig/t$t/results"
     (
@@ -190,8 +191,8 @@ for fig in fig15_cache_size_speedup fig17_line_assoc; do
   done
   diff "$tmpdir/$fig/t1/stdout.txt" "$tmpdir/$fig/t2/stdout.txt"
 done
-# fig15's run report (fig17 writes none) must be worker-count invariant,
-# wall clock and allocator telemetry aside.
+# fig15's run report (fig16 and fig17 write none) must be worker-count
+# invariant, wall clock and allocator telemetry aside.
 fig15="$tmpdir/fig15_cache_size_speedup"
 nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$fig15/t1/results/fig15_cache_size_speedup.json") \

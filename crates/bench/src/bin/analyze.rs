@@ -98,7 +98,8 @@ fn parse_args() -> AnalyzeArgs {
             true
         }
         _ => false,
-    });
+    })
+    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
     oslay_bench::apply_run_args(&args);
     if layouts.is_empty() {
         layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();

@@ -110,7 +110,8 @@ fn parse_args() -> LintArgs {
             true
         }
         _ => false,
-    });
+    })
+    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
     oslay_bench::apply_run_args(&args);
     // An explicit --layout-file lints only that file unless named
     // layouts were also requested.

@@ -69,7 +69,8 @@ fn main() -> ExitCode {
             true
         }
         _ => false,
-    });
+    })
+    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
 
     apply_run_args(&args);
 

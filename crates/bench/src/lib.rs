@@ -117,18 +117,27 @@ pub fn run_args() -> RunArgs {
 ///
 /// `extra` receives each token the common parser does not recognize plus
 /// the remaining argument queue (pop values off the front); returning
-/// `false` rejects the token with the standard panic. This is the one
-/// place command lines are parsed — `bench_sim`, `diag`, and the `trace`
-/// store tool all layer their flags on top of it rather than re-rolling
-/// `--scale`/`--threads` handling.
+/// `false` rejects the token as unknown. This is the one place command
+/// lines are parsed — `bench_sim`, `diag`, and the `trace` store tool all
+/// layer their flags on top of it rather than re-rolling
+/// `--scale`/`--threads` handling. A rejected command line exits through
+/// [`exit_usage`].
 #[must_use]
 pub fn run_args_with<F>(default: StudyConfig, extra: F) -> RunArgs
 where
     F: FnMut(&str, &mut VecDeque<String>) -> bool,
 {
-    let args = parse_run_args(std::env::args().skip(1).collect(), default, extra);
+    let args = parse_run_args(std::env::args().skip(1).collect(), default, extra)
+        .unwrap_or_else(|e| exit_usage(&e));
     apply_run_args(&args);
     args
+}
+
+/// Reports a rejected command line on stderr, with the usage text, and
+/// exits with status 2.
+pub fn exit_usage(err: &ArgError) -> ! {
+    eprintln!("error: {err}\n{}", usage_text());
+    std::process::exit(2);
 }
 
 /// Applies the parsed arguments' process-wide side effects: layout
@@ -149,18 +158,71 @@ pub fn apply_run_args(args: &RunArgs) {
     }
 }
 
+/// A command line [`parse_run_args`] rejects.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// A flag came last, without its value.
+    MissingValue(&'static str),
+    /// A flag's value is malformed.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// The value given.
+        value: String,
+        /// What the flag accepts.
+        expected: &'static str,
+    },
+    /// An argument neither the common parser nor the binary knows.
+    Unknown(String),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} must be {expected}, got {value:?}"),
+            ArgError::Unknown(arg) => write!(f, "unknown argument {arg:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
 /// The testable core of [`run_args_with`]: parses an explicit argument
 /// queue instead of the process command line.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on an unknown argument (one `extra` rejects), a flag missing
-/// its value, or a malformed value.
-#[must_use]
-pub fn parse_run_args<F>(mut argv: VecDeque<String>, default: StudyConfig, mut extra: F) -> RunArgs
+/// Returns an [`ArgError`] for an unknown argument (one `extra`
+/// rejects), a flag missing its value, or a malformed value.
+pub fn parse_run_args<F>(
+    mut argv: VecDeque<String>,
+    default: StudyConfig,
+    mut extra: F,
+) -> Result<RunArgs, ArgError>
 where
     F: FnMut(&str, &mut VecDeque<String>) -> bool,
 {
+    fn value(argv: &mut VecDeque<String>, flag: &'static str) -> Result<String, ArgError> {
+        argv.pop_front().ok_or(ArgError::MissingValue(flag))
+    }
+    fn parsed<T: std::str::FromStr>(
+        argv: &mut VecDeque<String>,
+        flag: &'static str,
+        expected: &'static str,
+        accept: fn(&T) -> bool,
+    ) -> Result<T, ArgError> {
+        let v = value(argv, flag)?;
+        v.parse().ok().filter(accept).ok_or(ArgError::BadValue {
+            flag,
+            value: v,
+            expected,
+        })
+    }
     let mut out = RunArgs {
         config: default,
         threads: oslay::exec::default_threads(),
@@ -171,50 +233,44 @@ where
     while let Some(arg) = argv.pop_front() {
         match arg.as_str() {
             "--scale" => {
-                let v = argv.pop_front().expect("--scale needs a value");
+                let v = value(&mut argv, "--scale")?;
                 out.config = match v.as_str() {
                     "tiny" => StudyConfig::tiny(),
                     "small" => StudyConfig::small(),
                     "paper" => StudyConfig::paper(),
-                    other => panic!("unknown scale {other:?} (tiny|small|paper)"),
+                    _ => {
+                        return Err(ArgError::BadValue {
+                            flag: "--scale",
+                            value: v,
+                            expected: "tiny, small or paper",
+                        })
+                    }
                 };
             }
             "--blocks" => {
-                let v = argv.pop_front().expect("--blocks needs a value");
-                out.config.os_blocks = v.parse().expect("--blocks must be an integer");
+                out.config.os_blocks = parsed(&mut argv, "--blocks", "an integer", |_| true)?;
             }
-            "--seed" => {
-                let v = argv.pop_front().expect("--seed needs a value");
-                out.config.seed = v.parse().expect("--seed must be an integer");
-            }
+            "--seed" => out.config.seed = parsed(&mut argv, "--seed", "an integer", |_| true)?,
             "--threads" => {
-                let v = argv.pop_front().expect("--threads needs a value");
-                out.threads = v.parse().expect("--threads must be an integer");
-                assert!(out.threads >= 1, "--threads must be >= 1");
+                out.threads = parsed(&mut argv, "--threads", "an integer >= 1", |&n| n >= 1)?;
             }
             "--verify" => out.verify = true,
-            "--trace-out" => {
-                let v = argv.pop_front().expect("--trace-out needs a file path");
-                out.trace_out = Some(PathBuf::from(v));
-            }
+            "--trace-out" => out.trace_out = Some(value(&mut argv, "--trace-out")?.into()),
             "--telemetry-out" => {
-                let v = argv.pop_front().expect("--telemetry-out needs a file path");
-                out.telemetry_out = Some(PathBuf::from(v));
+                out.telemetry_out = Some(value(&mut argv, "--telemetry-out")?.into());
             }
             "--help" | "-h" => {
                 println!("{}", usage_text());
                 std::process::exit(0);
             }
             other => {
-                assert!(
-                    extra(other, &mut argv),
-                    "unknown argument {other:?}\n{}",
-                    usage_text()
-                );
+                if !extra(other, &mut argv) {
+                    return Err(ArgError::Unknown(other.to_owned()));
+                }
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Parses the common experiment arguments into a [`StudyConfig`].
@@ -1105,7 +1161,7 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false);
+        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false).unwrap();
         assert_eq!(
             args.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/t.json"))
@@ -1113,6 +1169,7 @@ mod tests {
         assert_eq!(args.threads, 2);
         assert!(
             parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
+                .unwrap()
                 .trace_out
                 .is_none()
         );
@@ -1124,13 +1181,14 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false);
+        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false).unwrap();
         assert_eq!(
             args.telemetry_out.as_deref(),
             Some(std::path::Path::new("/tmp/tel.json"))
         );
         assert!(
             parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
+                .unwrap()
                 .telemetry_out
                 .is_none()
         );
@@ -1153,18 +1211,60 @@ mod tests {
         }
     }
 
+    fn parse_err(args: &[&str]) -> ArgError {
+        let argv: VecDeque<String> = args.iter().map(|s| (*s).to_owned()).collect();
+        parse_run_args(argv, StudyConfig::tiny(), |_, _| false)
+            .expect_err("bad command line must be rejected")
+    }
+
     #[test]
     fn unknown_flag_fails_with_usage() {
-        let argv: VecDeque<String> = ["--no-such-flag"].iter().map(|s| (*s).to_owned()).collect();
-        let err =
-            std::panic::catch_unwind(|| parse_run_args(argv, StudyConfig::tiny(), |_, _| false))
-                .expect_err("unknown flag must be rejected");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(msg.contains("unknown argument \"--no-such-flag\""), "{msg}");
-        assert!(
-            msg.contains("--telemetry-out"),
-            "rejection must print the usage text: {msg}"
+        let err = parse_err(&["--no-such-flag"]);
+        assert_eq!(err, ArgError::Unknown("--no-such-flag".to_owned()));
+        assert_eq!(err.to_string(), "unknown argument \"--no-such-flag\"");
+    }
+
+    #[test]
+    fn bad_threads_is_rejected() {
+        for bad in ["0", "two"] {
+            let err = parse_err(&["--threads", bad]);
+            assert!(
+                matches!(&err, ArgError::BadValue { flag: "--threads", value, .. } if value == bad),
+                "{err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("--threads must be an integer >= 1, got {bad:?}")
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_scale_is_rejected() {
+        let err = parse_err(&["--scale", "huge"]);
+        assert_eq!(
+            err.to_string(),
+            "--scale must be tiny, small or paper, got \"huge\""
         );
+    }
+
+    #[test]
+    fn flag_without_value_is_rejected() {
+        for flag in [
+            "--scale",
+            "--blocks",
+            "--seed",
+            "--threads",
+            "--trace-out",
+            "--telemetry-out",
+        ] {
+            let err = parse_err(&["--verify", flag]);
+            assert_eq!(err.to_string(), format!("{flag} needs a value"));
+        }
+        assert!(matches!(
+            parse_err(&["--seed", "0x10"]),
+            ArgError::BadValue { flag: "--seed", .. }
+        ));
     }
 
     #[test]
@@ -1173,9 +1273,13 @@ mod tests {
             .iter()
             .map(|s| (*s).to_owned())
             .collect();
-        let args = parse_run_args(argv, StudyConfig::paper(), |_, _| false);
+        let args = parse_run_args(argv, StudyConfig::paper(), |_, _| false).unwrap();
         assert!(args.verify);
-        assert!(!parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false).verify);
+        assert!(
+            !parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
+                .unwrap()
+                .verify
+        );
     }
 
     #[test]

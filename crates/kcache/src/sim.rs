@@ -139,24 +139,63 @@ pub struct AccessDetail {
 /// layouts never produce (debug-asserted on access).
 const TAG_EMPTY: u64 = u64::MAX;
 
+/// Empty slot of an [`EvictTable`]. A record packs `key << 1 |
+/// evictor_is_app`, and a line key (`addr >> line_shift`, with a line of
+/// at least two bytes) leaves the top bit free, so no record equals it.
+const SLOT_EMPTY: u64 = u64::MAX;
+
+/// Multiplier of the table's multiply-shift hash (2^64 / golden ratio).
+const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Slots of a fresh [`EvictTable`]; the table doubles from here.
+const MIN_SLOTS: usize = 16;
+
+/// Records held for one set of an [`EvictTable`] and that set's
+/// round-robin drop position.
+#[derive(Copy, Clone, Debug, Default)]
+struct SetLoad {
+    /// Never above the table's cap.
+    count: u32,
+    /// Sorted-key position of the next record to drop, kept below the cap.
+    cursor: u32,
+}
+
 /// Bounded per-set store of "who last evicted this line", replacing the
 /// old unbounded `HashMap<u64, Domain>` (which grew one entry per distinct
 /// line ever evicted and was never pruned on re-fill).
 ///
-/// Each set keeps its records sorted by line key for `O(log n)` lookup
-/// and update. When a set reaches `cap` records, the *oldest inserted*
-/// record is dropped round-robin; classification of a line whose record
-/// was dropped degrades to `Cold`, exactly as if the line had never been
-/// cached. The default cap (4096) is far above the distinct-lines-per-set
-/// count of any paper-scale workload (~a few hundred), so results are
-/// bit-identical to the unbounded map while memory stays bounded at
-/// `O(sets × cap)` worst case.
+/// All sets share one flat linear-probing table of packed `u64` records
+/// (multiply-shift hashed, doubled at half load, backward-shift
+/// deletion), so a record or a lookup is one probe. Beside it, each set
+/// keeps its record count and a drop cursor. When a set holds `cap`
+/// records and a new line arrives, the set drops the record at position
+/// `cursor` of its keys in ascending order and the cursor advances by one
+/// modulo `cap`. Classification of a line whose record was dropped
+/// degrades to `Cold`, exactly as if the line had never been cached. Each
+/// set's sorted key index is built by one table scan the first time it
+/// drops a record and is kept in step afterwards; sets below the cap have
+/// none.
+///
+/// The default cap (4096) is far above what any paper-scale run needs:
+/// an instrumented run of Figures 12, 15, 16 and 17 found no set of any
+/// point reaching 128 records. Results are therefore bit-identical to the
+/// unbounded map while memory stays bounded at `O(sets × cap)` worst case.
 #[derive(Clone, Debug)]
 pub(crate) struct EvictTable {
-    cap: usize,
-    /// Per set: records `(line_key, evictor)` sorted by key, plus the
-    /// round-robin drop cursor used when the set is at capacity.
-    sets: Vec<(Vec<(u64, Domain)>, usize)>,
+    cap: u32,
+    /// `num_sets - 1`: `key & set_mask` is a record's set.
+    set_mask: u64,
+    /// Packed records and [`SLOT_EMPTY`]s; a power of two long, at most
+    /// half full.
+    slots: Vec<u64>,
+    /// `64 - log2(slots.len())`: a key's home slot is the top bits of
+    /// `key * HASH_MUL`.
+    shift: u32,
+    len: usize,
+    sets: Vec<SetLoad>,
+    /// Per set, its keys ascending, once the set has dropped a record
+    /// (empty before); unallocated until the first set does.
+    sorted: Vec<Vec<u64>>,
 }
 
 impl EvictTable {
@@ -165,51 +204,141 @@ impl EvictTable {
 
     pub(crate) fn new(num_sets: usize, cap: usize) -> Self {
         assert!(cap > 0, "evict table needs capacity");
+        assert!(num_sets.is_power_of_two(), "set count is a power of two");
         Self {
-            cap,
-            sets: vec![(Vec::new(), 0); num_sets],
+            // A set never holds 2^32 records, so a larger cap never binds.
+            cap: u32::try_from(cap).unwrap_or(u32::MAX),
+            set_mask: num_sets as u64 - 1,
+            slots: vec![SLOT_EMPTY; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.ilog2(),
+            len: 0,
+            sets: vec![SetLoad::default(); num_sets],
+            sorted: Vec::new(),
         }
     }
 
     pub(crate) fn lookup(&self, set: u32, key: u64) -> Option<Domain> {
-        let records = &self.sets[set as usize].0;
-        records
-            .binary_search_by_key(&key, |&(k, _)| k)
-            .ok()
-            .map(|i| records[i].1)
+        debug_assert_eq!(u64::from(set), key & self.set_mask);
+        match self.slots[self.find(key)] {
+            SLOT_EMPTY => None,
+            word if word & 1 == 1 => Some(Domain::App),
+            _ => Some(Domain::Os),
+        }
     }
 
     pub(crate) fn record(&mut self, set: u32, key: u64, evictor: Domain) {
-        let (records, cursor) = &mut self.sets[set as usize];
-        match records.binary_search_by_key(&key, |&(k, _)| k) {
-            Ok(i) => records[i].1 = evictor,
-            Err(i) => {
-                if records.len() >= self.cap {
-                    // At capacity: drop one record round-robin to make
-                    // room (its line reclassifies as cold if refetched).
-                    let drop_at = *cursor % records.len();
-                    *cursor = cursor.wrapping_add(1);
-                    records.remove(drop_at);
-                    let i = records
-                        .binary_search_by_key(&key, |&(k, _)| k)
-                        .expect_err("key was absent");
-                    records.insert(i, (key, evictor));
-                } else {
-                    records.insert(i, (key, evictor));
-                }
-            }
+        debug_assert_eq!(u64::from(set), key & self.set_mask);
+        debug_assert!(key < SLOT_EMPTY >> 1, "line key leaves no tag bit");
+        let word = key << 1 | u64::from(evictor == Domain::App);
+        let slot = self.find(key);
+        if self.slots[slot] != SLOT_EMPTY {
+            self.slots[slot] = word;
+            return;
+        }
+        let load = &mut self.sets[set as usize];
+        if load.count == self.cap {
+            // At capacity: drop one record round-robin to make room (its
+            // line reclassifies as cold if refetched).
+            let drop_at = load.cursor as usize;
+            load.cursor = (load.cursor + 1) % self.cap;
+            let keys = self.sorted_keys(set);
+            let dropped = keys.remove(drop_at);
+            let at = keys.binary_search(&key).expect_err("key was absent");
+            keys.insert(at, key);
+            self.remove(dropped);
+            let slot = self.find(key);
+            self.slots[slot] = word;
+            return;
+        }
+        load.count += 1;
+        self.slots[slot] = word;
+        self.len += 1;
+        if 2 * self.len > self.slots.len() {
+            self.grow();
         }
     }
 
     fn len(&self) -> usize {
-        self.sets.iter().map(|(r, _)| r.len()).sum()
+        self.len
     }
 
     fn clear(&mut self) {
-        for (records, cursor) in &mut self.sets {
-            records.clear();
-            *cursor = 0;
+        self.slots.fill(SLOT_EMPTY);
+        self.len = 0;
+        self.sets.fill(SetLoad::default());
+        self.sorted = Vec::new();
+    }
+
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(HASH_MUL) >> self.shift) as usize
+    }
+
+    /// The slot holding `key`'s record, or the empty slot ending its probe
+    /// run (one exists: the table is at most half full).
+    fn find(&self, key: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let word = self.slots[i];
+            if word == SLOT_EMPTY || word >> 1 == key {
+                return i;
+            }
+            i = (i + 1) & mask;
         }
+    }
+
+    /// Deletes `key`'s record, shifting later records of its probe run
+    /// back so every remaining key stays reachable from its home slot.
+    fn remove(&mut self, key: u64) {
+        let mask = self.slots.len() - 1;
+        let mut hole = self.find(key);
+        debug_assert_ne!(self.slots[hole], SLOT_EMPTY, "removed key is held");
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let word = self.slots[i];
+            if word == SLOT_EMPTY {
+                break;
+            }
+            // Move `word` into the hole unless its home lies cyclically
+            // after the hole, in which case the hole is not on its run.
+            let home = self.home(word >> 1);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.slots[hole] = word;
+                hole = i;
+            }
+        }
+        self.slots[hole] = SLOT_EMPTY;
+    }
+
+    fn grow(&mut self) {
+        let doubled = vec![SLOT_EMPTY; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, doubled);
+        self.shift -= 1;
+        for word in old.into_iter().filter(|&w| w != SLOT_EMPTY) {
+            let slot = self.find(word >> 1);
+            self.slots[slot] = word;
+        }
+    }
+
+    /// `set`'s keys in ascending order, built by one scan of the table on
+    /// the set's first drop.
+    fn sorted_keys(&mut self, set: u32) -> &mut Vec<u64> {
+        if self.sorted.is_empty() {
+            self.sorted.resize_with(self.sets.len(), Vec::new);
+        }
+        let keys = &mut self.sorted[set as usize];
+        if keys.is_empty() {
+            let set_mask = self.set_mask;
+            keys.extend(
+                self.slots
+                    .iter()
+                    .filter(|&&w| w != SLOT_EMPTY && (w >> 1) & set_mask == u64::from(set))
+                    .map(|&w| w >> 1),
+            );
+            keys.sort_unstable();
+        }
+        keys
     }
 }
 
@@ -798,6 +927,114 @@ mod tests {
             AccessOutcome::Miss(MissKind::Cold),
             "dropped record degrades to cold"
         );
+    }
+
+    #[test]
+    fn evict_table_matches_sorted_round_robin_model() {
+        use oslay_model::rng::Rng;
+        use std::collections::BTreeMap;
+
+        // The plain model: one sorted map per set; at cap, drop the key at
+        // sorted position `cursor % len` and advance the cursor.
+        struct Model {
+            cap: usize,
+            sets: Vec<(BTreeMap<u64, Domain>, usize)>,
+        }
+        impl Model {
+            fn record(&mut self, set: u32, key: u64, evictor: Domain) -> &'static str {
+                let (records, cursor) = &mut self.sets[set as usize];
+                if let Some(d) = records.get_mut(&key) {
+                    *d = evictor;
+                    return "update";
+                }
+                let kind = if records.len() >= self.cap {
+                    let drop = *records.keys().nth(*cursor % records.len()).unwrap();
+                    *cursor += 1;
+                    records.remove(&drop);
+                    "drop"
+                } else {
+                    "insert"
+                };
+                records.insert(key, evictor);
+                kind
+            }
+        }
+
+        let mut clears = 0;
+        for cap in [1usize, 2, 3, 7, 64] {
+            for num_sets in [1usize, 4, 64] {
+                let mut table = EvictTable::new(num_sets, cap);
+                let mut model = Model {
+                    cap,
+                    sets: vec![(BTreeMap::new(), 0); num_sets],
+                };
+                let pool = 2 * (num_sets * cap) as u64 + 5;
+                let mut rng = Rng::seed_from_u64((cap * 1000 + num_sets) as u64);
+                let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
+                let mut max_slots = 0;
+                for step in 0..40_000u32 {
+                    let key = rng.gen_range(0..pool);
+                    let set = (key & (num_sets as u64 - 1)) as u32;
+                    match rng.gen_range(0..10_000u32) {
+                        0 => {
+                            table.clear();
+                            for (records, cursor) in &mut model.sets {
+                                records.clear();
+                                *cursor = 0;
+                            }
+                            clears += 1;
+                        }
+                        1..=4_999 => {
+                            let evictor = if rng.gen_range(0..2u32) == 0 {
+                                Domain::Os
+                            } else {
+                                Domain::App
+                            };
+                            table.record(set, key, evictor);
+                            *seen.entry(model.record(set, key, evictor)).or_default() += 1;
+                        }
+                        _ => {
+                            let want = model.sets[set as usize].0.get(&key).copied();
+                            assert_eq!(
+                                table.lookup(set, key),
+                                want,
+                                "cap {cap} sets {num_sets} step {step}"
+                            );
+                        }
+                    }
+                    let counts: Vec<usize> = model.sets.iter().map(|(r, _)| r.len()).collect();
+                    assert_eq!(
+                        table.len(),
+                        counts.iter().sum::<usize>(),
+                        "cap {cap} sets {num_sets} step {step}"
+                    );
+                    for (s, load) in table.sets.iter().enumerate() {
+                        assert_eq!(
+                            load.count as usize, counts[s],
+                            "cap {cap} sets {num_sets} step {step} set {s}"
+                        );
+                        assert!(
+                            load.count as usize <= cap,
+                            "cap {cap} sets {num_sets} step {step} set {s}"
+                        );
+                    }
+                    max_slots = max_slots.max(table.slots.len());
+                }
+                for kind in ["update", "insert", "drop"] {
+                    assert!(
+                        seen.contains_key(kind),
+                        "cap {cap} sets {num_sets}: no {kind}"
+                    );
+                }
+                if num_sets * cap >= 64 {
+                    assert!(
+                        max_slots >= 8 * MIN_SLOTS,
+                        "cap {cap} sets {num_sets}: table never doubled thrice"
+                    );
+                }
+            }
+        }
+        assert!(clears > 0, "no stream cleared the table");
     }
 
     #[test]
