@@ -30,6 +30,28 @@ else
   echo "miri unavailable (no nightly toolchain with miri); skipping"
 fi
 
+echo "== flag grammar: every binary's --help and unknown-flag exits =="
+# Both exit before any study is generated, so the loop is cheap: --help
+# exits 0 with the generated usage text; an unknown flag exits 2 with the
+# error and no panic.
+tmpdir="$(mktemp -d)"
+for src in crates/bench/src/bin/*.rs src/bin/*.rs; do
+  bin="$(basename "$src" .rs)"
+  case "$src" in
+    src/*) run=(cargo run --release -q --bin "$bin" --) ;;
+    *) run=(cargo run --release -q -p oslay-bench --bin "$bin" --) ;;
+  esac
+  "${run[@]}" --help > "$tmpdir/help.txt"
+  grep -q "usage:" "$tmpdir/help.txt"
+  status=0
+  "${run[@]}" --no-such-flag > /dev/null 2> "$tmpdir/err.txt" || status=$?
+  if [ "$status" -ne 2 ] || grep -q panicked "$tmpdir/err.txt"; then
+    echo "$src: --no-such-flag exited $status (want 2, no panic)" >&2
+    exit 1
+  fi
+done
+rm -rf "$tmpdir"
+
 echo "== layout lint gate: every layout verifies clean =="
 tmpdir="$(mktemp -d)"
 cargo run --release -q -p oslay-bench --bin lint -- \
@@ -278,18 +300,23 @@ cargo run --release -q -p oslay-bench --bin lint -- \
   --scale tiny --layout-file "$tmpdir/t1/layout.json" --deny warnings \
   > "$tmpdir/lint.txt"
 grep -q "0 error(s), 0 warning(s)" "$tmpdir/lint.txt"
-# An invalid budget must fail fast with the usage text, not search.
-if cargo run --release -q -p oslay-bench --bin search -- \
-    --scale tiny --budget banana > /dev/null 2> "$tmpdir/err.txt"; then
-  echo "search accepted a non-numeric --budget" >&2
+# An invalid budget must fail fast with the usage text and exit status 2
+# (a panic exits 101), not search.
+status=0
+cargo run --release -q -p oslay-bench --bin search -- \
+  --scale tiny --budget banana > /dev/null 2> "$tmpdir/err.txt" || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "search --budget banana exited $status (want 2)" >&2
   exit 1
 fi
 grep -q -- "--budget must be an integer" "$tmpdir/err.txt"
 grep -q "common experiment flags" "$tmpdir/err.txt"
 # A truncated flag (missing value) must fail the same way.
-if cargo run --release -q -p oslay-bench --bin search -- \
-    --scale tiny --budget > /dev/null 2> "$tmpdir/err2.txt"; then
-  echo "search accepted a --budget with no value" >&2
+status=0
+cargo run --release -q -p oslay-bench --bin search -- \
+  --scale tiny --budget > /dev/null 2> "$tmpdir/err2.txt" || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "search --budget (no value) exited $status (want 2)" >&2
   exit 1
 fi
 grep -q -- "--budget needs a value" "$tmpdir/err2.txt"

@@ -18,10 +18,10 @@ use oslay::analysis::report::TextTable;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::layout::{optimize_os, OptParams, ThresholdSchedule};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("ablation_opts").args().run().config;
     banner("Ablation: OptS design choices (8KB direct-mapped)", &config);
     let study = Study::generate(&config);
     let program = &study.kernel().program;

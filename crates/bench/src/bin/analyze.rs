@@ -7,118 +7,50 @@
 //! measured misses (zero on always-hit points, at most one per
 //! persistent line, exactly one per execution on always-miss points).
 //!
-//! ```text
-//! analyze [--scale tiny|small|paper] [--blocks N] [--seed N] [--threads N]
-//!         [--layout base|ch|opts|optl|search|all]   # default: all
-//!         [--gate]                 # replay-validate the classes (the
-//!                                  # soundness gate; exit 1 on violation)
-//!         [--search-budget N]      # proposals for the `search` layout
-//!         [--class-out FILE]       # export the classifications as JSON
-//!         [--check FILE]           # re-validate an exported JSON; exit 1
-//!                                  # if it is internally inconsistent
-//!         [--mutate block-swap]    # swap a proven always-hit block into
-//!                                  # the most contended set and require
-//!                                  # the analysis to withdraw >= 1
-//!                                  # always-hit guarantee (exit 1 if the
-//!                                  # mutation goes unnoticed)
-//! ```
+//! `analyze --help` lists the flags (generated from the flag table
+//! below). `--mutate block-swap` swaps a proven always-hit block into the
+//! most contended set and requires the analysis to withdraw at least one
+//! always-hit guarantee; `--check FILE` re-validates an exported
+//! `--class-out` JSON.
 //!
 //! Exit-code contract: `0` when the analysis is internally consistent
 //! (and, with `--gate`, every replay check passes; with `--mutate`, the
 //! mutation degrades at least one guarantee), `1` otherwise.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::process::ExitCode;
 
-use oslay::{OsLayout, OsLayoutKind, SimConfig, Study, StudyConfig};
+use oslay::{OsLayout, OsLayoutKind, SimConfig, Study};
 use oslay_bench::absint_gate::{classify_study_layout, run_absint_gate, AbsintGateOutcome};
-use oslay_bench::{banner, parse_run_args, run_layout_search, Reporter};
+use oslay_bench::{banner, run_layout_search, Args, Cli, Flag, Kind, Reporter, FILE, INT};
 use oslay_cache::CacheConfig;
 use oslay_verify::{Classification, LayoutView, LineClass};
 
-#[derive(Clone, Debug)]
-struct AnalyzeArgs {
-    config: StudyConfig,
-    threads: usize,
-    layouts: Vec<String>,
-    gate: bool,
-    search_budget: u64,
-    class_out: Option<std::path::PathBuf>,
-    check: Option<std::path::PathBuf>,
-    mutate: Option<String>,
-}
-
 const ALL_LAYOUTS: [&str; 5] = ["base", "ch", "opts", "optl", "search"];
 
-fn parse_args() -> AnalyzeArgs {
-    let mut layouts: Vec<String> = Vec::new();
-    let mut gate = false;
-    let mut search_budget = 8_000u64;
-    let mut class_out = None;
-    let mut check = None;
-    let mut mutate = None;
-    let argv: VecDeque<String> = std::env::args().skip(1).collect();
-    let args = parse_run_args(argv, StudyConfig::small(), |arg, rest| match arg {
-        "--layout" => {
-            let v = rest.pop_front().expect("--layout needs a value");
-            if v == "all" {
-                layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-            } else {
-                assert!(
-                    ALL_LAYOUTS.contains(&v.as_str()),
-                    "unknown layout {v:?} (base|ch|opts|optl|search|all)"
-                );
-                layouts.push(v);
-            }
-            true
-        }
-        "--gate" => {
-            gate = true;
-            true
-        }
-        "--search-budget" => {
-            let v = rest.pop_front().expect("--search-budget needs a value");
-            search_budget = v.parse().expect("--search-budget must be an integer");
-            true
-        }
-        "--class-out" => {
-            let v = rest.pop_front().expect("--class-out needs a path");
-            class_out = Some(v.into());
-            true
-        }
-        "--check" => {
-            let v = rest.pop_front().expect("--check needs a path");
-            check = Some(v.into());
-            true
-        }
-        "--mutate" => {
-            let v = rest.pop_front().expect("--mutate needs a value");
-            assert_eq!(v, "block-swap", "only `--mutate block-swap` is supported");
-            mutate = Some(v);
-            true
-        }
-        _ => false,
-    })
-    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
-    oslay_bench::apply_run_args(&args);
-    if layouts.is_empty() {
-        layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-    }
-    AnalyzeArgs {
-        config: args.config,
-        threads: args.threads,
-        layouts,
-        gate,
-        search_budget,
-        class_out,
-        check,
-        mutate,
-    }
-}
+const LAYOUTS: Kind = Kind::Many(&Kind::Choice(&[
+    "base", "ch", "opts", "optl", "search", "all",
+]));
+
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "analyze",
+    subcommands: &[],
+    scale: Some("small"),
+    flags: &[
+        Flag("--layout", LAYOUTS, "all", "layouts to classify"),
+        Flag("--gate", Kind::Switch, "", "replay-validate the classes (exit 1 on violation)"),
+        Flag("--search-budget", INT, "8000", "proposals for the `search` layout"),
+        Flag("--class-out", FILE, "", "export the classifications as JSON"),
+        Flag("--check", FILE, "", "re-validate an exported JSON; exit 1 if inconsistent"),
+        Flag("--mutate", Kind::Choice(&["block-swap"]), "", "require a block swap to be noticed"),
+    ],
+};
 
 /// Builds the requested layouts in a stable display order.
-fn build_layouts(study: &Study, args: &AnalyzeArgs, cfg: CacheConfig) -> Vec<(String, OsLayout)> {
-    args.layouts
+fn build_layouts(study: &Study, flags: &Args, cfg: CacheConfig) -> Vec<(String, OsLayout)> {
+    flags
+        .expand_all("--layout", &ALL_LAYOUTS)
         .iter()
         .map(|which| match which.as_str() {
             "base" => (
@@ -139,12 +71,12 @@ fn build_layouts(study: &Study, args: &AnalyzeArgs, cfg: CacheConfig) -> Vec<(St
             ),
             "search" => {
                 let params = oslay_search::SearchParams {
-                    budget: args.search_budget,
+                    budget: flags.num("--search-budget").unwrap_or_default(),
                     restarts: 1,
                     ..oslay_search::SearchParams::default()
                 };
                 let searched =
-                    run_layout_search(study, cfg, &params, &SimConfig::fast(), args.threads);
+                    run_layout_search(study, cfg, &params, &SimConfig::fast(), flags.run().threads);
                 ("Search".to_owned(), searched.os)
             }
             other => unreachable!("unknown layout {other}"),
@@ -393,11 +325,12 @@ fn run_mutation(study: &Study, cfg: CacheConfig) -> u64 {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let flags = CLI.args();
+    let args = flags.run();
 
     // `--check` is standalone: validate the file and exit.
-    if let Some(path) = &args.check {
-        return match check_classification_file(path) {
+    if let Some(path) = flags.path("--check") {
+        return match check_classification_file(&path) {
             Ok(n) => {
                 println!("analyze --check: {n} layout(s) internally consistent");
                 ExitCode::SUCCESS
@@ -416,7 +349,7 @@ fn main() -> ExitCode {
     let study = Study::generate_with_threads(&args.config, args.threads);
     let cfg = CacheConfig::paper_default();
 
-    if args.mutate.is_some() {
+    if flags.on("--mutate") {
         let degraded = run_mutation(&study, cfg);
         oslay_bench::flush_trace();
         return if degraded >= 1 {
@@ -427,11 +360,11 @@ fn main() -> ExitCode {
         };
     }
 
-    let layouts = build_layouts(&study, &args, cfg);
+    let layouts = build_layouts(&study, &flags, cfg);
     let mut reporter = Reporter::new("analyze");
     let mut failed = false;
 
-    let (classifications, gate) = if args.gate {
+    let (classifications, gate) = if flags.on("--gate") {
         let outcome = run_absint_gate(&study, &layouts, cfg, args.threads);
         (outcome.classifications.clone(), Some(outcome))
     } else {
@@ -503,9 +436,11 @@ fn main() -> ExitCode {
         }
     }
 
-    if let Some(path) = &args.class_out {
-        std::fs::write(path, classifications_json(&classifications))
-            .unwrap_or_else(|e| panic!("--class-out {}: {e}", path.display()));
+    if let Some(path) = flags.path("--class-out") {
+        if let Err(e) = std::fs::write(&path, classifications_json(&classifications)) {
+            eprintln!("analyze: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
         println!("classifications written: {}", path.display());
     }
 

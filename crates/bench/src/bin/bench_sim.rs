@@ -6,7 +6,8 @@
 //! cargo run --release -p oslay-bench --bin bench_sim -- --smoke --out /tmp/BENCH_sim.json
 //! ```
 //!
-//! A bad value for one of its own flags prints the usage text and exits 2.
+//! A bad value for one of its own flags prints the usage text and exits
+//! 2; a report or history file that cannot be written exits 1.
 //!
 //! Measured cases:
 //! - `replay_base` / `replay_opt_s`: buffered (`Vec`) replay of the Shell
@@ -50,8 +51,8 @@ use std::time::Instant;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, SimResult, Study, StudyConfig};
 use oslay_bench::{
-    run_args_with, run_figure12_matrix, run_sweep, run_sweep_single_pass, scale_name, AppSide,
-    SweepPoint,
+    run_figure12_matrix, run_sweep, run_sweep_single_pass, scale_name, AppSide, Args, Cli, Flag,
+    Kind, SweepPoint, COUNT, FILE,
 };
 use oslay_observe::MetricRegistry;
 use oslay_perf::alloc;
@@ -62,117 +63,36 @@ use oslay_tracestore::{CountingSink, TraceReader, TraceWriter};
 // The counting allocator is installed by the `oslay_bench` library crate,
 // process-wide for every experiment binary.
 
-struct Args {
-    config: StudyConfig,
-    threads: usize,
-    out: std::path::PathBuf,
-    history: Option<std::path::PathBuf>,
-    gate: bool,
-    gate_tolerance: f64,
-    gate_window: usize,
-}
+/// A number strictly between 0 and 1.
+const FRACTION: Kind = Kind::Value(
+    "F",
+    |v| v.parse().is_ok_and(|t: f64| t > 0.0 && t < 1.0),
+    "a number in (0, 1)",
+);
 
-/// `bench_sim`'s own flags, on top of the common experiment set.
-const USAGE: &str = "usage: bench_sim [common flags] [--smoke] [--out FILE] \
-     [--history FILE | --no-history] [--gate] [--gate-tolerance F] [--gate-window N]\n\
-     \x20 --smoke              CI smoke run: a ~1k-block trace (overrides --scale/--blocks)\n\
-     \x20 --out FILE           report path (default: BENCH_sim.json)\n\
-     \x20 --history FILE       bench history to append to (default: results/bench_history.jsonl)\n\
-     \x20 --no-history         record no history\n\
-     \x20 --gate               exit 1 when a case falls more than the tolerance below its median\n\
-     \x20 --gate-tolerance F   allowed fall below the median, in (0, 1) (default 0.2)\n\
-     \x20 --gate-window N      prior runs in the rolling median, at least 1 (default 10)";
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "bench_sim",
+    subcommands: &[],
+    scale: Some("small"),
+    flags: &[
+        Flag("--smoke", Kind::Switch, "", "CI smoke run: a ~1k-block trace at tiny scale"),
+        Flag("--out", FILE, "BENCH_sim.json", "report path"),
+        Flag("--history", FILE, "results/bench_history.jsonl", "bench history to append to"),
+        Flag("--no-history", Kind::Switch, "", "record no history"),
+        Flag("--gate", Kind::Switch, "", "exit 1 on a fall below its median beyond the tolerance"),
+        Flag("--gate-tolerance", FRACTION, "0.2", "allowed fall below the median"),
+        Flag("--gate-window", COUNT, "10", "prior runs in the rolling median"),
+    ],
+};
 
-/// Reports a bad command line with the usage text and exits 2.
-fn usage_error(message: &str) -> ! {
-    eprintln!(
-        "bench_sim: {message}\n{USAGE}\n{}",
-        oslay_bench::usage_text()
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut out = std::path::PathBuf::from("BENCH_sim.json");
-    let mut smoke = false;
-    let mut history = Some(std::path::PathBuf::from("results/bench_history.jsonl"));
-    let mut gate = false;
-    let mut gate_tolerance = 0.2;
-    let mut gate_window = 10;
-    let common = run_args_with(StudyConfig::small(), |arg, rest| match arg {
-        "--out" => {
-            out = rest
-                .pop_front()
-                .unwrap_or_else(|| usage_error("--out needs a path"))
-                .into();
-            true
-        }
-        "--smoke" => {
-            smoke = true;
-            true
-        }
-        "--history" => {
-            let path = rest
-                .pop_front()
-                .unwrap_or_else(|| usage_error("--history needs a path"));
-            history = Some(path.into());
-            true
-        }
-        "--no-history" => {
-            history = None;
-            true
-        }
-        "--gate" => {
-            gate = true;
-            true
-        }
-        "--gate-tolerance" => {
-            let v = rest
-                .pop_front()
-                .unwrap_or_else(|| usage_error("--gate-tolerance needs a value"));
-            gate_tolerance = v
-                .parse::<f64>()
-                .ok()
-                .filter(|t| *t > 0.0 && *t < 1.0)
-                .unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "--gate-tolerance must be a number in (0, 1), got {v:?}"
-                    ))
-                });
-            true
-        }
-        "--gate-window" => {
-            let v = rest
-                .pop_front()
-                .unwrap_or_else(|| usage_error("--gate-window needs a value"));
-            gate_window = v
-                .parse::<usize>()
-                .ok()
-                .filter(|&w| w >= 1)
-                .unwrap_or_else(|| {
-                    usage_error(&format!(
-                        "--gate-window must be a positive integer, got {v:?}"
-                    ))
-                });
-            true
-        }
-        _ => false,
-    });
-    let mut args = Args {
-        config: common.config,
-        threads: common.threads,
-        out,
-        history,
-        gate,
-        gate_tolerance,
-        gate_window,
-    };
-    if smoke {
-        // CI smoke: a trace of ~1k OS blocks (overrides --scale/--blocks).
-        args.config = StudyConfig::tiny();
-        args.config.os_blocks = 1_000;
-    }
-    args
+/// Unwraps a file operation's result, or reports the path and the OS
+/// error and exits 1.
+fn or_exit<T>(result: std::io::Result<T>, path: &std::path::Path) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("bench_sim: {}: {e}", path.display());
+        std::process::exit(1);
+    })
 }
 
 /// Times `f`, bracketing it with allocator snapshots, and returns the
@@ -264,7 +184,14 @@ fn sweep_grid(study: &Study) -> Vec<SweepPoint> {
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = CLI.args();
+    let mut args = flags.run();
+    if flags.on("--smoke") {
+        // CI smoke: a trace of ~1k OS blocks (overrides --scale/--blocks).
+        args.config = StudyConfig::tiny();
+        args.config.os_blocks = 1_000;
+    }
+    let out = flags.path("--out").unwrap_or_default();
     println!(
         "== bench_sim: engine throughput ({}, {} OS blocks, {} threads) ==",
         scale_name(args.config.scale),
@@ -451,8 +378,8 @@ fn main() {
             case.name
         );
     }
-    report.write(&args.out).expect("write bench report");
-    let text = std::fs::read_to_string(&args.out).expect("re-read bench report");
+    or_exit(report.write(&out), &out);
+    let text = std::fs::read_to_string(&out).expect("re-read bench report");
     validate(&text).expect("bench report validates against schema");
     println!();
     if let Some(speedup) = speedup {
@@ -467,10 +394,13 @@ fn main() {
         store_summary.compression_ratio(),
         store_summary.bytes_per_event()
     );
-    println!("Bench report: {}", args.out.display());
+    println!("Bench report: {}", out.display());
 
-    if let Some(history_path) = &args.history {
-        let gate_ok = record_history(&report, history_path, &args);
+    if let Some(history_path) = flags
+        .path("--history")
+        .filter(|_| !flags.on("--no-history"))
+    {
+        let gate_ok = record_history(&report, &history_path, &flags);
         oslay_bench::flush_trace();
         if !gate_ok {
             std::process::exit(1);
@@ -483,15 +413,16 @@ fn main() {
 /// Appends this run to the bench history and checks it against the
 /// rolling median of prior comparable runs. Returns `false` when the
 /// trend gate should fail the process (`--gate` and a regression).
-fn record_history(report: &BenchReport, path: &std::path::Path, args: &Args) -> bool {
+fn record_history(report: &BenchReport, path: &std::path::Path, flags: &Args) -> bool {
+    let tolerance: f64 = flags.num("--gate-tolerance").unwrap_or_default();
     let unix_secs = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let git_rev = history::read_git_rev(std::path::Path::new(".")).unwrap_or_default();
     let entry =
         HistoryEntry::from_bench(report, unix_secs, git_rev, history::machine_fingerprint());
-    let prior = history::load(path).expect("read bench history");
-    history::append(path, &entry).expect("append bench history");
+    let prior = or_exit(history::load(path), path);
+    or_exit(history::append(path, &entry), path);
     println!();
     println!(
         "bench history: {} prior entries at {} ({})",
@@ -522,7 +453,8 @@ fn record_history(report: &BenchReport, path: &std::path::Path, args: &Args) -> 
         );
         return true;
     }
-    match history::trend_gate(&prior, &entry, args.gate_tolerance, args.gate_window) {
+    let window = flags.num("--gate-window").unwrap_or_default();
+    match history::trend_gate(&prior, &entry, tolerance, window) {
         Ok(lines) => {
             for line in lines {
                 println!("  {line}");
@@ -533,10 +465,10 @@ fn record_history(report: &BenchReport, path: &std::path::Path, args: &Args) -> 
             for line in regressions {
                 println!("  REGRESSION: {line}");
             }
-            if args.gate {
+            if flags.on("--gate") {
                 eprintln!(
                     "trend gate FAILED: throughput fell more than {:.0}% below the rolling median",
-                    args.gate_tolerance * 100.0
+                    tolerance * 100.0
                 );
                 false
             } else {

@@ -19,110 +19,71 @@
 //! ```
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use oslay_analysis::dash::{html_escape, svg_heat_strip, svg_sparkline, text_sparkline, Band};
+use oslay_bench::{Cli, Flag, Kind, FILE, FILES};
 use oslay_observe::json::JsonValue;
 use oslay_observe::timeline::{validate_telemetry, TelemetryDoc, TelemetryRun};
 use oslay_observe::RunReport;
 use oslay_perf::history::{self, HistoryEntry};
 
-struct Args {
-    telemetry: Vec<PathBuf>,
-    results: PathBuf,
-    history: PathBuf,
-    out: PathBuf,
-    term: bool,
-    check: bool,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: dash [--check|--term] [--telemetry FILE]... [--results DIR] \
-         [--history FILE] [--out FILE]\n\
-         \x20 --telemetry FILE  telemetry document(s) from --telemetry-out (repeatable)\n\
-         \x20 --results DIR     run-report directory (default: results)\n\
-         \x20 --history FILE    bench trajectory (default: results/bench_history.jsonl)\n\
-         \x20 --out FILE        HTML output path (default: dash.html)\n\
-         \x20 --check           validate telemetry files; exit 0 iff all pass\n\
-         \x20 --term            render to the terminal instead of HTML"
-    );
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut argv: std::collections::VecDeque<String> = std::env::args().skip(1).collect();
-    let mut args = Args {
-        telemetry: Vec::new(),
-        results: PathBuf::from("results"),
-        history: PathBuf::from("results/bench_history.jsonl"),
-        out: PathBuf::from("dash.html"),
-        term: false,
-        check: false,
-    };
-    while let Some(arg) = argv.pop_front() {
-        match arg.as_str() {
-            "--telemetry" => match argv.pop_front() {
-                Some(v) => args.telemetry.push(PathBuf::from(v)),
-                None => usage(),
-            },
-            "--results" => match argv.pop_front() {
-                Some(v) => args.results = PathBuf::from(v),
-                None => usage(),
-            },
-            "--history" => match argv.pop_front() {
-                Some(v) => args.history = PathBuf::from(v),
-                None => usage(),
-            },
-            "--out" => match argv.pop_front() {
-                Some(v) => args.out = PathBuf::from(v),
-                None => usage(),
-            },
-            "--term" => args.term = true,
-            "--check" => args.check = true,
-            _ => usage(),
-        }
-    }
-    args
-}
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "dash",
+    subcommands: &[],
+    scale: None,
+    flags: &[
+        Flag("--telemetry", FILES, "", "telemetry document from --telemetry-out"),
+        Flag("--results", Kind::Path("DIR"), "results", "run-report directory"),
+        Flag("--history", FILE, "results/bench_history.jsonl", "bench trajectory"),
+        Flag("--out", FILE, "dash.html", "HTML output path"),
+        Flag("--check", Kind::Switch, "", "validate telemetry files; exit 0 iff all pass"),
+        Flag("--term", Kind::Switch, "", "render to the terminal instead of HTML"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if args.check {
-        return check(&args);
+    let flags = CLI.args();
+    let telemetry: Vec<PathBuf> = flags.all("--telemetry").iter().map(PathBuf::from).collect();
+    if flags.on("--check") {
+        return check(&telemetry);
     }
-    let docs = load_docs(&args);
-    if args.term {
+    let docs = load_docs(&telemetry);
+    if flags.on("--term") {
         render_term(&docs);
         return ExitCode::SUCCESS;
     }
-    let html = render_html(&args, &docs);
-    if let Some(parent) = args.out.parent() {
+    let results_dir = flags.path("--results").unwrap_or_default();
+    let history_file = flags.path("--history").unwrap_or_default();
+    let html = render_html(&results_dir, &history_file, &docs);
+    let out = flags.path("--out").unwrap_or_default();
+    if let Some(parent) = out.parent() {
         if !parent.as_os_str().is_empty() {
             let _ = std::fs::create_dir_all(parent);
         }
     }
-    match std::fs::write(&args.out, html) {
+    match std::fs::write(&out, html) {
         Ok(()) => {
-            println!("dashboard written: {}", args.out.display());
+            println!("dashboard written: {}", out.display());
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("dash: cannot write {}: {e}", args.out.display());
+            eprintln!("dash: cannot write {}: {e}", out.display());
             ExitCode::FAILURE
         }
     }
 }
 
 /// The `--check` gate: every telemetry file must read and validate.
-fn check(args: &Args) -> ExitCode {
-    if args.telemetry.is_empty() {
+fn check(telemetry: &[PathBuf]) -> ExitCode {
+    if telemetry.is_empty() {
         eprintln!("dash --check: no --telemetry files given");
         return ExitCode::FAILURE;
     }
     let mut ok = true;
-    for path in &args.telemetry {
+    for path in telemetry {
         match std::fs::read_to_string(path) {
             Ok(text) => match validate_telemetry(&text) {
                 Ok(stats) => println!(
@@ -153,9 +114,9 @@ fn check(args: &Args) -> ExitCode {
 
 /// Loads every telemetry document, skipping unreadable/invalid files
 /// with a warning (rendering is best-effort; `--check` is the gate).
-fn load_docs(args: &Args) -> Vec<(PathBuf, TelemetryDoc)> {
+fn load_docs(telemetry: &[PathBuf]) -> Vec<(PathBuf, TelemetryDoc)> {
     let mut docs = Vec::new();
-    for path in &args.telemetry {
+    for path in telemetry {
         match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
             Ok(text) => match TelemetryDoc::parse(&text) {
                 Ok(doc) => docs.push((path.clone(), doc)),
@@ -308,7 +269,11 @@ fn fmt_rate(rate: f64) -> String {
     }
 }
 
-fn render_html(args: &Args, docs: &[(PathBuf, TelemetryDoc)]) -> String {
+fn render_html(
+    results_dir: &Path,
+    history_file: &Path,
+    docs: &[(PathBuf, TelemetryDoc)],
+) -> String {
     let mut html = String::from(
         "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
          <title>oslay run dashboard</title><style>\
@@ -384,7 +349,7 @@ fn render_html(args: &Args, docs: &[(PathBuf, TelemetryDoc)]) -> String {
 
     // — Run reports —
     html.push_str("<h2>Run reports</h2>");
-    let mut report_files: Vec<PathBuf> = std::fs::read_dir(&args.results)
+    let mut report_files: Vec<PathBuf> = std::fs::read_dir(results_dir)
         .map(|rd| {
             rd.filter_map(Result::ok)
                 .map(|e| e.path())
@@ -397,7 +362,7 @@ fn render_html(args: &Args, docs: &[(PathBuf, TelemetryDoc)]) -> String {
         let _ = write!(
             html,
             "<p>no run reports under {}.</p>",
-            html_escape(&args.results.display().to_string())
+            html_escape(&results_dir.display().to_string())
         );
     }
     for path in &report_files {
@@ -413,7 +378,7 @@ fn render_html(args: &Args, docs: &[(PathBuf, TelemetryDoc)]) -> String {
 
     // — Bench trend —
     html.push_str("<h2>Bench trend</h2>");
-    let entries = history::load(&args.history).unwrap_or_default();
+    let entries = history::load(history_file).unwrap_or_default();
     html.push_str(&history_html(&entries));
 
     html.push_str("</body></html>");

@@ -28,7 +28,7 @@ use oslay::cache::CacheConfig;
 use oslay::layout::{optimize_os, BlockClass, OptParams};
 use oslay::{OsLayoutKind, SimConfig, Study};
 use oslay_bench::absint_gate::classify_study_layout;
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, run_attributed_matrix, Cli, Reporter};
 use oslay_verify::{LayoutView, LineClass};
 
 fn class_label(c: BlockClass) -> &'static str {
@@ -42,7 +42,7 @@ fn class_label(c: BlockClass) -> &'static str {
 }
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("ext_absint_vs_measured").args().run();
     let config = args.config;
     banner(
         "Ext: static classification vs measured Figure-13 classes",

@@ -18,10 +18,10 @@ use oslay::model::synth::{generate_app_mix, AppKind, AppParams};
 use oslay::profile::Profile;
 use oslay::trace::{Engine, EngineConfig, SyscallProfile, WorkloadSpec};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("ext_database_workload").args().run().config;
     banner("Extension: database-like (OLTP) workload", &config);
     let study = Study::generate(&config);
     let kernel = study.kernel();

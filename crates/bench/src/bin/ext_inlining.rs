@@ -20,10 +20,10 @@ use oslay::model::BlockId;
 use oslay::profile::{LoopAnalysis, Profile};
 use oslay::trace::{Engine, EngineConfig};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args, run_case, AppSide};
+use oslay_bench::{banner, run_case, AppSide, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("ext_inlining").args().run().config;
     banner(
         "Extension: function inlining vs sequences (8KB direct-mapped)",
         &config,

@@ -11,12 +11,12 @@
 use oslay::analysis::report::{f, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{config_from_args, run_case, AppSide};
+use oslay_bench::{run_case, AppSide, Cli};
 
 const SEEDS: [u64; 4] = [0x05_1995, 0xBEEF, 0x1234_5678, 0xFEED_F00D];
 
 fn main() {
-    let mut config = config_from_args();
+    let mut config = Cli::study("ext_seed_sensitivity").args().run().config;
     // Keep the multi-seed sweep affordable: a quarter of the usual trace
     // per seed still leaves ~300k OS blocks each at paper scale.
     config.os_blocks /= 4;

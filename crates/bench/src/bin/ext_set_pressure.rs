@@ -10,10 +10,10 @@
 use oslay::analysis::report::{f, pct, TextTable};
 use oslay::cache::{Cache, CacheConfig, SetCensus};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("ext_set_pressure").args().run().config;
     banner(
         "Extension: per-set conflict pressure (8KB direct-mapped)",
         &config,

@@ -13,11 +13,11 @@ use oslay::analysis::figures::render_address_map;
 use oslay::analysis::report::{bar_chart, pct};
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 use oslay_cache::MissKind;
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig01_miss_map").args().run().config;
     banner(
         "Figure 1: OS misses vs code address (TRFD+Make, 16KB direct-mapped, Base)",
         &config,

@@ -10,10 +10,10 @@ use oslay::analysis::missmap::AddressHistogram;
 use oslay::analysis::report::{bar_chart, pct};
 use oslay::model::fetch_words;
 use oslay::{OsLayoutKind, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig02_ref_map").args().run().config;
     banner(
         "Figure 2: OS references vs code address (Base layout)",
         &config,

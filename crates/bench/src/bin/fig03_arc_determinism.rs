@@ -9,10 +9,10 @@
 use oslay::analysis::arcs::ArcDeterminism;
 use oslay::analysis::report::{bar_chart, pct};
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig03_arc_determinism").args().run().config;
     banner("Figure 3: arc taken-probability distribution", &config);
     let study = Study::generate(&config);
     let d = ArcDeterminism::measure(study.averaged_os_profile());

@@ -10,10 +10,10 @@
 use oslay::analysis::loops::loop_shape;
 use oslay::analysis::report::{bar_chart, pct};
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig05_loops_call").args().run().config;
     banner("Figure 5: loops with procedure calls", &config);
     let study = Study::generate(&config);
     let shape = loop_shape(study.os_loops().executed_loops().filter(|l| l.has_calls));

@@ -9,10 +9,10 @@
 use oslay::analysis::report::{pct, TextTable};
 use oslay::analysis::temporal::InvocationSkew;
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig06_routine_skew").args().run().config;
     banner("Figure 6: routine invocation skew", &config);
     let study = Study::generate(&config);
     let program = &study.kernel().program;

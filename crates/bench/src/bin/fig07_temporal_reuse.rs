@@ -9,10 +9,10 @@
 use oslay::analysis::report::{bar_chart, pct};
 use oslay::analysis::temporal::ReuseDistance;
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig07_temporal_reuse").args().run().config;
     banner(
         "Figure 7: reuse distance of the 10 hottest routines",
         &config,

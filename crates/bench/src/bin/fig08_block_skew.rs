@@ -9,10 +9,10 @@
 use oslay::analysis::report::bar_chart;
 use oslay::analysis::temporal::BlockSkew;
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig08_block_skew").args().run().config;
     banner(
         "Figure 8: basic-block invocation skew (loops flattened)",
         &config,

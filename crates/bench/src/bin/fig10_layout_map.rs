@@ -11,10 +11,10 @@
 use oslay::analysis::report::{kb, pct};
 use oslay::layout::{layout_regions, optimize_os, render_regions, BlockClass, OptParams};
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("fig10_layout_map").args().run().config;
     banner(
         "Figure 10: optimized memory layout (OptL, 8KB logical caches)",
         &config,

@@ -11,10 +11,10 @@ use oslay::cache::CacheConfig;
 use oslay::cache::MissKind;
 use oslay::model::Domain;
 use oslay::{SimConfig, Study};
-use oslay_bench::{banner, figure12_ladder, run_args, run_figure12_matrix, Reporter};
+use oslay_bench::{banner, figure12_ladder, run_figure12_matrix, Cli, Reporter};
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig12_optimization_levels").args().run();
     let config = args.config;
     banner(
         "Figure 12: miss breakdown by optimization level (8KB direct-mapped, 32B lines)",

@@ -18,10 +18,10 @@ use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::layout::{optimize_os, OptParams};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, run_attributed_matrix, Cli, Reporter};
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig13_block_classes").args().run();
     let config = args.config;
     banner("Figure 13: references and misses by block class", &config);
     let study = Study::generate_with_threads(&config, args.threads);

@@ -19,11 +19,11 @@ use oslay::analysis::report::{bar_chart, pct};
 use oslay::cache::CacheConfig;
 use oslay::model::BlockId;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_attributed_matrix, Reporter};
+use oslay_bench::{banner, run_attributed_matrix, Cli, Reporter};
 use oslay_observe::AttrClass;
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig14_miss_distribution").args().run();
     let config = args.config;
     banner(
         "Figure 14: OS miss distribution under Base, C-H, OptS",

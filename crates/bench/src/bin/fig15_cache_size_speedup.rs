@@ -17,10 +17,10 @@ use oslay::analysis::report::{f, pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::perf::ExecTimeModel;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, Reporter, SweepPoint};
+use oslay_bench::{banner, run_sweep_single_pass, AppSide, Cli, Reporter, SweepPoint};
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig15_cache_size_speedup").args().run();
     let config = args.config.clone();
     banner("Figure 15: miss rate vs cache size; speedup model", &config);
     let mut reporter = Reporter::new("fig15_cache_size_speedup");

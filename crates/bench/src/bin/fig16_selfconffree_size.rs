@@ -16,11 +16,11 @@ use std::sync::Arc;
 use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, SweepPoint};
+use oslay_bench::{banner, run_sweep_single_pass, AppSide, Cli, SweepPoint};
 use oslay_observe::MetricRegistry;
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig16_selfconffree_size").args().run();
     let config = args.config;
     banner("Figure 16: SelfConfFree-area size sweep", &config);
     let study = Study::generate_with_threads(&config, args.threads);

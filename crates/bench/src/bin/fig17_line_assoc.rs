@@ -19,7 +19,7 @@ use std::sync::Arc;
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_sweep_single_pass, AppSide, SweepPoint};
+use oslay_bench::{banner, run_sweep_single_pass, AppSide, Cli, SweepPoint};
 use oslay_layout::Layout;
 use oslay_observe::MetricRegistry;
 
@@ -73,7 +73,7 @@ fn sweep(study: &Study, configs: &[(String, CacheConfig)], threads: usize) {
 }
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig17_line_assoc").args().run();
     let config = args.config;
     banner(
         "Figure 17: line-size and associativity sweeps (8KB)",

@@ -16,11 +16,11 @@
 use oslay::analysis::report::TextTable;
 use oslay::cache::{Cache, CacheConfig, InstructionCache, ReservedCache, SplitCache};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, run_args, run_layout_search};
+use oslay_bench::{banner, run_layout_search, Cli};
 use oslay_search::SearchParams;
 
 fn main() {
-    let args = run_args();
+    let args = Cli::study("fig18_alternatives").args().run();
     let config = args.config;
     banner(
         "Figure 18: C-H / Sep / Resv / Call / Search alternatives (8KB budget)",

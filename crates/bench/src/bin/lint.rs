@@ -5,21 +5,12 @@
 //! when every report is clean (warnings allowed unless `--deny warnings`),
 //! `1` when any diagnostic fails.
 //!
-//! ```text
-//! lint [--scale tiny|small|paper] [--blocks N] [--seed N]
-//!      [--layout base|ch|opts|optl|opta|call|all]   # default: all
-//!      [--layout-file FILE]     # lint an external OS layout written by
-//!                               # `search --layout-out` (JSON with
-//!                               # "name"/"addr"/"size"); replaces the
-//!                               # default layout set
-//!      [--json]                 # machine-readable reports
-//!      [--deny warnings]        # promote warnings to failures
-//!      [--mutate block-swap|loop-shift|scf-overlap]
-//!                               # corrupt the OptL layout first (CI uses
-//!                               # this to prove the checker fires)
-//!      [--predict] [--top K]    # also print the static conflict
-//!                               # prediction for the OS layouts
-//! ```
+//! `lint --help` lists the flags (generated from the flag table below).
+//! `--layout-file FILE` lints an external OS layout written by
+//! `search --layout-out` (JSON with `"name"`/`"addr"`/`"size"`) in place
+//! of the default layout set; a malformed file exits 2 like a bad flag.
+//! `--mutate` corrupts the OptL layout first, which CI uses to prove the
+//! checker fires.
 //!
 //! External layouts (`--layout-file`) always get the full static
 //! treatment: structural invariants, the conflict prediction, *and* the
@@ -27,11 +18,10 @@
 //! builders, so nothing else has vetted them. The classification of the
 //! built layouts is the `analyze` binary's job.
 
-use std::collections::VecDeque;
 use std::process::ExitCode;
 
-use oslay::{Study, StudyConfig};
-use oslay_bench::parse_run_args;
+use oslay::Study;
+use oslay_bench::{ArgError, Cli, Flag, Kind, FILE, INT};
 use oslay_cache::CacheConfig;
 use oslay_layout::{optimize_os, BlockClass, OptLayout, OptParams};
 use oslay_model::{Domain, Program, RoutineId};
@@ -39,96 +29,28 @@ use oslay_verify::{
     predict_conflicts, verify, verify_structural, LayoutView, OptContext, VerifyInput, VerifyReport,
 };
 
-#[derive(Clone, Debug)]
-struct LintArgs {
-    config: StudyConfig,
-    layouts: Vec<String>,
-    layout_file: Option<std::path::PathBuf>,
-    json: bool,
-    deny_warnings: bool,
-    mutate: Option<String>,
-    predict: bool,
-    top: usize,
-}
-
 const ALL_LAYOUTS: [&str; 6] = ["base", "ch", "opts", "optl", "opta", "call"];
 
-fn parse_args() -> LintArgs {
-    let mut layouts: Vec<String> = Vec::new();
-    let mut layout_file: Option<std::path::PathBuf> = None;
-    let mut json = false;
-    let mut deny_warnings = false;
-    let mut mutate: Option<String> = None;
-    let mut predict = false;
-    let mut top = 10usize;
-    let argv: VecDeque<String> = std::env::args().skip(1).collect();
-    let args = parse_run_args(argv, StudyConfig::small(), |arg, rest| match arg {
-        "--layout" => {
-            let v = rest.pop_front().expect("--layout needs a value");
-            if v == "all" {
-                layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-            } else {
-                assert!(
-                    ALL_LAYOUTS.contains(&v.as_str()),
-                    "unknown layout {v:?} (base|ch|opts|optl|opta|call|all)"
-                );
-                layouts.push(v);
-            }
-            true
-        }
-        "--layout-file" => {
-            let v = rest.pop_front().expect("--layout-file needs a path");
-            layout_file = Some(v.into());
-            true
-        }
-        "--json" => {
-            json = true;
-            true
-        }
-        "--deny" => {
-            let v = rest.pop_front().expect("--deny needs a value");
-            assert_eq!(v, "warnings", "only `--deny warnings` is supported");
-            deny_warnings = true;
-            true
-        }
-        "--mutate" => {
-            let v = rest.pop_front().expect("--mutate needs a value");
-            assert!(
-                ["block-swap", "loop-shift", "scf-overlap"].contains(&v.as_str()),
-                "unknown mutation {v:?} (block-swap|loop-shift|scf-overlap)"
-            );
-            mutate = Some(v);
-            true
-        }
-        "--predict" => {
-            predict = true;
-            true
-        }
-        "--top" => {
-            let v = rest.pop_front().expect("--top needs a value");
-            top = v.parse().expect("--top must be an integer");
-            true
-        }
-        _ => false,
-    })
-    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
-    oslay_bench::apply_run_args(&args);
-    // An explicit --layout-file lints only that file unless named
-    // layouts were also requested.
-    if layouts.is_empty() && layout_file.is_none() {
-        layouts = ALL_LAYOUTS.iter().map(|s| (*s).to_owned()).collect();
-    }
-    LintArgs {
-        config: args.config,
-        layouts,
-        layout_file,
-        json,
-        deny_warnings,
-        mutate,
-        predict,
-        top,
-    }
-}
+const LAYOUTS: Kind = Kind::Many(&Kind::Choice(&[
+    "base", "ch", "opts", "optl", "opta", "call", "all",
+]));
+const MUTATIONS: Kind = Kind::Choice(&["block-swap", "loop-shift", "scf-overlap"]);
+
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "lint",
+    subcommands: &[],
+    scale: Some("small"),
+    flags: &[
+        Flag("--layout", LAYOUTS, "all", "layouts to lint"),
+        Flag("--layout-file", FILE, "", "lint an external OS layout (search --layout-out)"),
+        Flag("--json", Kind::Switch, "", "machine-readable reports"),
+        Flag("--deny", Kind::Choice(&["warnings"]), "", "promote warnings to failures"),
+        Flag("--mutate", MUTATIONS, "", "corrupt the OptL layout first"),
+        Flag("--predict", Kind::Switch, "", "also print the static conflict prediction"),
+        Flag("--top", INT, "10", "sets and pairs the prediction lists"),
+    ],
+};
 
 /// Verifies a mutated (or pristine) OptL-style layout with full context.
 fn verify_opt_view(
@@ -209,60 +131,39 @@ fn apply_mutation(opt: &OptLayout, view: &mut LayoutView, cache_size: u32, which
 /// Loads an external layout file (`search --layout-out` format: a JSON
 /// object with `"name"`, `"addr"` and `"size"` arrays) as a
 /// [`LayoutView`].
-fn load_layout_view(path: &std::path::Path) -> LayoutView {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("--layout-file {}: {e}", path.display()));
-    let doc = oslay_observe::json::parse(&text)
-        .unwrap_or_else(|e| panic!("--layout-file {}: not JSON: {e}", path.display()));
-    let field = |key: &str| {
-        doc.get(key)
-            .unwrap_or_else(|| panic!("--layout-file {}: missing {key:?}", path.display()))
-    };
+fn load_layout_view(path: &std::path::Path) -> Result<LayoutView, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    let doc = oslay_observe::json::parse(&text).map_err(|e| format!("not JSON: {e}"))?;
+    let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing {key:?}"));
     let list = |key: &str| {
-        field(key)
+        field(key)?
             .as_array()
-            .unwrap_or_else(|| panic!("--layout-file {}: {key:?} must be an array", path.display()))
+            .ok_or_else(|| format!("{key:?} must be an array"))
     };
-    let name = field("name")
+    let name = field("name")?
         .as_str()
-        .unwrap_or_else(|| {
-            panic!(
-                "--layout-file {}: \"name\" must be a string",
-                path.display()
-            )
-        })
+        .ok_or("\"name\" must be a string")?
         .to_owned();
-    let addr: Vec<u64> = list("addr")
-        .iter()
-        .map(|v| {
-            v.as_u64().unwrap_or_else(|| {
-                panic!(
-                    "--layout-file {}: \"addr\" entries must be non-negative integers",
-                    path.display()
-                )
-            })
-        })
-        .collect();
-    let size: Vec<u32> = list("size")
+    let addr = list("addr")?
         .iter()
         .map(|v| {
             v.as_u64()
-                .and_then(|n| u32::try_from(n).ok())
-                .unwrap_or_else(|| {
-                    panic!(
-                        "--layout-file {}: \"size\" entries must be u32 integers",
-                        path.display()
-                    )
-                })
+                .ok_or("\"addr\" entries must be non-negative integers")
         })
-        .collect();
-    assert_eq!(
-        addr.len(),
-        size.len(),
-        "--layout-file {}: addr and size lengths differ",
-        path.display()
-    );
-    LayoutView { name, addr, size }
+        .collect::<Result<Vec<u64>, _>>()?;
+    let size = list("size")?
+        .iter()
+        .map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
+        .collect::<Option<Vec<u32>>>()
+        .ok_or("\"size\" entries must be u32 integers")?;
+    if addr.len() != size.len() {
+        return Err(format!(
+            "{} \"addr\" but {} \"size\" entries",
+            addr.len(),
+            size.len()
+        ));
+    }
+    Ok(LayoutView { name, addr, size })
 }
 
 fn print_report(report: &VerifyReport, json: bool) {
@@ -336,8 +237,30 @@ fn print_absint(study: &Study, view: &LayoutView, cfg: CacheConfig) -> bool {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let study = Study::generate(&args.config);
+    let flags = CLI.args();
+    let layout_file = flags.path("--layout-file");
+    // An explicit --layout-file lints only that file unless named
+    // layouts were also requested.
+    let layouts = if flags.on("--layout") || layout_file.is_none() {
+        flags.expand_all("--layout", &ALL_LAYOUTS)
+    } else {
+        Vec::new()
+    };
+    let view_file = layout_file.map(|path| match load_layout_view(&path) {
+        Ok(view) => (path, view),
+        Err(reason) => CLI.fail(&ArgError::BadFile {
+            flag: "--layout-file",
+            path,
+            reason,
+        }),
+    });
+    let (json, deny_warnings, predict) = (
+        flags.on("--json"),
+        flags.on("--deny"),
+        flags.on("--predict"),
+    );
+    let top: usize = flags.num("--top").unwrap_or_default();
+    let study = Study::generate(&flags.run().config);
     let program = &study.kernel().program;
     let cache_cfg = CacheConfig::paper_default();
     let cache_size = cache_cfg.size();
@@ -345,7 +268,7 @@ fn main() -> ExitCode {
 
     let mut reports: Vec<VerifyReport> = Vec::new();
 
-    if let Some(mutation) = &args.mutate {
+    if let Some(mutation) = flags.get("--mutate") {
         // Mutation mode: corrupt the OptL layout and verify only it.
         let params = OptParams::opt_l(cache_size);
         let opt = optimize_os(
@@ -359,7 +282,7 @@ fn main() -> ExitCode {
         apply_mutation(&opt, &mut view, cache_size, mutation);
         reports.push(verify_opt_view(&study, &opt, &params, &view, line));
     } else {
-        for which in &args.layouts {
+        for which in &layouts {
             match which.as_str() {
                 "base" => {
                     let layout = oslay_layout::base_layout(program, 0);
@@ -386,8 +309,8 @@ fn main() -> ExitCode {
                     );
                     let view = LayoutView::from_layout(&opt.layout);
                     reports.push(verify_opt_view(&study, &opt, &params, &view, line));
-                    if args.predict {
-                        print_prediction(&study, &view.name.clone(), &view, args.top);
+                    if predict {
+                        print_prediction(&study, &view.name.clone(), &view, top);
                     }
                 }
                 "call" => {
@@ -420,12 +343,11 @@ fn main() -> ExitCode {
                 other => unreachable!("unknown layout {other}"),
             }
         }
-        if let Some(path) = &args.layout_file {
+        if let Some((path, view)) = &view_file {
             // External layouts (e.g. `search --layout-out`) must both
             // re-assemble against the kernel program — which checks
             // block count, span validity and stretch accounting — and
             // pass the structural invariants on the view itself.
-            let view = load_layout_view(path);
             if view.addr.len() != program.num_blocks() {
                 eprintln!(
                     "lint: {}: {} block(s) but the kernel has {} — wrong --scale/--blocks/--seed?",
@@ -438,7 +360,7 @@ fn main() -> ExitCode {
             }
             match oslay_layout::Layout::assemble(program, view.name.clone(), &view.addr, &view.size)
             {
-                Ok(_) => reports.push(verify_structural(program, &view)),
+                Ok(_) => reports.push(verify_structural(program, view)),
                 Err(e) => {
                     eprintln!("lint: {}: does not assemble: {e}", path.display());
                     oslay_bench::flush_trace();
@@ -447,24 +369,24 @@ fn main() -> ExitCode {
             }
             // External layouts always get the full static treatment —
             // nothing else has vetted them.
-            print_prediction(&study, &view.name.clone(), &view, args.top);
-            if print_absint(&study, &view, cache_cfg) {
+            print_prediction(&study, &view.name.clone(), view, top);
+            if print_absint(&study, view, cache_cfg) {
                 oslay_bench::flush_trace();
                 return ExitCode::FAILURE;
             }
         }
-        if args.predict && args.layouts.iter().any(|l| l == "base") {
+        if predict && layouts.iter().any(|l| l == "base") {
             let layout = oslay_layout::base_layout(program, 0);
-            print_prediction(&study, "Base", &LayoutView::from_layout(&layout), args.top);
+            print_prediction(&study, "Base", &LayoutView::from_layout(&layout), top);
         }
     }
 
     let mut failed = false;
     for report in &reports {
-        print_report(report, args.json);
-        failed |= report.fails(args.deny_warnings);
+        print_report(report, json);
+        failed |= report.fails(deny_warnings);
     }
-    if !args.json {
+    if !json {
         let total_errors: usize = reports.iter().map(VerifyReport::errors).sum();
         let total_warnings: usize = reports.iter().map(VerifyReport::warnings).sum();
         println!(

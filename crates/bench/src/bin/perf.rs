@@ -14,80 +14,51 @@
 
 use std::process::ExitCode;
 
+use oslay_bench::{ArgError, Cli, Flag, FILE, INT};
 use oslay_observe::flight::{validate_chrome_trace, ChromeTrace};
 
-struct Args {
-    cmd: String,
-    input: std::path::PathBuf,
-    n: usize,
-    width: usize,
-}
-
-fn usage() -> ! {
-    eprintln!("usage: perf <check|top|timeline|summary> --in TRACE.json [--n N] [--width W]");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
-    let mut argv: std::collections::VecDeque<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.pop_front() else { usage() };
-    if !matches!(cmd.as_str(), "check" | "top" | "timeline" | "summary") {
-        usage();
-    }
-    let mut args = Args {
-        cmd,
-        input: std::path::PathBuf::new(),
-        n: 15,
-        width: 72,
-    };
-    let mut have_input = false;
-    while let Some(arg) = argv.pop_front() {
-        match arg.as_str() {
-            "--in" => {
-                args.input = argv.pop_front().unwrap_or_else(|| usage()).into();
-                have_input = true;
-            }
-            "--n" => {
-                args.n = argv
-                    .pop_front()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            "--width" => {
-                args.width = argv
-                    .pop_front()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-    if !have_input {
-        usage();
-    }
-    args
-}
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "perf",
+    subcommands: &["check", "top", "timeline", "summary"],
+    scale: None,
+    flags: &[
+        Flag("--in", FILE, "", "the trace to read (required)"),
+        Flag("--n", INT, "15", "spans listed by top and summary"),
+        Flag("--width", INT, "72", "timeline width in columns"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    let text = match std::fs::read_to_string(&args.input) {
+    let flags = CLI.args();
+    let Some(input) = flags.path("--in") else {
+        CLI.fail(&ArgError::MissingValue {
+            flag: "--in",
+            needs: "a path",
+        });
+    };
+    let (n, width) = (
+        flags.num("--n").unwrap_or_default(),
+        flags.num("--width").unwrap_or_default(),
+    );
+    let text = match std::fs::read_to_string(&input) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("perf: cannot read {}: {e}", args.input.display());
+            eprintln!("perf: cannot read {}: {e}", input.display());
             return ExitCode::FAILURE;
         }
     };
     let stats = match validate_chrome_trace(&text) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("perf: INVALID trace {}: {e}", args.input.display());
+            eprintln!("perf: INVALID trace {}: {e}", input.display());
             return ExitCode::FAILURE;
         }
     };
-    if args.cmd == "check" {
+    if flags.sub == "check" {
         println!(
             "OK {}: {} events ({} spans, {} counters) on {} tracks, max depth {}",
-            args.input.display(),
+            input.display(),
             stats.events,
             stats.spans,
             stats.counters,
@@ -99,28 +70,27 @@ fn main() -> ExitCode {
     let trace = match ChromeTrace::parse(&text) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("perf: cannot parse {}: {e}", args.input.display());
+            eprintln!("perf: cannot parse {}: {e}", input.display());
             return ExitCode::FAILURE;
         }
     };
-    match args.cmd.as_str() {
-        "top" => print!("{}", trace.render_top(args.n)),
-        "timeline" => print!("{}", trace.render_timeline(args.width)),
-        "summary" => {
+    match flags.sub {
+        "top" => print!("{}", trace.render_top(n)),
+        "timeline" => print!("{}", trace.render_timeline(width)),
+        _ => {
             println!(
                 "{}: {} spans on {} tracks, {:.3} ms wall, max depth {}",
-                args.input.display(),
+                input.display(),
                 stats.spans,
                 stats.tracks,
                 trace.wall_us() / 1e3,
                 stats.max_depth
             );
             println!();
-            print!("{}", trace.render_top(args.n));
+            print!("{}", trace.render_top(n));
             println!();
-            print!("{}", trace.render_timeline(args.width));
+            print!("{}", trace.render_timeline(width));
         }
-        _ => unreachable!("subcommand validated in parse_args"),
     }
     ExitCode::SUCCESS
 }

@@ -8,77 +8,52 @@
 //! best-so-far curve, per-workload replay ranking) for `dash` and
 //! regression compare.
 //!
-//! Additional flags on top of the common set:
-//!
-//! ```text
-//! --budget N         candidate proposals per restart (default 100000)
-//! --restarts N       independent restarts (default 6)
-//! --w-conflict N     weight of the predicted-conflict objective half
-//! --w-distance N     weight of the arc-distance objective half
-//! --w-absint N       re-rank restart winners by the abstract-
-//!                    interpretation term: objective + N x statically
-//!                    unguaranteed weight (default 0 = off)
-//! --layout-out FILE  write the winning layout as JSON {name, addr, size}
-//! ```
+//! `search --help` lists its flags: the proposal budget, the restart
+//! count, the objective weights (`--w-absint N` re-ranks restart winners
+//! by objective + N x statically unguaranteed weight; 0 = off) and
+//! `--layout-out FILE`, which writes the winner as JSON
+//! `{name, addr, size}`.
 //!
 //! Output is byte-identical at any `--threads N`.
 
-use std::path::PathBuf;
-
 use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
-use oslay::{OsLayout, OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{banner, run_args_with, run_attributed_layouts, run_layout_search, Reporter};
+use oslay::{OsLayout, OsLayoutKind, SimConfig, Study};
+use oslay_bench::{
+    banner, run_attributed_layouts, run_layout_search, Cli, Flag, Kind, Reporter, FILE, INT,
+};
 use oslay_search::{ObjectiveWeights, SearchParams};
 
-fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
-    let v = v.unwrap_or_else(|| panic!("{flag} needs a value\n{}", oslay_bench::usage_text()));
-    v.parse().unwrap_or_else(|_| {
-        panic!(
-            "{flag} must be an integer, got {v:?}\n{}",
-            oslay_bench::usage_text()
-        )
-    })
-}
+/// An integer that fits a `u32`.
+const U32: Kind = Kind::Value("N", |v| v.parse::<u32>().is_ok(), "an integer");
+
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "search",
+    subcommands: &[],
+    scale: Some("small"),
+    flags: &[
+        Flag("--budget", INT, "100000", "candidate proposals per restart"),
+        Flag("--restarts", U32, "6", "independent restarts"),
+        Flag("--w-conflict", INT, "1", "weight of the predicted-conflict objective half"),
+        Flag("--w-distance", INT, "1", "weight of the arc-distance objective half"),
+        Flag("--w-absint", INT, "0", "re-rank restart winners by N x unguaranteed weight"),
+        Flag("--layout-out", FILE, "", "write the winning layout as JSON"),
+    ],
+};
 
 fn main() {
-    let mut budget: u64 = 100_000;
-    let mut restarts: u32 = 6;
-    let mut weights = ObjectiveWeights::default();
-    let mut w_absint: u64 = 0;
-    let mut layout_out: Option<PathBuf> = None;
-    let args = run_args_with(StudyConfig::small(), |arg, rest| match arg {
-        "--budget" => {
-            budget = numeric(arg, rest.pop_front());
-            true
-        }
-        "--restarts" => {
-            restarts = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-conflict" => {
-            weights.conflict = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-distance" => {
-            weights.distance = numeric(arg, rest.pop_front());
-            true
-        }
-        "--w-absint" => {
-            w_absint = numeric(arg, rest.pop_front());
-            true
-        }
-        "--layout-out" => {
-            layout_out = rest.pop_front().map(PathBuf::from);
-            assert!(
-                layout_out.is_some(),
-                "--layout-out needs a file path\n{}",
-                oslay_bench::usage_text()
-            );
-            true
-        }
-        _ => false,
-    });
+    let flags = CLI.args();
+    let (budget, restarts, w_absint) = (
+        flags.num("--budget").unwrap_or_default(),
+        flags.num("--restarts").unwrap_or_default(),
+        flags.num("--w-absint").unwrap_or_default(),
+    );
+    let weights = ObjectiveWeights {
+        conflict: flags.num("--w-conflict").unwrap_or_default(),
+        distance: flags.num("--w-distance").unwrap_or_default(),
+    };
+    let args = flags.run();
     let config = args.config;
     banner(
         "Layout search: metaheuristic vs the hand-derived layouts",
@@ -248,7 +223,7 @@ fn main() {
     );
     reporter.add_section("search.acceptance", [("beats_or_ties_opt_s", beats as f64)]);
 
-    if let Some(path) = &layout_out {
+    if let Some(path) = flags.path("--layout-out") {
         let view = &searched.candidates[chosen];
         let fmt_list = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
         let json = format!(
@@ -257,7 +232,10 @@ fn main() {
             fmt_list(&mut view.addr.iter().map(u64::to_string)),
             fmt_list(&mut view.size.iter().map(u32::to_string)),
         );
-        std::fs::write(path, json).expect("write --layout-out file");
+        if let Err(e) = std::fs::write(&path, json) {
+            eprintln!("search: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
         eprintln!("search layout written: {}", path.display());
     }
     let path = reporter.finish();

@@ -9,10 +9,10 @@
 use oslay::analysis::refchar::{mix_rows, ref_characteristics, union_footprint};
 use oslay::analysis::report::{pct, TextTable};
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("tab01_ref_characteristics").args().run().config;
     banner("Table 1: OS instruction-reference characteristics", &config);
     let study = Study::generate(&config);
     let program = &study.kernel().program;

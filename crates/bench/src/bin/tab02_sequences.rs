@@ -12,10 +12,10 @@ use oslay::analysis::report::{f, pct, TextTable};
 use oslay::analysis::spatial::{characterize_sequences, sequences_within_budget};
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("tab02_sequences").args().run().config;
     banner("Table 2: sequence predictability and weight", &config);
     let study = Study::generate(&config);
     let program = &study.kernel().program;

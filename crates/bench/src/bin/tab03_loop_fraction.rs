@@ -8,10 +8,10 @@ use oslay::analysis::loops::loop_fractions;
 use oslay::analysis::report::{pct, TextTable};
 use oslay::profile::LoopAnalysis;
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("tab03_loop_fraction").args().run().config;
     banner(
         "Table 3: OS instructions in loops without procedure calls",
         &config,

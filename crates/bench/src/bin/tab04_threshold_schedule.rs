@@ -11,10 +11,10 @@ use oslay::analysis::report::TextTable;
 use oslay::layout::{build_sequences, ThresholdSchedule};
 use oslay::model::SeedKind;
 use oslay::Study;
-use oslay_bench::{banner, config_from_args};
+use oslay_bench::{banner, Cli};
 
 fn main() {
-    let config = config_from_args();
+    let config = Cli::study("tab04_threshold_schedule").args().run().config;
     banner(
         "Table 4: threshold schedule and resulting sequences",
         &config,

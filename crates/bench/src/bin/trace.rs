@@ -18,71 +18,47 @@
 //! the two sources and at any worker count, which is what the CI
 //! reproducibility gate diffs.
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use oslay::cache::{CacheConfig, MissKind};
-use oslay::{SimConfig, SimResult, Study, StudyConfig};
+use oslay::{SimConfig, SimResult, Study};
 use oslay_bench::archive::{record_archive, run_archived_figure12_matrix};
 use oslay_bench::{
-    apply_run_args, banner, figure12_ladder, parse_run_args, run_figure12_matrix, RunArgs,
+    banner, figure12_ladder, run_figure12_matrix, Cli, Flag, Kind, RunArgs, FILE, FILES,
 };
 use oslay_observe::{MetricRegistry, RunReport};
 use oslay_tracestore::{CountingSink, StoreError, StoreSummary, StreamTotals, TraceReader};
 
-const USAGE: &str = "usage: trace <record|inspect|verify|replay> \
-[--scale tiny|small|paper] [--blocks N] [--seed N] [--threads N] \
-[--dir DIR] [--file FILE] [--live] [--out FILE]";
+#[rustfmt::skip]
+const CLI: Cli = Cli {
+    name: "trace",
+    subcommands: &["record", "inspect", "verify", "replay"],
+    scale: Some("paper"),
+    flags: &[
+        Flag("--dir", Kind::Path("DIR"), "results/traces", "archive directory"),
+        Flag("--file", FILES, "", "operate on these stores instead of --dir"),
+        Flag("--live", Kind::Switch, "", "replay from a live regeneration instead of the archive"),
+        Flag("--out", FILE, "", "write the replay report here"),
+    ],
+};
 
 fn main() -> ExitCode {
-    let mut argv: VecDeque<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.pop_front() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
-    };
-
-    let mut dir = PathBuf::from("results/traces");
-    let mut files: Vec<PathBuf> = Vec::new();
-    let mut live = false;
-    let mut out: Option<PathBuf> = None;
-    let args = parse_run_args(argv, StudyConfig::paper(), |arg, rest| match arg {
-        "--dir" => {
-            dir = PathBuf::from(rest.pop_front().expect("--dir needs a value"));
-            true
-        }
-        "--file" => {
-            files.push(PathBuf::from(
-                rest.pop_front().expect("--file needs a value"),
-            ));
-            true
-        }
-        "--live" => {
-            live = true;
-            true
-        }
-        "--out" => {
-            out = Some(PathBuf::from(
-                rest.pop_front().expect("--out needs a value"),
-            ));
-            true
-        }
-        _ => false,
-    })
-    .unwrap_or_else(|e| oslay_bench::exit_usage(&e));
-
-    apply_run_args(&args);
-
-    let code = match cmd.as_str() {
+    let flags = CLI.args();
+    let args = flags.run();
+    let dir = flags.path("--dir").unwrap_or_default();
+    let files: Vec<PathBuf> = flags.all("--file").iter().map(PathBuf::from).collect();
+    let code = match flags.sub {
         "record" => record(&args, &dir),
         "inspect" => inspect(&dir, &files),
         "verify" => verify(&args, &dir, &files),
-        "replay" => replay(&args, &dir, live, out.as_deref()),
-        other => {
-            eprintln!("unknown subcommand {other:?}\n{USAGE}");
-            ExitCode::from(2)
-        }
+        _ => replay(
+            &args,
+            &dir,
+            flags.on("--live"),
+            flags.path("--out").as_deref(),
+        ),
     };
     oslay_bench::flush_trace();
     code

@@ -18,65 +18,43 @@
 //! the second layout resolved, which it introduced. A machine-readable
 //! copy lands in `results/diag_<a>_vs_<b>.json`.
 
-use crate::{banner, run_case_attributed, AppSide, Reporter};
+use crate::{
+    banner, run_case_attributed, text, AppSide, ArgError, Cli, Flag, Kind, Reporter, RunArgs,
+};
 use oslay::analysis::figures::render_set_heatmap;
 use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::{AttributionReport, CacheConfig, CodeRef};
 use oslay::model::{Domain, RoutineId};
-use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
+use oslay::{OsLayoutKind, SimConfig, Study};
 use oslay_observe::{AttrClass, RunReport};
 
-fn parse_kind(token: &str) -> OsLayoutKind {
+/// The command line: `--compare A B` or `--check-results`, plus the
+/// common study flags.
+#[rustfmt::skip]
+pub const CLI: Cli = Cli {
+    name: "diag",
+    subcommands: &[],
+    scale: Some("paper"),
+    flags: &[
+        Flag("--compare", Kind::Pair("A B"), "", "layouts to diff: base|ch|opts|optl|call"),
+        Flag("--case", text("NAME"), "Shell", "workload to diagnose"),
+        Flag("--check-results", Kind::Switch, "", "schema-check every results/*.json"),
+    ],
+};
+
+/// Maps a `--compare` layout name (any case) to its kind.
+fn parse_kind(token: &str) -> Result<OsLayoutKind, ArgError> {
     match token.to_ascii_lowercase().as_str() {
-        "base" => OsLayoutKind::Base,
-        "ch" | "c-h" | "changhwu" | "chang-hwu" => OsLayoutKind::ChangHwu,
-        "opts" => OsLayoutKind::OptS,
-        "optl" => OsLayoutKind::OptL,
-        "call" => OsLayoutKind::Call,
-        other => panic!("unknown layout {other:?} (base|ch|opts|optl|call)"),
-    }
-}
-
-struct Args {
-    config: StudyConfig,
-    threads: usize,
-    compare: Option<(OsLayoutKind, OsLayoutKind, String, String)>,
-    case: String,
-    check_results: bool,
-}
-
-fn parse_args() -> Args {
-    let mut compare = None;
-    let mut case = "Shell".to_owned();
-    let mut check_results = false;
-    let common = crate::run_args_with(StudyConfig::paper(), |arg, rest| match arg {
-        "--compare" => {
-            let a = rest.pop_front().expect("--compare needs two layout names");
-            let b = rest.pop_front().expect("--compare needs two layout names");
-            compare = Some((
-                parse_kind(&a),
-                parse_kind(&b),
-                a.to_ascii_lowercase(),
-                b.to_ascii_lowercase(),
-            ));
-            true
-        }
-        "--case" => {
-            case = rest.pop_front().expect("--case needs a workload name");
-            true
-        }
-        "--check-results" => {
-            check_results = true;
-            true
-        }
-        _ => false,
-    });
-    Args {
-        config: common.config,
-        threads: common.threads,
-        compare,
-        case,
-        check_results,
+        "base" => Ok(OsLayoutKind::Base),
+        "ch" | "c-h" | "changhwu" | "chang-hwu" => Ok(OsLayoutKind::ChangHwu),
+        "opts" => Ok(OsLayoutKind::OptS),
+        "optl" => Ok(OsLayoutKind::OptL),
+        "call" => Ok(OsLayoutKind::Call),
+        _ => Err(ArgError::BadValue {
+            flag: "--compare",
+            value: token.to_owned(),
+            expected: "base, ch, opts, optl or call".to_owned(),
+        }),
     }
 }
 
@@ -176,21 +154,29 @@ fn print_pair_list(study: &Study, title: &str, pairs: &[(CodeRef, CodeRef, u64, 
     }
 }
 
-fn compare_layouts(args: &Args) {
-    let (kind_a, kind_b, tok_a, tok_b) = args.compare.as_ref().expect("compare mode");
-    banner(
-        &format!("diag: {} vs {} conflict diagnosis", tok_a, tok_b),
-        &args.config,
-    );
-    let study = Study::generate_with_threads(&args.config, args.threads);
-    let case = study
+fn compare_layouts(run: &RunArgs, a: &str, b: &str, case: &str) {
+    let (kind_a, kind_b) = match (parse_kind(a), parse_kind(b)) {
+        (Ok(a), Ok(b)) => (a, b),
+        (Err(e), _) | (_, Err(e)) => CLI.fail(&e),
+    };
+    let (tok_a, tok_b) = (a.to_ascii_lowercase(), b.to_ascii_lowercase());
+    let study = Study::generate_with_threads(&run.config, run.threads);
+    let Some(case) = study
         .cases()
         .iter()
-        .find(|c| c.name().eq_ignore_ascii_case(&args.case))
-        .unwrap_or_else(|| {
-            let names: Vec<&str> = study.cases().iter().map(|c| c.name()).collect();
-            panic!("unknown workload {:?} (one of {names:?})", args.case)
-        });
+        .find(|c| c.name().eq_ignore_ascii_case(case))
+    else {
+        let names: Vec<&str> = study.cases().iter().map(|c| c.name()).collect();
+        CLI.fail(&ArgError::BadValue {
+            flag: "--case",
+            value: case.to_owned(),
+            expected: format!("one of {names:?}"),
+        })
+    };
+    banner(
+        &format!("diag: {} vs {} conflict diagnosis", tok_a, tok_b),
+        &run.config,
+    );
     let cfg = CacheConfig::paper_default();
     println!(
         "workload: {}; cache: {} B / {} B lines / {}-way (paper default)",
@@ -206,7 +192,7 @@ fn compare_layouts(args: &Args) {
     let (_, report_a) = run_case_attributed(
         &study,
         case,
-        *kind_a,
+        kind_a,
         AppSide::Base,
         cfg,
         &sim,
@@ -215,7 +201,7 @@ fn compare_layouts(args: &Args) {
     let (_, report_b) = run_case_attributed(
         &study,
         case,
-        *kind_b,
+        kind_b,
         AppSide::Base,
         cfg,
         &sim,
@@ -280,8 +266,11 @@ fn check_results() {
     let dir = std::path::Path::new("results");
     let mut checked = 0usize;
     let mut failed = 0usize;
-    let mut entries: Vec<_> = std::fs::read_dir(dir)
-        .expect("results/ directory exists")
+    let listing = std::fs::read_dir(dir).unwrap_or_else(|e| {
+        eprintln!("diag --check-results: cannot read {}: {e}", dir.display());
+        std::process::exit(1);
+    });
+    let mut entries: Vec<_> = listing
         .filter_map(Result::ok)
         .map(|e| e.path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
@@ -332,18 +321,16 @@ fn check_results() {
 /// Entry point shared by the `oslay-bench` binary and the root-package
 /// forwarder.
 pub fn run() {
-    let args = parse_args();
-    if args.check_results {
+    let args = CLI.args();
+    if args.on("--check-results") {
         check_results();
-        crate::flush_trace();
-        return;
+    } else if let [a, b] = args.all("--compare") {
+        compare_layouts(&args.run(), a, b, args.get("--case").unwrap_or_default());
+    } else {
+        CLI.fail(&ArgError::MissingValue {
+            flag: "--compare",
+            needs: "two layouts, or pass --check-results",
+        });
     }
-    if args.compare.is_some() {
-        compare_layouts(&args);
-        crate::flush_trace();
-        return;
-    }
-    eprintln!("usage: diag --compare <base|ch|opts|optl|call> <...> [--case NAME] [--scale S]");
-    eprintln!("       diag --check-results");
-    std::process::exit(2);
+    crate::flush_trace();
 }

@@ -18,7 +18,7 @@ use oslay::perf::ExecTimeModel;
 use oslay::{OsLayoutKind, SimConfig, Study};
 
 use crate::{
-    banner, figure12_ladder, run_args, run_case_attributed, run_figure12_matrix, AppSide, Reporter,
+    banner, figure12_ladder, run_case_attributed, run_figure12_matrix, AppSide, Cli, Reporter,
 };
 use oslay_observe::AttrClass;
 
@@ -26,7 +26,7 @@ use oslay_observe::AttrClass;
 /// headline number, prints the tables, and writes
 /// `results/all_experiments.json`.
 pub fn run() {
-    let args = run_args();
+    let args = Cli::study("all_experiments").args().run();
     let config = args.config;
     banner("All experiments: one-page digest", &config);
     let mut reporter = Reporter::new("all_experiments");

@@ -1,8 +1,10 @@
 //! Shared support for the experiment binaries.
 //!
 //! Every binary in `src/bin/` regenerates one table or figure of the
-//! paper. They share command-line handling (`--scale tiny|small|paper`,
-//! `--blocks N`, `--seed N`) and a couple of evaluation drivers.
+//! paper, or serves one tool. They share one command-line grammar — each
+//! declares a [`Cli`] flag table, which brings the common study flags
+//! (`--scale tiny|small|paper`, `--blocks N`, `--seed N`, ...) — and the
+//! evaluation drivers.
 //!
 //! Run, e.g.:
 //!
@@ -18,7 +20,6 @@ pub mod archive;
 pub mod diag;
 pub mod digest;
 
-use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -60,22 +61,396 @@ pub fn flush_trace() {
     }
 }
 
-/// The shared usage text for every experiment binary: the one place the
-/// common flags are documented, so `--help` and the unknown-argument
-/// error cannot drift out of sync with [`parse_run_args`].
+/// What a command-line flag takes.
+#[derive(Clone, Copy, Debug)]
+pub enum Kind {
+    /// A bare switch: given or not.
+    Switch,
+    /// One value: its usage placeholder, the check it must pass, and what
+    /// the error says it must be when it does not.
+    Value(&'static str, fn(&str) -> bool, &'static str),
+    /// A file or directory path, shown as the given placeholder; a
+    /// missing one "needs a path".
+    Path(&'static str),
+    /// One of a fixed list of words.
+    Choice(&'static [&'static str]),
+    /// Two values in a row, shown as the given placeholder.
+    Pair(&'static str),
+    /// The inner kind, repeatable: every occurrence is kept.
+    Many(&'static Kind),
+}
+
+/// Any one value, shown as the given placeholder.
 #[must_use]
-pub fn usage_text() -> String {
-    "common experiment flags:\n\
-     \x20 --scale tiny|small|paper   study scale (default: binary-specific)\n\
-     \x20 --blocks N                 OS blocks per workload\n\
-     \x20 --seed N                   workload generator seed\n\
-     \x20 --threads N                worker threads (output is identical at any N)\n\
-     \x20 --verify                   statically verify every layout before simulating\n\
-     \x20 --trace-out FILE           write a Chrome trace-event flight recording\n\
-     \x20 --telemetry-out FILE       write windowed simulated-time cache telemetry\n\
-     \x20 --help, -h                 print this help and exit\n\
-     some binaries accept additional flags; see their headers."
-        .to_owned()
+pub const fn text(placeholder: &'static str) -> Kind {
+    Kind::Value(placeholder, |_| true, "")
+}
+
+/// An unsigned 64-bit integer.
+pub const INT: Kind = Kind::Value("N", |v| v.parse::<u64>().is_ok(), "an integer");
+
+/// A file path.
+pub const FILE: Kind = Kind::Path("FILE");
+
+/// A repeatable file path.
+pub const FILES: Kind = Kind::Many(&FILE);
+
+/// A positive integer.
+pub const COUNT: Kind = Kind::Value(
+    "N",
+    |v| v.parse().is_ok_and(|n: u64| n >= 1),
+    "an integer >= 1",
+);
+
+impl Kind {
+    /// The usage placeholder of the flag's value(s), and how many follow it.
+    fn placeholder(self) -> (String, usize) {
+        match self {
+            Kind::Switch => (String::new(), 0),
+            Kind::Value(p, ..) | Kind::Path(p) => (p.to_owned(), 1),
+            Kind::Choice(words) => (words.join("|"), 1),
+            Kind::Pair(p) => (p.to_owned(), 2),
+            Kind::Many(inner) => inner.placeholder(),
+        }
+    }
+
+    /// Checks one value of `flag`, handing it back when it is well formed.
+    fn check(self, flag: &'static str, value: String) -> Result<String, ArgError> {
+        let expected = match self {
+            Kind::Value(_, accept, expected) if !accept(&value) => expected.to_owned(),
+            Kind::Choice(words) if !words.contains(&value.as_str()) => match words {
+                [rest @ .., last] if !rest.is_empty() => format!("{} or {last}", rest.join(", ")),
+                _ => words.join(""),
+            },
+            Kind::Many(inner) => return inner.check(flag, value),
+            _ => return Ok(value),
+        };
+        Err(ArgError::BadValue {
+            flag,
+            value,
+            expected,
+        })
+    }
+}
+
+/// One entry of a binary's flag table: the flag, what it takes, its
+/// default (`""` for none) and its help line.
+#[derive(Clone, Copy, Debug)]
+pub struct Flag(
+    pub &'static str,
+    pub Kind,
+    pub &'static str,
+    pub &'static str,
+);
+
+/// The common study flags, shared by every binary whose [`Cli`] names a
+/// default scale. `--scale` defaults to that scale; `--blocks` and
+/// `--seed` to the scale's own values; `--threads` to every core.
+#[rustfmt::skip]
+const COMMON: &[Flag] = &[
+    Flag("--scale", Kind::Choice(&["tiny", "small", "paper"]), "", "study scale"),
+    Flag("--blocks", INT, "", "OS blocks per workload"),
+    Flag("--seed", INT, "", "workload generator seed"),
+    Flag("--threads", COUNT, "", "worker threads (output is identical at any N)"),
+    Flag("--verify", Kind::Switch, "", "statically verify every layout before simulating"),
+    Flag("--trace-out", text("FILE"), "", "write a Chrome trace-event flight recording"),
+    Flag("--telemetry-out", text("FILE"), "", "write simulated-time cache telemetry"),
+];
+
+/// A binary's command-line grammar: an optional leading subcommand, its
+/// own flag table and, when `scale` names a default scale, the common
+/// study flags. The parser, the usage text and the exit codes all come
+/// from this one declaration, so `--help` and the parser cannot disagree.
+#[derive(Clone, Copy, Debug)]
+pub struct Cli {
+    /// The binary's name, as the usage line shows it.
+    pub name: &'static str,
+    /// The subcommands, one of which must come first (empty: none).
+    pub subcommands: &'static [&'static str],
+    /// The default `--scale`; `None` for a binary without the common
+    /// study flags.
+    pub scale: Option<&'static str>,
+    /// The binary's own flags.
+    pub flags: &'static [Flag],
+}
+
+/// A command line a [`Cli`] rejects, or a request for its help text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgError {
+    /// `--help` or `-h`: print the usage text and exit 0.
+    Help,
+    /// A flag came last, without its value(s).
+    MissingValue {
+        /// The flag.
+        flag: &'static str,
+        /// What it needs: "a value", "a path" or "two values".
+        needs: &'static str,
+    },
+    /// A flag's value is malformed.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// The value given.
+        value: String,
+        /// What the flag accepts.
+        expected: String,
+    },
+    /// An argument the binary's table does not know (or an unknown
+    /// subcommand).
+    Unknown(String),
+    /// The binary takes a subcommand and none was given.
+    NoSubcommand,
+    /// An input file named by a flag cannot be read or is malformed.
+    BadFile {
+        /// The flag.
+        flag: &'static str,
+        /// The file.
+        path: PathBuf,
+        /// What is wrong with it.
+        reason: String,
+    },
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::Help => write!(f, "help requested"),
+            ArgError::MissingValue { flag, needs } => write!(f, "{flag} needs {needs}"),
+            ArgError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "{flag} must be {expected}, got {value:?}"),
+            ArgError::Unknown(arg) => write!(f, "unknown argument {arg:?}"),
+            ArgError::NoSubcommand => write!(f, "a subcommand is required"),
+            ArgError::BadFile { flag, path, reason } => {
+                write!(f, "{flag} {}: {reason}", path.display())
+            }
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+impl Cli {
+    /// A binary that takes only the common study flags, at paper scale
+    /// by default.
+    #[must_use]
+    pub const fn study(name: &'static str) -> Cli {
+        Cli {
+            name,
+            subcommands: &[],
+            scale: Some("paper"),
+            flags: &[],
+        }
+    }
+
+    /// Every flag the binary accepts — its own, then the common ones —
+    /// with `--scale` defaulting to the binary's scale.
+    fn table(&self) -> impl Iterator<Item = Flag> + '_ {
+        let common = if self.scale.is_some() { COMMON } else { &[] };
+        self.flags.iter().chain(common).map(|&flag| match flag {
+            Flag("--scale", kind, _, help) => {
+                Flag("--scale", kind, self.scale.unwrap_or_default(), help)
+            }
+            flag => flag,
+        })
+    }
+
+    /// The usage text, generated from the flag table.
+    #[must_use]
+    pub fn usage(&self) -> String {
+        let mut out = format!("usage: {}", self.name);
+        if !self.subcommands.is_empty() {
+            out += &format!(" <{}>", self.subcommands.join("|"));
+        }
+        out += " [flags]\n";
+        for Flag(name, kind, default, help) in self.table() {
+            if name == COMMON[0].0 {
+                out += "common experiment flags:\n";
+            }
+            let head = format!("{name} {}", kind.placeholder().0);
+            let head = head.trim_end();
+            // A head too long for its column puts the help on the next line.
+            let wrap = if head.len() > 26 {
+                format!("\n{:28}", "")
+            } else {
+                String::new()
+            };
+            out += &format!("  {head:<26}{wrap} {help}");
+            if !default.is_empty() {
+                out += &format!(" (default {default})");
+            }
+            if matches!(kind, Kind::Many(_)) {
+                out += " (repeatable)";
+            }
+            out.push('\n');
+        }
+        out + "  --help, -h                 print this help and exit"
+    }
+
+    /// Parses an explicit argument list (without the program name).
+    ///
+    /// # Errors
+    ///
+    /// Returns an [`ArgError`] for an unknown argument, a missing or
+    /// unknown subcommand, a flag missing its value, or a malformed value
+    /// — and [`ArgError::Help`] for `--help`/`-h`.
+    pub fn parse(&self, argv: impl IntoIterator<Item = String>) -> Result<Args, ArgError> {
+        let mut values = Vec::new();
+        for Flag(name, kind, default, _) in self.table() {
+            let seeded = match default {
+                "" => Vec::new(),
+                d => vec![kind.check(name, d.to_owned())?],
+            };
+            values.push((name, seeded, false));
+        }
+        let mut argv = argv.into_iter();
+        let mut sub = "";
+        while let Some(arg) = argv.next() {
+            if arg == "--help" || arg == "-h" {
+                return Err(ArgError::Help);
+            }
+            if sub.is_empty() && !self.subcommands.is_empty() {
+                let known = self.subcommands.iter().find(|s| **s == arg);
+                sub = known.ok_or(ArgError::Unknown(arg))?;
+                continue;
+            }
+            let Some(Flag(flag, kind, ..)) = self.table().find(|f| f.0 == arg) else {
+                return Err(ArgError::Unknown(arg));
+            };
+            let needs = match kind {
+                Kind::Path(_) | Kind::Many(Kind::Path(_)) => "a path",
+                Kind::Pair(_) => "two values",
+                _ => "a value",
+            };
+            let mut given = Vec::new();
+            for _ in 0..kind.placeholder().1 {
+                let value = argv.next().ok_or(ArgError::MissingValue { flag, needs })?;
+                given.push(kind.check(flag, value)?);
+            }
+            if let Some((_, old, seen)) = values.iter_mut().find(|(n, ..)| *n == flag) {
+                if *seen && matches!(kind, Kind::Many(_)) {
+                    old.extend(given);
+                } else {
+                    *old = given;
+                }
+                *seen = true;
+            }
+        }
+        if sub.is_empty() && !self.subcommands.is_empty() {
+            return Err(ArgError::NoSubcommand);
+        }
+        Ok(Args { sub, values })
+    }
+
+    /// Parses the process command line — the one place any binary reads
+    /// its arguments. `--help` prints the usage text and exits 0; a
+    /// rejected command line exits through [`Cli::fail`]. For a binary
+    /// with the common study flags it also applies their process-wide
+    /// side effects (`--verify`, `--trace-out`, `--telemetry-out`).
+    #[must_use]
+    pub fn args(&self) -> Args {
+        match self.parse(std::env::args().skip(1)) {
+            Ok(args) if self.scale.is_some() => {
+                apply_run_args(&args.run());
+                args
+            }
+            Ok(args) => args,
+            Err(ArgError::Help) => {
+                println!("{}", self.usage());
+                std::process::exit(0);
+            }
+            Err(e) => self.fail(&e),
+        }
+    }
+
+    /// Reports a rejected command line (or unusable input file) on
+    /// stderr with the usage text, and exits with status 2.
+    pub fn fail(&self, err: &ArgError) -> ! {
+        eprintln!("error: {err}\n{}", self.usage());
+        std::process::exit(2);
+    }
+}
+
+/// A parsed command line: the subcommand and every flag's values (its
+/// default when not given), already checked against the flag table.
+#[derive(Clone, Debug)]
+pub struct Args {
+    /// The subcommand; empty for a binary without subcommands.
+    pub sub: &'static str,
+    values: Vec<(&'static str, Vec<String>, bool)>,
+}
+
+impl Args {
+    /// Whether the flag was given on the command line.
+    #[must_use]
+    pub fn on(&self, flag: &str) -> bool {
+        self.values.iter().any(|(n, _, seen)| *n == flag && *seen)
+    }
+
+    /// Every value of the flag, in command-line order (its default when
+    /// not given; two for a [`Kind::Pair`]).
+    #[must_use]
+    pub fn all(&self, flag: &str) -> &[String] {
+        let slot = self.values.iter().find(|(n, ..)| *n == flag);
+        slot.map_or(&[], |(_, values, _)| values)
+    }
+
+    /// The flag's last value, or its default.
+    #[must_use]
+    pub fn get(&self, flag: &str) -> Option<&str> {
+        self.all(flag).last().map(String::as_str)
+    }
+
+    /// The flag's value as a path.
+    #[must_use]
+    pub fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.get(flag).map(PathBuf::from)
+    }
+
+    /// The flag's value parsed as a number (its [`Kind::Value`] check
+    /// guarantees it parses); `None` without a value or a default.
+    #[must_use]
+    pub fn num<T: std::str::FromStr>(&self, flag: &str) -> Option<T> {
+        self.get(flag)?.parse().ok()
+    }
+
+    /// The values of a repeatable [`Kind::Choice`] flag, in order, where
+    /// the word `all` stands for every entry of `every`.
+    #[must_use]
+    pub fn expand_all(&self, flag: &str, every: &[&str]) -> Vec<String> {
+        let mut out = Vec::new();
+        for value in self.all(flag) {
+            if value == "all" {
+                out = every.iter().map(|s| (*s).to_owned()).collect();
+            } else {
+                out.push(value.clone());
+            }
+        }
+        out
+    }
+
+    /// The common study arguments.
+    #[must_use]
+    pub fn run(&self) -> RunArgs {
+        let mut config = match self.get("--scale") {
+            Some("tiny") => StudyConfig::tiny(),
+            Some("small") => StudyConfig::small(),
+            _ => StudyConfig::paper(),
+        };
+        config.os_blocks = self.num("--blocks").unwrap_or(config.os_blocks);
+        config.seed = self.num("--seed").unwrap_or(config.seed);
+        RunArgs {
+            config,
+            threads: self
+                .num("--threads")
+                .unwrap_or_else(oslay::exec::default_threads),
+            verify: self.on("--verify"),
+            trace_out: self.path("--trace-out"),
+            telemetry_out: self.path("--telemetry-out"),
+        }
+    }
 }
 
 /// The common experiment arguments: study configuration plus the worker
@@ -102,49 +477,10 @@ pub struct RunArgs {
     pub telemetry_out: Option<PathBuf>,
 }
 
-/// Parses the common experiment arguments (`--scale tiny|small|paper`,
-/// `--blocks N`, `--seed N`, `--threads N`).
-///
-/// Defaults to `--scale paper`; integration environments pass
-/// `--scale small` for speed.
-#[must_use]
-pub fn run_args() -> RunArgs {
-    run_args_with(StudyConfig::paper(), |_, _| false)
-}
-
-/// Like [`run_args`], but with a caller-chosen default configuration and
-/// an `extra` handler for driver-specific arguments.
-///
-/// `extra` receives each token the common parser does not recognize plus
-/// the remaining argument queue (pop values off the front); returning
-/// `false` rejects the token as unknown. This is the one place command
-/// lines are parsed — `bench_sim`, `diag`, and the `trace` store tool all
-/// layer their flags on top of it rather than re-rolling
-/// `--scale`/`--threads` handling. A rejected command line exits through
-/// [`exit_usage`].
-#[must_use]
-pub fn run_args_with<F>(default: StudyConfig, extra: F) -> RunArgs
-where
-    F: FnMut(&str, &mut VecDeque<String>) -> bool,
-{
-    let args = parse_run_args(std::env::args().skip(1).collect(), default, extra)
-        .unwrap_or_else(|e| exit_usage(&e));
-    apply_run_args(&args);
-    args
-}
-
-/// Reports a rejected command line on stderr, with the usage text, and
-/// exits with status 2.
-pub fn exit_usage(err: &ArgError) -> ! {
-    eprintln!("error: {err}\n{}", usage_text());
-    std::process::exit(2);
-}
-
-/// Applies the parsed arguments' process-wide side effects: layout
-/// verification (`--verify`) and flight-recorder activation
-/// (`--trace-out`). [`run_args_with`] calls this; binaries that parse an
-/// explicit queue through [`parse_run_args`] call it themselves.
-pub fn apply_run_args(args: &RunArgs) {
+/// Applies the common arguments' process-wide side effects: layout
+/// verification (`--verify`), flight-recorder activation (`--trace-out`)
+/// and the telemetry timeline (`--telemetry-out`).
+fn apply_run_args(args: &RunArgs) {
     if args.verify {
         oslay::set_layout_verify(true);
     }
@@ -156,130 +492,6 @@ pub fn apply_run_args(args: &RunArgs) {
     if let Some(path) = &args.telemetry_out {
         oslay_observe::timeline::set_output(path);
     }
-}
-
-/// A command line [`parse_run_args`] rejects.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ArgError {
-    /// A flag came last, without its value.
-    MissingValue(&'static str),
-    /// A flag's value is malformed.
-    BadValue {
-        /// The flag.
-        flag: &'static str,
-        /// The value given.
-        value: String,
-        /// What the flag accepts.
-        expected: &'static str,
-    },
-    /// An argument neither the common parser nor the binary knows.
-    Unknown(String),
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingValue(flag) => write!(f, "{flag} needs a value"),
-            ArgError::BadValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "{flag} must be {expected}, got {value:?}"),
-            ArgError::Unknown(arg) => write!(f, "unknown argument {arg:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
-
-/// The testable core of [`run_args_with`]: parses an explicit argument
-/// queue instead of the process command line.
-///
-/// # Errors
-///
-/// Returns an [`ArgError`] for an unknown argument (one `extra`
-/// rejects), a flag missing its value, or a malformed value.
-pub fn parse_run_args<F>(
-    mut argv: VecDeque<String>,
-    default: StudyConfig,
-    mut extra: F,
-) -> Result<RunArgs, ArgError>
-where
-    F: FnMut(&str, &mut VecDeque<String>) -> bool,
-{
-    fn value(argv: &mut VecDeque<String>, flag: &'static str) -> Result<String, ArgError> {
-        argv.pop_front().ok_or(ArgError::MissingValue(flag))
-    }
-    fn parsed<T: std::str::FromStr>(
-        argv: &mut VecDeque<String>,
-        flag: &'static str,
-        expected: &'static str,
-        accept: fn(&T) -> bool,
-    ) -> Result<T, ArgError> {
-        let v = value(argv, flag)?;
-        v.parse().ok().filter(accept).ok_or(ArgError::BadValue {
-            flag,
-            value: v,
-            expected,
-        })
-    }
-    let mut out = RunArgs {
-        config: default,
-        threads: oslay::exec::default_threads(),
-        verify: false,
-        trace_out: None,
-        telemetry_out: None,
-    };
-    while let Some(arg) = argv.pop_front() {
-        match arg.as_str() {
-            "--scale" => {
-                let v = value(&mut argv, "--scale")?;
-                out.config = match v.as_str() {
-                    "tiny" => StudyConfig::tiny(),
-                    "small" => StudyConfig::small(),
-                    "paper" => StudyConfig::paper(),
-                    _ => {
-                        return Err(ArgError::BadValue {
-                            flag: "--scale",
-                            value: v,
-                            expected: "tiny, small or paper",
-                        })
-                    }
-                };
-            }
-            "--blocks" => {
-                out.config.os_blocks = parsed(&mut argv, "--blocks", "an integer", |_| true)?;
-            }
-            "--seed" => out.config.seed = parsed(&mut argv, "--seed", "an integer", |_| true)?,
-            "--threads" => {
-                out.threads = parsed(&mut argv, "--threads", "an integer >= 1", |&n| n >= 1)?;
-            }
-            "--verify" => out.verify = true,
-            "--trace-out" => out.trace_out = Some(value(&mut argv, "--trace-out")?.into()),
-            "--telemetry-out" => {
-                out.telemetry_out = Some(value(&mut argv, "--telemetry-out")?.into());
-            }
-            "--help" | "-h" => {
-                println!("{}", usage_text());
-                std::process::exit(0);
-            }
-            other => {
-                if !extra(other, &mut argv) {
-                    return Err(ArgError::Unknown(other.to_owned()));
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Parses the common experiment arguments into a [`StudyConfig`].
-///
-/// Compatibility wrapper over [`run_args`] (tolerates and ignores
-/// `--threads`).
-#[must_use]
-pub fn config_from_args() -> StudyConfig {
-    run_args().config
 }
 
 /// Prints the standard experiment banner.
@@ -1066,10 +1278,8 @@ impl Reporter {
 
     /// Folds the metric registry and the global span recorder into the
     /// report and writes it to `results/<name>.json`, returning the path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the report cannot be written.
+    /// Reports the path and the OS error, and exits 1, if the report
+    /// cannot be written.
     #[must_use]
     pub fn finish(mut self) -> PathBuf {
         self.report.add_spans(global_recorder());
@@ -1087,7 +1297,10 @@ impl Reporter {
             ],
         );
         let path = PathBuf::from(format!("results/{}.json", self.report.name()));
-        self.report.write(&path).expect("write run report");
+        if let Err(e) = self.report.write(&path) {
+            eprintln!("cannot write run report {}: {e}", path.display());
+            std::process::exit(1);
+        }
         flush_trace();
         path
     }
@@ -1155,48 +1368,54 @@ mod tests {
         assert_eq!(names, ["Base", "C-H", "OptS", "OptL", "OptA"]);
     }
 
+    /// A study binary at tiny scale, with one flag of every kind.
+    const TEST: Cli = Cli {
+        name: "test",
+        subcommands: &[],
+        scale: Some("tiny"),
+        flags: &[
+            Flag("--json", Kind::Switch, "", "a switch"),
+            Flag("--top", INT, "10", "an integer"),
+            Flag("--out", FILE, "", "a path"),
+            Flag("--file", FILES, "", "a repeatable path"),
+            Flag("--mode", Kind::Choice(&["a", "b", "all"]), "a", "a choice"),
+            Flag("--compare", Kind::Pair("A B"), "", "two values"),
+        ],
+    };
+
+    fn parse(cli: &Cli, args: &[&str]) -> Result<Args, ArgError> {
+        cli.parse(args.iter().map(|s| (*s).to_owned()))
+    }
+
+    fn parse_err(args: &[&str]) -> ArgError {
+        parse(&TEST, args).expect_err("bad command line must be rejected")
+    }
+
     #[test]
     fn parse_trace_out_flag() {
-        let argv: VecDeque<String> = ["--trace-out", "/tmp/t.json", "--threads", "2"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false).unwrap();
+        let args = parse(&TEST, &["--trace-out", "/tmp/t.json", "--threads", "2"]).unwrap();
+        let run = args.run();
         assert_eq!(
-            args.trace_out.as_deref(),
+            run.trace_out.as_deref(),
             Some(std::path::Path::new("/tmp/t.json"))
         );
-        assert_eq!(args.threads, 2);
-        assert!(
-            parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
-                .unwrap()
-                .trace_out
-                .is_none()
-        );
+        assert_eq!(run.threads, 2);
+        assert!(parse(&TEST, &[]).unwrap().run().trace_out.is_none());
     }
 
     #[test]
     fn parse_telemetry_out_flag() {
-        let argv: VecDeque<String> = ["--telemetry-out", "/tmp/tel.json"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let args = parse_run_args(argv, StudyConfig::tiny(), |_, _| false).unwrap();
+        let args = parse(&TEST, &["--telemetry-out", "/tmp/tel.json"]).unwrap();
         assert_eq!(
-            args.telemetry_out.as_deref(),
+            args.run().telemetry_out.as_deref(),
             Some(std::path::Path::new("/tmp/tel.json"))
         );
-        assert!(
-            parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
-                .unwrap()
-                .telemetry_out
-                .is_none()
-        );
+        assert!(parse(&TEST, &[]).unwrap().run().telemetry_out.is_none());
     }
 
     #[test]
-    fn usage_lists_every_common_flag() {
-        let usage = usage_text();
+    fn usage_lists_every_flag() {
+        let usage = TEST.usage();
         for flag in [
             "--scale",
             "--blocks",
@@ -1206,15 +1425,20 @@ mod tests {
             "--trace-out",
             "--telemetry-out",
             "--help",
+            "--json",
+            "--top N",
+            "--out FILE",
+            "--mode a|b|all",
+            "--compare A B",
         ] {
             assert!(usage.contains(flag), "usage must document {flag}");
         }
-    }
-
-    fn parse_err(args: &[&str]) -> ArgError {
-        let argv: VecDeque<String> = args.iter().map(|s| (*s).to_owned()).collect();
-        parse_run_args(argv, StudyConfig::tiny(), |_, _| false)
-            .expect_err("bad command line must be rejected")
+        assert!(usage.starts_with("usage: test [flags]\n"), "{usage}");
+        assert!(usage.contains("common experiment flags"), "{usage}");
+        assert!(usage.contains("(default tiny)"), "{usage}");
+        assert!(usage.contains("(default 10)"), "{usage}");
+        assert!(usage.contains("(repeatable)"), "{usage}");
+        assert_eq!(parse_err(&["--verify", "-h"]), ArgError::Help);
     }
 
     #[test]
@@ -1257,10 +1481,20 @@ mod tests {
             "--threads",
             "--trace-out",
             "--telemetry-out",
+            "--top",
+            "--mode",
         ] {
             let err = parse_err(&["--verify", flag]);
             assert_eq!(err.to_string(), format!("{flag} needs a value"));
         }
+        for flag in ["--out", "--file"] {
+            assert_eq!(
+                parse_err(&[flag]).to_string(),
+                format!("{flag} needs a path")
+            );
+        }
+        let err = parse_err(&["--compare", "x"]);
+        assert_eq!(err.to_string(), "--compare needs two values");
         assert!(matches!(
             parse_err(&["--seed", "0x10"]),
             ArgError::BadValue { flag: "--seed", .. }
@@ -1269,16 +1503,65 @@ mod tests {
 
     #[test]
     fn parse_verify_flag() {
-        let argv: VecDeque<String> = ["--scale", "tiny", "--verify"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let args = parse_run_args(argv, StudyConfig::paper(), |_, _| false).unwrap();
-        assert!(args.verify);
-        assert!(
-            !parse_run_args(VecDeque::new(), StudyConfig::tiny(), |_, _| false)
-                .unwrap()
-                .verify
+        let args = parse(&TEST, &["--scale", "small", "--verify"]).unwrap();
+        assert!(args.run().verify);
+        assert_eq!(args.run().config.scale, Scale::Small);
+        let plain = parse(&TEST, &[]).unwrap().run();
+        assert!(!plain.verify);
+        assert_eq!(
+            plain.config.scale,
+            Scale::Tiny,
+            "the binary's default scale"
+        );
+    }
+
+    #[test]
+    fn values_defaults_and_repeats() {
+        let args = parse(
+            &TEST,
+            &["--file", "x", "--top", "3", "--file", "y", "--mode", "b"],
+        )
+        .unwrap();
+        assert_eq!(args.all("--file"), ["x", "y"]);
+        assert_eq!(args.num::<usize>("--top"), Some(3));
+        assert_eq!(args.get("--mode"), Some("b"));
+        assert!(!args.on("--json") && args.path("--out").is_none());
+        let plain = parse(&TEST, &["--json", "--compare", "p", "q"]).unwrap();
+        assert!(plain.on("--json"));
+        assert_eq!(plain.num::<usize>("--top"), Some(10), "the table default");
+        assert_eq!(plain.get("--mode"), Some("a"));
+        assert!(!plain.on("--mode"), "a default is not a given flag");
+        assert_eq!(plain.all("--compare"), ["p", "q"]);
+        let err = parse_err(&["--mode", "c"]);
+        assert_eq!(err.to_string(), "--mode must be a, b or all, got \"c\"");
+        let all = parse(&TEST, &["--mode", "all"]).unwrap();
+        assert_eq!(all.expand_all("--mode", &["a", "b"]), ["a", "b"]);
+    }
+
+    #[test]
+    fn subcommand_comes_first() {
+        const SUB: Cli = Cli {
+            name: "sub",
+            subcommands: &["check", "top"],
+            scale: None,
+            flags: &[Flag("--n", INT, "15", "an integer")],
+        };
+        let args = parse(&SUB, &["top", "--n", "3"]).unwrap();
+        assert_eq!((args.sub, args.num::<u32>("--n")), ("top", Some(3)));
+        assert!(SUB.usage().starts_with("usage: sub <check|top> [flags]\n"));
+        assert!(!SUB.usage().contains("common experiment flags"));
+        assert_eq!(
+            parse(&SUB, &[]).unwrap_err().to_string(),
+            "a subcommand is required"
+        );
+        assert_eq!(
+            parse(&SUB, &["--n", "3"]).unwrap_err(),
+            ArgError::Unknown("--n".to_owned())
+        );
+        assert_eq!(
+            parse(&SUB, &["top", "--scale", "tiny"]).unwrap_err(),
+            ArgError::Unknown("--scale".to_owned()),
+            "no common flags without a default scale"
         );
     }
 
