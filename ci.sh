@@ -16,6 +16,17 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -D clippy::needless_pass_by_value \
   -D clippy::semicolon_if_nothing_returned
 
+echo "== workspace build: no output filename collisions =="
+# Two packages building a binary of the same name overwrite each other's
+# target/release/<name>; cargo only warns, so fail on the warning.
+build_log="$(mktemp)"
+cargo build --release --workspace 2> "$build_log"
+if grep -q "output filename collision" "$build_log"; then
+  grep "output filename collision" "$build_log" >&2
+  exit 1
+fi
+rm -f "$build_log"
+
 echo "== cargo doc (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
@@ -35,12 +46,9 @@ echo "== flag grammar: every binary's --help and unknown-flag exits =="
 # exits 0 with the generated usage text; an unknown flag exits 2 with the
 # error and no panic.
 tmpdir="$(mktemp -d)"
-for src in crates/bench/src/bin/*.rs src/bin/*.rs; do
+for src in crates/bench/src/bin/*.rs; do
   bin="$(basename "$src" .rs)"
-  case "$src" in
-    src/*) run=(cargo run --release -q --bin "$bin" --) ;;
-    *) run=(cargo run --release -q -p oslay-bench --bin "$bin" --) ;;
-  esac
+  run=(cargo run --release -q -p oslay-bench --bin "$bin" --)
   "${run[@]}" --help > "$tmpdir/help.txt"
   grep -q "usage:" "$tmpdir/help.txt"
   status=0

@@ -3,13 +3,13 @@
 //!
 //! ```text
 //! # Why does OptS beat Base? Which conflicts did it remove?
-//! cargo run --release --bin diag -- --compare base opts
+//! cargo run --release -p oslay-bench --bin diag -- --compare base opts
 //!
 //! # Same, on a specific workload and scale:
-//! cargo run --release --bin diag -- --compare base ch --case Shell --scale small
+//! cargo run --release -p oslay-bench --bin diag -- --compare base ch --case Shell --scale small
 //!
 //! # Sanity-check every results/*.json against the report schema:
-//! cargo run --release --bin diag -- --check-results
+//! cargo run --release -p oslay-bench --bin diag -- --check-results
 //! ```
 //!
 //! For each layout the tool prints the compulsory/capacity/conflict
@@ -318,8 +318,7 @@ fn check_results() {
     }
 }
 
-/// Entry point shared by the `oslay-bench` binary and the root-package
-/// forwarder.
+/// Entry point of the `diag` binary.
 pub fn run() {
     let args = CLI.args();
     if args.on("--check-results") {

@@ -3,9 +3,8 @@
 //! paper's value. This is the fastest way to see the reproduction state
 //! end to end; the per-artifact binaries print the full detail.
 //!
-//! The `all_experiments` binaries (one in this crate, one in the root
-//! package so `cargo run --bin all_experiments` works from the
-//! repository root) are thin forwarders to [`run`].
+//! The `all_experiments` binary is a thin forwarder to [`run`]:
+//! `cargo run --release -p oslay-bench --bin all_experiments`.
 
 use oslay::analysis::arcs::ArcDeterminism;
 use oslay::analysis::loops::loop_shape;

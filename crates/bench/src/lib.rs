@@ -1126,14 +1126,19 @@ pub struct SearchSelection {
     pub chosen: usize,
 }
 
-/// Replays every candidate view on every workload (app side Base, like
-/// the attributed matrices) and picks the winner among the *feasible*
-/// candidates — those no worse than the seed on more than half the
-/// workloads — by fewest total misses, then fewest worse-than-seed
-/// workloads, then lowest objective, then lowest index. Candidate 0
-/// must be the seed view; it is always feasible (zero worse
+/// Replays every distinct candidate view on every workload (app side
+/// Base, like the attributed matrices) and picks the winner among the
+/// *feasible* candidates — those no worse than the seed on more than
+/// half the workloads — by fewest total misses, then fewest
+/// worse-than-seed workloads, then lowest objective, then lowest index.
+/// Candidate 0 must be the seed view; it is always feasible (zero worse
 /// workloads), so a chosen candidate always matches or beats the seed
 /// on at least half the workloads, and never has more total misses.
+///
+/// A candidate with the same `addr` and `size` as an earlier one (a
+/// restart that never beat the seed returns the seed's placement) is
+/// not materialized or replayed again: it takes the earlier one's miss
+/// row, which a replay would reproduce exactly.
 ///
 /// Deterministic at any `threads` (ordered [`oslay::exec::parallel_map`]
 /// fan-out, pure integer ranking).
@@ -1147,24 +1152,39 @@ pub fn select_search_winner(
     threads: usize,
 ) -> SearchSelection {
     assert_eq!(candidates.len(), objectives.len());
-    let layouts: Vec<OsLayout> = candidates
+    // Each candidate's first equal candidate; only those are replayed.
+    let first: Vec<usize> = candidates
         .iter()
-        .map(|v| searched_os_layout(study, v))
+        .map(|v| {
+            candidates
+                .iter()
+                .position(|u| u.addr == v.addr && u.size == v.size)
+                .expect("a candidate equals itself")
+        })
         .collect();
-    let jobs: Vec<(usize, usize)> = (0..candidates.len())
-        .flat_map(|k| (0..study.cases().len()).map(move |c| (k, c)))
+    let distinct: Vec<usize> = (0..candidates.len()).filter(|&k| first[k] == k).collect();
+    let layouts: Vec<OsLayout> = distinct
+        .iter()
+        .map(|&k| searched_os_layout(study, &candidates[k]))
         .collect();
-    let flat = oslay::exec::parallel_map(threads, jobs, |_, (k, c)| {
+    let cases = study.cases().len();
+    let jobs: Vec<(usize, usize)> = (0..distinct.len())
+        .flat_map(|d| (0..cases).map(move |c| (d, c)))
+        .collect();
+    let flat = oslay::exec::parallel_map(threads, jobs, |_, (d, c)| {
         let case = &study.cases()[c];
         let app = app_layout_for(study, case, AppSide::Base, cache_cfg.size());
         let mut cache = Cache::new(cache_cfg);
         study
-            .simulate(case, &layouts[k].layout, app.as_ref(), &mut cache, sim)
+            .simulate(case, &layouts[d].layout, app.as_ref(), &mut cache, sim)
             .stats
             .total_misses()
     });
-    let cases = study.cases().len();
-    let misses: Vec<Vec<u64>> = flat.chunks(cases).map(<[u64]>::to_vec).collect();
+    let rows: Vec<&[u64]> = flat.chunks(cases).collect();
+    let misses: Vec<Vec<u64>> = first
+        .iter()
+        .map(|f| rows[distinct.binary_search(f).expect("first is distinct")].to_vec())
+        .collect();
     let worse_cases: Vec<usize> = misses
         .iter()
         .map(|row| row.iter().zip(&misses[0]).filter(|(m, b)| m > b).count())

@@ -7,8 +7,9 @@
 
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::run_layout_search;
-use oslay_search::SearchParams;
+use oslay_bench::{run_layout_search, searched_os_layout, select_search_winner};
+use oslay_search::{run_search, SearchParams};
+use oslay_verify::LayoutView;
 
 fn study() -> Study {
     Study::generate(&StudyConfig::tiny())
@@ -100,4 +101,87 @@ fn pipeline_is_thread_invariant() {
             b.os.layout.effective_size(block)
         );
     }
+}
+
+/// Selection replays each distinct candidate once and copies its row to
+/// the duplicates; the result must equal replaying every candidate.
+#[test]
+fn duplicate_candidates_select_like_a_naive_replay() {
+    let study = study();
+    let cfg = CacheConfig::paper_default();
+    let seed = LayoutView::from_layout(&study.os_layout(OsLayoutKind::OptS, cfg.size()).layout);
+    let outcome = run_search(
+        &study.kernel().program,
+        study.averaged_os_profile(),
+        &seed,
+        &cfg,
+        &params(),
+        2,
+    );
+    let moved = outcome
+        .restarts
+        .iter()
+        .find(|r| r.view.addr != seed.addr)
+        .expect("some restart leaves the seed");
+    let named = |name: &str| LayoutView {
+        name: name.to_owned(),
+        ..seed.clone()
+    };
+    let candidates = vec![
+        named("seed"),
+        named("seed again"),
+        moved.view.clone(),
+        named("seed last"),
+    ];
+    let objectives = [
+        outcome.initial + 1,
+        outcome.initial,
+        moved.best,
+        outcome.initial,
+    ];
+    let sel = select_search_winner(&study, &candidates, &objectives, cfg, &SimConfig::fast(), 2);
+
+    let misses: Vec<Vec<u64>> = candidates
+        .iter()
+        .map(|v| {
+            let os = searched_os_layout(&study, v);
+            study
+                .cases()
+                .iter()
+                .map(|case| {
+                    let app = study.app_base_layout(case);
+                    let mut cache = Cache::new(cfg);
+                    study
+                        .simulate(
+                            case,
+                            &os.layout,
+                            app.as_ref(),
+                            &mut cache,
+                            &SimConfig::fast(),
+                        )
+                        .stats
+                        .total_misses()
+                })
+                .collect()
+        })
+        .collect();
+    let worse_cases: Vec<usize> = misses
+        .iter()
+        .map(|row| row.iter().zip(&misses[0]).filter(|(m, b)| m > b).count())
+        .collect();
+    let cases = study.cases().len();
+    let chosen = (0..candidates.len())
+        .filter(|&k| worse_cases[k] * 2 <= cases)
+        .min_by_key(|&k| {
+            (
+                misses[k].iter().sum::<u64>(),
+                worse_cases[k],
+                objectives[k],
+                k,
+            )
+        })
+        .unwrap();
+    assert_eq!(sel.misses, misses);
+    assert_eq!(sel.worse_cases, worse_cases);
+    assert_eq!(sel.chosen, chosen);
 }

@@ -86,8 +86,10 @@ pub struct SearchState {
     total_weight: u64,
     /// Atom indices sorted by current start address.
     order: Vec<u32>,
-    /// Inverse of `order`: each atom's rank.
-    pos: Vec<usize>,
+    /// The start of each atom in `order`: `ranked[i] ==
+    /// atoms.start[order[i]]`, so one binary search over one contiguous
+    /// array finds a rank.
+    ranked: Vec<u64>,
     obj: Objective,
     stats: WalkStats,
     best: u64,
@@ -130,10 +132,7 @@ impl SearchState {
         let limit = span_end.div_ceil(cache) * cache + u64::from(headroom_caches) * cache;
         let mut order: Vec<u32> = (0..atoms.count() as u32).collect();
         order.sort_by_key(|&a| atoms.start[a as usize]);
-        let mut pos = vec![0; atoms.count()];
-        for (rank, &a) in order.iter().enumerate() {
-            pos[a as usize] = rank;
-        }
+        let ranked = order.iter().map(|&a| atoms.start[a as usize]).collect();
         let mut total = 0u64;
         let weight_prefix = atoms
             .weight
@@ -155,7 +154,7 @@ impl SearchState {
             weight_prefix,
             total_weight: total,
             order,
-            pos,
+            ranked,
             obj,
             stats: WalkStats::default(),
             best,
@@ -288,9 +287,7 @@ impl SearchState {
         {
             return false;
         }
-        let i = self
-            .order
-            .partition_point(|&o| self.atoms.start[o as usize] < new_start);
+        let i = self.ranked.partition_point(|&s| s < new_start);
         // Nearest unexcluded predecessor must end at or before new_start.
         let mut j = i;
         while j > 0 {
@@ -381,6 +378,13 @@ impl SearchState {
     /// Phase 1 of a move: new start, per-block addresses, pressure, and
     /// the atom's rank in the overlap order.
     fn relocate(&mut self, atom: u32, new_start: u64) {
+        // The old rank: the first at the old start, then forward to the
+        // atom itself (mid-swap, its partner already shares that start).
+        let old_start = self.atoms.start[atom as usize];
+        let mut old = self.ranked.partition_point(|&s| s < old_start);
+        while self.order[old] != atom {
+            old += 1;
+        }
         self.atoms.start[atom as usize] = new_start;
         let (lo, hi) = (
             self.atoms.first[atom as usize] as usize,
@@ -392,17 +396,11 @@ impl SearchState {
             self.obj.move_block(b, self.addr[b], new);
             self.addr[b] = new;
         }
-        // Re-rank in the address order (remove + insert shifts only the
-        // span between the old and new rank).
-        let old = self.pos[atom as usize];
         self.order.remove(old);
-        let new = self
-            .order
-            .partition_point(|&o| self.atoms.start[o as usize] < new_start);
+        self.ranked.remove(old);
+        let new = self.ranked.partition_point(|&s| s < new_start);
         self.order.insert(new, atom);
-        for rank in old.min(new)..=old.max(new) {
-            self.pos[self.order[rank] as usize] = rank;
-        }
+        self.ranked.insert(new, new_start);
     }
 
     /// Phase 2: re-price arcs against the final addresses.
@@ -451,5 +449,111 @@ impl SearchState {
             self.stats.rejected_worse += 1;
             StepOutcome::RejectedWorse
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oslay::{OsLayoutKind, Study, StudyConfig};
+
+    /// The gate's verdict recomputed from scratch: apply the proposal to
+    /// a copy of the atom starts and check every atom pair for overlap
+    /// and every atom against the limit.
+    fn brute_admissible(state: &SearchState, p: &Proposal) -> bool {
+        let mut start = state.atoms.start.clone();
+        match *p {
+            Proposal::Swap { a, b } => {
+                if a == b {
+                    return false;
+                }
+                start.swap(a as usize, b as usize);
+            }
+            Proposal::Rehome { atom, addr } => {
+                if addr == start[atom as usize] {
+                    return false;
+                }
+                start[atom as usize] = addr;
+            }
+        }
+        let mut spans = Vec::with_capacity(start.len());
+        for (&s, &len) in start.iter().zip(&state.atoms.len) {
+            match s.checked_add(len) {
+                Some(end) if end <= state.limit => spans.push((s, end)),
+                _ => return false,
+            }
+        }
+        spans.sort_unstable();
+        spans.windows(2).all(|w| w[0].1 <= w[1].0)
+    }
+
+    /// The rank structures agree with the atom starts.
+    fn assert_ranked(state: &SearchState) {
+        let mut atoms = state.order.clone();
+        atoms.sort_unstable();
+        assert!(
+            atoms.into_iter().eq(0..state.atoms.count() as u32),
+            "order is a permutation"
+        );
+        let starts: Vec<u64> = state
+            .order
+            .iter()
+            .map(|&o| state.atoms.start[o as usize])
+            .collect();
+        assert!(
+            starts.windows(2).all(|w| w[0] <= w[1]),
+            "order sorted by start"
+        );
+        assert_eq!(state.ranked, starts, "ranked[i] == atoms.start[order[i]]");
+    }
+
+    /// An annealed walk over the tiny study: after every step the rank
+    /// order matches the starts and the gate matches a brute-force
+    /// overlap check. The walk's result is pinned: re-ranking must not
+    /// change a single decision.
+    #[test]
+    fn annealed_walk_keeps_the_rank_order_and_an_exact_gate() {
+        let study = Study::generate(&StudyConfig::tiny());
+        let config = CacheConfig::paper_default();
+        let seed =
+            LayoutView::from_layout(&study.os_layout(OsLayoutKind::OptS, config.size()).layout);
+        let mut state = SearchState::new(
+            &study.kernel().program,
+            study.averaged_os_profile(),
+            &seed,
+            &config,
+            ObjectiveWeights::default(),
+            2,
+        );
+        let mut rng = Rng::seed_from_u64(0x0005_EA7C);
+        let temperature = state.objective() as f64 / 200.0;
+        let (mut swaps, mut rehomes) = (0u32, 0u32);
+        assert_ranked(&state);
+        for _ in 0..4_000 {
+            let p = state.propose(&mut rng.clone());
+            let admissible = state.admissible(&p);
+            assert_eq!(admissible, brute_admissible(&state, &p), "{p:?}");
+            if admissible {
+                match p {
+                    Proposal::Swap { .. } => swaps += 1,
+                    Proposal::Rehome { .. } => rehomes += 1,
+                }
+            }
+            state.step(&mut rng, temperature);
+            assert_ranked(&state);
+        }
+        assert!(swaps > 0 && rehomes > 0, "{swaps} swaps, {rehomes} rehomes");
+        assert_eq!(state.best_objective(), 36_044_867);
+        assert_eq!(
+            state.stats(),
+            WalkStats {
+                proposed: 4_000,
+                gate_rejected: 3_093,
+                scored: 907,
+                accepted: 482,
+                accepted_worse: 180,
+                rejected_worse: 245,
+            }
+        );
     }
 }

@@ -21,8 +21,8 @@
 //! The only non-constant update is removing weight from a set's hottest
 //! line: the new maximum is found by rescanning that set's lines, a
 //! stride-`num_sets` walk over the flat array that touches
-//! `addr_limit / cache_size` entries (single digits for the address
-//! ranges the search works in).
+//! `addr_limit / cache_size` entries: 108 at paper scale, where the
+//! search's address limit is 884,736 B over an 8 KB cache.
 
 use oslay_cache::CacheConfig;
 
