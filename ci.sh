@@ -95,6 +95,44 @@ tmpdir="$(mktemp -d)"
 rm -rf "$tmpdir"
 cargo run --release -q -p oslay-bench --bin diag -- --check-results
 
+echo "== results reproduction: every committed results/ file rebuilds =="
+# Every binary named after a committed results/<stem>.txt reruns at paper
+# scale in a scratch directory: its stdout must equal the committed copy
+# byte for byte, and every run report the reruns write must equal the
+# committed one outside wall-clock and allocator fields. search commits
+# only its run report.
+tmpdir="$(mktemp -d)"
+repo_root="$PWD"
+mkdir -p "$tmpdir/results"
+for txt in results/*.txt; do
+  stem="$(basename "$txt" .txt)"
+  case "$stem" in
+    analyze) bin=analyze; args=(--scale paper --gate) ;;
+    diag_base_vs_opts) bin=diag; args=(--compare base opts) ;;
+    *) bin="$stem"; args=() ;;
+  esac
+  (
+    cd "$tmpdir"
+    cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+      -p oslay-bench --bin "$bin" -- ${args[@]+"${args[@]}"} --threads 2 \
+      > "$stem.txt" 2> /dev/null
+  )
+  if ! cmp "$txt" "$tmpdir/$stem.txt"; then
+    diff "$txt" "$tmpdir/$stem.txt" | head -20 >&2
+    exit 1
+  fi
+done
+(
+  cd "$tmpdir"
+  cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+    -p oslay-bench --bin search -- --scale paper --threads 2 > /dev/null 2>&1
+)
+nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
+for json in results/*.json; do
+  diff <(grep -vE "$nondet" "$json") <(grep -vE "$nondet" "$tmpdir/$json")
+done
+rm -rf "$tmpdir"
+
 echo "== bench_sim smoke + schema check =="
 tmpdir="$(mktemp -d)"
 cargo run --release -q -p oslay-bench --bin bench_sim -- \

@@ -192,7 +192,8 @@ pub fn run() {
     let diff = oslay::cache::diff_attribution(&attr_reports[0], &attr_reports[1]);
     println!(
         "OptS resolves {} conflict pairs and introduces {} \
-         (net conflict misses: {:+}); run `--bin diag` for the ranked list.",
+         (net conflict misses: {:+}); run `cargo run --release -p oslay-bench \
+         --bin diag -- --compare base opts` for the ranked list.",
         diff.resolved.len(),
         diff.introduced.len(),
         diff.conflict_delta()

@@ -3,9 +3,8 @@
 //! [`MultiSim`] evaluates a whole family of cache organizations in one
 //! pass over an access stream and reproduces, per configuration, exactly
 //! what a dedicated [`crate::Cache`] would have measured: the same
-//! [`MissStats`], the same per-kind miss classification (including the
-//! bounded eviction-provenance table's cap behavior), the same eviction
-//! counts and the same final set-occupancy snapshot.
+//! [`MissStats`], the same per-kind miss classification, the same
+//! eviction counts and the same final set-occupancy snapshot.
 //!
 //! Two mechanisms make one pass suffice:
 //!
@@ -53,15 +52,11 @@ const NO_VICTIM: u64 = u64::MAX;
 #[derive(Clone, Debug)]
 struct PointState {
     cfg: CacheConfig,
-    /// `num_sets - 1` for this point.
-    set_mask: u64,
     ways: u32,
     /// Index of the bank level holding this point's set count.
     level: usize,
-    /// Mirrors the dense cache's bounded provenance table bit for bit:
-    /// same per-set capacity, same round-robin drop, same record-then-
-    /// classify order, so classification degrades identically under cap
-    /// pressure.
+    /// Who last evicted each line, the same table the dense cache keeps,
+    /// so classification is the same too.
     evict: EvictTable,
     misses_by_kind: [u64; 5],
     /// Cold misses split by the accessing domain (needed to reconstruct
@@ -74,15 +69,13 @@ struct PointState {
 impl PointState {
     /// Replicates the dense cache's miss path for `key`: record the
     /// eviction of `victim` (unless the set had a free way), then
-    /// classify against the provenance table. The order matters under
-    /// the table's cap.
+    /// classify `key` by its last evictor.
     fn miss(&mut self, key: u64, victim: u64, domain: Domain) {
-        let set = (key & self.set_mask) as u32;
         if victim != NO_VICTIM {
-            self.evict.record(set, victim, domain);
+            self.evict.record(victim, domain);
             self.evict_by_domain[domain.index()] += 1;
         }
-        let kind = MissKind::classify(domain, self.evict.lookup(set, key));
+        let kind = MissKind::classify(domain, self.evict.lookup(key));
         self.misses_by_kind[kind.index()] += 1;
         if kind == MissKind::Cold {
             self.cold_by_domain[domain.index()] += 1;
@@ -142,10 +135,9 @@ impl Bank {
             levels[li].points.push((cfg.ways() as usize, pi));
             points.push(PointState {
                 cfg: *cfg,
-                set_mask: cfg.set_mask(),
                 ways: cfg.ways(),
                 level: li,
-                evict: EvictTable::new(cfg.num_sets() as usize, EvictTable::DEFAULT_CAP),
+                evict: EvictTable::new(),
                 misses_by_kind: [0; 5],
                 cold_by_domain: [0; 2],
                 evict_by_domain: [0; 2],
@@ -863,39 +855,55 @@ mod tests {
     }
 
     #[test]
-    fn evict_table_cap_pressure_matches_dense_cache() {
-        // A 1-set, 2-way point over far more distinct lines than the
-        // provenance table's per-set cap: records are dropped round-robin
-        // and refetched lines reclassify as cold. The single-pass point
-        // must degrade exactly as the dense cache does.
+    fn every_engine_matches_reference_over_thousands_of_lines_per_set() {
+        // A 1-set, 2-way point over ~16k distinct lines, all in one set:
+        // the dense cache, the attributed cache and the single-pass point
+        // must classify every access exactly as the map-based reference,
+        // and a line misses cold only on its first touch.
+        use std::collections::HashSet;
         use std::sync::Arc;
+
+        use crate::reference::ReferenceCache;
+        use crate::{AddressMap, AttributedCache};
 
         let cfg = CacheConfig::new(32, 16, 2);
         assert_eq!(cfg.num_sets(), 1);
-        let lines = 3 * EvictTable::DEFAULT_CAP as u64;
+        let lines = 4 * 4096u64;
         let mut multi = MultiSim::new(&[cfg]);
         let reg = Arc::new(MetricRegistry::new());
         let mut dense = Cache::with_probe(cfg, reg.clone());
+        let mut attributed = AttributedCache::new(
+            Cache::new(cfg),
+            Arc::new(AddressMap::build(std::iter::empty())),
+        );
+        let mut reference = ReferenceCache::new(cfg);
+        let mut want = MissStats::default();
+        let mut touched = HashSet::new();
         let mut rng = Rng::seed_from_u64(0xCA9);
-        for _ in 0..60_000u32 {
+        for step in 0..60_000u32 {
             let addr = 16 * rng.gen_range(0..lines);
             let domain = if rng.gen_range(0..3u32) == 0 {
                 Domain::App
             } else {
                 Domain::Os
             };
+            let detail = reference.access_detailed(addr, domain);
+            want.record(domain, detail.outcome);
+            touched.insert(addr);
+            assert_eq!(dense.access_detailed(addr, domain), detail, "step {step}");
+            assert_eq!(
+                attributed.access(addr, domain),
+                detail.outcome,
+                "step {step}"
+            );
             multi.access(addr, domain);
-            dense.access(addr, domain);
+            assert_eq!(multi.stats(0), want, "step {step}");
         }
-        assert_eq!(
-            dense.evict_records(),
-            EvictTable::DEFAULT_CAP,
-            "the cap binds"
-        );
-        // Cold misses beyond the distinct lines touched: dropped records
-        // did reclassify refetched lines.
-        assert!(dense.stats().misses(MissKind::Cold) > lines);
-        assert_eq!(multi.stats(0), *dense.stats());
+        assert!(touched.len() > 3 * 4096, "{} distinct lines", touched.len());
+        assert_eq!(want.misses(MissKind::Cold), touched.len() as u64);
+        assert_eq!(*dense.stats(), want);
+        assert_eq!(*attributed.inner().stats(), want);
+        assert_eq!(multi.stats(0), want);
         let mine = MetricRegistry::new();
         multi.report_into(0, &mine);
         dense.record_occupancy();

@@ -2,13 +2,13 @@
 //! shadow tag store, kept as fixtures for the equivalence test suite.
 //!
 //! The production hot path (`sim::Cache`, `attribution::ShadowTags`) was
-//! rewritten for throughput — dense per-set tag arrays, a bounded evict
-//! table, an intrusive O(1) LRU — under the contract that observable
-//! results (stats, per-access outcomes, miss classifications, shadow
-//! residency) are **identical** to these straightforward map-based
-//! versions. The tests in `sim`, `attribution`, and
-//! `tests/engine_equivalence.rs` replay randomized traces through both and
-//! compare access-by-access.
+//! rewritten for throughput — dense per-set tag arrays, a flat
+//! open-addressed evict table, an intrusive O(1) LRU — under the contract
+//! that observable results (stats, per-access outcomes, miss
+//! classifications, shadow residency) are **identical** to these
+//! map-based versions on every stream. The tests in `sim`, `multisim`,
+//! `attribution` and `crates/core/tests/engine_equivalence.rs` replay
+//! randomized traces through both and compare access-by-access.
 //!
 //! Not part of the supported API; do not use outside tests and benches.
 

@@ -1,12 +1,12 @@
 //! The core set-associative LRU cache simulator.
 //!
-//! The hot path is dense and allocation-free: per-set tag/LRU arrays
+//! The hit path is dense and allocation-free: per-set tag/LRU arrays
 //! indexed by a precomputed `(set, tag)` decomposition (shift + mask, no
-//! division), and a bounded per-set [`EvictTable`] replacing the old
-//! unbounded `HashMap<line, Domain>` for interference classification. A
-//! map-based twin is preserved in [`crate::reference`] and the test suite
-//! replays randomized traces through both, asserting identical per-access
-//! outcomes.
+//! division). Interference classification on the miss path costs one
+//! probe of a flat open-addressed [`EvictTable`] per record or lookup.
+//! A map-based twin is preserved in [`crate::reference`] and the test
+//! suite replays randomized traces through both, asserting identical
+//! per-access outcomes.
 
 use std::sync::Arc;
 
@@ -150,41 +150,17 @@ const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Slots of a fresh [`EvictTable`]; the table doubles from here.
 const MIN_SLOTS: usize = 16;
 
-/// Records held for one set of an [`EvictTable`] and that set's
-/// round-robin drop position.
-#[derive(Copy, Clone, Debug, Default)]
-struct SetLoad {
-    /// Never above the table's cap.
-    count: u32,
-    /// Sorted-key position of the next record to drop, kept below the cap.
-    cursor: u32,
-}
-
-/// Bounded per-set store of "who last evicted this line", replacing the
-/// old unbounded `HashMap<u64, Domain>` (which grew one entry per distinct
-/// line ever evicted and was never pruned on re-fill).
+/// Who last evicted each line: a flat map from line key to the evicting
+/// domain, as [`crate::reference::ReferenceCache`] keeps it. A line that
+/// was never evicted has no record and classifies as `Cold`.
 ///
-/// All sets share one flat linear-probing table of packed `u64` records
-/// (multiply-shift hashed, doubled at half load, backward-shift
-/// deletion), so a record or a lookup is one probe. Beside it, each set
-/// keeps its record count and a drop cursor. When a set holds `cap`
-/// records and a new line arrives, the set drops the record at position
-/// `cursor` of its keys in ascending order and the cursor advances by one
-/// modulo `cap`. Classification of a line whose record was dropped
-/// degrades to `Cold`, exactly as if the line had never been cached. Each
-/// set's sorted key index is built by one table scan the first time it
-/// drops a record and is kept in step afterwards; sets below the cap have
-/// none.
-///
-/// The default cap (4096) is far above what any paper-scale run needs:
-/// an instrumented run of Figures 12, 15, 16 and 17 found no set of any
-/// point reaching 128 records. Results are therefore bit-identical to the
-/// unbounded map while memory stays bounded at `O(sets × cap)` worst case.
+/// One linear-probing table of packed `u64` records (`key << 1 |
+/// evictor_is_app`, multiply-shift hashed, doubled at half load), so a
+/// record or a lookup is one probe. Records are never dropped: memory is
+/// bounded by the number of distinct lines the stream evicts, i.e. by its
+/// code footprint in lines.
 #[derive(Clone, Debug)]
 pub(crate) struct EvictTable {
-    cap: u32,
-    /// `num_sets - 1`: `key & set_mask` is a record's set.
-    set_mask: u64,
     /// Packed records and [`SLOT_EMPTY`]s; a power of two long, at most
     /// half full.
     slots: Vec<u64>,
@@ -192,33 +168,18 @@ pub(crate) struct EvictTable {
     /// `key * HASH_MUL`.
     shift: u32,
     len: usize,
-    sets: Vec<SetLoad>,
-    /// Per set, its keys ascending, once the set has dropped a record
-    /// (empty before); unallocated until the first set does.
-    sorted: Vec<Vec<u64>>,
 }
 
 impl EvictTable {
-    /// Default per-set record bound.
-    pub(crate) const DEFAULT_CAP: usize = 4096;
-
-    pub(crate) fn new(num_sets: usize, cap: usize) -> Self {
-        assert!(cap > 0, "evict table needs capacity");
-        assert!(num_sets.is_power_of_two(), "set count is a power of two");
+    pub(crate) fn new() -> Self {
         Self {
-            // A set never holds 2^32 records, so a larger cap never binds.
-            cap: u32::try_from(cap).unwrap_or(u32::MAX),
-            set_mask: num_sets as u64 - 1,
             slots: vec![SLOT_EMPTY; MIN_SLOTS],
             shift: 64 - MIN_SLOTS.ilog2(),
             len: 0,
-            sets: vec![SetLoad::default(); num_sets],
-            sorted: Vec::new(),
         }
     }
 
-    pub(crate) fn lookup(&self, set: u32, key: u64) -> Option<Domain> {
-        debug_assert_eq!(u64::from(set), key & self.set_mask);
+    pub(crate) fn lookup(&self, key: u64) -> Option<Domain> {
         match self.slots[self.find(key)] {
             SLOT_EMPTY => None,
             word if word & 1 == 1 => Some(Domain::App),
@@ -226,47 +187,21 @@ impl EvictTable {
         }
     }
 
-    pub(crate) fn record(&mut self, set: u32, key: u64, evictor: Domain) {
-        debug_assert_eq!(u64::from(set), key & self.set_mask);
+    pub(crate) fn record(&mut self, key: u64, evictor: Domain) {
         debug_assert!(key < SLOT_EMPTY >> 1, "line key leaves no tag bit");
-        let word = key << 1 | u64::from(evictor == Domain::App);
         let slot = self.find(key);
-        if self.slots[slot] != SLOT_EMPTY {
-            self.slots[slot] = word;
-            return;
+        if self.slots[slot] == SLOT_EMPTY {
+            self.len += 1;
         }
-        let load = &mut self.sets[set as usize];
-        if load.count == self.cap {
-            // At capacity: drop one record round-robin to make room (its
-            // line reclassifies as cold if refetched).
-            let drop_at = load.cursor as usize;
-            load.cursor = (load.cursor + 1) % self.cap;
-            let keys = self.sorted_keys(set);
-            let dropped = keys.remove(drop_at);
-            let at = keys.binary_search(&key).expect_err("key was absent");
-            keys.insert(at, key);
-            self.remove(dropped);
-            let slot = self.find(key);
-            self.slots[slot] = word;
-            return;
-        }
-        load.count += 1;
-        self.slots[slot] = word;
-        self.len += 1;
+        self.slots[slot] = key << 1 | u64::from(evictor == Domain::App);
         if 2 * self.len > self.slots.len() {
             self.grow();
         }
     }
 
-    fn len(&self) -> usize {
-        self.len
-    }
-
     fn clear(&mut self) {
         self.slots.fill(SLOT_EMPTY);
         self.len = 0;
-        self.sets.fill(SetLoad::default());
-        self.sorted = Vec::new();
     }
 
     fn home(&self, key: u64) -> usize {
@@ -287,30 +222,6 @@ impl EvictTable {
         }
     }
 
-    /// Deletes `key`'s record, shifting later records of its probe run
-    /// back so every remaining key stays reachable from its home slot.
-    fn remove(&mut self, key: u64) {
-        let mask = self.slots.len() - 1;
-        let mut hole = self.find(key);
-        debug_assert_ne!(self.slots[hole], SLOT_EMPTY, "removed key is held");
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let word = self.slots[i];
-            if word == SLOT_EMPTY {
-                break;
-            }
-            // Move `word` into the hole unless its home lies cyclically
-            // after the hole, in which case the hole is not on its run.
-            let home = self.home(word >> 1);
-            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
-                self.slots[hole] = word;
-                hole = i;
-            }
-        }
-        self.slots[hole] = SLOT_EMPTY;
-    }
-
     fn grow(&mut self) {
         let doubled = vec![SLOT_EMPTY; 2 * self.slots.len()];
         let old = std::mem::replace(&mut self.slots, doubled);
@@ -319,26 +230,6 @@ impl EvictTable {
             let slot = self.find(word >> 1);
             self.slots[slot] = word;
         }
-    }
-
-    /// `set`'s keys in ascending order, built by one scan of the table on
-    /// the set's first drop.
-    fn sorted_keys(&mut self, set: u32) -> &mut Vec<u64> {
-        if self.sorted.is_empty() {
-            self.sorted.resize_with(self.sets.len(), Vec::new);
-        }
-        let keys = &mut self.sorted[set as usize];
-        if keys.is_empty() {
-            let set_mask = self.set_mask;
-            keys.extend(
-                self.slots
-                    .iter()
-                    .filter(|&&w| w != SLOT_EMPTY && (w >> 1) & set_mask == u64::from(set))
-                    .map(|&w| w >> 1),
-            );
-            keys.sort_unstable();
-        }
-        keys
     }
 }
 
@@ -369,7 +260,7 @@ pub struct Cache {
     tags: Vec<u64>,
     /// Last-touch clock per way, parallel to `tags`.
     lru: Vec<u64>,
-    /// Last evictor per line (bounded; absent = never evicted = cold).
+    /// Last evictor per line (absent = never evicted = cold).
     evicted_by: EvictTable,
     clock: u64,
     stats: MissStats,
@@ -397,19 +288,6 @@ impl Cache {
     /// Creates an empty cache.
     #[must_use]
     pub fn new(cfg: CacheConfig) -> Self {
-        Self::with_evict_cap(cfg, EvictTable::DEFAULT_CAP)
-    }
-
-    /// Creates an empty cache with a custom per-set bound on eviction
-    /// provenance records (tests use tiny caps to exercise the drop
-    /// path; the default is `EvictTable::DEFAULT_CAP` via
-    /// [`Cache::new`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `evict_cap` is zero.
-    #[must_use]
-    pub fn with_evict_cap(cfg: CacheConfig, evict_cap: usize) -> Self {
         let slots = (cfg.num_sets() * cfg.ways()) as usize;
         Self {
             cfg,
@@ -418,19 +296,12 @@ impl Cache {
             ways_per_set: cfg.ways() as usize,
             tags: vec![TAG_EMPTY; slots],
             lru: vec![0; slots],
-            evicted_by: EvictTable::new(cfg.num_sets() as usize, evict_cap),
+            evicted_by: EvictTable::new(),
             clock: 0,
             stats: MissStats::default(),
             probe: None,
             evict_ages: None,
         }
-    }
-
-    /// Total eviction-provenance records currently held (test hook for
-    /// the boundedness guarantee).
-    #[must_use]
-    pub fn evict_records(&self) -> usize {
-        self.evicted_by.len()
     }
 
     /// Creates an empty cache reporting metrics to `probe`: miss
@@ -523,7 +394,7 @@ impl Cache {
         self.tags[victim] = key;
         self.lru[victim] = clock;
         if evicted_valid {
-            self.evicted_by.record(set, evictee, domain);
+            self.evicted_by.record(evictee, domain);
             if let Some(ages) = self.evict_ages.as_deref_mut() {
                 ages[(clock - victim_last).ilog2() as usize] += 1;
             }
@@ -531,7 +402,7 @@ impl Cache {
         // A line is non-cold iff it was ever evicted — residency implies a
         // prior fill, and every displacement of a valid line leaves a
         // provenance record — so the evict table doubles as the seen-set.
-        let kind = MissKind::classify(domain, self.evicted_by.lookup(set, key));
+        let kind = MissKind::classify(domain, self.evicted_by.lookup(key));
         if let Some(probe) = &self.probe {
             probe.counter_add(kind.metric_name(), 1);
             if evicted_valid {
@@ -879,159 +750,49 @@ mod tests {
     }
 
     #[test]
-    fn evict_records_stay_bounded_per_set() {
-        // Regression: the old implementation kept one `evicted_by` entry
-        // per distinct line ever evicted, forever. Thrash one set of a
-        // direct-mapped cache with far more distinct lines than the cap
-        // and check the table never exceeds it.
-        let cap = 8;
-        let mut c = Cache::with_evict_cap(CacheConfig::new(64, 16, 1), cap);
-        for round in 0..4u64 {
-            for i in 0..64u64 {
-                // All map to set 0 (stride = 4 sets * 16B line).
-                c.access(i * 64, Domain::Os);
-                assert!(
-                    c.evict_records() <= cap * 4,
-                    "round {round}: {} records exceed bound",
-                    c.evict_records()
-                );
-            }
-        }
-        assert!(c.evict_records() >= cap, "table should fill to its cap");
-        // Reset clears provenance too.
-        c.reset();
-        assert_eq!(c.evict_records(), 0);
-    }
-
-    #[test]
-    fn dropped_evict_record_degrades_to_cold() {
-        // Under cap pressure, old provenance is forgotten: a refetch of a
-        // line whose record was dropped classifies as cold — never
-        // misattributed to the wrong domain.
-        let mut c = Cache::with_evict_cap(CacheConfig::new(64, 16, 1), 2);
-        c.access(0, Domain::Os);
-        c.access(64, Domain::Os); // evicts line 0 (recorded: 0 <- Os)
-        assert_eq!(
-            c.access(0, Domain::Os), // evicts 64 (recorded: 64 <- Os)
-            AccessOutcome::Miss(MissKind::OsSelf)
-        );
-        c.access(128, Domain::App); // evicts 0 (record updated in place)
-        c.access(192, Domain::App); // evicts 128; set at cap, drops 0's record
-        assert_eq!(
-            c.access(64, Domain::Os), // its record survived the drops
-            AccessOutcome::Miss(MissKind::OsSelf),
-            "surviving record still classifies"
-        );
-        assert_eq!(
-            c.access(0, Domain::Os), // 0's record was dropped at cap
-            AccessOutcome::Miss(MissKind::Cold),
-            "dropped record degrades to cold"
-        );
-    }
-
-    #[test]
-    fn evict_table_matches_sorted_round_robin_model() {
+    fn evict_table_matches_plain_map_model() {
         use oslay_model::rng::Rng;
-        use std::collections::BTreeMap;
+        use std::collections::HashMap;
 
-        // The plain model: one sorted map per set; at cap, drop the key at
-        // sorted position `cursor % len` and advance the cursor.
-        struct Model {
-            cap: usize,
-            sets: Vec<(BTreeMap<u64, Domain>, usize)>,
-        }
-        impl Model {
-            fn record(&mut self, set: u32, key: u64, evictor: Domain) -> &'static str {
-                let (records, cursor) = &mut self.sets[set as usize];
-                if let Some(d) = records.get_mut(&key) {
-                    *d = evictor;
-                    return "update";
-                }
-                let kind = if records.len() >= self.cap {
-                    let drop = *records.keys().nth(*cursor % records.len()).unwrap();
-                    *cursor += 1;
-                    records.remove(&drop);
-                    "drop"
-                } else {
-                    "insert"
-                };
-                records.insert(key, evictor);
-                kind
-            }
-        }
-
+        // Seeded record/lookup/clear streams over key pools from a few
+        // colliding keys to thousands spread over a wide key range.
         let mut clears = 0;
-        for cap in [1usize, 2, 3, 7, 64] {
-            for num_sets in [1usize, 4, 64] {
-                let mut table = EvictTable::new(num_sets, cap);
-                let mut model = Model {
-                    cap,
-                    sets: vec![(BTreeMap::new(), 0); num_sets],
-                };
-                let pool = 2 * (num_sets * cap) as u64 + 5;
-                let mut rng = Rng::seed_from_u64((cap * 1000 + num_sets) as u64);
-                let mut seen: BTreeMap<&str, u32> = BTreeMap::new();
-                let mut max_slots = 0;
-                for step in 0..40_000u32 {
-                    let key = rng.gen_range(0..pool);
-                    let set = (key & (num_sets as u64 - 1)) as u32;
-                    match rng.gen_range(0..10_000u32) {
-                        0 => {
-                            table.clear();
-                            for (records, cursor) in &mut model.sets {
-                                records.clear();
-                                *cursor = 0;
-                            }
-                            clears += 1;
-                        }
-                        1..=4_999 => {
-                            let evictor = if rng.gen_range(0..2u32) == 0 {
-                                Domain::Os
-                            } else {
-                                Domain::App
-                            };
-                            table.record(set, key, evictor);
-                            *seen.entry(model.record(set, key, evictor)).or_default() += 1;
-                        }
-                        _ => {
-                            let want = model.sets[set as usize].0.get(&key).copied();
-                            assert_eq!(
-                                table.lookup(set, key),
-                                want,
-                                "cap {cap} sets {num_sets} step {step}"
-                            );
-                        }
+        for (seed, pool, stride) in [(1u64, 5u64, 1u64), (2, 300, 64), (3, 20_000, 1 << 20)] {
+            let mut table = EvictTable::new();
+            let mut model: HashMap<u64, Domain> = HashMap::new();
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut max_slots = 0;
+            for step in 0..40_000u32 {
+                let key = stride * rng.gen_range(0..pool);
+                match rng.gen_range(0..10_000u32) {
+                    0 => {
+                        table.clear();
+                        model.clear();
+                        clears += 1;
                     }
-                    let counts: Vec<usize> = model.sets.iter().map(|(r, _)| r.len()).collect();
-                    assert_eq!(
-                        table.len(),
-                        counts.iter().sum::<usize>(),
-                        "cap {cap} sets {num_sets} step {step}"
-                    );
-                    for (s, load) in table.sets.iter().enumerate() {
-                        assert_eq!(
-                            load.count as usize, counts[s],
-                            "cap {cap} sets {num_sets} step {step} set {s}"
-                        );
-                        assert!(
-                            load.count as usize <= cap,
-                            "cap {cap} sets {num_sets} step {step} set {s}"
-                        );
+                    1..=4_999 => {
+                        let evictor = if rng.gen_range(0..2u32) == 0 {
+                            Domain::Os
+                        } else {
+                            Domain::App
+                        };
+                        table.record(key, evictor);
+                        model.insert(key, evictor);
                     }
-                    max_slots = max_slots.max(table.slots.len());
+                    _ => assert_eq!(
+                        table.lookup(key),
+                        model.get(&key).copied(),
+                        "pool {pool} step {step} key {key}"
+                    ),
                 }
-                for kind in ["update", "insert", "drop"] {
-                    assert!(
-                        seen.contains_key(kind),
-                        "cap {cap} sets {num_sets}: no {kind}"
-                    );
-                }
-                if num_sets * cap >= 64 {
-                    assert!(
-                        max_slots >= 8 * MIN_SLOTS,
-                        "cap {cap} sets {num_sets}: table never doubled thrice"
-                    );
-                }
+                assert_eq!(table.len, model.len(), "pool {pool} step {step}");
+                max_slots = max_slots.max(table.slots.len());
+            }
+            if pool >= 64 {
+                assert!(
+                    max_slots >= 8 * MIN_SLOTS,
+                    "pool {pool}: table never doubled thrice"
+                );
             }
         }
         assert!(clears > 0, "no stream cleared the table");
