@@ -1,13 +1,17 @@
-//! Simulation-engine throughput harness: events/sec and a peak-RSS proxy
-//! for Base vs OptS replay, written to `BENCH_sim.json` at the repo root.
+//! Simulation-engine throughput harness: the one timer of every engine,
+//! written to `BENCH_sim.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p oslay-bench --bin bench_sim -- --scale small --threads 8
 //! cargo run --release -p oslay-bench --bin bench_sim -- --smoke --out /tmp/BENCH_sim.json
 //! ```
 //!
-//! A bad value for one of its own flags prints the usage text and exits
-//! 2; a report or history file that cannot be written exits 1.
+//! Every case runs once untimed to warm up, then
+//! [`oslay_perf::simbench::REPS`] times timed; the report carries the
+//! median time with its first and third quartiles, and events/sec and
+//! every derived ratio come from the medians. A bad value for one of its
+//! own flags prints the usage text and exits 2; a report that cannot be
+//! written exits 1. The run writes no file but `--out`.
 //!
 //! Measured cases:
 //! - `replay_base` / `replay_opt_s`: buffered (`Vec`) replay of the Shell
@@ -15,6 +19,10 @@
 //! - `stream_base` / `stream_opt_s`: streaming replay — the trace engine
 //!   feeds the replayer directly, no event vector.
 //! - `attr_base`: attributed replay (shadow-store path).
+//! - `split_shell` / `reserved_shell`: Shell's OptS replay through the
+//!   Figure 18 alternatives, `SplitCache::halves_of` and
+//!   `ReservedCache::paired_with` (1 KB reserved for the hottest kernel
+//!   code).
 //! - `trace_encode` / `trace_decode`: the `oslay-tracestore` codec over
 //!   an in-memory buffer — Shell's stream compressed to the on-disk
 //!   format and decoded back; the achieved `trace_compression_ratio` and
@@ -46,29 +54,19 @@
 //! `peak_bytes` columns are real measurements, not estimates.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use oslay::cache::{Cache, CacheConfig};
+use oslay::cache::{Cache, CacheConfig, ReservedCache, SplitCache};
 use oslay::{OsLayoutKind, SimConfig, SimResult, Study, StudyConfig};
 use oslay_bench::{
-    run_figure12_matrix, run_sweep, run_sweep_single_pass, scale_name, AppSide, Args, Cli, Flag,
-    Kind, SweepPoint, COUNT, FILE,
+    run_figure12_matrix, run_sweep, run_sweep_single_pass, scale_name, AppSide, Cli, Flag, Kind,
+    SweepPoint, FILE,
 };
 use oslay_observe::MetricRegistry;
-use oslay_perf::alloc;
-use oslay_perf::history::{self, HistoryEntry};
-use oslay_perf::simbench::{validate, BenchCase, BenchReport};
+use oslay_perf::simbench::{self, validate, BenchCase, BenchReport};
 use oslay_tracestore::{CountingSink, TraceReader, TraceWriter};
 
 // The counting allocator is installed by the `oslay_bench` library crate,
 // process-wide for every experiment binary.
-
-/// A number strictly between 0 and 1.
-const FRACTION: Kind = Kind::Value(
-    "F",
-    |v| v.parse().is_ok_and(|t: f64| t > 0.0 && t < 1.0),
-    "a number in (0, 1)",
-);
 
 #[rustfmt::skip]
 const CLI: Cli = Cli {
@@ -78,45 +76,19 @@ const CLI: Cli = Cli {
     flags: &[
         Flag("--smoke", Kind::Switch, "", "CI smoke run: a ~1k-block trace at tiny scale"),
         Flag("--out", FILE, "BENCH_sim.json", "report path"),
-        Flag("--history", FILE, "results/bench_history.jsonl", "bench history to append to"),
-        Flag("--no-history", Kind::Switch, "", "record no history"),
-        Flag("--gate", Kind::Switch, "", "exit 1 on a fall below its median beyond the tolerance"),
-        Flag("--gate-tolerance", FRACTION, "0.2", "allowed fall below the median"),
-        Flag("--gate-window", COUNT, "10", "prior runs in the rolling median"),
     ],
 };
 
-/// Unwraps a file operation's result, or reports the path and the OS
-/// error and exits 1.
-fn or_exit<T>(result: std::io::Result<T>, path: &std::path::Path) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("bench_sim: {}: {e}", path.display());
-        std::process::exit(1);
-    })
-}
-
-/// Times `f`, bracketing it with allocator snapshots, and returns the
-/// finished case. `events` comes from the closure's return value.
-fn measure(name: &str, f: impl FnOnce() -> u64) -> BenchCase {
-    alloc::reset_peak();
-    let before = alloc::snapshot();
-    let start = Instant::now();
-    let events = f();
-    let secs = start.elapsed().as_secs_f64();
-    let delta = alloc::snapshot().delta_from(&before);
-    let case = BenchCase {
-        name: name.to_owned(),
-        events,
-        secs,
-        allocs: delta.calls,
-        alloc_bytes: delta.bytes,
-        peak_bytes: delta.peak_bytes,
-    };
+/// Times one case ([`simbench::measure`]) and prints its median line.
+fn measure(name: &str, f: impl FnMut() -> u64) -> BenchCase {
+    let case = simbench::measure(name, f);
     println!(
-        "{:<16} {:>12} events {:>9.3}s {:>14.0} ev/s {:>10} allocs {:>12} B peak",
+        "{:<17} {:>11} events {:>10.3} ms [{:.3}-{:.3}] {:>14.0} ev/s {:>8} allocs {:>11} B peak",
         case.name,
         case.events,
-        case.secs,
+        case.secs * 1e3,
+        case.secs_q1 * 1e3,
+        case.secs_q3 * 1e3,
         case.events_per_sec(),
         case.allocs,
         case.peak_bytes
@@ -239,6 +211,23 @@ fn main() {
             &SimConfig::fast(),
             None,
         );
+        r.stats.total_accesses()
+    }));
+
+    // The Figure 18 alternatives to one unified cache, on Figure 18's
+    // layouts: separate OS and application halves under OptS, and a
+    // 1 KB cache reserved for the hottest kernel code beside a halved
+    // main cache, under OptS laid out without its SelfConfFree area. No
+    // other harness times these organizations.
+    report.push_case(measure("split_shell", || {
+        let mut cache = SplitCache::halves_of(cfg);
+        let r = study.simulate(shell, &os_opt.layout, app.as_ref(), &mut cache, &sim);
+        r.stats.total_accesses()
+    }));
+    let os_resv = study.os_opt_s_with_scf(cfg.size(), None);
+    report.push_case(measure("reserved_shell", || {
+        let mut cache = ReservedCache::paired_with(cfg, 0..1024);
+        let r = study.simulate(shell, &os_resv.layout, app.as_ref(), &mut cache, &sim);
         r.stats.total_accesses()
     }));
 
@@ -378,7 +367,10 @@ fn main() {
             case.name
         );
     }
-    or_exit(report.write(&out), &out);
+    if let Err(e) = report.write(&out) {
+        eprintln!("bench_sim: {}: {e}", out.display());
+        std::process::exit(1);
+    }
     let text = std::fs::read_to_string(&out).expect("re-read bench report");
     validate(&text).expect("bench report validates against schema");
     println!();
@@ -396,85 +388,5 @@ fn main() {
     );
     println!("Bench report: {}", out.display());
 
-    if let Some(history_path) = flags
-        .path("--history")
-        .filter(|_| !flags.on("--no-history"))
-    {
-        let gate_ok = record_history(&report, &history_path, &flags);
-        oslay_bench::flush_trace();
-        if !gate_ok {
-            std::process::exit(1);
-        }
-    } else {
-        oslay_bench::flush_trace();
-    }
-}
-
-/// Appends this run to the bench history and checks it against the
-/// rolling median of prior comparable runs. Returns `false` when the
-/// trend gate should fail the process (`--gate` and a regression).
-fn record_history(report: &BenchReport, path: &std::path::Path, flags: &Args) -> bool {
-    let tolerance: f64 = flags.num("--gate-tolerance").unwrap_or_default();
-    let unix_secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let git_rev = history::read_git_rev(std::path::Path::new(".")).unwrap_or_default();
-    let entry =
-        HistoryEntry::from_bench(report, unix_secs, git_rev, history::machine_fingerprint());
-    let prior = or_exit(history::load(path), path);
-    or_exit(history::append(path, &entry), path);
-    println!();
-    println!(
-        "bench history: {} prior entries at {} ({})",
-        prior.len(),
-        path.display(),
-        entry.fingerprint
-    );
-    // On a fresh clone (or first run on this machine/scale/threads)
-    // there is nothing to gate against: this run *seeds* the trajectory
-    // rather than being judged by an empty one. Say so explicitly and
-    // pass — the gate becomes effective from the next comparable run.
-    let comparable = prior
-        .iter()
-        .filter(|h| {
-            h.fingerprint == entry.fingerprint
-                && h.scale == entry.scale
-                && h.threads == entry.threads
-        })
-        .count();
-    if comparable == 0 {
-        println!(
-            "  no comparable baseline ({}, scale {}, {} thread(s)) — seeded {} with this run; \
-             the trend gate takes effect from the next run",
-            entry.fingerprint,
-            entry.scale,
-            entry.threads,
-            path.display()
-        );
-        return true;
-    }
-    let window = flags.num("--gate-window").unwrap_or_default();
-    match history::trend_gate(&prior, &entry, tolerance, window) {
-        Ok(lines) => {
-            for line in lines {
-                println!("  {line}");
-            }
-            true
-        }
-        Err(regressions) => {
-            for line in regressions {
-                println!("  REGRESSION: {line}");
-            }
-            if flags.on("--gate") {
-                eprintln!(
-                    "trend gate FAILED: throughput fell more than {:.0}% below the rolling median",
-                    tolerance * 100.0
-                );
-                false
-            } else {
-                println!("  (informational: pass --gate to fail the run on regressions)");
-                true
-            }
-        }
-    }
+    oslay_bench::flush_trace();
 }

@@ -1,10 +1,9 @@
 //! Zero-dependency run-report dashboard.
 //!
-//! Aggregates three artifact families into one view:
+//! Aggregates two artifact families into one view:
 //!
-//! * simulated-time telemetry documents (`--telemetry-out` output),
-//! * `results/*.json` run reports, and
-//! * the `results/bench_history.jsonl` perf trajectory,
+//! * simulated-time telemetry documents (`--telemetry-out` output), and
+//! * `results/*.json` run reports,
 //!
 //! rendered as a single self-contained HTML+SVG page (no external
 //! scripts, fonts, or network), an ASCII terminal view (`--term`), or a
@@ -14,8 +13,7 @@
 //! ```text
 //! dash --check --telemetry results/telemetry.json
 //! dash --term  --telemetry results/telemetry.json
-//! dash --telemetry results/telemetry.json --results results \
-//!      --history results/bench_history.jsonl --out dash.html
+//! dash --telemetry results/telemetry.json --results results --out dash.html
 //! ```
 
 use std::fmt::Write as _;
@@ -27,7 +25,6 @@ use oslay_bench::{Cli, Flag, Kind, FILE, FILES};
 use oslay_observe::json::JsonValue;
 use oslay_observe::timeline::{validate_telemetry, TelemetryDoc, TelemetryRun};
 use oslay_observe::RunReport;
-use oslay_perf::history::{self, HistoryEntry};
 
 #[rustfmt::skip]
 const CLI: Cli = Cli {
@@ -37,7 +34,6 @@ const CLI: Cli = Cli {
     flags: &[
         Flag("--telemetry", FILES, "", "telemetry document from --telemetry-out"),
         Flag("--results", Kind::Path("DIR"), "results", "run-report directory"),
-        Flag("--history", FILE, "results/bench_history.jsonl", "bench trajectory"),
         Flag("--out", FILE, "dash.html", "HTML output path"),
         Flag("--check", Kind::Switch, "", "validate telemetry files; exit 0 iff all pass"),
         Flag("--term", Kind::Switch, "", "render to the terminal instead of HTML"),
@@ -56,8 +52,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     let results_dir = flags.path("--results").unwrap_or_default();
-    let history_file = flags.path("--history").unwrap_or_default();
-    let html = render_html(&results_dir, &history_file, &docs);
+    let html = render_html(&results_dir, &docs);
     let out = flags.path("--out").unwrap_or_default();
     if let Some(parent) = out.parent() {
         if !parent.as_os_str().is_empty() {
@@ -215,65 +210,7 @@ fn report_sections_html(report: &RunReport) -> String {
     out
 }
 
-/// Bench-history trend: per case, the throughput series and the latest
-/// run's delta against the rolling median of the prior ten.
-fn history_html(entries: &[HistoryEntry]) -> String {
-    let mut out = String::new();
-    if entries.is_empty() {
-        return "<p>no bench history.</p>".to_owned();
-    }
-    let mut case_names: Vec<String> = Vec::new();
-    for e in entries {
-        for c in &e.cases {
-            if !case_names.contains(&c.name) {
-                case_names.push(c.name.clone());
-            }
-        }
-    }
-    for name in &case_names {
-        let series: Vec<f64> = entries
-            .iter()
-            .filter_map(|e| e.events_per_sec(name))
-            .collect();
-        let Some((&last, prior)) = series.split_last() else {
-            continue;
-        };
-        let mut window: Vec<f64> = prior.iter().rev().take(10).copied().collect();
-        window.sort_by(f64::total_cmp);
-        let delta = if window.is_empty() {
-            "no baseline".to_owned()
-        } else {
-            let median = window[window.len() / 2];
-            format!("{:+.1}% vs rolling median", 100.0 * (last / median - 1.0))
-        };
-        let _ = write!(
-            out,
-            "<div class=\"trend\"><span class=\"lbl\">{}</span> {} \
-             <span class=\"delta\">{} ev/s, {}</span></div>",
-            html_escape(name),
-            svg_sparkline(&series, &[], 240, 28),
-            fmt_rate(last),
-            html_escape(&delta)
-        );
-    }
-    out
-}
-
-fn fmt_rate(rate: f64) -> String {
-    if rate >= 1e6 {
-        format!("{:.1}M", rate / 1e6)
-    } else if rate >= 1e3 {
-        format!("{:.1}k", rate / 1e3)
-    } else {
-        format!("{rate:.0}")
-    }
-}
-
-fn render_html(
-    results_dir: &Path,
-    history_file: &Path,
-    docs: &[(PathBuf, TelemetryDoc)],
-) -> String {
+fn render_html(results_dir: &Path, docs: &[(PathBuf, TelemetryDoc)]) -> String {
     let mut html = String::from(
         "<!DOCTYPE html><html><head><meta charset=\"utf-8\">\
          <title>oslay run dashboard</title><style>\
@@ -285,8 +222,6 @@ fn render_html(
          td,th{border:1px solid #dde;padding:.15em .6em}\
          td.num{text-align:right;font-variant-numeric:tabular-nums}\
          .spark,.heat{vertical-align:middle;border:1px solid #eef}\
-         .trend{margin:.4em 0}.lbl{display:inline-block;min-width:10em;font-weight:600}\
-         .delta{color:#456;margin-left:.6em}\
          .meta{color:#678;font-size:.9em}\
          </style></head><body><h1>oslay run dashboard</h1>",
     );
@@ -375,11 +310,6 @@ fn render_html(
         let _ = write!(html, "<h3>{}</h3>", html_escape(report.name()));
         html.push_str(&report_sections_html(&report));
     }
-
-    // — Bench trend —
-    html.push_str("<h2>Bench trend</h2>");
-    let entries = history::load(history_file).unwrap_or_default();
-    html.push_str(&history_html(&entries));
 
     html.push_str("</body></html>");
     html

@@ -15,7 +15,7 @@
 use std::process::ExitCode;
 
 use oslay_bench::{ArgError, Cli, Flag, FILE, INT};
-use oslay_observe::flight::{validate_chrome_trace, ChromeTrace};
+use oslay_observe::flight::ChromeTrace;
 
 #[rustfmt::skip]
 const CLI: Cli = Cli {
@@ -48,13 +48,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = match validate_chrome_trace(&text) {
-        Ok(s) => s,
+    let trace = match ChromeTrace::parse(&text) {
+        Ok(t) => t,
         Err(e) => {
             eprintln!("perf: INVALID trace {}: {e}", input.display());
             return ExitCode::FAILURE;
         }
     };
+    let stats = &trace.stats;
     if flags.sub == "check" {
         println!(
             "OK {}: {} events ({} spans, {} counters) on {} tracks, max depth {}",
@@ -67,13 +68,6 @@ fn main() -> ExitCode {
         );
         return ExitCode::SUCCESS;
     }
-    let trace = match ChromeTrace::parse(&text) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("perf: cannot parse {}: {e}", input.display());
-            return ExitCode::FAILURE;
-        }
-    };
     match flags.sub {
         "top" => print!("{}", trace.render_top(n)),
         "timeline" => print!("{}", trace.render_timeline(width)),

@@ -89,6 +89,22 @@ pub const fn text(placeholder: &'static str) -> Kind {
 /// An unsigned 64-bit integer.
 pub const INT: Kind = Kind::Value("N", |v| v.parse::<u64>().is_ok(), "an integer");
 
+/// A seed: a decimal or `0x`-prefixed hexadecimal `u64` (the banners
+/// print seeds in hex).
+const SEED: Kind = Kind::Value(
+    "N",
+    |v| parse_seed(v).is_some(),
+    "an integer (decimal or 0x hex)",
+);
+
+/// Parses a [`SEED`] value.
+fn parse_seed(v: &str) -> Option<u64> {
+    match v.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => v.parse().ok(),
+    }
+}
+
 /// A file path.
 pub const FILE: Kind = Kind::Path("FILE");
 
@@ -150,7 +166,7 @@ pub struct Flag(
 const COMMON: &[Flag] = &[
     Flag("--scale", Kind::Choice(&["tiny", "small", "paper"]), "", "study scale"),
     Flag("--blocks", INT, "", "OS blocks per workload"),
-    Flag("--seed", INT, "", "workload generator seed"),
+    Flag("--seed", SEED, "", "workload generator seed"),
     Flag("--threads", COUNT, "", "worker threads (output is identical at any N)"),
     Flag("--verify", Kind::Switch, "", "statically verify every layout before simulating"),
     Flag("--trace-out", text("FILE"), "", "write a Chrome trace-event flight recording"),
@@ -348,9 +364,12 @@ impl Cli {
     /// its arguments. `--help` prints the usage text and exits 0; a
     /// rejected command line exits through [`Cli::fail`]. For a binary
     /// with the common study flags it also applies their process-wide
-    /// side effects (`--verify`, `--trace-out`, `--telemetry-out`).
+    /// side effects (`--verify`, `--trace-out`, `--telemetry-out`). From
+    /// here on, a stdout closed by its reader ends the binary quietly
+    /// with status 0.
     #[must_use]
     pub fn args(&self) -> Args {
+        quiet_broken_pipe();
         match self.parse(std::env::args().skip(1)) {
             Ok(args) if self.scale.is_some() => {
                 apply_run_args(&args.run());
@@ -371,6 +390,24 @@ impl Cli {
         eprintln!("error: {err}\n{}", self.usage());
         std::process::exit(2);
     }
+}
+
+/// Makes a stdout closed by its reader (`fig06_routine_skew | head -1`)
+/// end the process quietly with status 0. `print!` panics when the pipe
+/// is gone; the reader wanted no more output, so that is no failure. The
+/// panic hook exits on exactly that panic and hands every other to the
+/// default hook.
+fn quiet_broken_pipe() {
+    let default = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let message = info.payload().downcast_ref::<String>();
+        if message.is_some_and(|m| {
+            m.starts_with("failed printing to stdout") && m.contains("Broken pipe")
+        }) {
+            std::process::exit(0);
+        }
+        default(info);
+    }));
 }
 
 /// A parsed command line: the subcommand and every flag's values (its
@@ -440,7 +477,10 @@ impl Args {
             _ => StudyConfig::paper(),
         };
         config.os_blocks = self.num("--blocks").unwrap_or(config.os_blocks);
-        config.seed = self.num("--seed").unwrap_or(config.seed);
+        config.seed = self
+            .get("--seed")
+            .and_then(parse_seed)
+            .unwrap_or(config.seed);
         RunArgs {
             config,
             threads: self
@@ -1326,45 +1366,6 @@ impl Reporter {
     }
 }
 
-/// Minimal `std`-only timing harness backing the `benches/` targets
-/// (`harness = false`), so `cargo bench` works on an air-gapped machine.
-///
-/// Each case runs a warmup pass, then `samples` timed passes, and prints
-/// the median wall time (median, not mean: robust to one slow sample from
-/// a scheduler hiccup) plus throughput when an element count is given.
-pub mod timing {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Times `f` over `samples` runs and returns the median duration.
-    pub fn median_time<T>(samples: usize, mut f: impl FnMut() -> T) -> Duration {
-        assert!(samples > 0, "need at least one sample");
-        black_box(f()); // warmup
-        let mut times: Vec<Duration> = (0..samples)
-            .map(|_| {
-                let start = Instant::now();
-                black_box(f());
-                start.elapsed()
-            })
-            .collect();
-        times.sort_unstable();
-        times[times.len() / 2]
-    }
-
-    /// Runs one named case and prints its median time (and element
-    /// throughput, when `elements` is given).
-    pub fn bench_case<T>(name: &str, samples: usize, elements: Option<u64>, f: impl FnMut() -> T) {
-        let median = median_time(samples, f);
-        match elements {
-            Some(n) => {
-                let rate = n as f64 / median.as_secs_f64();
-                println!("{name:<40} {median:>12.2?}   {rate:>12.0} elem/s");
-            }
-            None => println!("{name:<40} {median:>12.2?}"),
-        }
-    }
-}
-
 /// The layout ladder of Figure 12, with the app side each level uses.
 #[must_use]
 pub fn figure12_ladder() -> Vec<(&'static str, OsLayoutKind, AppSide)> {
@@ -1515,8 +1516,14 @@ mod tests {
         }
         let err = parse_err(&["--compare", "x"]);
         assert_eq!(err.to_string(), "--compare needs two values");
+        let hex = parse(&TEST, &["--seed", "0x10"]).expect("hex seed");
+        assert_eq!(hex.run().config.seed, 16);
+        assert_eq!(
+            parse(&TEST, &["--seed", "16"]).unwrap().run().config.seed,
+            16
+        );
         assert!(matches!(
-            parse_err(&["--seed", "0x10"]),
+            parse_err(&["--seed", "0xzz"]),
             ArgError::BadValue { flag: "--seed", .. }
         ));
     }

@@ -23,37 +23,3 @@ fn rejects(args: &[&str], message: &str) {
 fn out_without_a_path() {
     rejects(&["--out"], "--out needs a path");
 }
-
-#[test]
-fn history_without_a_path() {
-    rejects(&["--history"], "--history needs a path");
-}
-
-#[test]
-fn gate_tolerance_without_a_value() {
-    rejects(&["--gate-tolerance"], "--gate-tolerance needs a value");
-}
-
-#[test]
-fn gate_tolerance_not_a_number() {
-    rejects(&["--gate-tolerance", "tight"], "--gate-tolerance must be");
-}
-
-#[test]
-fn gate_tolerance_out_of_range() {
-    for v in ["0", "1", "1.5", "-0.1", "NaN"] {
-        rejects(&["--gate-tolerance", v], "--gate-tolerance must be");
-    }
-}
-
-#[test]
-fn gate_window_without_a_value() {
-    rejects(&["--gate-window"], "--gate-window needs a value");
-}
-
-#[test]
-fn gate_window_not_a_positive_integer() {
-    for v in ["ten", "0", "-3", "2.5"] {
-        rejects(&["--gate-window", v], "--gate-window must be");
-    }
-}

@@ -3,8 +3,8 @@
 //! Pure string functions — no I/O, no dependencies beyond `std` — that
 //! turn numeric series into inline SVG fragments (for the self-contained
 //! HTML report) and ASCII sparklines (for the terminal renderer). The
-//! `dash` binary supplies the data: telemetry frame streams, phase
-//! boundaries, and bench-history trends.
+//! `dash` binary supplies the data: telemetry frame streams and phase
+//! boundaries.
 //!
 //! All floating-point coordinates are formatted with a fixed `{:.1}`
 //! precision so the generated markup is byte-stable across runs and

@@ -494,130 +494,15 @@ fn event_num(e: &JsonValue, key: &str) -> Option<f64> {
     e.get(key).and_then(JsonValue::as_f64)
 }
 
-/// Validates Chrome trace-event JSON text: every event must carry a
-/// phase; `X` events need a name and non-negative `ts`/`dur`; `B`/`E`
-/// pairs must balance per track with matching names; within each track,
-/// timestamps must be monotonically non-decreasing in file order and
-/// every span interval must nest inside any span still open around it.
-///
-/// This is the schema checker behind `perf check` and the CI trace gate.
+/// Validates Chrome trace-event JSON text (see [`ChromeTrace::parse`])
+/// and returns its aggregate facts. This is the schema checker behind
+/// `perf check` and the CI trace gate.
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation found.
 pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
-    let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let events = match v.get("traceEvents").and_then(JsonValue::as_array) {
-        Some(a) => a,
-        None => v
-            .as_array()
-            .ok_or("neither a traceEvents object nor a bare event array")?,
-    };
-    let mut stats = TraceStats {
-        events: events.len(),
-        ..TraceStats::default()
-    };
-    // Per-tid state: last ts, open B/E names, open X end-times.
-    let mut last_ts: Vec<(u64, f64)> = Vec::new();
-    let mut be_stack: Vec<(u64, Vec<String>)> = Vec::new();
-    let mut x_stack: Vec<(u64, Vec<f64>)> = Vec::new();
-    fn entry<T: Default>(v: &mut Vec<(u64, T)>, tid: u64) -> &mut T {
-        if let Some(i) = v.iter().position(|(t, _)| *t == tid) {
-            &mut v[i].1
-        } else {
-            v.push((tid, T::default()));
-            &mut v.last_mut().expect("just pushed").1
-        }
-    }
-    for (i, e) in events.iter().enumerate() {
-        let ph = e
-            .get("ph")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("event {i}: missing ph"))?;
-        if ph == "M" {
-            continue;
-        }
-        let tid = event_num(e, "tid").ok_or_else(|| format!("event {i}: missing tid"))? as u64;
-        let ts = event_num(e, "ts").ok_or_else(|| format!("event {i}: missing ts"))?;
-        if ts < 0.0 {
-            return Err(format!("event {i}: negative ts {ts}"));
-        }
-        let prev = entry(&mut last_ts, tid);
-        if ts + 1e-6 < *prev {
-            return Err(format!(
-                "event {i}: ts {ts} goes backwards on tid {tid} (prev {prev})"
-            ));
-        }
-        *prev = ts;
-        match ph {
-            "X" => {
-                stats.spans += 1;
-                let name = e
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("event {i}: X without name"))?;
-                let dur = event_num(e, "dur")
-                    .ok_or_else(|| format!("event {i}: X \"{name}\" without dur"))?;
-                if dur < 0.0 {
-                    return Err(format!("event {i}: X \"{name}\" negative dur {dur}"));
-                }
-                let ends = entry(&mut x_stack, tid);
-                while ends.last().is_some_and(|&end| end <= ts + 1e-6) {
-                    ends.pop();
-                }
-                if let Some(&enclosing) = ends.last() {
-                    if ts + dur > enclosing + 1e-6 {
-                        return Err(format!(
-                            "event {i}: span \"{name}\" [{ts}, {}] escapes its enclosing \
-                             span ending at {enclosing} on tid {tid}",
-                            ts + dur
-                        ));
-                    }
-                }
-                ends.push(ts + dur);
-                stats.max_depth = stats.max_depth.max(ends.len());
-            }
-            "B" => {
-                let name = e
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("event {i}: B without name"))?;
-                entry(&mut be_stack, tid).push(name.to_owned());
-            }
-            "E" => {
-                let open = entry(&mut be_stack, tid);
-                let top = open
-                    .pop()
-                    .ok_or_else(|| format!("event {i}: E with no open B on tid {tid}"))?;
-                if let Some(name) = e.get("name").and_then(JsonValue::as_str) {
-                    if name != top {
-                        return Err(format!(
-                            "event {i}: E \"{name}\" does not match open B \"{top}\""
-                        ));
-                    }
-                }
-            }
-            "C" => {
-                stats.counters += 1;
-                let ok = e
-                    .get("args")
-                    .map(|a| matches!(a, JsonValue::Object(m) if !m.is_empty()))
-                    .unwrap_or(false);
-                if !ok {
-                    return Err(format!("event {i}: C without args"));
-                }
-            }
-            "i" | "I" => {}
-            other => return Err(format!("event {i}: unsupported phase {other:?}")),
-        }
-    }
-    for (tid, open) in &be_stack {
-        if let Some(name) = open.last() {
-            return Err(format!("unbalanced B \"{name}\" left open on tid {tid}"));
-        }
-    }
-    stats.tracks = last_ts.len();
-    Ok(stats)
+    ChromeTrace::parse(text).map(|trace| trace.stats)
 }
 
 /// A trace file parsed back into a neutral form for the ASCII renderers.
@@ -627,46 +512,140 @@ pub struct ChromeTrace {
     pub thread_names: Vec<(u64, String)>,
     /// All complete spans: `(name, tid, ts_us, dur_us)`.
     pub spans: Vec<(String, u64, f64, f64)>,
+    /// Aggregate facts about the file.
+    pub stats: TraceStats,
 }
 
 impl ChromeTrace {
-    /// Parses (and validates) Chrome trace-event JSON text.
+    /// Parses Chrome trace-event JSON text, validating it in the same
+    /// walk: every event must carry a phase; `X` events need a name and
+    /// non-negative `ts`/`dur`; `B`/`E` pairs must balance per track with
+    /// matching names; within each track, timestamps must be
+    /// monotonically non-decreasing in file order and every span
+    /// interval must nest inside any span still open around it.
     ///
     /// # Errors
     ///
-    /// Returns the first schema violation, as [`validate_chrome_trace`].
+    /// Returns a description of the first violation found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        validate_chrome_trace(text)?;
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let events = v
-            .get("traceEvents")
-            .and_then(JsonValue::as_array)
-            .or_else(|| v.as_array())
-            .ok_or("no traceEvents")?;
+        let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        let events = match v.get("traceEvents").and_then(JsonValue::as_array) {
+            Some(a) => a,
+            None => v
+                .as_array()
+                .ok_or("neither a traceEvents object nor a bare event array")?,
+        };
         let mut out = ChromeTrace::default();
-        for e in events {
-            let ph = e.get("ph").and_then(JsonValue::as_str).unwrap_or("");
-            let tid = event_num(e, "tid").unwrap_or(0.0) as u64;
-            let name = e.get("name").and_then(JsonValue::as_str).unwrap_or("");
-            match ph {
-                "M" if name == "thread_name" => {
-                    if let Some(t) = e
-                        .get("args")
-                        .and_then(|a| a.get("name"))
-                        .and_then(JsonValue::as_str)
-                    {
-                        out.thread_names.push((tid, t.to_owned()));
-                    }
-                }
-                "X" => out.spans.push((
-                    name.to_owned(),
-                    tid,
-                    event_num(e, "ts").unwrap_or(0.0),
-                    event_num(e, "dur").unwrap_or(0.0),
-                )),
-                _ => {}
+        out.stats.events = events.len();
+        // Per-tid state: last ts, open B/E names, open X end-times.
+        let mut last_ts: Vec<(u64, f64)> = Vec::new();
+        let mut be_stack: Vec<(u64, Vec<String>)> = Vec::new();
+        let mut x_stack: Vec<(u64, Vec<f64>)> = Vec::new();
+        fn entry<T: Default>(v: &mut Vec<(u64, T)>, tid: u64) -> &mut T {
+            if let Some(i) = v.iter().position(|(t, _)| *t == tid) {
+                &mut v[i].1
+            } else {
+                v.push((tid, T::default()));
+                &mut v.last_mut().expect("just pushed").1
             }
         }
+        for (i, e) in events.iter().enumerate() {
+            let ph = e
+                .get("ph")
+                .and_then(JsonValue::as_str)
+                .ok_or_else(|| format!("event {i}: missing ph"))?;
+            if ph == "M" {
+                let name = e.get("name").and_then(JsonValue::as_str);
+                let track = e
+                    .get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(JsonValue::as_str);
+                if let (Some("thread_name"), Some(track)) = (name, track) {
+                    let tid = event_num(e, "tid").unwrap_or(0.0) as u64;
+                    out.thread_names.push((tid, track.to_owned()));
+                }
+                continue;
+            }
+            let tid = event_num(e, "tid").ok_or_else(|| format!("event {i}: missing tid"))? as u64;
+            let ts = event_num(e, "ts").ok_or_else(|| format!("event {i}: missing ts"))?;
+            if ts < 0.0 {
+                return Err(format!("event {i}: negative ts {ts}"));
+            }
+            let prev = entry(&mut last_ts, tid);
+            if ts + 1e-6 < *prev {
+                return Err(format!(
+                    "event {i}: ts {ts} goes backwards on tid {tid} (prev {prev})"
+                ));
+            }
+            *prev = ts;
+            match ph {
+                "X" => {
+                    out.stats.spans += 1;
+                    let name = e
+                        .get("name")
+                        .and_then(JsonValue::as_str)
+                        .ok_or_else(|| format!("event {i}: X without name"))?;
+                    let dur = event_num(e, "dur")
+                        .ok_or_else(|| format!("event {i}: X \"{name}\" without dur"))?;
+                    if dur < 0.0 {
+                        return Err(format!("event {i}: X \"{name}\" negative dur {dur}"));
+                    }
+                    let ends = entry(&mut x_stack, tid);
+                    while ends.last().is_some_and(|&end| end <= ts + 1e-6) {
+                        ends.pop();
+                    }
+                    if let Some(&enclosing) = ends.last() {
+                        if ts + dur > enclosing + 1e-6 {
+                            return Err(format!(
+                                "event {i}: span \"{name}\" [{ts}, {}] escapes its enclosing \
+                                 span ending at {enclosing} on tid {tid}",
+                                ts + dur
+                            ));
+                        }
+                    }
+                    ends.push(ts + dur);
+                    out.stats.max_depth = out.stats.max_depth.max(ends.len());
+                    out.spans.push((name.to_owned(), tid, ts, dur));
+                }
+                "B" => {
+                    let name = e
+                        .get("name")
+                        .and_then(JsonValue::as_str)
+                        .ok_or_else(|| format!("event {i}: B without name"))?;
+                    entry(&mut be_stack, tid).push(name.to_owned());
+                }
+                "E" => {
+                    let open = entry(&mut be_stack, tid);
+                    let top = open
+                        .pop()
+                        .ok_or_else(|| format!("event {i}: E with no open B on tid {tid}"))?;
+                    if let Some(name) = e.get("name").and_then(JsonValue::as_str) {
+                        if name != top {
+                            return Err(format!(
+                                "event {i}: E \"{name}\" does not match open B \"{top}\""
+                            ));
+                        }
+                    }
+                }
+                "C" => {
+                    out.stats.counters += 1;
+                    let ok = e
+                        .get("args")
+                        .is_some_and(|a| matches!(a, JsonValue::Object(m) if !m.is_empty()));
+                    if !ok {
+                        return Err(format!("event {i}: C without args"));
+                    }
+                }
+                "i" | "I" => {}
+                other => return Err(format!("event {i}: unsupported phase {other:?}")),
+            }
+        }
+        for (tid, open) in &be_stack {
+            if let Some(name) = open.last() {
+                return Err(format!("unbalanced B \"{name}\" left open on tid {tid}"));
+            }
+        }
+        out.stats.tracks = last_ts.len();
         Ok(out)
     }
 

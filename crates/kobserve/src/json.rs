@@ -4,7 +4,7 @@
 //! This module covers exactly what the reports need: the six JSON value
 //! kinds, deterministic member order (objects are ordered vectors, not
 //! maps), full string escaping, and a strict recursive-descent parser so
-//! reports can be read back for [`crate::compare`].
+//! reports can be read back.
 
 use std::fmt;
 

@@ -17,8 +17,7 @@
 //!   which sequence it joined.
 //! * **JSON run reports** ([`RunReport`], [`json`]) — hand-rolled JSON
 //!   (serializer *and* parser, no serde) for machine-readable results
-//!   written beside the human-readable `.txt` figures, plus
-//!   [`compare`] for regression checking between runs.
+//!   written beside the human-readable `.txt` figures.
 //! * **Flight recorder** ([`flight`]) — an opt-in structured tracer:
 //!   hierarchical spans with per-thread/worker attribution, heartbeat
 //!   counters, and a Chrome trace-event / Perfetto exporter. When
@@ -28,7 +27,7 @@
 //!   twin: windowed miss/occupancy telemetry frames sampled every `2^k`
 //!   simulated events, change-point phase segmentation, and the
 //!   `oslay.telemetry.v1` document behind `--telemetry-out` and the
-//!   `dash` viewer. Shared JSONL plumbing lives in [`jsonl`].
+//!   `dash` viewer.
 //!
 //! Metric names are namespaced by pipeline stage: `trace.*`, `cache.*`,
 //! `layout.*`, `study.*` (see `DESIGN.md` at the repository root).
@@ -43,7 +42,6 @@
 mod audit;
 pub mod flight;
 pub mod json;
-pub mod jsonl;
 mod metrics;
 mod report;
 mod span;
@@ -54,5 +52,5 @@ pub use json::{JsonError, JsonValue};
 pub use metrics::{
     AttrClass, AttributionProbe, Histogram, HistogramSummary, MetricRegistry, NoopProbe, Probe,
 };
-pub use report::{compare, Regression, ReportError, RunReport, SpanEntry};
+pub use report::{ReportError, RunReport, SpanEntry};
 pub use span::{global_recorder, span, Recorder, SpanGuard};

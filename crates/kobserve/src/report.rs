@@ -1,12 +1,10 @@
-//! Machine-readable run reports and the regression checker.
+//! Machine-readable run reports.
 //!
 //! A [`RunReport`] bundles one experiment run: phase spans, the metric
 //! registry's counters/gauges/histograms, and any number of named
 //! *sections* of numeric fields (miss rates per optimization level,
 //! speedups per penalty, ...). It serializes to JSON beside the
-//! human-readable `.txt` outputs, appends to JSONL trajectories, parses
-//! back, and feeds [`compare`] so a later run can be checked against a
-//! stored baseline.
+//! human-readable `.txt` outputs and parses back.
 
 use std::fmt;
 use std::fs;
@@ -401,17 +399,6 @@ impl RunReport {
         fs::write(path, self.to_json().to_json_pretty())?;
         Ok(())
     }
-
-    /// Appends the report as one compact JSON line to a `.jsonl`
-    /// trajectory file, creating it (and parent directories) as needed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ReportError::Io`] on filesystem failure.
-    pub fn append_jsonl(&self, path: &Path) -> Result<(), ReportError> {
-        crate::jsonl::append_line(path, &self.to_json())?;
-        Ok(())
-    }
 }
 
 /// A report could not be written, read, or parsed.
@@ -449,81 +436,6 @@ impl From<json::JsonError> for ReportError {
     }
 }
 
-/// One field that regressed between two runs.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Regression {
-    /// `section.field` or `gauge.<name>` path of the regressed value.
-    pub path: String,
-    /// Value in the baseline run.
-    pub baseline: f64,
-    /// Value in the current run.
-    pub current: f64,
-}
-
-impl Regression {
-    /// Relative increase of `current` over `baseline`.
-    #[must_use]
-    pub fn relative_increase(&self) -> f64 {
-        if self.baseline == 0.0 {
-            f64::INFINITY
-        } else {
-            self.current / self.baseline - 1.0
-        }
-    }
-}
-
-impl fmt::Display for Regression {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {} -> {} (+{:.2}%)",
-            self.path,
-            self.baseline,
-            self.current,
-            self.relative_increase() * 100.0
-        )
-    }
-}
-
-/// Compares two runs, flagging every shared numeric field whose current
-/// value exceeds the baseline by more than `tolerance` (relative).
-///
-/// Fields are *lower-is-better* (miss rates, times): a regression is
-/// `current > baseline * (1 + tolerance)`. Section fields and gauges are
-/// compared; fields present in only one report are ignored (workloads
-/// may come and go between runs).
-#[must_use]
-pub fn compare(baseline: &RunReport, current: &RunReport, tolerance: f64) -> Vec<Regression> {
-    let mut out = Vec::new();
-    for section in &baseline.sections {
-        for (field, base) in &section.fields {
-            let Some(cur) = current.section_field(&section.name, field) else {
-                continue;
-            };
-            if cur > base * (1.0 + tolerance) + f64::EPSILON {
-                out.push(Regression {
-                    path: format!("{}.{}", section.name, field),
-                    baseline: *base,
-                    current: cur,
-                });
-            }
-        }
-    }
-    for (name, base) in &baseline.gauges {
-        let Some(&(_, cur)) = current.gauges.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        if cur > base * (1.0 + tolerance) + f64::EPSILON {
-            out.push(Regression {
-                path: format!("gauge.{name}"),
-                baseline: *base,
-                current: cur,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,45 +445,6 @@ mod tests {
         let mut r = RunReport::new("run");
         r.add_section("fig12.cc1", [("Base", 0.2), ("OptA", miss_rate)]);
         r
-    }
-
-    #[test]
-    fn compare_flags_regression_above_tolerance() {
-        let baseline = report_with(0.050);
-        let current = report_with(0.060); // +20%
-        let regs = compare(&baseline, &current, 0.05);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].path, "fig12.cc1.OptA");
-        assert!((regs[0].relative_increase() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn compare_accepts_change_below_tolerance() {
-        let baseline = report_with(0.050);
-        let current = report_with(0.051); // +2%
-        assert!(compare(&baseline, &current, 0.05).is_empty());
-        // Improvements never flag.
-        let better = report_with(0.040);
-        assert!(compare(&baseline, &better, 0.0).is_empty());
-    }
-
-    #[test]
-    fn compare_ignores_fields_missing_from_either_side() {
-        let mut baseline = report_with(0.05);
-        baseline.add_section("only.base", [("x", 1.0)]);
-        let current = report_with(0.05);
-        assert!(compare(&baseline, &current, 0.0).is_empty());
-    }
-
-    #[test]
-    fn compare_covers_gauges() {
-        let mut baseline = RunReport::new("b");
-        baseline.gauges.push(("cache.miss_rate".into(), 0.10));
-        let mut current = RunReport::new("c");
-        current.gauges.push(("cache.miss_rate".into(), 0.13));
-        let regs = compare(&baseline, &current, 0.1);
-        assert_eq!(regs.len(), 1);
-        assert_eq!(regs[0].path, "gauge.cache.miss_rate");
     }
 
     #[test]
@@ -605,7 +478,7 @@ mod tests {
     }
 
     #[test]
-    fn write_and_append_jsonl() {
+    fn write_round_trips_through_disk() {
         let dir = std::env::temp_dir().join(format!(
             "kobserve_test_{}_{}",
             std::process::id(),
@@ -620,14 +493,6 @@ mod tests {
         let back = RunReport::from_json(&fs::read_to_string(&json_path).unwrap()).unwrap();
         assert_eq!(back, report);
 
-        let jsonl_path = dir.join("trajectory.jsonl");
-        report.append_jsonl(&jsonl_path).unwrap();
-        report.append_jsonl(&jsonl_path).unwrap();
-        let lines = fs::read_to_string(&jsonl_path).unwrap();
-        assert_eq!(lines.lines().count(), 2);
-        for line in lines.lines() {
-            assert_eq!(RunReport::from_json(line).unwrap(), report);
-        }
         fs::remove_dir_all(&dir).unwrap();
     }
 

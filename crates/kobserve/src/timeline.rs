@@ -749,218 +749,227 @@ pub struct TelemetryDoc {
 }
 
 impl TelemetryDoc {
-    /// Parses and validates a telemetry document.
+    /// Parses a telemetry document, validating it strictly in the same
+    /// walk: schema tag, frame row shape and non-negativity, strictly
+    /// increasing event counts, miss-split and OS-mix consistency, and
+    /// phase coverage/summation. Sums that overflow `u64` are violations
+    /// too, so hostile numbers yield an `Err`, never a panic or a wrap.
     ///
     /// # Errors
     ///
-    /// Returns the first schema or monotonicity violation, as
-    /// [`validate_telemetry`] would.
+    /// Returns a description of the first violation found.
     pub fn parse(text: &str) -> Result<Self, String> {
-        validate_telemetry(text)?;
-        let v = json::parse(text).map_err(|e| e.to_string())?;
-        let mut runs = Vec::new();
-        for run in v.get("runs").and_then(JsonValue::as_array).unwrap_or(&[]) {
-            let rows: Vec<[u64; 12]> = run
-                .get("frames")
-                .and_then(JsonValue::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .map(|row| {
-                    let mut out = [0u64; 12];
-                    for (slot, cell) in out.iter_mut().zip(row.as_array().unwrap_or(&[])) {
-                        *slot = cell.as_u64().unwrap_or(0);
-                    }
-                    out
-                })
-                .collect();
-            let phases = run
-                .get("phases")
-                .and_then(JsonValue::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .map(|p| {
-                    let f = |key: &str| p.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-                    Phase {
-                        id: f("id") as u32,
-                        start_frame: f("start_frame") as usize,
-                        end_frame: f("end_frame") as usize,
-                        events_start: f("events_start"),
-                        events_end: f("events_end"),
-                        accesses: f("accesses"),
-                        misses: f("misses"),
-                        compulsory: f("compulsory"),
-                        capacity: f("capacity"),
-                        conflict: f("conflict"),
-                        miss_rate_ppm: f("miss_rate_ppm"),
-                    }
-                })
-                .collect();
-            runs.push(TelemetryRun {
-                label: run
-                    .get("label")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
-                window_log2: run
-                    .get("window_log2")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0) as u32,
-                rows,
-                phases,
-            });
+        let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
+        if v.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
+            return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
         }
+        let runs = v
+            .get("runs")
+            .and_then(JsonValue::as_array)
+            .ok_or("missing runs array")?;
+        let runs = runs
+            .iter()
+            .enumerate()
+            .map(|(ri, run)| parse_run(ri, run))
+            .collect::<Result<_, _>>()?;
         Ok(Self { runs })
+    }
+
+    /// Summary counts of the document.
+    #[must_use]
+    pub fn stats(&self) -> TelemetryStats {
+        TelemetryStats {
+            runs: self.runs.len(),
+            frames: self.runs.iter().map(|r| r.rows.len()).sum(),
+            phases: self.runs.iter().map(|r| r.phases.len()).sum(),
+            events: self
+                .runs
+                .iter()
+                .filter_map(|r| r.rows.last())
+                .fold(0, |total, row| total.saturating_add(row[0])),
+        }
     }
 }
 
-/// Strictly validates a serialized telemetry document: schema tag, frame
-/// row shape and non-negativity, strictly increasing event counts,
-/// miss-split and OS-mix consistency, and phase coverage/summation.
-/// Powers `dash --check` (exit 0 on `Ok`, 1 on `Err`).
+/// `a + b`, or the named violation when the sum overflows `u64`.
+fn add(a: u64, b: u64, what: impl FnOnce() -> String) -> Result<u64, String> {
+    a.checked_add(b)
+        .ok_or_else(|| format!("{} overflows", what()))
+}
+
+/// Parses and validates run `ri` of a telemetry document.
+fn parse_run(ri: usize, run: &JsonValue) -> Result<TelemetryRun, String> {
+    let label = run
+        .get("label")
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| format!("run {ri}: missing label"))?;
+    if label.is_empty() {
+        return Err(format!("run {ri}: empty label"));
+    }
+    let window = run
+        .get("window_log2")
+        .and_then(JsonValue::as_u64)
+        .ok_or_else(|| format!("run {label:?}: missing window_log2"))?;
+    if window > 63 {
+        return Err(format!("run {label:?}: window_log2 {window} out of range"));
+    }
+    let frames = run
+        .get("frames")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("run {label:?}: missing frames"))?;
+    let mut rows = Vec::with_capacity(frames.len());
+    let mut prev_events = 0u64;
+    let mut frame_sums = (0u64, 0u64); // (accesses, misses)
+    for (fi, row) in frames.iter().enumerate() {
+        let cells = row
+            .as_array()
+            .ok_or_else(|| format!("run {label:?} frame {fi}: not an array"))?;
+        if cells.len() != 12 {
+            return Err(format!(
+                "run {label:?} frame {fi}: {} cells, want 12",
+                cells.len()
+            ));
+        }
+        let mut r = [0u64; 12];
+        for (i, cell) in cells.iter().enumerate() {
+            r[i] = cell.as_u64().ok_or_else(|| {
+                format!("run {label:?} frame {fi} cell {i}: not a non-negative integer")
+            })?;
+        }
+        let [events, accesses, os_accesses, misses, compulsory, capacity, conflict, occ_p50, occ_p95, fill_ppm, _, _] =
+            r;
+        if events <= prev_events {
+            return Err(format!(
+                "run {label:?} frame {fi}: events {events} not strictly increasing (prev {prev_events})"
+            ));
+        }
+        prev_events = events;
+        if misses > accesses {
+            return Err(format!(
+                "run {label:?} frame {fi}: misses {misses} exceed accesses {accesses}"
+            ));
+        }
+        if os_accesses > accesses {
+            return Err(format!(
+                "run {label:?} frame {fi}: os_accesses {os_accesses} exceed accesses {accesses}"
+            ));
+        }
+        let split = compulsory
+            .checked_add(capacity)
+            .and_then(|s| s.checked_add(conflict));
+        if split != Some(misses) {
+            return Err(format!(
+                "run {label:?} frame {fi}: miss split {compulsory}+{capacity}+{conflict} != {misses}"
+            ));
+        }
+        if occ_p50 > occ_p95 {
+            return Err(format!(
+                "run {label:?} frame {fi}: occ_p50 {occ_p50} exceeds occ_p95 {occ_p95}"
+            ));
+        }
+        if fill_ppm > 1_000_000 {
+            return Err(format!(
+                "run {label:?} frame {fi}: fill_ppm {fill_ppm} exceeds 1e6"
+            ));
+        }
+        let what = || format!("run {label:?}: frame sum at frame {fi}");
+        frame_sums = (
+            add(frame_sums.0, accesses, what)?,
+            add(frame_sums.1, misses, what)?,
+        );
+        rows.push(r);
+    }
+    let phase_values = run
+        .get("phases")
+        .and_then(JsonValue::as_array)
+        .ok_or_else(|| format!("run {label:?}: missing phases"))?;
+    if frames.is_empty() && !phase_values.is_empty() {
+        return Err(format!("run {label:?}: phases without frames"));
+    }
+    let mut phases = Vec::with_capacity(phase_values.len());
+    let mut next_start = 0usize;
+    let mut phase_sums = (0u64, 0u64);
+    for (pi, phase) in phase_values.iter().enumerate() {
+        let f = |key: &str| {
+            phase
+                .get(key)
+                .and_then(JsonValue::as_u64)
+                .ok_or_else(|| format!("run {label:?} phase {pi}: missing {key}"))
+        };
+        let id = f("id")?;
+        if id != pi as u64 {
+            return Err(format!("run {label:?} phase {pi}: non-sequential id"));
+        }
+        let start = f("start_frame")? as usize;
+        let end = f("end_frame")? as usize;
+        if start != next_start || end <= start || end > frames.len() {
+            return Err(format!(
+                "run {label:?} phase {pi}: range {start}..{end} breaks contiguous coverage"
+            ));
+        }
+        next_start = end;
+        let (accesses, misses) = (f("accesses")?, f("misses")?);
+        let (compulsory, capacity, conflict) = (f("compulsory")?, f("capacity")?, f("conflict")?);
+        let split = compulsory
+            .checked_add(capacity)
+            .and_then(|s| s.checked_add(conflict));
+        if split != Some(misses) {
+            return Err(format!("run {label:?} phase {pi}: miss split mismatch"));
+        }
+        let scaled = misses
+            .checked_mul(1_000_000)
+            .ok_or_else(|| format!("run {label:?} phase {pi}: misses x 1e6 overflows"))?;
+        let miss_rate_ppm = f("miss_rate_ppm")?;
+        if miss_rate_ppm != scaled.checked_div(accesses).unwrap_or(0) {
+            return Err(format!("run {label:?} phase {pi}: miss_rate_ppm mismatch"));
+        }
+        let what = || format!("run {label:?}: phase sum at phase {pi}");
+        phase_sums = (
+            add(phase_sums.0, accesses, what)?,
+            add(phase_sums.1, misses, what)?,
+        );
+        phases.push(Phase {
+            id: id as u32,
+            start_frame: start,
+            end_frame: end,
+            events_start: f("events_start")?,
+            events_end: f("events_end")?,
+            accesses,
+            misses,
+            compulsory,
+            capacity,
+            conflict,
+            miss_rate_ppm,
+        });
+    }
+    if !frames.is_empty() && next_start != frames.len() {
+        return Err(format!(
+            "run {label:?}: phases cover {next_start} of {} frames",
+            frames.len()
+        ));
+    }
+    if !frames.is_empty() && phase_sums != frame_sums {
+        return Err(format!(
+            "run {label:?}: phase sums {phase_sums:?} disagree with frame sums {frame_sums:?}"
+        ));
+    }
+    Ok(TelemetryRun {
+        label: label.to_owned(),
+        window_log2: window as u32,
+        rows,
+        phases,
+    })
+}
+
+/// Strictly validates a serialized telemetry document (see
+/// [`TelemetryDoc::parse`]) and returns its summary counts. Powers
+/// `dash --check` (exit 0 on `Ok`, 1 on `Err`).
 ///
 /// # Errors
 ///
 /// Returns a description of the first violation found.
 pub fn validate_telemetry(text: &str) -> Result<TelemetryStats, String> {
-    let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    if v.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-        return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
-    }
-    let runs = v
-        .get("runs")
-        .and_then(JsonValue::as_array)
-        .ok_or("missing runs array")?;
-    let mut stats = TelemetryStats {
-        runs: runs.len(),
-        ..TelemetryStats::default()
-    };
-    for (ri, run) in runs.iter().enumerate() {
-        let label = run
-            .get("label")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| format!("run {ri}: missing label"))?;
-        if label.is_empty() {
-            return Err(format!("run {ri}: empty label"));
-        }
-        let window = run
-            .get("window_log2")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| format!("run {label:?}: missing window_log2"))?;
-        if window > 63 {
-            return Err(format!("run {label:?}: window_log2 {window} out of range"));
-        }
-        let frames = run
-            .get("frames")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("run {label:?}: missing frames"))?;
-        let mut prev_events = 0u64;
-        let mut frame_sums = (0u64, 0u64); // (accesses, misses)
-        for (fi, row) in frames.iter().enumerate() {
-            let cells = row
-                .as_array()
-                .ok_or_else(|| format!("run {label:?} frame {fi}: not an array"))?;
-            if cells.len() != 12 {
-                return Err(format!(
-                    "run {label:?} frame {fi}: {} cells, want 12",
-                    cells.len()
-                ));
-            }
-            let mut r = [0u64; 12];
-            for (i, cell) in cells.iter().enumerate() {
-                r[i] = cell.as_u64().ok_or_else(|| {
-                    format!("run {label:?} frame {fi} cell {i}: not a non-negative integer")
-                })?;
-            }
-            let [events, accesses, os_accesses, misses, compulsory, capacity, conflict, occ_p50, occ_p95, fill_ppm, _, _] =
-                r;
-            if events <= prev_events {
-                return Err(format!(
-                    "run {label:?} frame {fi}: events {events} not strictly increasing (prev {prev_events})"
-                ));
-            }
-            prev_events = events;
-            if misses > accesses {
-                return Err(format!(
-                    "run {label:?} frame {fi}: misses {misses} exceed accesses {accesses}"
-                ));
-            }
-            if os_accesses > accesses {
-                return Err(format!(
-                    "run {label:?} frame {fi}: os_accesses {os_accesses} exceed accesses {accesses}"
-                ));
-            }
-            if compulsory + capacity + conflict != misses {
-                return Err(format!(
-                    "run {label:?} frame {fi}: miss split {compulsory}+{capacity}+{conflict} != {misses}"
-                ));
-            }
-            if occ_p50 > occ_p95 {
-                return Err(format!(
-                    "run {label:?} frame {fi}: occ_p50 {occ_p50} exceeds occ_p95 {occ_p95}"
-                ));
-            }
-            if fill_ppm > 1_000_000 {
-                return Err(format!(
-                    "run {label:?} frame {fi}: fill_ppm {fill_ppm} exceeds 1e6"
-                ));
-            }
-            frame_sums.0 += accesses;
-            frame_sums.1 += misses;
-        }
-        stats.frames += frames.len();
-        stats.events += prev_events;
-        let phases = run
-            .get("phases")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| format!("run {label:?}: missing phases"))?;
-        if frames.is_empty() && !phases.is_empty() {
-            return Err(format!("run {label:?}: phases without frames"));
-        }
-        let mut next_start = 0usize;
-        let mut phase_sums = (0u64, 0u64);
-        for (pi, phase) in phases.iter().enumerate() {
-            let f = |key: &str| {
-                phase
-                    .get(key)
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("run {label:?} phase {pi}: missing {key}"))
-            };
-            if f("id")? != pi as u64 {
-                return Err(format!("run {label:?} phase {pi}: non-sequential id"));
-            }
-            let start = f("start_frame")? as usize;
-            let end = f("end_frame")? as usize;
-            if start != next_start || end <= start || end > frames.len() {
-                return Err(format!(
-                    "run {label:?} phase {pi}: range {start}..{end} breaks contiguous coverage"
-                ));
-            }
-            next_start = end;
-            let (accesses, misses) = (f("accesses")?, f("misses")?);
-            if f("compulsory")? + f("capacity")? + f("conflict")? != misses {
-                return Err(format!("run {label:?} phase {pi}: miss split mismatch"));
-            }
-            let want_rate = (misses * 1_000_000).checked_div(accesses).unwrap_or(0);
-            if f("miss_rate_ppm")? != want_rate {
-                return Err(format!("run {label:?} phase {pi}: miss_rate_ppm mismatch"));
-            }
-            phase_sums.0 += accesses;
-            phase_sums.1 += misses;
-        }
-        if !frames.is_empty() && next_start != frames.len() {
-            return Err(format!(
-                "run {label:?}: phases cover {next_start} of {} frames",
-                frames.len()
-            ));
-        }
-        if !frames.is_empty() && phase_sums != frame_sums {
-            return Err(format!(
-                "run {label:?}: phase sums {phase_sums:?} disagree with frame sums {frame_sums:?}"
-            ));
-        }
-        stats.phases += phases.len();
-    }
-    Ok(stats)
+    TelemetryDoc::parse(text).map(|doc| doc.stats())
 }
 
 #[cfg(test)]
@@ -1233,5 +1242,36 @@ mod tests {
         assert!(err.contains("cover"), "{err}");
         let empty = format!("{{\"schema\": {SCHEMA:?}, \"runs\": []}}");
         assert_eq!(validate_telemetry(&empty).unwrap().runs, 0);
+    }
+
+    #[test]
+    fn validator_rejects_overflowing_sums_without_panicking() {
+        let doc = |frames: &str, phases: &str| {
+            format!(
+                "{{\"schema\": {SCHEMA:?}, \"runs\": [{{\"label\": \"x\", \"window_log2\": 8, \
+                 \"frames\": [{frames}], \"phases\": [{phases}]}}]}}"
+            )
+        };
+        let big = 18_000_000_000_000_000_000u64;
+        // A frame whose miss split overflows u64.
+        let split = doc(&format!("[256,10,5,2,{big},{big},{big},0,0,0,0,0]"), "");
+        let err = validate_telemetry(&split).expect_err("overflowing miss split");
+        assert!(err.contains("miss split"), "{err}");
+        // A phase whose misses overflow the ppm scaling.
+        let phase = format!(
+            "{{\"id\": 0, \"start_frame\": 0, \"end_frame\": 1, \"events_start\": 0, \
+             \"events_end\": 256, \"accesses\": 10, \"misses\": {big}, \"compulsory\": {big}, \
+             \"capacity\": 0, \"conflict\": 0, \"miss_rate_ppm\": 0}}"
+        );
+        let ppm = doc("[256,10,5,2,1,0,1,0,0,0,0,0]", &phase);
+        let err = validate_telemetry(&ppm).expect_err("overflowing ppm scaling");
+        assert!(err.contains("overflows"), "{err}");
+        // Frame accesses whose running sum overflows.
+        let sums = doc(
+            &format!("[256,{big},0,0,0,0,0,0,0,0,0,0],[512,{big},0,0,0,0,0,0,0,0,0,0]"),
+            "",
+        );
+        let err = validate_telemetry(&sums).expect_err("overflowing frame sum");
+        assert!(err.contains("overflows"), "{err}");
     }
 }

@@ -1,10 +1,8 @@
-//! Seeded property tests for the hand-rolled JSON codec and the
-//! report-comparison gate — the same coverage a property-testing
-//! framework would give, with no external crate: every failure
-//! reproduces from the fixed seed alone.
+//! Seeded property tests for the hand-rolled JSON codec — the same
+//! coverage a property-testing framework would give, with no external
+//! crate: every failure reproduces from the fixed seed alone.
 
 use oslay_observe::json::{parse, JsonValue};
-use oslay_observe::{compare, RunReport};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -121,67 +119,4 @@ fn json_nonfinite_numbers_become_null() {
             JsonValue::Array(vec![JsonValue::Null])
         );
     }
-}
-
-fn report(fields: &[(&str, f64)]) -> RunReport {
-    let mut r = RunReport::new("prop");
-    r.add_section("sec", fields.iter().map(|&(k, v)| (k, v)));
-    r
-}
-
-#[test]
-fn compare_zero_tolerance_accepts_exact_equality() {
-    let mut rng = Rng::new(0xc0_ffee);
-    for _ in 0..200 {
-        let v = rng.number().abs();
-        let a = report(&[("x", v)]);
-        let b = report(&[("x", v)]);
-        assert!(
-            compare(&a, &b, 0.0).is_empty(),
-            "equal values must pass at zero tolerance (v = {v})"
-        );
-    }
-}
-
-#[test]
-fn compare_flags_iff_above_tolerance() {
-    let mut rng = Rng::new(0x5eed_5eed);
-    for _ in 0..200 {
-        let base = rng.below(1_000_000) as f64 / 1_000.0 + 0.001;
-        let tol = rng.below(50) as f64 / 100.0; // 0 .. 0.49
-        let worse = report(&[("x", base * (1.0 + tol) * 1.01)]);
-        let fine = report(&[("x", base * (1.0 + tol) * 0.99)]);
-        let baseline = report(&[("x", base)]);
-        assert_eq!(
-            compare(&baseline, &worse, tol).len(),
-            1,
-            "base={base} tol={tol}"
-        );
-        assert!(
-            compare(&baseline, &fine, tol).is_empty(),
-            "base={base} tol={tol}"
-        );
-    }
-}
-
-#[test]
-fn compare_ignores_sections_missing_from_either_side() {
-    let mut baseline = RunReport::new("a");
-    baseline.add_section("only_in_baseline", [("x", 1.0)]);
-    let mut current = RunReport::new("b");
-    current.add_section("only_in_current", [("x", 100.0)]);
-    // No shared fields -> nothing to flag, in either direction.
-    assert!(compare(&baseline, &current, 0.0).is_empty());
-    assert!(compare(&current, &baseline, 0.0).is_empty());
-}
-
-#[test]
-fn compare_never_flags_nan_fields() {
-    // NaN compares false with everything, so a NaN on either side must
-    // not produce a (meaningless) regression.
-    let nan = report(&[("x", f64::NAN)]);
-    let num = report(&[("x", 1.0)]);
-    assert!(compare(&nan, &num, 0.0).is_empty());
-    assert!(compare(&num, &nan, 0.0).is_empty());
-    assert!(compare(&nan, &nan, 0.0).is_empty());
 }

@@ -16,7 +16,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod alloc;
-pub mod history;
 pub mod simbench;
 
 /// The simple machine model.

@@ -1,37 +1,54 @@
-//! Throughput bench report for the simulation engine.
+//! Throughput bench report for the simulation engines.
 //!
-//! The `bench_sim` driver (in `oslay-bench`) measures events/sec and an
-//! allocation-based peak-RSS proxy for Base vs OptS replay and writes the
-//! numbers to `BENCH_sim.json` at the repo root, so the engine's perf
-//! trajectory is tracked in-tree from PR 3 onward.
+//! The `bench_sim` binary (in `oslay-bench`) times each engine case with
+//! [`measure`] — one untimed warm-up run, then [`REPS`] timed runs — and
+//! writes the median time with its first and third quartiles, events/sec
+//! at the median, and allocation counts to `BENCH_sim.json` at the repo
+//! root. A single timing cannot tell a 10% change from host noise; the
+//! quartiles say how wide that noise was.
 //!
 //! The on-disk format *is* an `oslay_observe::RunReport` — one
 //! `bench.<case>` section per measured case plus a `bench.meta` section —
-//! so the existing report tooling (`diag --check-results`,
-//! `RunReport::compare`) works on it unchanged.
+//! so the existing report tooling (`diag --check-results`) works on it
+//! unchanged.
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use oslay_observe::RunReport;
 
-/// One measured replay configuration.
+use crate::alloc;
+
+/// Timed repetitions of every case, after one untimed warm-up run.
+pub const REPS: u64 = 5;
+
+/// One measured engine case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCase {
     /// Case label, e.g. `replay_base` or `stream_opt_s`.
     pub name: String,
-    /// Cache accesses (instruction fetches) replayed.
+    /// Events one run processes (cache accesses, codec events, scored
+    /// candidates — each case says what it counts).
     pub events: u64,
-    /// Wall-clock seconds for the measured region.
+    /// Median wall-clock seconds of one run.
     pub secs: f64,
-    /// Allocator calls during the measured region (0 when the counting
+    /// First quartile of the run times.
+    pub secs_q1: f64,
+    /// Third quartile of the run times.
+    pub secs_q3: f64,
+    /// Timed runs behind the quartiles.
+    pub reps: u64,
+    /// Allocator calls during the last timed run (0 when the counting
     /// allocator is not installed).
     pub allocs: u64,
-    /// Bytes requested during the measured region.
+    /// Bytes requested during the last timed run.
     pub alloc_bytes: u64,
-    /// Peak live heap bytes over the measured region (RSS proxy).
+    /// Peak live heap bytes over the last timed run (RSS proxy).
     pub peak_bytes: u64,
 }
 
 impl BenchCase {
-    /// Replay throughput in events per second.
+    /// Throughput at the median time, in events per second.
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
         if self.secs > 0.0 {
@@ -42,14 +59,67 @@ impl BenchCase {
     }
 }
 
-/// The full bench run: meta (scale, threads), the measured cases, and
-/// derived cross-case figures (e.g. parallel speedup).
+/// The first quartile, median and third quartile of `times`, each the
+/// sample at that rank (nearest rank, no interpolation).
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+#[must_use]
+fn quartiles(times: &[f64]) -> (f64, f64, f64) {
+    assert!(!times.is_empty(), "need at least one time");
+    let mut sorted = times.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let rank = |quarter: usize| sorted[(sorted.len() - 1) * quarter / 4];
+    (rank(1), rank(2), rank(3))
+}
+
+/// Runs `f` once untimed, then [`REPS`] times timed, and returns the
+/// case: the quartiles of the timed runs, and the allocator deltas of
+/// the last one. `f` returns the events one run processed.
+///
+/// # Panics
+///
+/// Panics if two runs report different event counts: every run of a
+/// case must do the same work.
+pub fn measure(name: &str, mut f: impl FnMut() -> u64) -> BenchCase {
+    let events = black_box(f());
+    let mut times = Vec::new();
+    let mut delta = alloc::snapshot();
+    for _ in 0..REPS {
+        alloc::reset_peak();
+        let before = alloc::snapshot();
+        let start = Instant::now();
+        let n = black_box(f());
+        times.push(start.elapsed().as_secs_f64());
+        delta = alloc::snapshot().delta_from(&before);
+        assert_eq!(n, events, "case {name}: every run must do the same work");
+    }
+    let (secs_q1, secs, secs_q3) = quartiles(&times);
+    BenchCase {
+        name: name.to_owned(),
+        events,
+        secs,
+        secs_q1,
+        secs_q3,
+        reps: REPS,
+        allocs: delta.calls,
+        alloc_bytes: delta.bytes,
+        peak_bytes: delta.peak_bytes,
+    }
+}
+
+/// The full bench run: meta (scale, threads, host CPUs), the measured
+/// cases, and derived cross-case figures (e.g. parallel speedup), each
+/// computed from median times.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BenchReport {
     /// Scale label (`tiny`/`small`/`paper`).
     pub scale: String,
     /// Worker threads used for the sharded phases.
     pub threads: u64,
+    /// CPUs available to the process on the measuring host.
+    pub cpus: u64,
     /// Measured cases, in measurement order.
     pub cases: Vec<BenchCase>,
     /// Derived figures: `(name, value)`, e.g. `("parallel_speedup", 3.8)`.
@@ -63,6 +133,7 @@ impl BenchReport {
         Self {
             scale: scale.to_owned(),
             threads: threads as u64,
+            cpus: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
             cases: Vec::new(),
             derived: Vec::new(),
         }
@@ -95,6 +166,7 @@ impl BenchReport {
             "bench.meta",
             [
                 ("threads".to_owned(), self.threads as f64),
+                ("cpus".to_owned(), self.cpus as f64),
                 ("cases".to_owned(), self.cases.len() as f64),
             ],
         );
@@ -104,6 +176,9 @@ impl BenchReport {
                 [
                     ("events".to_owned(), case.events as f64),
                     ("secs".to_owned(), case.secs),
+                    ("secs_q1".to_owned(), case.secs_q1),
+                    ("secs_q3".to_owned(), case.secs_q3),
+                    ("reps".to_owned(), case.reps as f64),
                     ("events_per_sec".to_owned(), case.events_per_sec()),
                     ("allocs".to_owned(), case.allocs as f64),
                     ("alloc_bytes".to_owned(), case.alloc_bytes as f64),
@@ -167,7 +242,7 @@ pub const MIN_SEARCH_SCORE_EVALS_PER_SEC: f64 = 5_000.0;
 
 /// The minimum acceptable end-to-end layout-search rate, in proposed
 /// candidates per second, gated against the `search_walk` case when
-/// present. The ISSUE-level claim is "thousands of candidates per
+/// present. The engine's claim is "thousands of candidates per
 /// second"; the floor encodes exactly that, with headroom for loaded
 /// CI machines.
 pub const MIN_SEARCH_WALK_CANDIDATES_PER_SEC: f64 = 2_000.0;
@@ -183,7 +258,10 @@ pub const MIN_ABSINT_CLASSIFY_POINTS_PER_SEC: f64 = 2_000.0;
 
 /// Validates serialized `BENCH_sim.json` text: it must parse as a
 /// [`RunReport`] and carry at least one `bench.*` case section, each
-/// named once, whose `events_per_sec` field is strictly positive. When the derived section
+/// named once, whose `events_per_sec` field is strictly positive, whose
+/// `secs_q1` and `secs_q3` bracket its median `secs`, and whose `reps`
+/// is at least [`REPS`]. The rate floors below apply to the median
+/// throughput. When the derived section
 /// records a `trace_compression_ratio`, it must meet
 /// [`MIN_TRACE_COMPRESSION_RATIO`]; a recorded `sweep_speedup` must
 /// meet [`MIN_SWEEP_SPEEDUP`]. A report that measures the layout-search
@@ -217,6 +295,23 @@ pub fn validate(text: &str) -> Result<(), String> {
             .ok_or_else(|| format!("section {name} lacks events_per_sec"))?;
         if eps <= 0.0 {
             return Err(format!("section {name} has non-positive throughput {eps}"));
+        }
+        let field = |key: &str| {
+            report
+                .section_field(name, key)
+                .ok_or_else(|| format!("section {name} lacks {key}"))
+        };
+        let (q1, median, q3) = (field("secs_q1")?, field("secs")?, field("secs_q3")?);
+        if !(q1 <= median && median <= q3) {
+            return Err(format!(
+                "section {name}: quartiles {q1}..{q3} do not bracket the median {median}"
+            ));
+        }
+        let reps = field("reps")?;
+        if reps < REPS as f64 {
+            return Err(format!(
+                "section {name}: {reps} repetitions, below the {REPS} required"
+            ));
         }
     }
     if let Some(ratio) = report.section_field("bench.derived", "trace_compression_ratio") {
@@ -253,16 +348,24 @@ pub fn validate(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A case timed at exactly `secs` on every repetition.
+    fn case(name: &str, events: u64, secs: f64) -> BenchCase {
+        BenchCase {
+            name: name.to_owned(),
+            events,
+            secs,
+            secs_q1: secs,
+            secs_q3: secs,
+            reps: REPS,
+            allocs: 0,
+            alloc_bytes: 0,
+            peak_bytes: 0,
+        }
+    }
+
     fn sample() -> BenchReport {
         let mut r = BenchReport::new("tiny", 2);
-        r.push_case(BenchCase {
-            name: "replay_base".to_owned(),
-            events: 10_000,
-            secs: 0.25,
-            allocs: 12,
-            alloc_bytes: 4096,
-            peak_bytes: 1 << 20,
-        });
+        r.push_case(case("replay_base", 10_000, 0.25));
         r.push_derived("parallel_speedup", 1.9);
         r
     }
@@ -275,34 +378,57 @@ mod tests {
     }
 
     #[test]
+    fn quartiles_are_nearest_rank_samples() {
+        assert_eq!(quartiles(&[5.0, 1.0, 4.0, 2.0, 3.0]), (2.0, 3.0, 4.0));
+        assert_eq!(quartiles(&[7.0]), (7.0, 7.0, 7.0));
+        assert_eq!(quartiles(&[2.0, 1.0]), (1.0, 1.0, 1.0));
+    }
+
+    #[test]
+    fn measure_repeats_and_brackets_the_median() {
+        let mut runs = 0;
+        let c = measure("spin", || {
+            runs += 1;
+            (0..10_000u64).map(black_box).sum::<u64>() % 7 + 1
+        });
+        assert_eq!(runs, REPS + 1, "one warm-up plus the timed runs");
+        assert_eq!(c.reps, REPS);
+        assert!(c.secs_q1 <= c.secs && c.secs <= c.secs_q3, "{c:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "same work")]
+    fn measure_rejects_a_case_whose_work_changes() {
+        let mut n = 0;
+        let _ = measure("drift", || {
+            n += 1;
+            n
+        });
+    }
+
+    #[test]
     fn round_trips_through_run_report_json() {
-        let r = sample();
+        let mut r = sample();
+        r.cases[0].secs_q1 = 0.2;
+        r.cases[0].secs_q3 = 0.3;
         let text = r.to_json();
         validate(&text).expect("sample report validates");
         let parsed = RunReport::from_json(&text).unwrap();
-        assert_eq!(
-            parsed.section_field("bench.replay_base", "events_per_sec"),
-            Some(40_000.0)
-        );
-        assert_eq!(parsed.section_field("bench.meta", "threads"), Some(2.0));
-        assert_eq!(
-            parsed.section_field("bench.derived", "parallel_speedup"),
-            Some(1.9)
-        );
+        let field = |section: &str, key: &str| parsed.section_field(section, key);
+        assert_eq!(field("bench.replay_base", "events_per_sec"), Some(40_000.0));
+        assert_eq!(field("bench.replay_base", "secs_q1"), Some(0.2));
+        assert_eq!(field("bench.replay_base", "secs_q3"), Some(0.3));
+        assert_eq!(field("bench.replay_base", "reps"), Some(REPS as f64));
+        assert_eq!(field("bench.meta", "threads"), Some(2.0));
+        assert!(field("bench.meta", "cpus").is_some_and(|n| n >= 1.0));
+        assert_eq!(field("bench.derived", "parallel_speedup"), Some(1.9));
     }
 
     #[test]
     fn validate_rejects_zero_throughput_and_empty_reports() {
         let mut r = BenchReport::new("tiny", 1);
         assert!(validate(&r.to_json()).is_err(), "no case sections");
-        r.push_case(BenchCase {
-            name: "replay_base".to_owned(),
-            events: 0,
-            secs: 1.0,
-            allocs: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        });
+        r.push_case(case("replay_base", 0, 1.0));
         assert!(validate(&r.to_json()).is_err(), "zero throughput");
         assert!(validate("{ not json").is_err());
     }
@@ -310,14 +436,34 @@ mod tests {
     #[test]
     fn validate_rejects_duplicate_case_names() {
         let mut r = sample();
-        let mut again = r.cases[0].clone();
-        again.secs = 0.5;
-        r.push_case(again);
+        r.push_case(case("replay_base", 10_000, 0.5));
         let err = validate(&r.to_json()).expect_err("a case measured twice fails");
         assert!(
             err.contains("duplicate case section bench.replay_base"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn validate_requires_bracketing_quartiles() {
+        for (q1, q3) in [(0.3, 0.4), (0.1, 0.2)] {
+            let mut r = sample();
+            r.cases[0].secs_q1 = q1;
+            r.cases[0].secs_q3 = q3;
+            let err = validate(&r.to_json()).expect_err("median outside Q1..Q3");
+            assert!(err.contains("do not bracket the median"), "{err}");
+        }
+        let text = sample().to_json().replace("\"secs_q3\"", "\"secs_q9\"");
+        let err = validate(&text).expect_err("no Q3 field");
+        assert!(err.contains("lacks secs_q3"), "{err}");
+    }
+
+    #[test]
+    fn validate_requires_the_repetition_count() {
+        let mut r = sample();
+        r.cases[0].reps = REPS - 1;
+        let err = validate(&r.to_json()).expect_err("too few repetitions");
+        assert!(err.contains("repetitions"), "{err}");
     }
 
     #[test]
@@ -346,26 +492,18 @@ mod tests {
 
     #[test]
     fn validate_gates_search_case_rates() {
-        let search_case = |name: &str, events: u64| BenchCase {
-            name: name.to_owned(),
-            events,
-            secs: 1.0,
-            allocs: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        };
         let mut r = sample();
-        r.push_case(search_case("search_score", 400_000));
-        r.push_case(search_case("search_walk", 150_000));
+        r.push_case(case("search_score", 400_000, 1.0));
+        r.push_case(case("search_walk", 150_000, 1.0));
         validate(&r.to_json()).expect("rates above the floors pass");
 
         let mut r = sample();
-        r.push_case(search_case("search_score", 1_000));
+        r.push_case(case("search_score", 1_000, 1.0));
         let err = validate(&r.to_json()).expect_err("slow scorer fails");
         assert!(err.contains("search_score"), "{err}");
 
         let mut r = sample();
-        r.push_case(search_case("search_walk", 500));
+        r.push_case(case("search_walk", 500, 1.0));
         let err = validate(&r.to_json()).expect_err("slow walk fails");
         assert!(err.contains("search_walk"), "{err}");
 
@@ -375,20 +513,12 @@ mod tests {
 
     #[test]
     fn validate_gates_absint_classify_rate() {
-        let case = |events: u64| BenchCase {
-            name: "absint_classify".to_owned(),
-            events,
-            secs: 1.0,
-            allocs: 0,
-            alloc_bytes: 0,
-            peak_bytes: 0,
-        };
         let mut r = sample();
-        r.push_case(case(50_000));
+        r.push_case(case("absint_classify", 50_000, 1.0));
         validate(&r.to_json()).expect("rate above the floor passes");
 
         let mut r = sample();
-        r.push_case(case(500));
+        r.push_case(case("absint_classify", 500, 1.0));
         let err = validate(&r.to_json()).expect_err("slow classifier fails");
         assert!(err.contains("absint_classify"), "{err}");
 
