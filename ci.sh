@@ -174,12 +174,18 @@ repo_root="$PWD"
   cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
     -p oslay-bench --bin fig12_optimization_levels -- \
     --scale tiny --threads 2 > plain.txt 2> /dev/null
+  mv results/fig12_optimization_levels.json plain.json
   cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
     -p oslay-bench --bin fig12_optimization_levels -- \
     --scale tiny --threads 2 --trace-out trace.json > traced.txt 2> /dev/null
 )
-# Tracing must not perturb the experiment's stdout...
+# Tracing must not perturb the experiment's stdout, nor its run report
+# outside wall-clock and allocator fields (span names and counts
+# included)...
 diff "$tmpdir/plain.txt" "$tmpdir/traced.txt"
+nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
+diff <(grep -vE "$nondet" "$tmpdir/plain.json") \
+     <(grep -vE "$nondet" "$tmpdir/results/fig12_optimization_levels.json")
 # ...and the trace must pass the trace-event schema checker (balanced
 # events, per-track monotonic timestamps, spans nested in their parents)
 # and render through both terminal views.
@@ -189,13 +195,19 @@ cargo run --release -q -p oslay-bench --bin perf -- \
   top --in "$tmpdir/trace.json" --n 5 > /dev/null
 cargo run --release -q -p oslay-bench --bin perf -- \
   timeline --in "$tmpdir/trace.json" > /dev/null
-# A truncated trace must be rejected.
+# A truncated trace and a 200,000-deep nest of arrays must both be
+# rejected with exit 1 (not accepted, and not a stack-overflow abort).
 head -c 200 "$tmpdir/trace.json" > "$tmpdir/broken.json"
-if cargo run --release -q -p oslay-bench --bin perf -- \
-    check --in "$tmpdir/broken.json" > /dev/null 2>&1; then
-  echo "perf check accepted a truncated trace" >&2
-  exit 1
-fi
+head -c 200000 /dev/zero | tr '\0' '[' > "$tmpdir/deep.json"
+for bad in broken deep; do
+  status=0
+  cargo run --release -q -p oslay-bench --bin perf -- \
+    check --in "$tmpdir/$bad.json" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "perf check on $bad.json exited $status (want 1)" >&2
+    exit 1
+  fi
+done
 rm -rf "$tmpdir"
 
 echo "== trace store gate: record -> verify -> replay reproducibility =="

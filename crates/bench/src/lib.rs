@@ -33,7 +33,7 @@ use oslay_layout::Layout;
 use oslay_model::synth::Scale;
 use oslay_model::Domain;
 use oslay_observe::timeline;
-use oslay_observe::{global_recorder, AttributionProbe, MetricRegistry, Probe, RunReport};
+use oslay_observe::{flight, AttributionProbe, MetricRegistry, Probe, RunReport};
 
 /// Every experiment binary counts allocations: the counting allocator is
 /// a pair of relaxed atomic adds on top of the system allocator, cheap
@@ -1336,13 +1336,13 @@ impl Reporter {
         self.report.add_section(name, fields);
     }
 
-    /// Folds the metric registry and the global span recorder into the
+    /// Folds the metric registry and the span totals into the
     /// report and writes it to `results/<name>.json`, returning the path.
     /// Reports the path and the OS error, and exits 1, if the report
     /// cannot be written.
     #[must_use]
     pub fn finish(mut self) -> PathBuf {
-        self.report.add_spans(global_recorder());
+        self.report.add_spans(flight::span_totals());
         self.report.add_metrics(&self.registry);
         // Machine-dependent by nature, so the section carries the `perf.`
         // prefix that `to_json_deterministic` strips.

@@ -31,13 +31,13 @@ pub fn default_threads() -> usize {
 ///
 /// # Observability
 ///
-/// Every call records `exec.parallel_map` plus one `exec.job.wait` /
-/// `exec.job.run` pair per job into the global span recorder — the
-/// *counts* are a pure function of the job list, so run reports stay
-/// identical at any worker count. When the flight recorder is enabled,
-/// each worker additionally registers a `worker-<w>` track and every job
-/// emits a per-worker `exec.job` flight span carrying its job index and
-/// queue-wait time, so a sharded run can be audited for load imbalance.
+/// Every call opens one `exec.parallel_map` span and, inside it, one
+/// `exec.job` span per job, on the inline path and the sharded path
+/// alike: span names and counts are a pure function of the job list, so
+/// run reports stay identical at any worker count. While flight capture
+/// is on, each worker registers a `worker-<w>` track and every `exec.job`
+/// event carries its job index and queue-wait time, so a sharded run can
+/// be audited for load imbalance.
 ///
 /// # Panics
 ///
@@ -50,39 +50,27 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = items.len();
-    let _pm = oslay_observe::flight::span_with_args(
+    let _pm = oslay_observe::span_with_args(
         "exec.parallel_map",
         &[("jobs", n as f64), ("threads", threads as f64)],
     );
     let epoch = Instant::now();
-    // Shared by the inline and the sharded path, so the recorder sees
-    // the same span names and counts regardless of the thread count.
     let run_job = |i: usize, item: T| -> R {
-        let queued = epoch.elapsed();
-        let _job = oslay_observe::flight::span_with_args(
+        let _job = oslay_observe::span_with_args(
             "exec.job",
             &[
                 ("job", i as f64),
-                ("queue_wait_us", queued.as_secs_f64() * 1e6),
+                ("queue_wait_us", epoch.elapsed().as_secs_f64() * 1e6),
             ],
         );
-        let started = Instant::now();
-        let r = f(i, item);
-        let recorder = oslay_observe::global_recorder();
-        recorder.record("exec.job.run", started.elapsed());
-        recorder.record("exec.job.wait", queued);
-        r
+        f(i, item)
     };
     if threads <= 1 || n <= 1 {
-        let out: Vec<R> = items
+        return items
             .into_iter()
             .enumerate()
             .map(|(i, t)| run_job(i, t))
             .collect();
-        if n > 0 {
-            oslay_observe::global_recorder().record("exec.parallel_map", epoch.elapsed());
-        }
-        return out;
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -108,8 +96,6 @@ where
             });
         }
     });
-    oslay_observe::global_recorder().record("exec.parallel_map", epoch.elapsed());
-    let _merge = oslay_observe::flight::span("exec.merge");
     results
         .into_iter()
         .map(|m| m.into_inner().expect("result lock").expect("job ran"))

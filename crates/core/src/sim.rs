@@ -643,7 +643,7 @@ impl Study {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{OsLayoutKind, StudyConfig};
     use oslay_cache::{Cache, CacheConfig, MissKind};
@@ -786,8 +786,8 @@ mod tests {
     }
 
     // The flight recorder and timeline are process-global; serialize the
-    // tests that touch them.
-    fn observability_gate() -> std::sync::MutexGuard<'static, ()> {
+    // tests that reset them or read what they hold.
+    pub(crate) fn observability_gate() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         GATE.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)

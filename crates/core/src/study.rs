@@ -188,9 +188,10 @@ impl Study {
     /// the sequential build at any worker count.
     #[must_use]
     pub fn generate_with_threads(config: &StudyConfig, threads: usize) -> Self {
-        let kernel = oslay_observe::global_recorder().time("study.synth.kernel", || {
+        let kernel = {
+            let _g = oslay_observe::span("study.synth.kernel");
             generate_kernel(&KernelParams::at_scale(config.scale, config.seed))
-        });
+        };
         let specs = standard_workloads(&kernel.tables);
         let jobs: Vec<(StandardWorkload, WorkloadSpec)> =
             StandardWorkload::ALL.iter().copied().zip(specs).collect();
@@ -278,11 +279,11 @@ impl Study {
         &self.loops
     }
 
-    /// Builds an OS layout for the given cache size. Reports a
-    /// `study.layout.<name>` phase span to the global recorder.
+    /// Builds an OS layout for the given cache size under a
+    /// `study.layout.<name>` phase span.
     #[must_use]
     pub fn os_layout(&self, kind: OsLayoutKind, cache_size: u32) -> OsLayout {
-        let _g = oslay_observe::global_recorder().span(&format!("study.layout.{}", kind.name()));
+        let _g = oslay_observe::span(format!("study.layout.{}", kind.name()));
         let program = &self.kernel.program;
         match kind {
             OsLayoutKind::Base => OsLayout {
@@ -491,10 +492,11 @@ mod tests {
 
     #[test]
     fn generate_records_phase_spans() {
+        let _g = crate::sim::tests::observability_gate();
         let s = study();
         let _ = s.os_layout(OsLayoutKind::OptS, 8192);
-        let totals = oslay_observe::global_recorder().totals();
-        // Other tests share the global recorder, so only check presence
+        let totals = oslay_observe::flight::span_totals();
+        // Other tests share the span store, so only check presence
         // (never reset here).
         for phase in [
             "study.synth.kernel",

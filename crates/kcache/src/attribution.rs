@@ -948,7 +948,7 @@ impl AttributedCache {
     /// Extracts the measured rollups.
     #[must_use]
     pub fn report(&self) -> AttributionReport {
-        let _g = oslay_observe::flight::span("cache.attr.report");
+        let _g = oslay_observe::span("cache.attr.report");
         let mut pairs: Vec<ConflictPair> = self
             .pairs
             .values()

@@ -1,37 +1,45 @@
-//! The flight recorder: hierarchical spans, per-thread tracks, and a
-//! Chrome trace-event exporter.
+//! The flight recorder: the one span store, with hierarchical spans,
+//! per-thread tracks, and a Chrome trace-event exporter.
 //!
-//! The flat [`crate::Recorder`] answers "how much total time went into
-//! phase X" — deterministically enough to diff run reports. This module
-//! answers the questions the recorder cannot: *which worker* ran a job,
-//! how long it waited in the queue, what nested under what, and what the
-//! engine's throughput looked like over time. That telemetry is
-//! inherently wall-clock shaped, so it lives in its own sink — never in
-//! [`crate::MetricRegistry`] or [`crate::RunReport`] — and is exported
-//! on demand as Chrome trace-event JSON (`chrome://tracing`, Perfetto)
-//! via `--trace-out`, or rendered as ASCII by the `perf` binary.
+//! Every instrumented scope opens one guard with [`span`] or
+//! [`span_with_args`]. When the guard closes it always folds
+//! `(name, time, count)` into a per-name table; [`span_totals`] reads
+//! that table and `RunReport::add_spans` turns it into a run report's
+//! `spans`. The table holds one entry per distinct name, so it stays
+//! bounded however long the process runs.
 //!
-//! The recorder is process-global and off by default: one relaxed atomic
-//! load per [`span`] call when disabled. Enabling it never changes
-//! experiment *results* — instrumented code must treat the guards as
-//! pure observers.
+//! While capture is on ([`enable`], or `--trace-out` through
+//! [`set_output`]) each guard also keeps its full event: *which worker*
+//! ran a job, how long it waited in the queue, what nested under what,
+//! and what the engine's throughput looked like over time. Those events
+//! are wall-clock shaped, so they never reach [`crate::MetricRegistry`]
+//! or [`crate::RunReport`]; they are exported on demand as Chrome
+//! trace-event JSON (`chrome://tracing`, Perfetto) or rendered as ASCII
+//! by the `perf` binary. Capture is off by default.
+//!
+//! A span's name and count never depend on capture or on the worker
+//! count, only on the work done, so the totals can be diffed between
+//! runs (`RunReport::to_json_deterministic` drops their durations).
+//! Instrumented code treats the guards as pure observers.
 //!
 //! # Span model
 //!
-//! * Every span gets a process-unique id and the id of the innermost
-//!   span still open **on the same thread** (its parent; 0 for roots).
-//!   Parent links therefore always nest: a child's `[start, end)`
+//! * Every captured span gets a process-unique id and the id of the
+//!   innermost span still open **on the same thread** (its parent; 0 for
+//!   roots). Parent links therefore always nest: a child's `[start, end)`
 //!   interval lies within its parent's.
 //! * Every thread belongs to a named *track* (`main`, `worker-0`, ...).
 //!   Worker pools call [`set_thread_track`] once per worker; unregistered
 //!   threads are tracked under their `std::thread` name.
 //! * When an allocation probe is installed (see [`set_alloc_probe`];
 //!   `oslay-perf` provides one backed by its counting allocator), each
-//!   span records the allocation calls/bytes its thread performed while
-//!   it was open (inclusive of children, like the time itself).
+//!   captured span records the allocation calls/bytes its thread
+//!   performed while it was open (inclusive of children, like the time
+//!   itself).
 //! * [`counter`] events carry periodic heartbeat samples (events
 //!   simulated, events/sec, live heap bytes) as Chrome `C` events.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -40,6 +48,7 @@ use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use crate::json::{self, JsonValue};
+use crate::report::SpanEntry;
 
 /// A point-in-time reading from the allocation probe.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -89,6 +98,8 @@ pub struct CounterEvent {
 
 #[derive(Default)]
 struct Inner {
+    // One entry per span name, in first-closed order.
+    totals: Vec<SpanEntry>,
     tracks: Vec<String>,
     spans: Vec<RawSpan>,
     counters: Vec<RawCounter>,
@@ -96,7 +107,7 @@ struct Inner {
 }
 
 struct RawSpan {
-    name: String,
+    name: Cow<'static, str>,
     track: u32,
     id: u64,
     parent: u64,
@@ -138,28 +149,29 @@ thread_local! {
     static STACK: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Turns the recorder on. Until [`disable`], every [`crate::span`] also
-/// records a flight span.
+/// Turns capture on. Until [`disable`], every [`span`] also keeps its
+/// full event.
 pub fn enable() {
     let _ = epoch();
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns the recorder off (already-open guards still record on drop).
+/// Turns capture off (already-open guards still keep their event).
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Whether the recorder is currently capturing.
+/// Whether capture is currently on.
 #[must_use]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Drops all captured events, track registrations, and any pending
-/// output path (tests use this to isolate captures).
+/// Drops the span totals, all captured events, track registrations, and
+/// any pending output path (tests use this to isolate captures).
 pub fn reset() {
     let mut g = inner().lock().expect("flight recorder poisoned");
+    g.totals.clear();
     g.tracks.clear();
     g.spans.clear();
     g.counters.clear();
@@ -169,7 +181,7 @@ pub fn reset() {
     TRACK.with(|t| t.set(u32::MAX));
 }
 
-/// Enables the recorder and remembers where [`flush`] should write the
+/// Turns capture on and remembers where [`flush`] should write the
 /// Chrome trace (`--trace-out` plumbs through here).
 pub fn set_output(path: &Path) {
     enable();
@@ -219,7 +231,7 @@ fn register_track(name: &str) -> u32 {
 
 /// Names the current thread's track (e.g. `worker-3`). Worker pools call
 /// this once per spawned worker so spans carry per-worker attribution.
-/// No-op while the recorder is disabled.
+/// No-op while capture is off.
 pub fn set_thread_track(name: &str) {
     if !is_enabled() {
         return;
@@ -245,39 +257,52 @@ fn current_track() -> u32 {
     id
 }
 
-/// Opens a flight span. Inert (one atomic load) while the recorder is
-/// disabled.
+/// Opens a span. It folds into the per-name totals when it closes; while
+/// capture is off that is all it does.
+///
+/// ```
+/// {
+///     let _g = oslay_observe::span("study.profile");
+///     // ... timed work ...
+/// }
+/// let totals = oslay_observe::flight::span_totals();
+/// assert!(totals.iter().any(|t| t.name == "study.profile"));
+/// ```
 #[must_use]
-pub fn span(name: &str) -> FlightGuard {
+pub fn span(name: impl Into<Cow<'static, str>>) -> FlightGuard {
     span_with_args(name, &[])
 }
 
-/// Opens a flight span carrying numeric arguments (shown in the trace
-/// viewer's detail pane).
+/// Opens a span carrying numeric arguments. The arguments are kept, and
+/// shown in the trace viewer's detail pane, only while capture is on.
 #[must_use]
-pub fn span_with_args(name: &str, args: &[(&str, f64)]) -> FlightGuard {
-    if !is_enabled() {
-        return FlightGuard { open: None };
-    }
-    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-    let track = current_track();
-    let parent = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        let parent = s.last().copied().unwrap_or(0);
-        s.push(id);
-        parent
-    });
-    FlightGuard {
-        open: Some(OpenSpan {
-            name: name.to_owned(),
+pub fn span_with_args(name: impl Into<Cow<'static, str>>, args: &[(&str, f64)]) -> FlightGuard {
+    let name = name.into();
+    let start = Instant::now();
+    let capture = is_enabled().then(|| {
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        let parent = STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            let parent = s.last().copied().unwrap_or(0);
+            s.push(id);
+            parent
+        });
+        Capture {
             id,
             parent,
-            track,
-            start: Instant::now(),
-            start_ns: now_ns(),
+            track: current_track(),
+            // From the same instant as the duration, so a child's
+            // interval always lies within its parent's.
+            start_ns: u64::try_from(start.saturating_duration_since(epoch()).as_nanos())
+                .unwrap_or(u64::MAX),
             alloc0: alloc_probe_sample(),
             args: args.iter().map(|&(k, v)| (k.to_owned(), v)).collect(),
-        }),
+        }
+    });
+    FlightGuard {
+        name,
+        start,
+        capture,
     }
 }
 
@@ -298,59 +323,86 @@ pub fn counter(name: &str, value: f64) {
     });
 }
 
+/// What a span keeps beyond its total while capture is on.
 #[derive(Debug)]
-struct OpenSpan {
-    name: String,
+struct Capture {
     id: u64,
     parent: u64,
     track: u32,
-    start: Instant,
     start_ns: u64,
     alloc0: Option<AllocSample>,
     args: Vec<(String, f64)>,
 }
 
-/// RAII guard for one flight span; records the completed event on drop.
+/// RAII guard for one span; folds it into the totals (and keeps its
+/// event, if captured) on drop.
 #[derive(Debug)]
 pub struct FlightGuard {
-    open: Option<OpenSpan>,
+    name: Cow<'static, str>,
+    start: Instant,
+    capture: Option<Capture>,
 }
 
 impl Drop for FlightGuard {
     fn drop(&mut self) {
-        let Some(mut open) = self.open.take() else {
-            return;
-        };
-        let dur_ns = u64::try_from(open.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            // Guards are dropped innermost-first, so our id is the top of
-            // the stack; truncate defensively in case a guard leaked.
-            if let Some(pos) = s.iter().rposition(|&id| id == open.id) {
-                s.truncate(pos);
+        let elapsed = self.start.elapsed();
+        let name = std::mem::take(&mut self.name);
+        let event = self.capture.take().map(|mut c| {
+            STACK.with(|s| {
+                let mut s = s.borrow_mut();
+                // Guards are dropped innermost-first, so our id is the top
+                // of the stack; truncate defensively in case a guard leaked.
+                if let Some(pos) = s.iter().rposition(|&id| id == c.id) {
+                    s.truncate(pos);
+                }
+            });
+            if let (Some(before), Some(after)) = (c.alloc0, alloc_probe_sample()) {
+                c.args.push((
+                    "alloc_calls".to_owned(),
+                    after.calls.saturating_sub(before.calls) as f64,
+                ));
+                c.args.push((
+                    "alloc_bytes".to_owned(),
+                    after.bytes.saturating_sub(before.bytes) as f64,
+                ));
             }
+            c
         });
-        if let (Some(before), Some(after)) = (open.alloc0, alloc_probe_sample()) {
-            open.args.push((
-                "alloc_calls".to_owned(),
-                after.calls.saturating_sub(before.calls) as f64,
-            ));
-            open.args.push((
-                "alloc_bytes".to_owned(),
-                after.bytes.saturating_sub(before.bytes) as f64,
-            ));
-        }
         let mut g = inner().lock().expect("flight recorder poisoned");
-        g.spans.push(RawSpan {
-            name: open.name,
-            track: open.track,
-            id: open.id,
-            parent: open.parent,
-            start_ns: open.start_ns,
-            dur_ns,
-            args: open.args,
-        });
+        match g.totals.iter_mut().find(|t| t.name == name) {
+            Some(t) => {
+                t.secs += elapsed.as_secs_f64();
+                t.count += 1;
+            }
+            None => g.totals.push(SpanEntry {
+                name: name.clone().into_owned(),
+                secs: elapsed.as_secs_f64(),
+                count: 1,
+            }),
+        }
+        if let Some(c) = event {
+            g.spans.push(RawSpan {
+                name,
+                track: c.track,
+                id: c.id,
+                parent: c.parent,
+                start_ns: c.start_ns,
+                dur_ns: u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                args: c.args,
+            });
+        }
     }
+}
+
+/// Snapshot of the per-name span totals, in first-closed order. Kept
+/// whether or not capture is on.
+#[must_use]
+pub fn span_totals() -> Vec<SpanEntry> {
+    inner()
+        .lock()
+        .expect("flight recorder poisoned")
+        .totals
+        .clone()
 }
 
 fn track_name(tracks: &[String], id: u32) -> String {
@@ -367,7 +419,7 @@ pub fn span_events() -> Vec<SpanEvent> {
     g.spans
         .iter()
         .map(|s| SpanEvent {
-            name: s.name.clone(),
+            name: s.name.clone().into_owned(),
             track: track_name(&g.tracks, s.track),
             id: s.id,
             parent: s.parent,
@@ -450,7 +502,10 @@ pub fn chrome_trace() -> JsonValue {
             args.extend(s.args.iter().map(|(k, v)| (k.clone(), JsonValue::Num(*v))));
             events.push(JsonValue::object([
                 ("ph".to_owned(), JsonValue::Str("X".to_owned())),
-                ("name".to_owned(), JsonValue::Str(s.name.clone())),
+                (
+                    "name".to_owned(),
+                    JsonValue::Str(s.name.clone().into_owned()),
+                ),
                 ("cat".to_owned(), JsonValue::Str("oslay".to_owned())),
                 ("pid".to_owned(), JsonValue::Num(1.0)),
                 ("tid".to_owned(), JsonValue::Num(f64::from(s.track))),
@@ -709,10 +764,37 @@ impl ChromeTrace {
         }
     }
 
+    /// Share of the trace's wall-clock that track `tid` spent inside
+    /// `exec.job` spans (nested or overlapping jobs count once): how busy
+    /// a worker of `exec::parallel_map` was, or how much of the main
+    /// track ran jobs inline.
+    #[must_use]
+    pub fn busy_share(&self, tid: u64) -> f64 {
+        let mut jobs: Vec<(f64, f64)> = self
+            .spans
+            .iter()
+            .filter(|&&(ref name, t, _, _)| t == tid && name == "exec.job")
+            .map(|&(_, _, ts, dur)| (ts, ts + dur))
+            .collect();
+        jobs.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (mut busy, mut reached) = (0.0, f64::NEG_INFINITY);
+        for (start, end) in jobs {
+            busy += (end - start.max(reached)).max(0.0);
+            reached = reached.max(end);
+        }
+        let wall = self.wall_us();
+        if wall > 0.0 {
+            busy / wall
+        } else {
+            0.0
+        }
+    }
+
     /// Renders one ASCII density row per track: each column covers an
     /// equal slice of wall time, shaded by how busy the track was
-    /// (` `, `.`, `:`, `*`, `#` for 0..100%). Makes load imbalance
-    /// between workers visible at a glance.
+    /// (` `, `.`, `:`, `*`, `#` for 0..100%), and ends with the track's
+    /// [`ChromeTrace::busy_share`]. Makes load imbalance between workers
+    /// visible at a glance.
     #[must_use]
     pub fn render_timeline(&self, width: usize) -> String {
         let width = width.max(10);
@@ -763,7 +845,11 @@ impl ChromeTrace {
                     }
                 })
                 .collect();
-            out.push_str(&format!("{:>12} |{row}|\n", self.track_label(tid)));
+            out.push_str(&format!(
+                "{:>12} |{row}| {:>5.1}% in exec.job\n",
+                self.track_label(tid),
+                100.0 * self.busy_share(tid)
+            ));
         }
         out
     }
@@ -782,19 +868,74 @@ mod tests {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
+    fn count_of(name: &str) -> u64 {
+        span_totals()
+            .iter()
+            .find(|t| t.name == name)
+            .map_or(0, |t| t.count)
+    }
+
     #[test]
-    fn disabled_recorder_captures_nothing() {
+    fn capture_off_keeps_totals_but_no_events() {
         let _g = lock();
         disable();
         reset();
-        {
-            let _s = span("flighttest.disabled");
+        const N: u64 = 100;
+        for i in 0..N {
+            let _s = span_with_args("flighttest.disabled", &[("i", i as f64)]);
         }
         counter("flighttest.disabled.counter", 1.0);
-        assert!(!span_events()
-            .iter()
-            .any(|s| s.name.starts_with("flighttest.disabled")));
+        assert!(span_events().is_empty());
         assert!(counter_events().is_empty());
+        assert_eq!(count_of("flighttest.disabled"), N);
+    }
+
+    #[test]
+    fn totals_fold_by_name_with_capture_on_and_reset_clears_them() {
+        let _g = lock();
+        reset();
+        enable();
+        for _ in 0..3 {
+            let _s = span("flighttest.fold.a");
+        }
+        {
+            let _s = span(format!("flighttest.fold.{}", 'b'));
+        }
+        disable();
+        assert_eq!(count_of("flighttest.fold.a"), 3);
+        assert_eq!(count_of("flighttest.fold.b"), 1);
+        let events = span_events();
+        assert_eq!(events.len(), 4, "one event per captured span");
+        let a = span_totals()
+            .into_iter()
+            .find(|t| t.name == "flighttest.fold.a")
+            .expect("a folded");
+        let a_events: u64 = events
+            .iter()
+            .filter(|e| e.name == "flighttest.fold.a")
+            .map(|e| e.dur_ns)
+            .sum();
+        // The total and the events time the same guards.
+        assert!((a.secs * 1e9 - a_events as f64).abs() < 1.0, "{a:?}");
+        reset();
+        assert!(span_totals().is_empty());
+        assert!(span_events().is_empty());
+    }
+
+    #[test]
+    fn totals_are_exact_across_threads() {
+        let _g = lock();
+        reset();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..50 {
+                        let _s = span("flighttest.mt");
+                    }
+                });
+            }
+        });
+        assert_eq!(count_of("flighttest.mt"), 200);
     }
 
     #[test]
@@ -874,6 +1015,29 @@ mod tests {
         assert!(top.contains("flighttest.export"), "{top}");
         let timeline = parsed.render_timeline(40);
         assert!(timeline.contains("track(s)"), "{timeline}");
+    }
+
+    #[test]
+    fn busy_share_is_job_time_over_wall_clock() {
+        let text = r#"{"traceEvents": [
+            {"ph":"M","name":"thread_name","pid":1,"tid":0,"args":{"name":"main"}},
+            {"ph":"M","name":"thread_name","pid":1,"tid":1,"args":{"name":"worker-0"}},
+            {"ph":"X","name":"study.layout.OptS","pid":1,"tid":0,"ts":0,"dur":40},
+            {"ph":"X","name":"exec.parallel_map","pid":1,"tid":0,"ts":40,"dur":60},
+            {"ph":"X","name":"exec.job","pid":1,"tid":1,"ts":40,"dur":30},
+            {"ph":"X","name":"exec.job","pid":1,"tid":1,"ts":45,"dur":5},
+            {"ph":"X","name":"exec.job","pid":1,"tid":1,"ts":80,"dur":10}
+        ]}"#;
+        let trace = ChromeTrace::parse(text).expect("valid");
+        assert!((trace.wall_us() - 100.0).abs() < 1e-9);
+        assert_eq!(trace.busy_share(0), 0.0, "main ran no job");
+        assert!(
+            (trace.busy_share(1) - 0.4).abs() < 1e-9,
+            "nested job counts once"
+        );
+        let timeline = trace.render_timeline(20);
+        assert!(timeline.contains("  0.0% in exec.job"), "{timeline}");
+        assert!(timeline.contains(" 40.0% in exec.job"), "{timeline}");
     }
 
     #[test]

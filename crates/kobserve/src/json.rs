@@ -227,16 +227,23 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The documents this
+/// workspace writes nest at most six levels; the bound keeps a hostile
+/// file from overflowing the parser's stack.
+pub const MAX_DEPTH: usize = 256;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] describing the first malformed construct.
+/// Returns a [`JsonError`] describing the first malformed construct, or
+/// the first array/object nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -250,6 +257,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    // Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -294,8 +303,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -559,6 +579,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "input {bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nested deeper"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Far past any stack: an error, not an abort.
+        assert!(parse(&"[{\"a\":".repeat(200_000)).is_err());
+        assert!(parse(&nest(200_000)).is_err());
     }
 
     #[test]

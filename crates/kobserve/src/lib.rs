@@ -2,11 +2,13 @@
 //!
 //! The paper's methodology is measurement-first: a hardware performance
 //! monitor drives every layout decision. This crate gives the software
-//! reproduction the same discipline, with four pieces:
+//! reproduction the same discipline, with these pieces:
 //!
-//! * **Phase spans** ([`span`], [`Recorder`]) — scoped wall-clock timers
-//!   so a `Study` run can report how long it spent in synthesis, trace
-//!   generation, profiling, each layout pass, and simulation.
+//! * **Phase spans** ([`span`], [`span_with_args`]) — scoped wall-clock
+//!   timers so a `Study` run can report how long it spent in synthesis,
+//!   trace generation, profiling, each layout pass, and simulation. The
+//!   [`flight`] module is their one store: every span folds into a
+//!   per-name total that run reports read.
 //! * **Metric registry** ([`MetricRegistry`], [`Probe`]) — named counters,
 //!   gauges, and log2-bucketed histograms. Hot paths (the cache simulator,
 //!   the trace engine) accept an optional [`Probe`] so instrumentation is
@@ -18,11 +20,10 @@
 //! * **JSON run reports** ([`RunReport`], [`json`]) — hand-rolled JSON
 //!   (serializer *and* parser, no serde) for machine-readable results
 //!   written beside the human-readable `.txt` figures.
-//! * **Flight recorder** ([`flight`]) — an opt-in structured tracer:
-//!   hierarchical spans with per-thread/worker attribution, heartbeat
-//!   counters, and a Chrome trace-event / Perfetto exporter. When
-//!   enabled, every [`span`] also records a flight span; when disabled
-//!   it costs one atomic load.
+//! * **Flight recorder** ([`flight`]) — the span store, plus opt-in
+//!   capture: while enabled, every [`span`] also keeps its full event
+//!   (hierarchy, per-thread/worker attribution, allocator deltas), with
+//!   heartbeat counters and a Chrome trace-event / Perfetto exporter.
 //! * **Timeline** ([`timeline`]) — the flight recorder's simulated-time
 //!   twin: windowed miss/occupancy telemetry frames sampled every `2^k`
 //!   simulated events, change-point phase segmentation, and the
@@ -44,13 +45,12 @@ pub mod flight;
 pub mod json;
 mod metrics;
 mod report;
-mod span;
 pub mod timeline;
 
 pub use audit::{PlacementAudit, PlacementRecord};
+pub use flight::{span, span_with_args};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{
     AttrClass, AttributionProbe, Histogram, HistogramSummary, MetricRegistry, NoopProbe, Probe,
 };
 pub use report::{ReportError, RunReport, SpanEntry};
-pub use span::{global_recorder, span, Recorder, SpanGuard};

@@ -12,7 +12,6 @@ use std::path::Path;
 
 use crate::json::{self, JsonValue};
 use crate::metrics::{HistogramSummary, MetricRegistry};
-use crate::span::Recorder;
 
 /// One aggregated phase span in a report.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,20 +58,13 @@ impl RunReport {
         &self.name
     }
 
-    /// Copies all span totals from a recorder into the report, sorted by
-    /// name. The recorder keeps first-recorded order, which depends on
-    /// thread interleaving under sharded execution; sorting makes the
-    /// report layout identical at any worker count.
-    pub fn add_spans(&mut self, recorder: &Recorder) {
-        let mut totals = recorder.totals();
-        totals.sort_by(|a, b| a.name.cmp(&b.name));
-        for t in totals {
-            self.spans.push(SpanEntry {
-                name: t.name,
-                secs: t.total.as_secs_f64(),
-                count: t.count,
-            });
-        }
+    /// Adds span totals (usually [`crate::flight::span_totals`]) to the
+    /// report, sorted by name. The store keeps first-closed order, which
+    /// depends on thread interleaving under sharded execution; sorting
+    /// makes the report layout identical at any worker count.
+    pub fn add_spans(&mut self, totals: impl IntoIterator<Item = SpanEntry>) {
+        self.spans.extend(totals);
+        self.spans.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
     /// Copies every counter, gauge, and histogram from a registry.
@@ -447,12 +439,16 @@ mod tests {
         r
     }
 
+    fn span(name: &str, secs: f64, count: u64) -> SpanEntry {
+        SpanEntry {
+            name: name.to_owned(),
+            secs,
+            count,
+        }
+    }
+
     #[test]
     fn full_report_round_trips_through_json() {
-        let recorder = Recorder::new();
-        recorder.record("study.trace", std::time::Duration::from_millis(120));
-        recorder.record("study.trace", std::time::Duration::from_millis(30));
-        recorder.record("layout.opt_s", std::time::Duration::from_millis(5));
         let registry = MetricRegistry::new();
         registry.counter_add("cache.evictions", 42);
         registry.gauge_set("cache.miss_rate", 0.0525);
@@ -460,7 +456,10 @@ mod tests {
         registry.histogram_record("trace.invocation_blocks", 3);
 
         let mut report = RunReport::new("all_experiments");
-        report.add_spans(&recorder);
+        report.add_spans([
+            span("study.trace", 0.150, 2),
+            span("layout.opt_s", 0.005, 1),
+        ]);
         report.add_metrics(&registry);
         report.add_section("fig12.shell", [("Base", 0.071), ("OptS", 0.021)]);
 
@@ -469,7 +468,7 @@ mod tests {
         assert_eq!(parsed, report);
         assert_eq!(parsed.metric_count(), 3);
         assert_eq!(parsed.section_field("fig12.shell", "OptS"), Some(0.021));
-        // Spans are name-sorted regardless of recording order.
+        // Spans are name-sorted regardless of the order they are added in.
         assert_eq!(parsed.spans()[0].name, "layout.opt_s");
         let trace_span = &parsed.spans()[1];
         assert_eq!(trace_span.name, "study.trace");
@@ -498,10 +497,8 @@ mod tests {
 
     #[test]
     fn deterministic_json_drops_secs_but_keeps_counts() {
-        let recorder = Recorder::new();
-        recorder.record("study.trace", std::time::Duration::from_millis(7));
         let mut report = RunReport::new("r");
-        report.add_spans(&recorder);
+        report.add_spans([span("study.trace", 0.007, 1)]);
         report.add_section("fig12.shell", [("Base", 0.071)]);
         let text = report.to_json_deterministic().to_json_pretty();
         assert!(!text.contains("secs"));
@@ -510,10 +507,8 @@ mod tests {
         assert!(text.contains("fig12.shell"));
 
         // Identical content with different timings serializes identically.
-        let recorder2 = Recorder::new();
-        recorder2.record("study.trace", std::time::Duration::from_millis(900));
         let mut report2 = RunReport::new("r");
-        report2.add_spans(&recorder2);
+        report2.add_spans([span("study.trace", 0.9, 1)]);
         report2.add_section("fig12.shell", [("Base", 0.071)]);
         assert_eq!(text, report2.to_json_deterministic().to_json_pretty());
     }

@@ -1,8 +1,14 @@
-//! Seeded property tests for the hand-rolled JSON codec — the same
-//! coverage a property-testing framework would give, with no external
-//! crate: every failure reproduces from the fixed seed alone.
+//! Seeded property tests for the hand-rolled JSON codec and the readers
+//! built on it — the same coverage a property-testing framework would
+//! give, with no external crate: every failure reproduces from the fixed
+//! seed alone.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use oslay_observe::flight::{self, ChromeTrace};
 use oslay_observe::json::{parse, JsonValue};
+use oslay_observe::timeline::{self, CacheProbeSnapshot, CacheSnapshot, TelemetryDoc, AGE_BUCKETS};
+use oslay_observe::{MetricRegistry, Probe, RunReport, SpanEntry};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -119,4 +125,129 @@ fn json_nonfinite_numbers_become_null() {
             JsonValue::Array(vec![JsonValue::Null])
         );
     }
+}
+
+/// A run report as the experiment binaries write it.
+fn real_run_report() -> String {
+    let registry = MetricRegistry::new();
+    registry.counter_add("cache.miss.os-self", 1234);
+    registry.gauge_set("cache.occupancy", 0.97);
+    for v in [0, 3, 17, 900] {
+        registry.histogram_record("trace.invocation_len", v);
+    }
+    let mut report = RunReport::new("hostile");
+    report.add_spans([SpanEntry {
+        name: "study.trace".to_owned(),
+        secs: 0.25,
+        count: 4,
+    }]);
+    report.add_metrics(&registry);
+    report.add_section("fig12.Shell", [("Base", 0.071), ("OptS", 0.021)]);
+    report.to_json().to_json_pretty()
+}
+
+/// A Chrome trace as `--trace-out` writes it: nested spans with
+/// arguments on two tracks, plus counter samples.
+fn real_chrome_trace() -> String {
+    flight::reset();
+    flight::enable();
+    flight::set_thread_track("main");
+    {
+        let _outer = oslay_observe::span("hostile.outer");
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                flight::set_thread_track("worker-0");
+                let _job = oslay_observe::span_with_args("hostile.job", &[("job", 0.0)]);
+                flight::counter("hostile.beat", 1.0);
+            });
+        });
+        let _inner = oslay_observe::span("hostile.inner");
+        flight::counter("hostile.beat", 2.0);
+    }
+    flight::disable();
+    let text = flight::chrome_trace().to_json_pretty();
+    flight::reset();
+    text
+}
+
+/// A telemetry document as `--telemetry-out` writes it: one run of
+/// several windows with probe state.
+fn real_telemetry() -> String {
+    timeline::reset();
+    timeline::enable();
+    let snap = |events: u64| CacheSnapshot {
+        accesses: 10 * events,
+        os_accesses: 6 * events,
+        misses: events,
+        cold_misses: events / 4,
+        probe: Some(CacheProbeSnapshot {
+            occ_p50: 3,
+            occ_p95: 4,
+            fill_ppm: 900_000,
+            evict_ages: [events; AGE_BUCKETS],
+            attr: Some([events / 4, events / 4, events - events / 2]),
+        }),
+    };
+    {
+        let _scope = timeline::scope(timeline::group(), 0, "hostile");
+        let mut rec = timeline::recorder().expect("enabled and scoped");
+        let mut seen = 0;
+        while seen < 5 * rec.window() {
+            seen += 1;
+            if rec.tick() {
+                rec.sample(&snap(seen));
+            }
+        }
+        rec.finish(&snap(seen + 3));
+    }
+    timeline::disable();
+    let text = timeline::document().to_json_pretty();
+    timeline::reset();
+    text
+}
+
+/// Feeds every mutant of `doc` to `read`: truncations every `k` bytes,
+/// single-byte flips, and a deep-nesting splice. The reader may accept
+/// or reject each one, but must never panic.
+fn survives_hostile_input(what: &str, doc: &str, seed: u64, read: impl Fn(&str) -> bool) {
+    assert!(read(doc), "{what}: the unmutated document must read back");
+    let bytes = doc.as_bytes();
+    let feed = |mutant: &[u8], how: &str| {
+        let text = String::from_utf8_lossy(mutant);
+        if catch_unwind(AssertUnwindSafe(|| read(&text))).is_err() {
+            panic!("{what}: reader panicked on {how}");
+        }
+    };
+    let k = (bytes.len() / 400).max(1);
+    for cut in (0..bytes.len()).step_by(k) {
+        feed(&bytes[..cut], &format!("truncation at byte {cut}"));
+    }
+    let mut rng = Rng::new(seed);
+    for _ in 0..400 {
+        let mut mutant = bytes.to_vec();
+        let at = rng.below(bytes.len() as u64) as usize;
+        mutant[at] ^= 1 + rng.below(255) as u8;
+        feed(&mutant, &format!("a flip at byte {at}"));
+    }
+    for _ in 0..8 {
+        let at = rng.below(bytes.len() as u64) as usize;
+        let open = if rng.below(2) == 0 { "[" } else { "{\"k\":" };
+        let mut mutant = bytes[..at].to_vec();
+        mutant.extend(open.repeat(100_000).bytes());
+        mutant.extend(&bytes[at..]);
+        feed(&mutant, &format!("a deep-nesting splice at byte {at}"));
+    }
+}
+
+#[test]
+fn readers_reject_hostile_input_without_panicking() {
+    survives_hostile_input("run report", &real_run_report(), 0x5eed_0001, |t| {
+        RunReport::from_json(t).is_ok()
+    });
+    survives_hostile_input("chrome trace", &real_chrome_trace(), 0x5eed_0002, |t| {
+        ChromeTrace::parse(t).is_ok()
+    });
+    survives_hostile_input("telemetry", &real_telemetry(), 0x5eed_0003, |t| {
+        TelemetryDoc::parse(t).is_ok()
+    });
 }

@@ -100,7 +100,7 @@ fn run_restart(
     params: &SearchParams,
     restart: u32,
 ) -> RestartOutcome {
-    let _g = flight::span_with_args(
+    let _g = oslay_observe::span_with_args(
         "search.restart",
         &[
             ("restart", f64::from(restart)),
@@ -169,7 +169,7 @@ pub fn run_search(
     params: &SearchParams,
     threads: usize,
 ) -> SearchOutcome {
-    let _g = flight::span_with_args(
+    let _g = oslay_observe::span_with_args(
         "search.run",
         &[
             ("restarts", f64::from(params.restarts.max(1))),

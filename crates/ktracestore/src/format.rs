@@ -323,9 +323,7 @@ impl<W: Write> TraceWriter<W> {
         if events == 0 {
             return Ok(());
         }
-        // Flight-only: block cadence varies with buffering, so it must
-        // never reach the deterministic span recorder.
-        let _g = oslay_observe::flight::span_with_args(
+        let _g = oslay_observe::span_with_args(
             "tracestore.encode.block",
             &[("events", f64::from(events))],
         );
@@ -631,7 +629,7 @@ impl<R: Read + Seek> TraceReader<R> {
     ) -> Result<u32, StoreError> {
         let entry = self.index[block];
         let of = self.index.len();
-        let _g = oslay_observe::flight::span_with_args(
+        let _g = oslay_observe::span_with_args(
             "tracestore.decode.block",
             &[("block", block as f64), ("events", f64::from(entry.events))],
         );

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_observe::{global_recorder, MetricRegistry, Probe, RunReport};
+use oslay_observe::{flight, MetricRegistry, Probe, RunReport};
 
 /// Runs the first workload (OS + application) under Base and OptS with a
 /// probed cache and reports both miss rates.
@@ -29,7 +29,7 @@ fn probed_report(study: &Study, name: &str) -> RunReport {
         fields.push((kind.name().to_owned(), r.miss_rate()));
     }
     let mut report = RunReport::new(name);
-    report.add_spans(global_recorder());
+    report.add_spans(flight::span_totals());
     report.add_metrics(&registry);
     report.add_section("fig12.case0", fields);
     report
