@@ -33,6 +33,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test =="
 cargo test --workspace -q
 
+echo "== census oracle at small and paper scale =="
+# The profile-derived census reference column must equal a per-fetch
+# count of the replay for every workload under Base, C-H, OptS and OptL
+# (tiny scale runs in the suite above).
+cargo test --release -q -p oslay-bench --test census_oracle -- --ignored
+
 echo "== miri (optional, nightly): trace store codec roundtrips =="
 if cargo +nightly miri --version > /dev/null 2>&1; then
   MIRIFLAGS="-Zmiri-disable-isolation" \

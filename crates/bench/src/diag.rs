@@ -18,15 +18,18 @@
 //! the second layout resolved, which it introduced. A machine-readable
 //! copy lands in `results/diag_<a>_vs_<b>.json`.
 
+use std::sync::Arc;
+
 use crate::{
-    banner, run_case_attributed, text, AppSide, ArgError, Cli, Flag, Kind, Reporter, RunArgs,
+    address_map, banner, census_refs, run_attributed_on, text, ArgError, Cli, Flag, Kind, Reporter,
+    RunArgs,
 };
 use oslay::analysis::figures::render_set_heatmap;
 use oslay::analysis::report::{pct, TextTable};
-use oslay::cache::{AttributionReport, CacheConfig, CodeRef};
+use oslay::cache::{census_label, AttributionReport, CacheConfig, CodeRef, CENSUS_SLOTS};
 use oslay::model::{Domain, RoutineId};
-use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_observe::{AttrClass, RunReport};
+use oslay::{OsLayoutKind, SimConfig, Study, WorkloadCase};
+use oslay_observe::{timeline, AttrClass, MetricRegistry, RunReport};
 
 /// The command line: `--compare A B` or `--check-results`, plus the
 /// common study flags.
@@ -83,7 +86,30 @@ fn code_label(study: &Study, code: &CodeRef) -> String {
     }
 }
 
-fn print_report(study: &Study, name: &str, r: &AttributionReport) {
+/// Attributes `case` under the `kind` OS layout (application at its base
+/// layout), with the census reference column of the same layouts.
+fn attribute(
+    study: &Study,
+    case: &WorkloadCase,
+    kind: OsLayoutKind,
+    cfg: CacheConfig,
+    registry: &Arc<MetricRegistry>,
+) -> (AttributionReport, [u64; CENSUS_SLOTS]) {
+    let os = study.os_layout(kind, cfg.size());
+    let app = study.app_base_layout(case);
+    let _t = timeline::scope(
+        timeline::group(),
+        0,
+        format!("{}/{}", case.name(), kind.name()),
+    );
+    let sim = SimConfig::fast();
+    let (_, report) = run_attributed_on(study, case, &os, app.as_ref(), cfg, &sim, Some(registry));
+    let map = address_map(study, case, &os, app.as_ref());
+    let refs = census_refs(&map, case, &os.layout, app.as_ref());
+    (report, refs)
+}
+
+fn print_report(study: &Study, name: &str, r: &AttributionReport, refs: &[u64; CENSUS_SLOTS]) {
     println!("--- {name} ---");
     println!(
         "{} misses / {} fetches ({})",
@@ -107,12 +133,12 @@ fn print_report(study: &Study, name: &str, r: &AttributionReport) {
     print!("{}", render_set_heatmap(&r.set_misses, 96));
     println!("Block-class census (Figure 13 categories):");
     let mut table = TextTable::new(["class", "refs", "misses", "miss share"]);
-    for (label, refs, misses) in r.census() {
+    for (i, (&refs, &misses)) in refs.iter().zip(&r.census_misses).enumerate() {
         if refs == 0 && misses == 0 {
             continue;
         }
         table.row([
-            label.to_owned(),
+            census_label(i).to_owned(),
             refs.to_string(),
             misses.to_string(),
             pct(misses as f64 / r.total_misses.max(1) as f64),
@@ -186,29 +212,14 @@ fn compare_layouts(run: &RunArgs, a: &str, b: &str, case: &str) {
         cfg.ways()
     );
     println!();
-    let sim = SimConfig::fast();
     let mut reporter = Reporter::new(&format!("diag_{tok_a}_vs_{tok_b}"));
     let registry = reporter.registry();
-    let (_, report_a) = run_case_attributed(
-        &study,
-        case,
-        kind_a,
-        AppSide::Base,
-        cfg,
-        &sim,
-        Some(&registry),
-    );
-    let (_, report_b) = run_case_attributed(
-        &study,
-        case,
-        kind_b,
-        AppSide::Base,
-        cfg,
-        &sim,
-        Some(&registry),
-    );
-    print_report(&study, &format!("{tok_a} ({})", kind_a.name()), &report_a);
-    print_report(&study, &format!("{tok_b} ({})", kind_b.name()), &report_b);
+    let (report_a, refs_a) = attribute(&study, case, kind_a, cfg, &registry);
+    let (report_b, refs_b) = attribute(&study, case, kind_b, cfg, &registry);
+    let name_a = format!("{tok_a} ({})", kind_a.name());
+    print_report(&study, &name_a, &report_a, &refs_a);
+    let name_b = format!("{tok_b} ({})", kind_b.name());
+    print_report(&study, &name_b, &report_b, &refs_b);
 
     let diff = oslay::cache::diff_attribution(&report_a, &report_b);
     println!("=== layout diff: {tok_a} -> {tok_b} ===");

@@ -24,14 +24,16 @@ use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use oslay::cache::{AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig};
+use oslay::cache::{
+    AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, CENSUS_SLOTS,
+};
 use oslay::{
     MultiGroupReplayer, MultiLane, OsLayout, OsLayoutKind, SimConfig, SimResult, Study,
     StudyConfig, WorkloadCase,
 };
 use oslay_layout::Layout;
 use oslay_model::synth::Scale;
-use oslay_model::Domain;
+use oslay_model::{BlockId, Domain};
 use oslay_observe::timeline;
 use oslay_observe::{flight, AttributionProbe, MetricRegistry, Probe, RunReport};
 
@@ -659,7 +661,8 @@ pub fn run_case_attributed(
 /// tagged with its block classes, plus the application's when the
 /// workload has one (app and OS address spaces are disjoint, so one map
 /// holds both).
-fn address_map(
+#[must_use]
+pub fn address_map(
     study: &Study,
     case: &WorkloadCase,
     os: &OsLayout,
@@ -680,6 +683,34 @@ fn address_map(
         ));
     }
     AddressMap::build(spans)
+}
+
+/// The census reference column of one replay: how many word fetches of
+/// `case`'s trace land in each [`CENSUS_SLOTS`] slot of `map` under the
+/// given layouts. A block fetches `fetch_words` words from its address
+/// once per execution, so the column is each block's profile weight
+/// spread over the map's spans ([`AddressMap::count_words`]), read off
+/// `case.os_profile` and `case.app_profile` without a replay. It equals
+/// a per-fetch count of the replay's words.
+#[must_use]
+pub fn census_refs(
+    map: &AddressMap,
+    case: &WorkloadCase,
+    os: &Layout,
+    app: Option<&Layout>,
+) -> [u64; CENSUS_SLOTS] {
+    let mut refs = [0; CENSUS_SLOTS];
+    let app = app.zip(case.app_profile.as_ref());
+    for (layout, profile) in std::iter::once((os, &case.os_profile)).chain(app) {
+        for i in 0..layout.num_blocks() {
+            let id = BlockId::new(i);
+            let weight = profile.node_weight(id);
+            if weight > 0 {
+                map.count_words(layout.addr(id), layout.fetch_words(id), weight, &mut refs);
+            }
+        }
+    }
+    refs
 }
 
 /// Like [`run_case_attributed`], but with precomputed layouts (the

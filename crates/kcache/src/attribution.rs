@@ -14,9 +14,11 @@
 //! * **Per-set pressure** ([`AttributionReport::set_misses`]): the sharp
 //!   per-set peaks of Figure 1 / Figure 14, measured instead of plotted
 //!   from addresses.
-//! * **Block-class census** ([`AttributionReport::census`]): references
-//!   and misses keyed by the Figure 13 placement classes
-//!   ([`CodeClass`]: MainSeq, SelfConfFree, Loops, OtherSeq, Cold).
+//! * **Block-class census** ([`AttributionReport::census_misses`]):
+//!   misses keyed by the Figure 13 placement classes ([`CodeClass`]:
+//!   MainSeq, SelfConfFree, Loops, OtherSeq, Cold). The reference column
+//!   beside it needs no replay: it is the block profile's execution
+//!   counts spread over the map ([`AddressMap::count_words`]).
 //! * **Evictor→victim pairs and the routine×routine conflict matrix**
 //!   ([`ConflictMatrix`]): when a conflict miss refetches a line, the
 //!   engine charges the pair *(block that evicted it → block that
@@ -288,40 +290,40 @@ impl AddressMap {
         (addr < end).then_some(code)
     }
 
-    /// Like [`AddressMap::lookup`], but returns the half-open address
-    /// range sharing `addr`'s answer: the containing span, or the gap
-    /// between spans. Callers memoize the range so that the sequential
-    /// fetches of one basic block cost a single index lookup.
-    #[must_use]
-    pub fn lookup_span(&self, addr: u64) -> (u64, u64, Option<CodeRef>) {
-        self.range_at(addr, self.rank(addr))
-    }
-
-    /// [`AddressMap::lookup_span`] plus the range's rank, trying the rank
-    /// `hint` before the index. Replay passes the rank after its last
-    /// range: control falls through into the next span most of the time,
-    /// and checking that costs two loads from a line already in cache.
-    #[inline]
-    pub(crate) fn lookup_span_hinted(
+    /// Adds `weight` to the census slot of each of the `words` word
+    /// fetches from `addr`, keyed by the word's start address (the last
+    /// slot for gaps). One index lookup, then span arithmetic along the
+    /// spans the fetch crosses; no per-word lookup.
+    pub fn count_words(
         &self,
         addr: u64,
-        hint: usize,
-    ) -> ((u64, u64, Option<CodeRef>), usize) {
-        let fits = hint <= self.spans.len()
-            && hint.checked_sub(1).is_none_or(|j| self.spans[j].0 <= addr)
-            && self.spans.get(hint).is_none_or(|next| addr < next.0);
-        let i = if fits { hint } else { self.rank(addr) };
-        (self.range_at(addr, i), i)
-    }
-
-    /// The range holding `addr`, given its rank `i`.
-    #[inline]
-    fn range_at(&self, addr: u64, i: usize) -> (u64, u64, Option<CodeRef>) {
-        let next_start = self.spans.get(i).map_or(u64::MAX, |&(start, _, _)| start);
-        match i.checked_sub(1).and_then(|j| self.spans.get(j)) {
-            Some(&(start, end, code)) if addr < end => (start, end, Some(code)),
-            Some(&(_, end, _)) => (end, next_start, None),
-            None => (0, next_start, None),
+        words: u32,
+        weight: u64,
+        census: &mut [u64; CENSUS_SLOTS],
+    ) {
+        let word = u64::from(oslay_model::WORD_BYTES);
+        let (mut addr, mut left) = (addr, u64::from(words));
+        let mut i = self.rank(addr);
+        while left > 0 {
+            // `addr` lies in span `i - 1` or in the gap before span `i`.
+            let (end, slot) = match i.checked_sub(1).map(|j| &self.spans[j]) {
+                Some(&(_, end, code)) if addr < end => (end, code.class.index()),
+                _ => (
+                    self.spans.get(i).map_or(u64::MAX, |&(start, _, _)| start),
+                    CENSUS_SLOTS - 1,
+                ),
+            };
+            let n = (end - addr).div_ceil(word).min(left);
+            census[slot] += n * weight;
+            left -= n;
+            addr += n * word;
+            while self
+                .spans
+                .get(i)
+                .is_some_and(|&(start, _, _)| start <= addr)
+            {
+                i += 1;
+            }
         }
     }
 
@@ -668,9 +670,9 @@ pub struct AttributionReport {
     pub set_accesses: Vec<u64>,
     /// Misses per cache set (the per-set pressure histogram).
     pub set_misses: Vec<u64>,
-    /// References per census slot (see [`census_label`]).
-    pub census_refs: [u64; CENSUS_SLOTS],
-    /// Misses per census slot.
+    /// Misses per census slot (see [`census_label`]). The matching
+    /// reference column is a function of the block profile, not of the
+    /// replay: [`AddressMap::count_words`] weighted by execution counts.
     pub census_misses: [u64; CENSUS_SLOTS],
     /// Misses per OS entry class (`SeedKind` order), slot 4 = outside any
     /// OS invocation (application code, idle loop).
@@ -739,15 +741,6 @@ impl AttributionReport {
         &self.pairs[..k.min(self.pairs.len())]
     }
 
-    /// Census rows as `(label, references, misses)`, paper order plus the
-    /// unmapped slot.
-    #[must_use]
-    pub fn census(&self) -> Vec<(&'static str, u64, u64)> {
-        (0..CENSUS_SLOTS)
-            .map(|i| (census_label(i), self.census_refs[i], self.census_misses[i]))
-            .collect()
-    }
-
     /// Flattens the report into the numeric fields a
     /// [`RunReport`](oslay_observe::RunReport) section stores, so
     /// `compare()` can flag conflict-matrix regressions between runs.
@@ -794,30 +787,23 @@ impl AttributionReport {
 ///
 /// Wraps a concrete [`Cache`] (it needs the eviction detail of
 /// [`Cache::access_detailed`]), consults the shadow tag store on every
-/// access, and keeps per-set, per-class, and per-pair rollups. Implements
-/// [`InstructionCache`], so the standard simulation driver works
-/// unchanged; call [`AttributedCache::report`] afterwards for the
-/// rollups. Its `access_words` touches the cache and the shadow store
-/// once per cache line and bulk-counts the line's remaining words; the
-/// rollups and statistics equal a word-by-word replay's.
+/// access, and keeps per-set, per-class, and per-pair rollups. Only a
+/// miss resolves code through the [`AddressMap`] (its own block, and
+/// its evictor's). Implements [`InstructionCache`], so the standard
+/// simulation driver works unchanged; call [`AttributedCache::report`]
+/// afterwards for the rollups. Its `access_words` touches the cache and
+/// the shadow store once per cache line and bulk-counts the line's
+/// remaining words; the rollups and statistics equal a word-by-word
+/// replay's.
 pub struct AttributedCache {
     inner: Cache,
     map: Arc<AddressMap>,
     shadow: ShadowTags,
-    /// Last resolved map range `(start, end, code)` — sequential fetches
-    /// of one block stay inside one span, so almost every access resolves
-    /// here instead of in the map's index. Starts empty
-    /// (`start > end`, matching nothing).
-    span_memo: (u64, u64, Option<CodeRef>),
-    /// The memo's rank in the map (the fall-through hint for the next
-    /// range).
-    memo_rank: usize,
     /// victim line → line whose fill displaced it.
     last_evictor: FastMap<u64, u64>,
     set_accesses: Vec<u64>,
     set_misses: Vec<u64>,
     class_misses: [u64; 3],
-    census_refs: [u64; CENSUS_SLOTS],
     census_misses: [u64; CENSUS_SLOTS],
     entry_misses: [u64; 5],
     /// Current OS entry class (None = outside the OS).
@@ -909,13 +895,10 @@ impl AttributedCache {
             inner,
             map,
             shadow: ShadowTags::new(lines),
-            span_memo: (1, 0, None),
-            memo_rank: 0,
             last_evictor: FastMap::default(),
             set_accesses: vec![0; sets],
             set_misses: vec![0; sets],
             class_misses: [0; 3],
-            census_refs: [0; CENSUS_SLOTS],
             census_misses: [0; CENSUS_SLOTS],
             entry_misses: [0; 5],
             context: None,
@@ -981,7 +964,6 @@ impl AttributedCache {
             class_misses: self.class_misses,
             set_accesses: self.set_accesses.clone(),
             set_misses: self.set_misses.clone(),
-            census_refs: self.census_refs,
             census_misses: self.census_misses,
             entry_misses: self.entry_misses,
             epoch_conflicts: self.epoch_conflicts.iter().map(|(&t, &c)| (t, c)).collect(),
@@ -994,53 +976,23 @@ impl AttributedCache {
         code.map_or(CENSUS_SLOTS - 1, |c| c.class.index())
     }
 
-    /// Points the span memo at the map range holding `addr`.
-    #[inline]
-    fn resolve(&mut self, addr: u64) {
-        if !(self.span_memo.0 <= addr && addr < self.span_memo.1) {
-            (self.span_memo, self.memo_rank) =
-                self.map.lookup_span_hinted(addr, self.memo_rank + 1);
-        }
-    }
-
-    /// Counts the `words` word fetches from `addr` into the census, one
-    /// map range at a time, and returns the code of the first.
-    #[inline]
-    fn count_refs(&mut self, addr: u64, words: u32) -> Option<CodeRef> {
-        let word = u64::from(oslay_model::WORD_BYTES);
-        self.resolve(addr);
-        let first = self.span_memo.2;
-        let (mut addr, mut left) = (addr, u64::from(words));
-        loop {
-            let (_, end, code) = self.span_memo;
-            let n = (end - addr).div_ceil(word).min(left);
-            self.census_refs[Self::census_slot(code)] += n;
-            left -= n;
-            if left == 0 {
-                return first;
-            }
-            addr += n * word;
-            self.resolve(addr);
-        }
-    }
-
     /// One line run: the attributed access of the word at `addr`, then
     /// `run - 1` further words of the same line. Those are hits on the
     /// line the first access just made MRU, in the cache and in the
-    /// shadow store alike, so they only bump the hit, set and census
-    /// counts.
+    /// shadow store alike, so they only bump the hit and set counts. The
+    /// address map is consulted only on a miss.
     #[inline]
     fn access_run(&mut self, addr: u64, run: u32, domain: Domain) -> AccessOutcome {
         let detail = self.inner.access_detailed(addr, domain);
         self.inner.record_hits(domain, u64::from(run - 1));
         self.set_accesses[detail.set as usize] += u64::from(run);
-        let code = self.count_refs(addr, run);
         // The shadow stack sees every access (hits keep the LRU order
         // honest); its verdict is read before this touch takes effect.
         let was_resident = self.shadow.touch(detail.line);
 
         if let AccessOutcome::Miss(kind) = detail.outcome {
             self.set_misses[detail.set as usize] += 1;
+            let code = self.map.lookup(addr);
             self.census_misses[Self::census_slot(code)] += 1;
             self.entry_misses[self.context.map_or(4, SeedKind::index)] += 1;
             let class = if kind == crate::MissKind::Cold {
@@ -1099,13 +1051,10 @@ impl InstructionCache for AttributedCache {
     fn reset(&mut self) {
         self.inner.reset();
         self.shadow.clear();
-        self.span_memo = (1, 0, None);
-        self.memo_rank = 0;
         self.last_evictor.clear();
         self.set_accesses.fill(0);
         self.set_misses.fill(0);
         self.class_misses = [0; 3];
-        self.census_refs = [0; CENSUS_SLOTS];
         self.census_misses = [0; CENSUS_SLOTS];
         self.entry_misses = [0; 5];
         self.context = None;
@@ -1307,37 +1256,29 @@ mod tests {
     }
 
     #[test]
-    fn lookup_span_agrees_with_lookup_everywhere() {
+    fn count_words_splits_fetches_at_spans_and_gaps() {
+        // A 6-byte MainSeq span, a 2-byte Loop span too short to hold a
+        // word start, a gap, then Cold code.
         let map = AddressMap::build([
-            (16, 16, code(Domain::Os, 0, 0, CodeClass::MainSeq)),
-            (48, 8, code(Domain::Os, 1, 0, CodeClass::Cold)),
+            (16, 6, code(Domain::Os, 0, 0, CodeClass::MainSeq)),
+            (22, 2, code(Domain::Os, 1, 0, CodeClass::Loop)),
+            (40, 12, code(Domain::Os, 2, 0, CodeClass::Cold)),
         ]);
-        for addr in 0..80u64 {
-            let (start, end, got) = map.lookup_span(addr);
-            assert!(start <= addr && addr < end, "addr {addr}: [{start}, {end})");
-            assert_eq!(got, map.lookup(addr), "addr {addr}");
-            // The whole returned range must share the answer (that is the
-            // memoization contract).
-            for a in start..end.min(80) {
-                assert_eq!(map.lookup(a), got, "addr {addr}, range member {a}");
-            }
-        }
-    }
-
-    #[test]
-    fn hinted_lookup_ignores_wrong_hints() {
-        let map = AddressMap::build([
-            (16, 16, code(Domain::Os, 0, 0, CodeClass::MainSeq)),
-            (32, 8, code(Domain::Os, 1, 0, CodeClass::Cold)),
-            (48, 8, code(Domain::Os, 2, 0, CodeClass::Loop)),
-        ]);
-        for addr in 0..70u64 {
-            for hint in 0..6 {
-                let (range, rank) = map.lookup_span_hinted(addr, hint);
-                assert_eq!(range, map.lookup_span(addr), "addr {addr} hint {hint}");
-                assert_eq!(rank, map.rank(addr), "addr {addr} hint {hint}");
-            }
-        }
+        let (main, cold, unmapped) = (
+            CodeClass::MainSeq.index(),
+            CodeClass::Cold.index(),
+            CENSUS_SLOTS - 1,
+        );
+        let mut census = [0; CENSUS_SLOTS];
+        // Words at 16 and 20 start in MainSeq (20 straddles into the Loop
+        // span), 24..36 in the gap, 40..48 in Cold, 52 past the end.
+        map.count_words(16, 10, 3, &mut census);
+        let mut want = [0; CENSUS_SLOTS];
+        (want[main], want[unmapped], want[cold]) = (2 * 3, 5 * 3, 3 * 3);
+        assert_eq!(census, want);
+        let mut empty = [0; CENSUS_SLOTS];
+        AddressMap::default().count_words(8, 4, 2, &mut empty);
+        assert_eq!(empty[unmapped], 8, "an empty map is all gap");
     }
 
     #[test]
@@ -1442,7 +1383,6 @@ mod tests {
         );
         assert_eq!(r.set_misses.iter().sum::<u64>(), r.total_misses);
         assert_eq!(r.set_accesses.iter().sum::<u64>(), r.total_accesses);
-        assert_eq!(r.census_refs.iter().sum::<u64>(), r.total_accesses);
         assert_eq!(r.census_misses.iter().sum::<u64>(), r.total_misses);
         assert_eq!(r.entry_misses.iter().sum::<u64>(), r.total_misses);
     }

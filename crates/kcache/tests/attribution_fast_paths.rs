@@ -3,8 +3,9 @@
 //! * `AttributedCache::access_words` (one attributed access per cache
 //!   line, trailing words bulk-counted) against the trait's per-word
 //!   default, reached through a wrapper that forwards only `access`.
-//! * The rank-indexed `AddressMap::lookup` / `lookup_span` against a
-//!   plain binary search over the same spans.
+//! * The rank-indexed `AddressMap::lookup` and the span arithmetic of
+//!   `AddressMap::count_words` against a plain binary search over the
+//!   same spans, one word at a time.
 //! * Telemetry inertness: an attributed replay samples the same cache
 //!   state as the plain `Cache` it wraps.
 
@@ -12,7 +13,7 @@ use std::sync::Arc;
 
 use oslay_cache::{
     AddressMap, AttributedCache, Cache, CacheConfig, CodeClass, CodeRef, InstructionCache,
-    MissStats,
+    MissStats, CENSUS_SLOTS,
 };
 use oslay_model::rng::Rng;
 use oslay_model::{Domain, SeedKind, WORD_BYTES};
@@ -220,18 +221,20 @@ fn oracle_lookup(sorted: &[(u64, u64, CodeRef)], addr: u64) -> Option<CodeRef> {
     (addr < end).then_some(code)
 }
 
-fn oracle_lookup_span(sorted: &[(u64, u64, CodeRef)], addr: u64) -> (u64, u64, Option<CodeRef>) {
-    let i = oracle_rank(sorted, addr);
-    let next_start = sorted.get(i).map_or(u64::MAX, |&(start, _, _)| start);
-    match i.checked_sub(1).map(|j| sorted[j]) {
-        Some((start, end, code)) if addr < end => (start, end, Some(code)),
-        Some((_, end, _)) => (end, next_start, None),
-        None => (0, next_start, None),
+/// The census of `words` word fetches from `addr`, one binary search
+/// per word.
+fn oracle_census(sorted: &[(u64, u64, CodeRef)], addr: u64, words: u32) -> [u64; CENSUS_SLOTS] {
+    let mut census = [0; CENSUS_SLOTS];
+    for w in 0..u64::from(words) {
+        let code = oracle_lookup(sorted, addr + w * u64::from(WORD_BYTES));
+        census[code.map_or(CENSUS_SLOTS - 1, |c| c.class.index())] += 1;
     }
+    census
 }
 
 /// Checks every boundary address of every span, plus random probes and
-/// the extremes of the address space, against the binary search.
+/// the extremes of the address space, against the binary search: the
+/// lookup there, and the census of a fetch of up to 39 words from there.
 fn check_map(rng: &mut Rng, what: &str, spans: &[Span]) {
     let map = AddressMap::build(spans.iter().copied());
     let mut sorted: Vec<(u64, u64, CodeRef)> = spans
@@ -264,11 +267,16 @@ fn check_map(rng: &mut Rng, what: &str, spans: &[Span]) {
             oracle_lookup(&sorted, addr),
             "{what}: lookup({addr:#x})"
         );
-        assert_eq!(
-            map.lookup_span(addr),
-            oracle_lookup_span(&sorted, addr),
-            "{what}: lookup_span({addr:#x})"
-        );
+        if addr < u64::MAX / 2 {
+            let words = (addr % 40) as u32;
+            let mut census = [0; CENSUS_SLOTS];
+            map.count_words(addr, words, 1, &mut census);
+            assert_eq!(
+                census,
+                oracle_census(&sorted, addr, words),
+                "{what}: count_words({addr:#x}, {words})"
+            );
+        }
     }
 }
 
@@ -283,6 +291,14 @@ fn indexed_address_map_equals_binary_search() {
     check_map(&mut rng, "zero-length span dropped", &zero_len);
     let at_zero = [(0, 3, os(&mut rng, 0)), (3, 5, os(&mut rng, 1))];
     check_map(&mut rng, "span at address 0", &at_zero);
+    // A span too short for any word to start in, words straddling span
+    // ends, and a gap between.
+    let straddles = [
+        (16, 6, os(&mut rng, 0)),
+        (22, 2, os(&mut rng, 1)),
+        (40, 12, os(&mut rng, 2)),
+    ];
+    check_map(&mut rng, "short spans and a gap", &straddles);
     // Neighbours exactly 64 KiB apart share a region; one byte more
     // splits them.
     let gap = 1u64 << 16;

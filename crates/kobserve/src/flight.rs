@@ -764,12 +764,9 @@ impl ChromeTrace {
         }
     }
 
-    /// Share of the trace's wall-clock that track `tid` spent inside
-    /// `exec.job` spans (nested or overlapping jobs count once): how busy
-    /// a worker of `exec::parallel_map` was, or how much of the main
-    /// track ran jobs inline.
-    #[must_use]
-    pub fn busy_share(&self, tid: u64) -> f64 {
+    /// Track `tid`'s `exec.job` spans as sorted, disjoint `(start, end)`
+    /// intervals: nested or overlapping jobs merge into one.
+    fn job_intervals(&self, tid: u64) -> Vec<(f64, f64)> {
         let mut jobs: Vec<(f64, f64)> = self
             .spans
             .iter()
@@ -777,11 +774,26 @@ impl ChromeTrace {
             .map(|&(_, _, ts, dur)| (ts, ts + dur))
             .collect();
         jobs.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let (mut busy, mut reached) = (0.0, f64::NEG_INFINITY);
+        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(jobs.len());
         for (start, end) in jobs {
-            busy += (end - start.max(reached)).max(0.0);
-            reached = reached.max(end);
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
         }
+        merged
+    }
+
+    /// Share of the trace's wall-clock that track `tid` spent inside
+    /// `exec.job` spans (nested or overlapping jobs count once): how busy
+    /// a worker of `exec::parallel_map` was, or how much of the main
+    /// track ran jobs inline.
+    #[must_use]
+    pub fn busy_share(&self, tid: u64) -> f64 {
+        let busy = self
+            .job_intervals(tid)
+            .iter()
+            .fold(0.0, |busy, &(s, e)| busy + (e - s));
         let wall = self.wall_us();
         if wall > 0.0 {
             busy / wall
@@ -791,10 +803,12 @@ impl ChromeTrace {
     }
 
     /// Renders one ASCII density row per track: each column covers an
-    /// equal slice of wall time, shaded by how busy the track was
-    /// (` `, `.`, `:`, `*`, `#` for 0..100%), and ends with the track's
-    /// [`ChromeTrace::busy_share`]. Makes load imbalance between workers
-    /// visible at a glance.
+    /// equal slice of wall time, shaded by the share of it the track
+    /// spent in `exec.job` (` `, `.`, `:`, `*`, `#` for 0..100%), and the
+    /// row ends with the same share over the whole trace
+    /// ([`ChromeTrace::busy_share`]). A track waiting in
+    /// `exec.parallel_map` stays blank. Makes load imbalance between
+    /// workers visible at a glance.
     #[must_use]
     pub fn render_timeline(&self, width: usize) -> String {
         let width = width.max(10);
@@ -820,10 +834,9 @@ impl ChromeTrace {
         let col_us = wall / width as f64;
         for tid in tids {
             let mut busy = vec![0.0f64; width];
-            // Only leaf-level busyness matters for shading; inclusive
-            // spans overlap, so clamp each column's fill to its width.
-            for &(_, _, ts, dur) in self.spans.iter().filter(|&&(_, t, _, _)| t == tid) {
-                let (s, e) = (ts - t0, ts - t0 + dur);
+            // The job intervals are disjoint, so no column overfills.
+            for (start, end) in self.job_intervals(tid) {
+                let (s, e) = (start - t0, end - t0);
                 let first = ((s / col_us) as usize).min(width - 1);
                 let last = ((e / col_us) as usize).min(width - 1);
                 for (c, b) in busy.iter_mut().enumerate().take(last + 1).skip(first) {
@@ -1035,9 +1048,18 @@ mod tests {
             (trace.busy_share(1) - 0.4).abs() < 1e-9,
             "nested job counts once"
         );
-        let timeline = trace.render_timeline(20);
-        assert!(timeline.contains("  0.0% in exec.job"), "{timeline}");
-        assert!(timeline.contains(" 40.0% in exec.job"), "{timeline}");
+        // Shading counts job time only: main, which only waits in
+        // `exec.parallel_map`, stays blank.
+        let timeline = trace.render_timeline(10);
+        let rows: Vec<&str> = timeline.lines().skip(1).collect();
+        assert_eq!(
+            rows,
+            [
+                "        main |          |   0.0% in exec.job",
+                "    worker-0 |    ### # |  40.0% in exec.job",
+            ],
+            "{timeline}"
+        );
     }
 
     #[test]

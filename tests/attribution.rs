@@ -5,9 +5,9 @@
 
 use std::sync::Arc;
 
-use oslay::cache::{diff_attribution, AttributionReport, CacheConfig, MissKind};
+use oslay::cache::{diff_attribution, AttributionReport, CacheConfig, MissKind, CENSUS_SLOTS};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{run_case_attributed, AppSide};
+use oslay_bench::{address_map, census_refs, run_case_attributed, AppSide};
 use oslay_observe::{AttrClass, MetricRegistry};
 
 fn study() -> Study {
@@ -26,6 +26,13 @@ fn attribute(study: &Study, kind: OsLayoutKind) -> AttributionReport {
         None,
     );
     attr
+}
+
+/// The census reference column of [`attribute`]'s replay.
+fn reference_column(study: &Study, kind: OsLayoutKind) -> [u64; CENSUS_SLOTS] {
+    let case = &study.cases()[3];
+    let os = study.os_layout(kind, CacheConfig::paper_default().size());
+    census_refs(&address_map(study, case, &os, None), case, &os.layout, None)
 }
 
 #[test]
@@ -51,7 +58,7 @@ fn classification_partitions_all_misses() {
             "per-set accesses must sum to the total"
         );
         assert_eq!(
-            attr.census_refs.iter().sum::<u64>(),
+            reference_column(&s, kind).iter().sum::<u64>(),
             attr.total_accesses,
             "census slots must account for every fetch"
         );
@@ -79,8 +86,8 @@ fn compulsory_equals_cold_and_layouts_cover_all_code() {
         "compulsory must be exactly the simulator's cold-miss count"
     );
     // The layout spans cover every fetch address: nothing is unmapped.
-    let unmapped = oslay::cache::CENSUS_SLOTS - 1;
-    assert_eq!(attr.census_refs[unmapped], 0);
+    let unmapped = CENSUS_SLOTS - 1;
+    assert_eq!(reference_column(&s, OsLayoutKind::Base)[unmapped], 0);
     assert_eq!(attr.census_misses[unmapped], 0);
     // Shell is OS-only: every miss happens inside an OS invocation.
     assert_eq!(attr.entry_misses[4], 0, "no misses outside the OS");
