@@ -375,6 +375,28 @@ if [ "$status" -ne 2 ]; then
   exit 1
 fi
 grep -q -- "--budget needs a value" "$tmpdir/err2.txt"
+# The objective weights are constants: their old flags must be rejected
+# as unknown, not silently ignored.
+for knob in "--w-absint 1" "--w-conflict 2"; do
+  status=0
+  # shellcheck disable=SC2086 # flag and value split on purpose
+  cargo run --release -q -p oslay-bench --bin search -- \
+    --scale tiny $knob > /dev/null 2> "$tmpdir/err3.txt" || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "search $knob exited $status (want 2)" >&2
+    exit 1
+  fi
+  grep -q "common experiment flags" "$tmpdir/err3.txt"
+done
+# A truncated layout file is a bad input (exit 2), not a crash (101).
+head -c 40 "$tmpdir/t1/layout.json" > "$tmpdir/truncated.json"
+status=0
+cargo run --release -q -p oslay-bench --bin lint -- \
+  --scale tiny --layout-file "$tmpdir/truncated.json" > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "lint --layout-file on a truncated file exited $status (want 2)" >&2
+  exit 1
+fi
 rm -rf "$tmpdir"
 
 echo "== absint gate: static classes replay-sound, mutations detected =="

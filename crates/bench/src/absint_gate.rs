@@ -3,8 +3,8 @@
 //! The static classifier (`oslay_verify::absint`) promises, per layout:
 //! always-hit points never miss, persistent lines miss at most once per
 //! run, always-miss points miss on every execution. This module replays
-//! every workload against every layout — word for word, through the
-//! attribution engine's cache — and checks each promise against the
+//! every workload's buffered trace against every layout — word for word,
+//! through the plain cache — and checks each promise against the
 //! *measured* per-point miss counts. One surviving violation anywhere
 //! fails the gate; the `analyze --gate` binary turns that into exit 1
 //! and ci.sh runs it on every push.
@@ -17,9 +17,8 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use oslay::cache::{AttributedCache, Cache, CacheConfig, InstructionCache};
+use oslay::cache::{Cache, CacheConfig, InstructionCache};
 use oslay::{OsLayout, Study};
-use oslay_layout::Layout;
 use oslay_model::{Domain, WORD_BYTES};
 use oslay_trace::{TraceEvent, TraceSink};
 use oslay_verify::{
@@ -161,10 +160,10 @@ impl LayoutWords {
 }
 
 /// The per-point miss recorder: a [`TraceSink`] replaying the stream
-/// through the attribution engine's cache, mirroring the production
-/// replayer word for word.
+/// through the plain cache, mirroring the production replayer word for
+/// word.
 struct MissRecorder<'a> {
-    cache: AttributedCache,
+    cache: Cache,
     os: &'a LayoutWords,
     app: Option<&'a LayoutWords>,
     point_miss: Vec<Vec<u64>>,
@@ -227,16 +226,13 @@ pub fn run_absint_gate(
         .iter()
         .map(|(_, _, view)| Arc::new(LayoutWords::new(view, &config)))
         .collect();
-    let app_layouts: Vec<Option<Layout>> = study
+    let app_views: Vec<Option<LayoutWords>> = study
         .cases()
         .iter()
-        .map(|case| study.app_base_layout(case))
-        .collect();
-    let app_views: Vec<Option<LayoutWords>> = app_layouts
-        .iter()
-        .map(|l| {
-            l.as_ref()
-                .map(|l| LayoutWords::new(&LayoutView::from_layout(l), &config))
+        .map(|case| {
+            study
+                .app_base_layout(case)
+                .map(|l| LayoutWords::new(&LayoutView::from_layout(&l), &config))
         })
         .collect();
 
@@ -246,10 +242,9 @@ pub fn run_absint_gate(
     let rows = oslay::exec::parallel_map(threads, jobs, |_, (l, c)| {
         let case = &study.cases()[c];
         let (name, classification, _) = &classifications[l];
-        let map = crate::address_map(study, case, &layouts[l].1, app_layouts[c].as_ref());
         let words = &os_words[l];
         let mut recorder = MissRecorder {
-            cache: AttributedCache::new(Cache::new(config), Arc::new(map)),
+            cache: Cache::new(config),
             os: words,
             app: app_views[c].as_ref(),
             point_miss: (0..words.base.len())
@@ -257,7 +252,9 @@ pub fn run_absint_gate(
                 .collect(),
             exec: vec![0u64; words.base.len()],
         };
-        study.stream_case(case, &mut recorder);
+        for &event in case.trace.events() {
+            recorder.event(event);
+        }
         check_row(case.name(), name, classification, &recorder)
     });
 

@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use oslay::Study;
-use oslay_bench::{ArgError, Cli, Flag, Kind, FILE, INT};
+use oslay_bench::{layout_view_from_json, ArgError, Cli, Flag, Kind, FILE, INT};
 use oslay_cache::CacheConfig;
 use oslay_layout::{optimize_os, BlockClass, OptLayout, OptParams};
 use oslay_model::{Domain, Program, RoutineId};
@@ -128,42 +128,10 @@ fn apply_mutation(opt: &OptLayout, view: &mut LayoutView, cache_size: u32, which
     }
 }
 
-/// Loads an external layout file (`search --layout-out` format: a JSON
-/// object with `"name"`, `"addr"` and `"size"` arrays) as a
-/// [`LayoutView`].
+/// Loads an external layout file (`search --layout-out`).
 fn load_layout_view(path: &std::path::Path) -> Result<LayoutView, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = oslay_observe::json::parse(&text).map_err(|e| format!("not JSON: {e}"))?;
-    let field = |key: &str| doc.get(key).ok_or_else(|| format!("missing {key:?}"));
-    let list = |key: &str| {
-        field(key)?
-            .as_array()
-            .ok_or_else(|| format!("{key:?} must be an array"))
-    };
-    let name = field("name")?
-        .as_str()
-        .ok_or("\"name\" must be a string")?
-        .to_owned();
-    let addr = list("addr")?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or("\"addr\" entries must be non-negative integers")
-        })
-        .collect::<Result<Vec<u64>, _>>()?;
-    let size = list("size")?
-        .iter()
-        .map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
-        .collect::<Option<Vec<u32>>>()
-        .ok_or("\"size\" entries must be u32 integers")?;
-    if addr.len() != size.len() {
-        return Err(format!(
-            "{} \"addr\" but {} \"size\" entries",
-            addr.len(),
-            size.len()
-        ));
-    }
-    Ok(LayoutView { name, addr, size })
+    layout_view_from_json(&text).map_err(|e| e.to_string())
 }
 
 fn print_report(report: &VerifyReport, json: bool) {

@@ -9,10 +9,8 @@
 //! regression compare.
 //!
 //! `search --help` lists its flags: the proposal budget, the restart
-//! count, the objective weights (`--w-absint N` re-ranks restart winners
-//! by objective + N x statically unguaranteed weight; 0 = off) and
-//! `--layout-out FILE`, which writes the winner as JSON
-//! `{name, addr, size}`.
+//! count and `--layout-out FILE`, which writes the winner as JSON
+//! `{name, addr, size}` (see [`oslay_bench::layout_view_to_json`]).
 //!
 //! Output is byte-identical at any `--threads N`.
 
@@ -20,9 +18,10 @@ use oslay::analysis::report::TextTable;
 use oslay::cache::CacheConfig;
 use oslay::{OsLayout, OsLayoutKind, SimConfig, Study};
 use oslay_bench::{
-    banner, run_attributed_layouts, run_layout_search, Cli, Flag, Kind, Reporter, FILE, INT,
+    banner, layout_view_to_json, run_attributed_layouts, run_layout_search, Cli, Flag, Kind,
+    Reporter, FILE, INT,
 };
-use oslay_search::{ObjectiveWeights, SearchParams};
+use oslay_search::SearchParams;
 
 /// An integer that fits a `u32`.
 const U32: Kind = Kind::Value("N", |v| v.parse::<u32>().is_ok(), "an integer");
@@ -35,24 +34,16 @@ const CLI: Cli = Cli {
     flags: &[
         Flag("--budget", INT, "100000", "candidate proposals per restart"),
         Flag("--restarts", U32, "6", "independent restarts"),
-        Flag("--w-conflict", INT, "1", "weight of the predicted-conflict objective half"),
-        Flag("--w-distance", INT, "1", "weight of the arc-distance objective half"),
-        Flag("--w-absint", INT, "0", "re-rank restart winners by N x unguaranteed weight"),
         Flag("--layout-out", FILE, "", "write the winning layout as JSON"),
     ],
 };
 
 fn main() {
     let flags = CLI.args();
-    let (budget, restarts, w_absint) = (
+    let (budget, restarts) = (
         flags.num("--budget").unwrap_or_default(),
         flags.num("--restarts").unwrap_or_default(),
-        flags.num("--w-absint").unwrap_or_default(),
     );
-    let weights = ObjectiveWeights {
-        conflict: flags.num("--w-conflict").unwrap_or_default(),
-        distance: flags.num("--w-distance").unwrap_or_default(),
-    };
     let args = flags.run();
     let config = args.config;
     banner(
@@ -68,15 +59,11 @@ fn main() {
         budget,
         restarts,
         seed: config.seed,
-        weights,
-        w_absint,
-        ..SearchParams::default()
     };
 
     println!(
-        "search: budget {budget} x {restarts} restart(s), weights conflict={} distance={} \
-         absint={w_absint}, seed {:#x}",
-        weights.conflict, weights.distance, config.seed
+        "search: budget {budget} x {restarts} restart(s), seed {:#x}",
+        config.seed
     );
     let searched = run_layout_search(&study, cfg, &params, &sim, args.threads);
     let outcome = &searched.outcome;
@@ -224,14 +211,7 @@ fn main() {
     reporter.add_section("search.acceptance", [("beats_or_ties_opt_s", beats as f64)]);
 
     if let Some(path) = flags.path("--layout-out") {
-        let view = &searched.candidates[chosen];
-        let fmt_list = |it: &mut dyn Iterator<Item = String>| it.collect::<Vec<_>>().join(", ");
-        let json = format!(
-            "{{\n  \"name\": \"{}\",\n  \"addr\": [{}],\n  \"size\": [{}]\n}}\n",
-            view.name,
-            fmt_list(&mut view.addr.iter().map(u64::to_string)),
-            fmt_list(&mut view.size.iter().map(u32::to_string)),
-        );
+        let json = layout_view_to_json(&searched.candidates[chosen]);
         if let Err(e) = std::fs::write(&path, json) {
             eprintln!("search: cannot write {}: {e}", path.display());
             std::process::exit(1);

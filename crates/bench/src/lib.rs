@@ -35,7 +35,7 @@ use oslay_layout::Layout;
 use oslay_model::synth::Scale;
 use oslay_model::{BlockId, Domain};
 use oslay_observe::timeline;
-use oslay_observe::{flight, AttributionProbe, MetricRegistry, Probe, RunReport};
+use oslay_observe::{flight, AttributionProbe, JsonValue, MetricRegistry, Probe, RunReport};
 
 /// Every experiment binary counts allocations: the counting allocator is
 /// a pair of relaxed atomic adds on top of the system allocator, cheap
@@ -1328,6 +1328,111 @@ pub fn run_layout_search(
         selection,
         os,
     }
+}
+
+/// Why a layout file (written by [`layout_view_to_json`], read by
+/// [`layout_view_from_json`]) did not parse.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LayoutFileError {
+    /// The text is not a JSON document.
+    NotJson(oslay_observe::JsonError),
+    /// A required member is absent.
+    Missing(&'static str),
+    /// A member has the wrong JSON type or an entry is out of range.
+    WrongType {
+        /// The member.
+        key: &'static str,
+        /// What it must be, e.g. `entries must be u32 integers`.
+        expected: &'static str,
+    },
+    /// `addr` and `size` have different lengths.
+    LengthMismatch {
+        /// Entries in `addr`.
+        addr: usize,
+        /// Entries in `size`.
+        size: usize,
+    },
+}
+
+impl std::fmt::Display for LayoutFileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::NotJson(e) => write!(f, "not JSON: {e}"),
+            Self::Missing(key) => write!(f, "missing {key:?}"),
+            Self::WrongType { key, expected } => write!(f, "{key:?} {expected}"),
+            Self::LengthMismatch { addr, size } => {
+                write!(f, "{addr} \"addr\" but {size} \"size\" entries")
+            }
+        }
+    }
+}
+
+impl std::error::Error for LayoutFileError {}
+
+/// Serializes a layout view as the layout file `search --layout-out`
+/// writes and `lint --layout-file` reads: one JSON object with `"name"`,
+/// `"addr"` and `"size"` (addresses round-trip exactly below 2^53).
+#[must_use]
+pub fn layout_view_to_json(view: &oslay_verify::LayoutView) -> String {
+    let doc = JsonValue::object([
+        ("name".to_owned(), JsonValue::Str(view.name.clone())),
+        (
+            "addr".to_owned(),
+            JsonValue::Array(
+                view.addr
+                    .iter()
+                    .map(|&a| JsonValue::Num(a as f64))
+                    .collect(),
+            ),
+        ),
+        (
+            "size".to_owned(),
+            JsonValue::Array(
+                view.size
+                    .iter()
+                    .map(|&s| JsonValue::Num(f64::from(s)))
+                    .collect(),
+            ),
+        ),
+    ]);
+    let mut text = doc.to_json();
+    text.push('\n');
+    text
+}
+
+/// Parses a layout file written by [`layout_view_to_json`].
+///
+/// # Errors
+///
+/// Returns a [`LayoutFileError`] when the text is not JSON, a member is
+/// missing or mistyped, an address is not a non-negative integer, a
+/// size does not fit a `u32`, or `addr` and `size` differ in length.
+pub fn layout_view_from_json(text: &str) -> Result<oslay_verify::LayoutView, LayoutFileError> {
+    let doc = oslay_observe::json::parse(text).map_err(LayoutFileError::NotJson)?;
+    let field = |key: &'static str| doc.get(key).ok_or(LayoutFileError::Missing(key));
+    let wrong = |key, expected| LayoutFileError::WrongType { key, expected };
+    let list = |key: &'static str| field(key)?.as_array().ok_or(wrong(key, "must be an array"));
+    let name = field("name")?
+        .as_str()
+        .ok_or(wrong("name", "must be a string"))?
+        .to_owned();
+    let addr = list("addr")?
+        .iter()
+        .map(JsonValue::as_u64)
+        .collect::<Option<Vec<u64>>>()
+        .ok_or(wrong("addr", "entries must be non-negative integers"))?;
+    let size = list("size")?
+        .iter()
+        .map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
+        .collect::<Option<Vec<u32>>>()
+        .ok_or(wrong("size", "entries must be u32 integers"))?;
+    if addr.len() != size.len() {
+        return Err(LayoutFileError::LengthMismatch {
+            addr: addr.len(),
+            size: size.len(),
+        });
+    }
+    Ok(oslay_verify::LayoutView { name, addr, size })
 }
 
 /// JSON run-report plumbing shared by the experiment binaries.

@@ -85,11 +85,9 @@ impl SimResult {
 /// maps through the layouts to an instruction-fetch address stream and the
 /// configured miss collectors.
 ///
-/// This is the engine's hot path. [`Study::simulate`] feeds it from a
-/// buffered [`oslay_trace::Trace`] (the compatibility shim);
-/// [`Study::replay_streaming`] feeds it straight from the trace engine via
-/// [`oslay_trace::TraceSink`], so paper-scale workloads never materialize
-/// the event vector.
+/// This is the engine's hot path. [`Study::simulate`] feeds it from the
+/// case's buffered [`oslay_trace::Trace`]; [`Study::replayer_for`] hands
+/// it out as an [`oslay_trace::TraceSink`] for archived event streams.
 pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     os_layout: &'a Layout,
     app_layout: Option<&'a Layout>,
@@ -471,12 +469,12 @@ impl oslay_trace::TraceSink for MultiGroupReplayer {
 /// when an allocation probe is installed — the live heap size
 /// (`sim.live_bytes`).
 ///
-/// The telemetry substrate for long streaming replays: a consumer can
-/// watch throughput evolve over a run instead of learning one aggregate
-/// number at the end. Only constructed while the flight recorder is
-/// enabled ([`Study::stream_case`] wraps its sink conditionally), so the
-/// hot path pays nothing when tracing is off — and the wrapped stream is
-/// bit-identical either way.
+/// The telemetry substrate for long streamed walks (`trace record
+/// --trace-out`): a consumer can watch throughput evolve over a run
+/// instead of learning one aggregate number at the end. Only constructed
+/// while the flight recorder is enabled ([`Study::stream_case`] wraps its
+/// sink conditionally), so the hot path pays nothing when tracing is off
+/// — and the wrapped stream is bit-identical either way.
 pub struct HeartbeatSink<'a, S: oslay_trace::TraceSink + ?Sized> {
     inner: &'a mut S,
     every: u64,
@@ -578,44 +576,10 @@ impl Study {
         replayer.finish()
     }
 
-    /// Like [`Study::simulate`], but regenerates the case's trace from its
-    /// recorded seed and streams every event straight into the cache —
-    /// the event vector is never touched (nor needed), so this is the
-    /// path for workloads too large to buffer.
-    ///
-    /// Produces bit-identical results to [`Study::simulate`] because the
-    /// engine's streaming walk emits the same event sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the workload traces an application but `app_layout` is
-    /// `None`.
-    #[must_use]
-    pub fn replay_streaming<C: InstructionCache + ?Sized>(
-        &self,
-        case: &WorkloadCase,
-        os_layout: &Layout,
-        app_layout: Option<&Layout>,
-        cache: &mut C,
-        config: &SimConfig,
-    ) -> SimResult {
-        assert!(
-            case.app.is_none() || app_layout.is_some(),
-            "workload {} traces an application: supply its layout",
-            case.name()
-        );
-        let _span = oslay_observe::span("study.sim");
-        let (os_blocks, app_blocks) = self.replayer_sizes(case);
-        let mut replayer =
-            Replayer::new(os_layout, app_layout, cache, config, os_blocks, app_blocks);
-        self.stream_case(case, &mut replayer);
-        replayer.finish()
-    }
-
-    /// Like [`Study::replay_streaming`], but replays an *archived* event
-    /// stream (an `oslay-tracestore` reader, a buffered trace — any
-    /// [`oslay_trace::TraceSink`] feeder) instead of regenerating the
-    /// walk. The caller drives the replayer through the returned handle
+    /// Like [`Study::simulate`], but for an *archived* event stream (an
+    /// `oslay-tracestore` reader, a buffered trace — any
+    /// [`oslay_trace::TraceSink`] feeder) instead of the case's buffered
+    /// trace. The caller drives the replayer through the returned handle
     /// and finishes it for the result; see `oslay-bench`'s archived
     /// matrix drivers.
     ///
@@ -724,38 +688,6 @@ pub(crate) mod tests {
             r.os_miss_map.as_ref().unwrap().total(),
             r.stats.total_misses()
         );
-    }
-
-    #[test]
-    fn streaming_replay_matches_buffered_simulate() {
-        let s = study();
-        for case in [&s.cases()[0], &s.cases()[3]] {
-            let base = s.os_layout(OsLayoutKind::Base, 8192);
-            let app = s.app_base_layout(case);
-            let mut c1 = Cache::new(CacheConfig::paper_default());
-            let buffered = s.simulate(
-                case,
-                &base.layout,
-                app.as_ref(),
-                &mut c1,
-                &SimConfig::full(),
-            );
-            let mut c2 = Cache::new(CacheConfig::paper_default());
-            let streamed = s.replay_streaming(
-                case,
-                &base.layout,
-                app.as_ref(),
-                &mut c2,
-                &SimConfig::full(),
-            );
-            assert_eq!(buffered.stats, streamed.stats, "case {}", case.name());
-            assert_eq!(buffered.os_block_misses, streamed.os_block_misses);
-            assert_eq!(buffered.app_block_misses, streamed.app_block_misses);
-            assert_eq!(
-                buffered.os_miss_map.as_ref().unwrap().total(),
-                streamed.os_miss_map.as_ref().unwrap().total()
-            );
-        }
     }
 
     #[test]
@@ -882,14 +814,14 @@ pub(crate) mod tests {
 
         // Telemetry disabled: no run is recorded.
         let mut c1 = Cache::new(CacheConfig::paper_default());
-        let plain = s.replay_streaming(case, &base.layout, None, &mut c1, &SimConfig::fast());
+        let plain = s.simulate(case, &base.layout, None, &mut c1, &SimConfig::fast());
         assert_eq!(timeline::runs_recorded(), 0);
 
         // Enabled + scoped: one validated run, identical sim results.
         timeline::enable();
         let _scope = timeline::scope(timeline::group(), 0, "test/Base");
         let mut c2 = Cache::new(CacheConfig::paper_default());
-        let traced = s.replay_streaming(case, &base.layout, None, &mut c2, &SimConfig::fast());
+        let traced = s.simulate(case, &base.layout, None, &mut c2, &SimConfig::fast());
         timeline::disable();
         assert_eq!(plain.stats, traced.stats, "telemetry must not perturb");
         assert_eq!(timeline::runs_recorded(), 1);

@@ -95,8 +95,7 @@ pub struct WorkloadCase {
     /// Application profile, if an application is traced.
     pub app_profile: Option<Profile>,
     /// Seed of the engine that produced (and can re-produce) this case's
-    /// trace — the streaming replay path re-runs the walk instead of
-    /// re-reading the buffered events.
+    /// trace — [`Study::stream_case`] re-runs the walk from it.
     pub engine_seed: u64,
 }
 
@@ -390,10 +389,9 @@ impl Study {
     /// Regenerates `case`'s trace from its recorded engine seed and
     /// streams every event into `sink`, in execution order.
     ///
-    /// This is the one source of truth for a case's event stream: the
-    /// streaming replay path drives a cache replayer with it, and the
-    /// trace archiver (`oslay-tracestore`) tees it to disk. Bit-identical
-    /// to the buffered `case.trace` events because the engine's walk is
+    /// The trace archiver (`oslay-tracestore`, behind `trace record`)
+    /// tees it to disk. Bit-identical to the
+    /// buffered `case.trace` events because the engine's walk is
     /// deterministic in the seed.
     pub fn stream_case<S: oslay_trace::TraceSink + ?Sized>(
         &self,

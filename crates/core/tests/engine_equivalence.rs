@@ -5,8 +5,9 @@
 //!
 //! Three contracts are pinned:
 //!
-//! 1. `Study::replay_streaming` produces bit-identical results to the
-//!    buffered `Study::simulate` path it replaced on the hot path.
+//! 1. `Study::stream_case` regenerates exactly the buffered
+//!    `case.trace` event stream, which the archiver and every streaming
+//!    consumer rely on.
 //! 2. The dense tag-array `Cache` classifies every single access exactly
 //!    like the map-based `ReferenceCache`.
 //! 3. The O(1) intrusive-LRU `ShadowTags` agrees touch-by-touch with the
@@ -60,34 +61,18 @@ fn coalesced_replay_matches_per_word_replay() {
 }
 
 #[test]
-fn streaming_replay_matches_buffered_replay() {
+fn stream_case_emits_the_buffered_trace() {
     let study = study();
-    let cfg = CacheConfig::paper_default();
-    for kind in [OsLayoutKind::Base, OsLayoutKind::OptS] {
-        let os = study.os_layout(kind, cfg.size());
-        for case in study.cases() {
-            let app = study.app_base_layout(case);
-            let sim = SimConfig::full();
-            let mut buffered_cache = Cache::new(cfg);
-            let buffered =
-                study.simulate(case, &os.layout, app.as_ref(), &mut buffered_cache, &sim);
-            let mut streamed_cache = Cache::new(cfg);
-            let streamed =
-                study.replay_streaming(case, &os.layout, app.as_ref(), &mut streamed_cache, &sim);
-            assert_eq!(
-                buffered.stats,
-                streamed.stats,
-                "stats diverge on {} under {}",
-                case.name(),
-                kind.name()
-            );
-            assert_eq!(buffered.os_miss_map, streamed.os_miss_map);
-            assert_eq!(buffered.os_self_miss_map, streamed.os_self_miss_map);
-            assert_eq!(buffered.os_cross_miss_map, streamed.os_cross_miss_map);
-            assert_eq!(buffered.os_block_misses, streamed.os_block_misses);
-            assert_eq!(buffered.app_block_misses, streamed.app_block_misses);
-            assert!(buffered.stats.total_accesses() > 0);
-        }
+    for case in study.cases() {
+        let mut streamed = oslay::trace::Trace::default();
+        study.stream_case(case, &mut streamed);
+        assert!(!streamed.events().is_empty());
+        assert_eq!(
+            streamed.events(),
+            case.trace.events(),
+            "stream_case diverges from the buffered trace on {}",
+            case.name()
+        );
     }
 }
 

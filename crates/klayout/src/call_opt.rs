@@ -269,21 +269,11 @@ pub fn call_opt_layout(
     alloc.fill_cold_from(high_water, cold);
 
     let layout = alloc.finish().expect("Call layout places all blocks");
-    let audit = crate::opts::build_audit(
-        "Call",
-        &layout,
-        &classes,
-        &sequences,
-        &params.schedule,
-        scf_bytes,
-        cache,
-    );
     OptLayout {
         layout,
         classes,
         scf_bytes,
         sequences,
-        audit,
     }
 }
 

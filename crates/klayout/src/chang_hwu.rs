@@ -17,7 +17,6 @@
 use std::collections::HashMap;
 
 use oslay_model::{BlockId, Program, RoutineId, Terminator};
-use oslay_observe::{PlacementAudit, PlacementRecord};
 use oslay_profile::{CallGraph, Profile};
 
 use crate::{Layout, LayoutBuilder};
@@ -28,40 +27,13 @@ use crate::{Layout, LayoutBuilder};
 /// to both in Section 5.1).
 #[must_use]
 pub fn chang_hwu_layout(program: &Program, profile: &Profile, base_addr: u64) -> Layout {
-    chang_hwu_audited(program, profile, base_addr).0
-}
-
-/// Like [`chang_hwu_layout`], but also returns the placement audit:
-/// executed blocks get area `trace_order`, never-executed blocks
-/// `source_order`, and `pass` records the Pettis–Hansen rank of the
-/// block's routine in the final routine order.
-#[must_use]
-pub fn chang_hwu_audited(
-    program: &Program,
-    profile: &Profile,
-    base_addr: u64,
-) -> (Layout, PlacementAudit) {
     let mut lb = LayoutBuilder::new(program, "C-H", base_addr);
-    let mut placements: Vec<(BlockId, usize)> = Vec::with_capacity(program.num_blocks());
-    for (rank, routine) in routine_order(program, profile).into_iter().enumerate() {
+    for routine in routine_order(program, profile) {
         for block in trace_order(program, profile, routine) {
             lb.place(block);
-            placements.push((block, rank));
         }
     }
-    let layout = lb.finish().expect("every routine placed exactly once");
-    let mut audit = PlacementAudit::new("C-H");
-    for (block, rank) in placements {
-        let area = if profile.node_weight(block) > 0 {
-            "trace_order"
-        } else {
-            "source_order"
-        };
-        let mut rec = PlacementRecord::area_only(block.index(), layout.addr(block), area);
-        rec.pass = Some(rank);
-        audit.record(rec);
-    }
-    (layout, audit)
+    lb.finish().expect("every routine placed exactly once")
 }
 
 /// Intra-routine successor weights. Measured arcs are used directly; a
@@ -270,37 +242,27 @@ mod tests {
     }
 
     #[test]
-    fn hot_trace_heads_each_routine() {
+    fn executed_code_precedes_cold_code_in_each_routine() {
         let (program, profile) = setup();
         let l = chang_hwu_layout(&program, &profile, 0);
-        // Within each executed routine, the hottest block is placed at the
-        // routine's lowest address region start (the first trace's seed is
-        // the hottest block or its backward extension).
+        let mut checked = 0;
         for r in program.routines() {
-            let hot = r
+            let (hot, cold): (Vec<BlockId>, Vec<BlockId>) = r
                 .blocks()
                 .iter()
-                .copied()
-                .max_by_key(|&b| profile.node_weight(b));
-            let Some(hot) = hot else { continue };
-            if profile.node_weight(hot) == 0 {
-                continue;
-            }
-            let min_cold = r
-                .blocks()
-                .iter()
-                .copied()
-                .filter(|&b| profile.node_weight(b) == 0)
-                .map(|b| l.addr(b))
-                .min();
-            if let Some(min_cold) = min_cold {
+                .partition(|&&b| profile.node_weight(b) > 0);
+            let last_hot = hot.iter().map(|&b| l.addr(b)).max();
+            let first_cold = cold.iter().map(|&b| l.addr(b)).min();
+            if let (Some(last_hot), Some(first_cold)) = (last_hot, first_cold) {
                 assert!(
-                    l.addr(hot) < min_cold,
-                    "hot block of {} placed after cold code",
+                    last_hot < first_cold,
+                    "executed block of {} placed after never-executed code",
                     r.name()
                 );
+                checked += 1;
             }
         }
+        assert!(checked > 0, "no routine mixes executed and cold blocks");
     }
 
     #[test]
@@ -309,25 +271,5 @@ mod tests {
         let a = chang_hwu_layout(&program, &profile, 0);
         let b = chang_hwu_layout(&program, &profile, 0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn audit_covers_every_block_with_routine_rank() {
-        let (program, profile) = setup();
-        let (layout, audit) = chang_hwu_audited(&program, &profile, 0);
-        assert_eq!(audit.len(), program.num_blocks());
-        assert_eq!(audit.pass_name(), "C-H");
-        for (id, _) in program.blocks() {
-            let rec = audit.lookup(id.index()).expect("record per block");
-            assert_eq!(rec.addr, layout.addr(id));
-            assert!(rec.pass.is_some(), "routine rank recorded");
-            let expected = if profile.node_weight(id) > 0 {
-                "trace_order"
-            } else {
-                "source_order"
-            };
-            assert_eq!(rec.area, expected);
-        }
-        assert!(audit.area_count("trace_order") > 0);
     }
 }

@@ -42,11 +42,11 @@ mod summary;
 pub use address::{fetch_stream, FetchStream};
 pub use base::base_layout;
 pub use call_opt::{call_opt_layout, CallOptParams};
-pub use chang_hwu::{chang_hwu_audited, chang_hwu_layout};
+pub use chang_hwu::chang_hwu_layout;
 pub use conflict::{address_map, code_class, layout_spans, measured_conflict_ranking};
 pub use layout::{Layout, LayoutBuilder, LayoutError};
 pub use logical::LogicalCacheAllocator;
-pub use optapp::{optimize_app, optimize_app_audited};
+pub use optapp::optimize_app;
 pub use opts::{optimize_os, BlockClass, OptLayout, OptParams};
 pub use seq::{build_sequences, Sequence, SequenceSet, ThresholdPass, ThresholdSchedule};
 pub use summary::{layout_regions, render_regions, RegionSummary};

@@ -7,8 +7,7 @@
 //! the operating system." The application also receives the simple loop
 //! optimization of Section 4.3.
 
-use oslay_model::{BlockId, Domain, Program};
-use oslay_observe::{PlacementAudit, PlacementRecord};
+use oslay_model::{Domain, Program};
 use oslay_profile::{LoopAnalysis, Profile};
 
 use crate::{build_sequences, Layout, LayoutBuilder, ThresholdSchedule, APP_BASE};
@@ -33,24 +32,6 @@ pub fn optimize_app(
     loops: &LoopAnalysis,
     cache_size: u32,
 ) -> Layout {
-    optimize_app_audited(program, profile, loops, cache_size).0
-}
-
-/// Like [`optimize_app`], but also returns the placement audit:
-/// sequence blocks get `main_seq`/`other_seq` areas (all grown from the
-/// `main` seed) with their capturing rung's thresholds, extracted loop
-/// bodies `loop_area`, and never-executed code `source_order`.
-///
-/// # Panics
-///
-/// Panics if `program` is not an application program.
-#[must_use]
-pub fn optimize_app_audited(
-    program: &Program,
-    profile: &Profile,
-    loops: &LoopAnalysis,
-    cache_size: u32,
-) -> (Layout, PlacementAudit) {
     assert_eq!(
         program.domain(),
         Domain::App,
@@ -90,10 +71,8 @@ pub fn optimize_app_audited(
             lb.place(b);
         }
     }
-    let mut loop_blocks: Vec<BlockId> = Vec::new();
     for (_, b) in sequences.blocks_in_order() {
         if in_loop_area[b.index()] {
-            loop_blocks.push(b);
             lb.place(b);
         }
     }
@@ -102,45 +81,7 @@ pub fn optimize_app_audited(
             lb.place(b);
         }
     }
-    let layout = lb.finish().expect("application layout places every block");
-
-    let mut audit = PlacementAudit::new("OptA-app");
-    let mut order: Vec<BlockId> = (0..program.num_blocks()).map(BlockId::new).collect();
-    order.sort_by_key(|&b| layout.addr(b));
-    let mut seq_of: Vec<Option<usize>> = vec![None; program.num_blocks()];
-    for (seq_idx, b) in sequences.blocks_in_order() {
-        seq_of[b.index()] = Some(seq_idx);
-    }
-    for b in order {
-        let area = if in_loop_area[b.index()] && sequences.contains(b) {
-            "loop_area"
-        } else if let Some(seq_idx) = seq_of[b.index()] {
-            let seq = &sequences.sequences()[seq_idx];
-            if seq.exec_thresh >= ThresholdSchedule::MAIN_SEQ_EXEC_THRESH {
-                "main_seq"
-            } else {
-                "other_seq"
-            }
-        } else {
-            "source_order"
-        };
-        let mut rec = PlacementRecord::area_only(b.index(), layout.addr(b), area);
-        if let Some(seq_idx) = seq_of[b.index()] {
-            let seq = &sequences.sequences()[seq_idx];
-            // Application sequences all grow from `main`, not a kernel
-            // seed kind.
-            rec.seed = Some("main".to_owned());
-            rec.pass = Some(seq.pass);
-            rec.sequence = Some(seq_idx);
-            rec.exec_thresh = Some(seq.exec_thresh);
-            rec.branch_thresh = schedule
-                .passes
-                .get(seq.pass)
-                .and_then(|p| p.branch[seq.seed.index()]);
-        }
-        audit.record(rec);
-    }
-    (layout, audit)
+    lb.finish().expect("application layout places every block")
 }
 
 #[cfg(test)]
@@ -197,44 +138,36 @@ mod tests {
     fn extracted_loops_follow_sequences() {
         let (app, profile, loops) = setup();
         let l = optimize_app(&app, &profile, &loops, 8192);
+        let mut in_loop_area = vec![false; app.num_blocks()];
+        for lp in loops.executed_loops() {
+            if lp.iterations_per_entry() >= 6.0 {
+                for &b in &lp.body {
+                    in_loop_area[b.index()] = true;
+                }
+            }
+        }
         // The scientific inner loop iterates far more than 6 times, so it
-        // must be in the loop area — after at least one non-loop hot
-        // block.
-        let inner = app.routine_by_name("sci0_dgemm_inner").unwrap();
-        let head = inner.entry();
-        if profile.node_weight(head) > 0 {
-            let seq_min = profile
-                .executed_blocks()
-                .filter(|&b| b != head)
-                .map(|b| l.addr(b))
-                .min()
-                .unwrap();
-            assert!(l.addr(head) > seq_min);
-        }
-    }
-
-    #[test]
-    fn audit_records_app_provenance() {
-        let (app, profile, loops) = setup();
-        let (layout, audit) = optimize_app_audited(&app, &profile, &loops, 8192);
-        assert_eq!(audit.len(), app.num_blocks());
-        assert_eq!(audit.pass_name(), "OptA-app");
-        for (id, _) in app.blocks() {
-            let rec = audit.lookup(id.index()).expect("record per block");
-            assert_eq!(rec.addr, layout.addr(id));
-        }
-        // The scientific loop body must be audited as loop-area code with
-        // main-seeded provenance.
-        assert!(audit.area_count("loop_area") > 0, "loops extracted");
-        let loop_rec = audit
-            .records()
-            .iter()
-            .find(|r| r.area == "loop_area")
+        // is extracted into the loop area, which follows every other
+        // executed (sequence) block.
+        let head = app.routine_by_name("sci0_dgemm_inner").unwrap().entry();
+        assert!(profile.node_weight(head) > 0, "inner loop executed");
+        assert!(in_loop_area[head.index()], "inner loop extracted");
+        let last_seq = profile
+            .executed_blocks()
+            .filter(|&b| !in_loop_area[b.index()])
+            .map(|b| l.addr(b))
+            .max()
             .unwrap();
-        assert_eq!(loop_rec.seed.as_deref(), Some("main"));
-        assert!(loop_rec.exec_thresh.is_some());
-        // Cold app code is appended in source order.
-        assert!(audit.area_count("source_order") > 0);
+        let first_loop = profile
+            .executed_blocks()
+            .filter(|&b| in_loop_area[b.index()])
+            .map(|b| l.addr(b))
+            .min()
+            .unwrap();
+        assert!(
+            first_loop > last_seq,
+            "loop area ({first_loop}) must follow sequences ({last_seq})"
+        );
     }
 
     #[test]

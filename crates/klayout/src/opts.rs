@@ -1,7 +1,6 @@
 //! The paper's operating-system layout: `OptS` and `OptL` (Section 4).
 
 use oslay_model::{BlockId, Program, WORD_BYTES};
-use oslay_observe::{PlacementAudit, PlacementRecord};
 use oslay_profile::{LoopAnalysis, Profile};
 
 use crate::{build_sequences, Layout, LogicalCacheAllocator, SequenceSet, ThresholdSchedule};
@@ -111,8 +110,6 @@ pub struct OptLayout {
     pub scf_bytes: u64,
     /// The sequences the layout was built from.
     pub sequences: SequenceSet,
-    /// Per-block placement provenance in address order.
-    pub audit: PlacementAudit,
 }
 
 impl OptLayout {
@@ -246,78 +243,12 @@ pub fn optimize_os(
     alloc.fill_cold(cold);
 
     let layout = alloc.finish().expect("optimized layout places all blocks");
-    let audit = build_audit(
-        name,
-        &layout,
-        &classes,
-        &sequences,
-        &params.schedule,
-        scf_bytes,
-        u64::from(params.cache_size),
-    );
     OptLayout {
         layout,
         classes,
         scf_bytes,
         sequences,
-        audit,
     }
-}
-
-/// Derives the audit trail from the finished layout: every block gets a
-/// record in address order carrying its area and, when a sequence
-/// adopted it, the seed, pass (threshold rung), sequence index, and the
-/// rung's `(ExecThresh, BranchThresh)` pair. Shared with the `Call`
-/// layout, which produces the same class vocabulary.
-pub(crate) fn build_audit(
-    name: &str,
-    layout: &Layout,
-    classes: &[BlockClass],
-    sequences: &SequenceSet,
-    schedule: &ThresholdSchedule,
-    scf_bytes: u64,
-    cache_size: u64,
-) -> PlacementAudit {
-    let mut seq_of: Vec<Option<usize>> = vec![None; classes.len()];
-    for (seq_idx, b) in sequences.blocks_in_order() {
-        seq_of[b.index()] = Some(seq_idx);
-    }
-    let mut order: Vec<usize> = (0..classes.len()).collect();
-    order.sort_by_key(|&i| layout.addr(BlockId::new(i)));
-
-    let mut audit = PlacementAudit::new(name);
-    for i in order {
-        let addr = layout.addr(BlockId::new(i));
-        let area = match classes[i] {
-            BlockClass::SelfConfFree => "self_conf_free",
-            BlockClass::MainSeq => "main_seq",
-            BlockClass::OtherSeq => "other_seq",
-            BlockClass::Loop => "loop_area",
-            BlockClass::Cold => {
-                // Cold code either plugs an SCF window of a later logical
-                // cache or trails the hot region.
-                if addr >= cache_size && addr % cache_size < scf_bytes {
-                    "cold_window"
-                } else {
-                    "cold_tail"
-                }
-            }
-        };
-        let mut rec = PlacementRecord::area_only(i, addr, area);
-        if let Some(seq_idx) = seq_of[i] {
-            let seq = &sequences.sequences()[seq_idx];
-            rec.seed = Some(seq.seed.to_string());
-            rec.pass = Some(seq.pass);
-            rec.sequence = Some(seq_idx);
-            rec.exec_thresh = Some(seq.exec_thresh);
-            rec.branch_thresh = schedule
-                .passes
-                .get(seq.pass)
-                .and_then(|p| p.branch[seq.seed.index()]);
-        }
-        audit.record(rec);
-    }
-    audit
 }
 
 #[cfg(test)]
@@ -372,16 +303,19 @@ mod tests {
     #[test]
     fn cold_code_fills_other_windows() {
         let (program, profile, loops) = setup();
-        let opt = optimize_os(&program, &profile, &loops, &OptParams::opt_s(8192));
-        let any_cold_in_window = (0..program.num_blocks()).map(BlockId::new).any(|b| {
-            opt.class(b) == BlockClass::Cold
-                && opt.layout.addr(b) >= 8192
-                && opt.layout.addr(b) % 8192 < opt.scf_bytes
-        });
-        assert!(
-            any_cold_in_window,
-            "SCF windows of later logical caches should hold cold code"
-        );
+        for params in [OptParams::opt_s(8192), OptParams::opt_l(8192)] {
+            let opt = optimize_os(&program, &profile, &loops, &params);
+            let any_cold_in_window = (0..program.num_blocks()).map(BlockId::new).any(|b| {
+                opt.class(b) == BlockClass::Cold
+                    && opt.layout.addr(b) >= 8192
+                    && opt.layout.addr(b) % 8192 < opt.scf_bytes
+            });
+            assert!(
+                any_cold_in_window,
+                "{}: SCF windows of later logical caches should hold cold code",
+                opt.layout.name()
+            );
+        }
     }
 
     #[test]
@@ -456,46 +390,6 @@ mod tests {
         let a = optimize_os(&program, &profile, &loops, &OptParams::opt_s(8192));
         let b = optimize_os(&program, &profile, &loops, &OptParams::opt_s(8192));
         assert_eq!(a.layout, b.layout);
-        assert_eq!(a.audit, b.audit);
-    }
-
-    #[test]
-    fn audit_matches_classes_and_layout() {
-        let (program, profile, loops) = setup();
-        let opt = optimize_os(&program, &profile, &loops, &OptParams::opt_l(8192));
-        assert_eq!(opt.audit.len(), program.num_blocks(), "every block audited");
-        assert_eq!(opt.audit.pass_name(), "OptL");
-        for (id, _) in program.blocks() {
-            let rec = opt.audit.lookup(id.index()).expect("record per block");
-            assert_eq!(rec.addr, opt.layout.addr(id));
-            let expected_areas: &[&str] = match opt.class(id) {
-                BlockClass::SelfConfFree => &["self_conf_free"],
-                BlockClass::MainSeq => &["main_seq"],
-                BlockClass::OtherSeq => &["other_seq"],
-                BlockClass::Loop => &["loop_area"],
-                BlockClass::Cold => &["cold_window", "cold_tail"],
-            };
-            assert!(
-                expected_areas.contains(&rec.area.as_str()),
-                "block {id}: area {} vs class {:?}",
-                rec.area,
-                opt.class(id)
-            );
-        }
-        // Sequence blocks carry full rung provenance.
-        let seq_rec = opt
-            .audit
-            .records()
-            .iter()
-            .find(|r| r.area == "main_seq")
-            .expect("some main-sequence block");
-        assert!(seq_rec.seed.is_some());
-        assert!(seq_rec.pass.is_some());
-        assert!(seq_rec.sequence.is_some());
-        assert!(seq_rec.exec_thresh.is_some());
-        assert!(seq_rec.branch_thresh.is_some());
-        // Cold fill used at least one later window (same setup as
-        // cold_code_fills_other_windows).
-        assert!(opt.audit.area_count("cold_window") > 0);
+        assert_eq!(a.classes, b.classes);
     }
 }

@@ -54,11 +54,13 @@ impl JsonValue {
         }
     }
 
-    /// The value as a `u64`, if it is a non-negative integral number.
+    /// The value as a `u64`, if it is a non-negative integral number
+    /// below 2^64.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which does not fit.
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -603,6 +605,11 @@ mod tests {
     fn accessors() {
         let v = parse(r#"{"n": 4, "s": "x", "a": [1]}"#).unwrap();
         assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(4));
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(
+            parse("18446744073709549568").unwrap().as_u64(),
+            Some(18_446_744_073_709_549_568)
+        );
         assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(4.0));
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x"));
         assert_eq!(

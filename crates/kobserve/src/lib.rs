@@ -13,10 +13,6 @@
 //!   gauges, and log2-bucketed histograms. Hot paths (the cache simulator,
 //!   the trace engine) accept an optional [`Probe`] so instrumentation is
 //!   strictly zero-cost when disabled.
-//! * **Layout audit trail** ([`PlacementAudit`]) — per-block placement
-//!   provenance recorded by the layout passes: which area a block landed
-//!   in, which seed and `(ExecThresh, BranchThresh)` rung adopted it,
-//!   which sequence it joined.
 //! * **JSON run reports** ([`RunReport`], [`json`]) — hand-rolled JSON
 //!   (serializer *and* parser, no serde) for machine-readable results
 //!   written beside the human-readable `.txt` figures.
@@ -31,7 +27,7 @@
 //!   `dash` viewer.
 //!
 //! Metric names are namespaced by pipeline stage: `trace.*`, `cache.*`,
-//! `layout.*`, `study.*` (see `DESIGN.md` at the repository root).
+//! `study.*` (see `DESIGN.md` at the repository root).
 //!
 //! This crate depends on nothing outside `std`, so every other workspace
 //! crate can depend on it without cycles.
@@ -40,14 +36,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod audit;
 pub mod flight;
 pub mod json;
 mod metrics;
 mod report;
 pub mod timeline;
 
-pub use audit::{PlacementAudit, PlacementRecord};
 pub use flight::{span, span_with_args};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{

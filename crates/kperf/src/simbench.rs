@@ -25,7 +25,7 @@ pub const REPS: u64 = 5;
 /// One measured engine case.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BenchCase {
-    /// Case label, e.g. `replay_base` or `stream_opt_s`.
+    /// Case label, e.g. `replay_base` or `trace_walk`.
     pub name: String,
     /// Events one run processes (cache accesses, codec events, scored
     /// candidates — each case says what it counts).
@@ -74,6 +74,57 @@ fn quartiles(times: &[f64]) -> (f64, f64, f64) {
     (rank(1), rank(2), rank(3))
 }
 
+/// The timed runs of one case so far.
+struct Runs {
+    name: String,
+    events: u64,
+    times: Vec<f64>,
+    last: alloc::AllocSnapshot,
+}
+
+impl Runs {
+    /// Runs `f` once untimed; its event count is what every timed run
+    /// must reproduce.
+    fn warm_up(name: &str, f: &mut impl FnMut() -> u64) -> Self {
+        Self {
+            name: name.to_owned(),
+            events: black_box(f()),
+            times: Vec::new(),
+            last: alloc::snapshot(),
+        }
+    }
+
+    /// Times one run of `f`, keeping its allocator deltas.
+    fn time(&mut self, f: &mut impl FnMut() -> u64) {
+        alloc::reset_peak();
+        let before = alloc::snapshot();
+        let start = Instant::now();
+        let n = black_box(f());
+        self.times.push(start.elapsed().as_secs_f64());
+        self.last = alloc::snapshot().delta_from(&before);
+        assert_eq!(
+            n, self.events,
+            "case {}: every run must do the same work",
+            self.name
+        );
+    }
+
+    fn finish(self) -> BenchCase {
+        let (secs_q1, secs, secs_q3) = quartiles(&self.times);
+        BenchCase {
+            name: self.name,
+            events: self.events,
+            secs,
+            secs_q1,
+            secs_q3,
+            reps: self.times.len() as u64,
+            allocs: self.last.calls,
+            alloc_bytes: self.last.bytes,
+            peak_bytes: self.last.peak_bytes,
+        }
+    }
+}
+
 /// Runs `f` once untimed, then [`REPS`] times timed, and returns the
 /// case: the quartiles of the timed runs, and the allocator deltas of
 /// the last one. `f` returns the events one run processed.
@@ -83,30 +134,43 @@ fn quartiles(times: &[f64]) -> (f64, f64, f64) {
 /// Panics if two runs report different event counts: every run of a
 /// case must do the same work.
 pub fn measure(name: &str, mut f: impl FnMut() -> u64) -> BenchCase {
-    let events = black_box(f());
-    let mut times = Vec::new();
-    let mut delta = alloc::snapshot();
+    let mut runs = Runs::warm_up(name, &mut f);
     for _ in 0..REPS {
-        alloc::reset_peak();
-        let before = alloc::snapshot();
-        let start = Instant::now();
-        let n = black_box(f());
-        times.push(start.elapsed().as_secs_f64());
-        delta = alloc::snapshot().delta_from(&before);
-        assert_eq!(n, events, "case {name}: every run must do the same work");
+        runs.time(&mut f);
     }
-    let (secs_q1, secs, secs_q3) = quartiles(&times);
-    BenchCase {
-        name: name.to_owned(),
-        events,
-        secs,
-        secs_q1,
-        secs_q3,
-        reps: REPS,
-        allocs: delta.calls,
-        alloc_bytes: delta.bytes,
-        peak_bytes: delta.peak_bytes,
+    runs.finish()
+}
+
+/// Like [`measure`] for two cases at once, timed in interleaved
+/// repetitions (`a`, `b`, `a`, `b`, ...) after one warm-up each. Returns
+/// both cases and the median over repetitions of the per-pair time
+/// ratio `a / b`: a change in host load between repetitions hits both
+/// halves of a pair alike, so the ratio holds steadier than a quotient
+/// of two medians timed seconds apart.
+///
+/// # Panics
+///
+/// As [`measure`], for either case.
+pub fn measure_pair(
+    a: &str,
+    mut fa: impl FnMut() -> u64,
+    b: &str,
+    mut fb: impl FnMut() -> u64,
+) -> (BenchCase, BenchCase, f64) {
+    let mut runs_a = Runs::warm_up(a, &mut fa);
+    let mut runs_b = Runs::warm_up(b, &mut fb);
+    for _ in 0..REPS {
+        runs_a.time(&mut fa);
+        runs_b.time(&mut fb);
     }
+    let ratios: Vec<f64> = runs_a
+        .times
+        .iter()
+        .zip(&runs_b.times)
+        .map(|(ta, tb)| if *tb > 0.0 { ta / tb } else { 0.0 })
+        .collect();
+    let (_, ratio, _) = quartiles(&ratios);
+    (runs_a.finish(), runs_b.finish(), ratio)
 }
 
 /// The full bench run: meta (scale, threads, host CPUs), the measured
@@ -147,15 +211,6 @@ impl BenchReport {
     /// Appends one derived cross-case figure.
     pub fn push_derived(&mut self, name: &str, value: f64) {
         self.derived.push((name.to_owned(), value));
-    }
-
-    /// Case throughput by name, if measured.
-    #[must_use]
-    pub fn events_per_sec(&self, name: &str) -> Option<f64> {
-        self.cases
-            .iter()
-            .find(|c| c.name == name)
-            .map(BenchCase::events_per_sec)
     }
 
     /// Renders the report as a [`RunReport`] named `bench_sim`.
@@ -373,8 +428,7 @@ mod tests {
     #[test]
     fn throughput_is_events_over_secs() {
         let r = sample();
-        assert_eq!(r.events_per_sec("replay_base"), Some(40_000.0));
-        assert_eq!(r.events_per_sec("missing"), None);
+        assert_eq!(r.cases[0].events_per_sec(), 40_000.0);
     }
 
     #[test]
@@ -394,6 +448,20 @@ mod tests {
         assert_eq!(runs, REPS + 1, "one warm-up plus the timed runs");
         assert_eq!(c.reps, REPS);
         assert!(c.secs_q1 <= c.secs && c.secs <= c.secs_q3, "{c:?}");
+    }
+
+    #[test]
+    fn measure_pair_interleaves_the_two_cases() {
+        let order = std::cell::RefCell::new(String::new());
+        let spin = |tag: char| {
+            order.borrow_mut().push(tag);
+            (0..10_000u64).map(black_box).sum::<u64>() % 7 + 1
+        };
+        let (a, b, ratio) = measure_pair("a", || spin('a'), "b", || spin('b'));
+        assert_eq!(*order.borrow(), "ab".repeat(REPS as usize + 1));
+        assert_eq!((a.name.as_str(), a.reps), ("a", REPS));
+        assert_eq!((b.name.as_str(), b.reps), ("b", REPS));
+        assert!(ratio.is_finite() && ratio > 0.0, "{ratio}");
     }
 
     #[test]

@@ -14,7 +14,6 @@
 //! report, and every per-restart curve are byte-identical at any
 //! `--threads N`.
 
-use crate::objective::ObjectiveWeights;
 use crate::state::{SearchState, WalkStats};
 use oslay_cache::CacheConfig;
 use oslay_model::rng::Rng;
@@ -33,20 +32,10 @@ pub struct SearchParams {
     pub restarts: u32,
     /// Master seed; each restart derives its own stream.
     pub seed: u64,
-    /// Objective weights.
-    pub weights: ObjectiveWeights,
-    /// Empty caches of address slack beyond the seed's span.
-    pub headroom_caches: u32,
-    /// Approximate number of best-so-far curve samples kept per restart.
-    pub curve_points: u64,
-    /// Weight of the abstract-interpretation re-ranking term. When
-    /// non-zero, each restart's best layout is classified statically
-    /// (`oslay_verify::absint`) and the winner minimizes
-    /// `best + w_absint x unguaranteed-weight` — the execution-weighted
-    /// accesses the analysis could not prove always-hit or persistent.
-    /// `0` (the default) keeps the pure conflict objective.
-    pub w_absint: u64,
 }
+
+/// Approximate number of best-so-far curve samples kept per restart.
+const CURVE_POINTS: u64 = 32;
 
 impl Default for SearchParams {
     fn default() -> Self {
@@ -54,10 +43,6 @@ impl Default for SearchParams {
             budget: 100_000,
             restarts: 6,
             seed: 0x05_1995,
-            weights: ObjectiveWeights::default(),
-            headroom_caches: 2,
-            curve_points: 32,
-            w_absint: 0,
         }
     }
 }
@@ -107,14 +92,7 @@ fn run_restart(
             ("budget", params.budget as f64),
         ],
     );
-    let mut state = SearchState::new(
-        program,
-        profile,
-        seed_view,
-        config,
-        params.weights,
-        params.headroom_caches,
-    );
+    let mut state = SearchState::new(program, profile, seed_view, config);
     let mut rng = Rng::seed_from_u64(params.seed ^ (0x5EA7_C000 + u64::from(restart)));
     let initial = state.objective();
     let budget = params.budget.max(1);
@@ -129,7 +107,7 @@ fn run_restart(
     } else {
         0.0
     };
-    let stride = (budget / params.curve_points.max(1)).max(1);
+    let stride = (budget / CURVE_POINTS).max(1);
     let mut temperature = t0;
     let mut curve = Vec::new();
     for step in 0..budget {
@@ -180,37 +158,11 @@ pub fn run_search(
     let restarts = oslay::exec::parallel_map(threads, jobs, |_, r| {
         run_restart(program, profile, seed_view, config, params, r)
     });
-    let winner = if params.w_absint == 0 {
-        restarts
-            .iter()
-            .min_by_key(|r| (r.best, r.restart))
-            .expect("at least one restart")
-            .restart
-    } else {
-        // Re-rank each restart's best layout by the conflict objective
-        // plus the statically unguaranteed weight. Classification is per
-        // candidate (restarts.len() of them, not per proposal), so the
-        // cost stays negligible next to the walk itself.
-        let absint = oslay_verify::AbsintParams::new(*config);
-        restarts
-            .iter()
-            .map(|r| {
-                let c = oslay_verify::classify_layout(program, profile, &r.view, &absint);
-                let unguaranteed = c
-                    .weighted
-                    .iter()
-                    .sum::<u64>()
-                    .saturating_sub(c.weighted[oslay_verify::LineClass::AlwaysHit.index()])
-                    .saturating_sub(c.weighted[oslay_verify::LineClass::Persistent.index()]);
-                let score = r
-                    .best
-                    .saturating_add(params.w_absint.saturating_mul(unguaranteed));
-                (score, r.restart)
-            })
-            .min()
-            .expect("at least one restart")
-            .1
-    };
+    let winner = restarts
+        .iter()
+        .min_by_key(|r| (r.best, r.restart))
+        .expect("at least one restart")
+        .restart;
     let best_view = restarts[winner as usize].view.clone();
     SearchOutcome {
         initial: restarts[0].initial,

@@ -45,7 +45,6 @@ mod state;
 pub use atoms::Atoms;
 pub use engine::{run_search, RestartOutcome, SearchOutcome, SearchParams};
 pub use objective::{
-    distance_cost, distance_penalty_pm, Objective, ObjectiveWeights, BACKWARD_WINDOW,
-    FORWARD_WINDOW,
+    distance_cost, distance_penalty_pm, Objective, BACKWARD_WINDOW, FORWARD_WINDOW,
 };
 pub use state::{Proposal, SearchState, StepOutcome, WalkStats};

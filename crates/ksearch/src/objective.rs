@@ -3,8 +3,7 @@
 //! integer arithmetic.
 //!
 //! ```text
-//! J(layout) = w_conflict · 1000 · Σ_set excess(set)
-//!           + w_distance · Σ_arc count(arc) · penalty_pm(arc)
+//! J(layout) = 1000 · Σ_set excess(set) + Σ_arc count(arc) · penalty_pm(arc)
 //! ```
 //!
 //! The conflict term is the trace-free predictor's per-set excess (the
@@ -31,24 +30,6 @@ use oslay_verify::{IncrementalPressure, LayoutView};
 pub const FORWARD_WINDOW: u64 = 1024;
 /// Arcs at least this far backward pay the full 1000‰ penalty.
 pub const BACKWARD_WINDOW: u64 = 640;
-
-/// Relative weights of the two objective halves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ObjectiveWeights {
-    /// Multiplier for the (×1000) predicted conflict excess.
-    pub conflict: u64,
-    /// Multiplier for the per-mille arc distance cost.
-    pub distance: u64,
-}
-
-impl Default for ObjectiveWeights {
-    fn default() -> Self {
-        Self {
-            conflict: 1,
-            distance: 1,
-        }
-    }
-}
 
 /// Per-mille penalty for one taken arc, by placement distance.
 ///
@@ -103,7 +84,6 @@ struct Arc {
 /// [`Objective::begin_mutation`] bumping the dedup stamp in between
 /// candidates.
 pub struct Objective {
-    weights: ObjectiveWeights,
     pressure: IncrementalPressure,
     /// Profile node weight per block.
     weight: Vec<u64>,
@@ -125,7 +105,6 @@ pub struct Objective {
 impl std::fmt::Debug for Objective {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Objective")
-            .field("weights", &self.weights)
             .field("arcs", &self.arcs.len())
             .field("conflict_excess", &self.pressure.total_excess())
             .field("distance_total", &self.dist_total)
@@ -141,7 +120,6 @@ impl Objective {
         profile: &Profile,
         view: &LayoutView,
         config: &CacheConfig,
-        weights: ObjectiveWeights,
         addr_limit: u64,
     ) -> Self {
         let n = view.num_blocks();
@@ -179,7 +157,6 @@ impl Objective {
             }
         }
         let mut this = Self {
-            weights,
             pressure,
             weight,
             size,
@@ -208,8 +185,7 @@ impl Objective {
     /// Current objective value.
     #[must_use]
     pub fn value(&self) -> u64 {
-        self.weights.conflict * 1000 * self.pressure.total_excess()
-            + self.weights.distance * self.dist_total
+        1000 * self.pressure.total_excess() + self.dist_total
     }
 
     /// The conflict half: total predicted per-set excess (unscaled).

@@ -15,12 +15,15 @@
 //! `verify_structural` on accepted candidates.
 
 use crate::atoms::Atoms;
-use crate::objective::{Objective, ObjectiveWeights};
+use crate::objective::Objective;
 use oslay_cache::CacheConfig;
 use oslay_model::rng::Rng;
 use oslay_model::Program;
 use oslay_profile::Profile;
 use oslay_verify::LayoutView;
+
+/// Empty caches of address slack beyond the seed's span.
+const HEADROOM_CACHES: u64 = 2;
 
 /// One candidate mutation over atoms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +115,7 @@ impl SearchState {
     /// Builds a walk starting from `seed` (typically the OptS view).
     ///
     /// The address space is the seed's span rounded up to a whole cache,
-    /// plus `headroom_caches` empty caches of slack so atoms have room
+    /// plus `HEADROOM_CACHES` empty caches of slack so atoms have room
     /// to move.
     #[must_use]
     pub fn new(
@@ -120,8 +123,6 @@ impl SearchState {
         profile: &Profile,
         seed: &LayoutView,
         config: &CacheConfig,
-        weights: ObjectiveWeights,
-        headroom_caches: u32,
     ) -> Self {
         let atoms = Atoms::decompose(program, profile, seed);
         let span_end = (0..seed.num_blocks())
@@ -129,7 +130,7 @@ impl SearchState {
             .max()
             .unwrap_or(0);
         let cache = u64::from(config.size());
-        let limit = span_end.div_ceil(cache) * cache + u64::from(headroom_caches) * cache;
+        let limit = (span_end.div_ceil(cache) + HEADROOM_CACHES) * cache;
         let mut order: Vec<u32> = (0..atoms.count() as u32).collect();
         order.sort_by_key(|&a| atoms.start[a as usize]);
         let ranked = order.iter().map(|&a| atoms.start[a as usize]).collect();
@@ -142,7 +143,7 @@ impl SearchState {
                 total
             })
             .collect();
-        let obj = Objective::new(profile, seed, config, weights, limit);
+        let obj = Objective::new(profile, seed, config, limit);
         let best = obj.value();
         Self {
             config: *config,
@@ -522,8 +523,6 @@ mod tests {
             study.averaged_os_profile(),
             &seed,
             &config,
-            ObjectiveWeights::default(),
-            2,
         );
         let mut rng = Rng::seed_from_u64(0x0005_EA7C);
         let temperature = state.objective() as f64 / 200.0;

@@ -7,7 +7,7 @@ use oslay::{OsLayoutKind, Study, StudyConfig};
 use oslay_cache::CacheConfig;
 use oslay_model::rng::Rng;
 use oslay_model::Domain;
-use oslay_search::{distance_cost, run_search, ObjectiveWeights, SearchParams, SearchState};
+use oslay_search::{distance_cost, run_search, SearchParams, SearchState};
 use oslay_verify::{predict_from_spans, verify_structural, weighted_spans, LayoutView};
 
 fn study() -> &'static Study {
@@ -27,8 +27,6 @@ fn new_state() -> SearchState {
         s.averaged_os_profile(),
         &seed_view(),
         &CacheConfig::paper_default(),
-        ObjectiveWeights::default(),
-        2,
     )
 }
 
