@@ -4,6 +4,10 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Run-report lines the determinism diffs below filter out: wall-clock
+# span timings and allocator telemetry.
+nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
+
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
@@ -133,7 +137,6 @@ done
   cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
     -p oslay-bench --bin search -- --scale paper --threads 2 > /dev/null 2>&1
 )
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 for json in results/*.json; do
   diff <(grep -vE "$nondet" "$json") <(grep -vE "$nondet" "$tmpdir/$json")
 done
@@ -166,7 +169,6 @@ done
 diff "$tmpdir/t1/stdout.txt" "$tmpdir/t2/stdout.txt"
 # Wall-clock spans and allocator telemetry are the only fields allowed to
 # differ between worker counts.
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$tmpdir/t1/results/all_experiments.json") \
      <(grep -vE "$nondet" "$tmpdir/t2/results/all_experiments.json")
 rm -rf "$tmpdir"
@@ -189,7 +191,6 @@ repo_root="$PWD"
 # outside wall-clock and allocator fields (span names and counts
 # included)...
 diff "$tmpdir/plain.txt" "$tmpdir/traced.txt"
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$tmpdir/plain.json") \
      <(grep -vE "$nondet" "$tmpdir/results/fig12_optimization_levels.json")
 # ...and the trace must pass the trace-event schema checker (balanced
@@ -271,7 +272,6 @@ done
 # fig15's run report (fig16 and fig17 write none) must be worker-count
 # invariant, wall clock and allocator telemetry aside.
 fig15="$tmpdir/fig15_cache_size_speedup"
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$fig15/t1/results/fig15_cache_size_speedup.json") \
      <(grep -vE "$nondet" "$fig15/t2/results/fig15_cache_size_speedup.json")
 rm -rf "$tmpdir"
@@ -301,7 +301,6 @@ repo_root="$PWD"
 diff "$tmpdir/plain.txt" "$tmpdir/out1.txt"
 diff "$tmpdir/out1.txt" "$tmpdir/out2.txt"
 # ...and the deterministic report fields must not change either.
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$tmpdir/report_plain.json") \
      <(grep -vE "$nondet" "$tmpdir/report1.json")
 diff <(grep -vE "$nondet" "$tmpdir/report1.json") \
@@ -347,7 +346,6 @@ done
 # exported winning layout, and the run report (telemetry fields aside).
 diff "$tmpdir/t1/stdout.txt" "$tmpdir/t2/stdout.txt"
 cmp "$tmpdir/t1/layout.json" "$tmpdir/t2/layout.json"
-nondet='"(secs|alloc_calls|alloc_bytes|live_bytes|peak_bytes)"'
 diff <(grep -vE "$nondet" "$tmpdir/t1/results/search.json") \
      <(grep -vE "$nondet" "$tmpdir/t2/results/search.json")
 # The exported winner must re-assemble and lint clean from disk.

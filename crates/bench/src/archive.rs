@@ -14,7 +14,7 @@ use std::sync::Arc;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{FanoutSink, Replayer, SimConfig, SimResult, Study, WorkloadCase};
 use oslay_layout::Layout;
-use oslay_observe::{MetricRegistry, Probe};
+use oslay_observe::MetricRegistry;
 use oslay_tracestore::{StoreError, StoreSummary, TraceReader, TraceWriter};
 
 use crate::{app_layout_for, figure12_ladder, into_rows, ladder_os_layouts, run_ordered, Job};
@@ -103,20 +103,14 @@ pub fn run_archived_figure12_matrix(
         })
         .collect();
     let flat = run_ordered(threads, jobs, registry, |case, shards| {
-        // One probed cache per ladder level, recording into that level's
-        // shard. The app layouts live beside them: each replayer borrows
-        // its level's.
+        // One cache per ladder level, reporting into that level's shard
+        // once the store is replayed. The app layouts live beside them:
+        // each replayer borrows its level's.
         let apps: Vec<Option<Layout>> = ladder
             .iter()
             .map(|&(_, _, side)| app_layout_for(study, case, side, cache_cfg.size()))
             .collect();
-        let mut caches: Vec<Cache> = shards
-            .iter()
-            .map(|shard| {
-                let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(shard) as _;
-                Cache::with_probe(cache_cfg, probe)
-            })
-            .collect();
+        let mut caches: Vec<Cache> = shards.iter().map(|_| Cache::new(cache_cfg)).collect();
         let mut replayers: Vec<_> = caches
             .iter_mut()
             .zip(layouts.iter().zip(&apps))
@@ -138,8 +132,8 @@ pub fn run_archived_figure12_matrix(
         }
 
         let row: Vec<SimResult> = replayers.into_iter().map(Replayer::finish).collect();
-        for cache in &mut caches {
-            cache.record_occupancy();
+        for (cache, shard) in caches.iter().zip(shards) {
+            cache.report_into(shard.as_ref());
         }
         Ok::<_, StoreError>(row)
     })?;

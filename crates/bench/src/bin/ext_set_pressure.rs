@@ -7,21 +7,43 @@
 //! sets go quiet. This binary measures per-set miss concentration and
 //! imbalance for each layout.
 
+use std::sync::Arc;
+
 use oslay::analysis::report::{f, pct, TextTable};
-use oslay::cache::{Cache, CacheConfig, SetCensus};
+use oslay::cache::CacheConfig;
 use oslay::{OsLayoutKind, SimConfig, Study};
-use oslay_bench::{banner, Cli};
+use oslay_bench::{banner, run_attributed_layouts, Cli};
+use oslay_observe::MetricRegistry;
 
 fn main() {
-    let config = Cli::study("ext_set_pressure").args().run().config;
+    let args = Cli::study("ext_set_pressure").args().run();
+    let config = args.config;
     banner(
         "Extension: per-set conflict pressure (8KB direct-mapped)",
         &config,
     );
-    let study = Study::generate(&config);
+    let study = Study::generate_with_threads(&config, args.threads);
     let cfg = CacheConfig::paper_default();
+    let layouts: Vec<_> = [
+        OsLayoutKind::Base,
+        OsLayoutKind::ChangHwu,
+        OsLayoutKind::OptS,
+    ]
+    .into_iter()
+    .map(|kind| (kind.name().to_owned(), study.os_layout(kind, cfg.size())))
+    .collect();
+    // The per-set counts come from the attribution reports; this binary
+    // writes no run report, so the registry is discarded.
+    let matrix = run_attributed_layouts(
+        &study,
+        &layouts,
+        cfg,
+        &SimConfig::fast(),
+        args.threads,
+        &Arc::new(MetricRegistry::new()),
+    );
 
-    for case in study.cases() {
+    for (case, row) in study.cases().iter().zip(&matrix) {
         println!("{}:", case.name());
         let mut table = TextTable::new([
             "layout",
@@ -31,31 +53,17 @@ fn main() {
             "imbalance (cv)",
             "SCF-set misses",
         ]);
-        for kind in [
-            OsLayoutKind::Base,
-            OsLayoutKind::ChangHwu,
-            OsLayoutKind::OptS,
-        ] {
-            let os = study.os_layout(kind, cfg.size());
-            let app = study.app_base_layout(case);
-            let mut cache = SetCensus::new(Cache::new(cfg), cfg);
-            let r = study.simulate(
-                case,
-                &os.layout,
-                app.as_ref(),
-                &mut cache,
-                &SimConfig::fast(),
-            );
+        for ((name, os), (r, attr)) in layouts.iter().zip(row) {
             // Misses landing in the sets covered by the SelfConfFree area
             // (offsets [0, scf_bytes) of each frame).
             let scf_sets = (os.scf_bytes / u64::from(cfg.line())) as usize;
-            let scf_misses: u64 = cache.set_misses()[..scf_sets].iter().sum();
+            let scf_misses: u64 = attr.set_misses[..scf_sets].iter().sum();
             table.row([
-                kind.name().to_owned(),
+                name.clone(),
                 r.stats.total_misses().to_string(),
-                pct(cache.miss_concentration(8)),
-                pct(cache.miss_concentration(32)),
-                f(cache.miss_imbalance(), 2),
+                pct(attr.set_peak_share(8)),
+                pct(attr.set_peak_share(32)),
+                f(attr.set_imbalance(), 2),
                 if os.scf_bytes == 0 {
                     "n/a".to_owned()
                 } else {

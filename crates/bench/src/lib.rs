@@ -35,7 +35,7 @@ use oslay_layout::Layout;
 use oslay_model::synth::Scale;
 use oslay_model::{BlockId, Domain};
 use oslay_observe::timeline;
-use oslay_observe::{flight, AttributionProbe, JsonValue, MetricRegistry, Probe, RunReport};
+use oslay_observe::{flight, AttributionProbe, JsonValue, MetricRegistry, RunReport};
 
 /// Every experiment binary counts allocations: the counting allocator is
 /// a pair of relaxed atomic adds on top of the system allocator, cheap
@@ -604,10 +604,10 @@ pub fn run_case(
     study.simulate(case, &os.layout, app.as_ref(), &mut cache, sim)
 }
 
-/// Like [`run_case`], but with precomputed layouts: routes the cache's
-/// miss/eviction events into `registry` and records a final set-occupancy
-/// snapshot, so the run report carries `cache.*` metrics alongside the
-/// aggregate statistics.
+/// Like [`run_case`], but with precomputed layouts: reports the replay's
+/// miss, eviction and final set-occupancy metrics into `registry`
+/// ([`Cache::report_into`]), so the run report carries `cache.*` metrics
+/// alongside the aggregate statistics.
 ///
 /// Sharded drivers call this directly with memoized layouts (building an
 /// OS layout is far more expensive than replaying a tiny trace through
@@ -622,10 +622,9 @@ pub fn run_probed_on(
     sim: &SimConfig,
     registry: &Arc<MetricRegistry>,
 ) -> SimResult {
-    let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(registry) as _;
-    let mut cache = Cache::with_probe(cache_cfg, probe);
+    let mut cache = Cache::new(cache_cfg);
     let result = study.simulate(case, os_layout, app_layout, &mut cache, sim);
-    cache.record_occupancy();
+    cache.report_into(registry.as_ref());
     result
 }
 
@@ -635,8 +634,8 @@ pub fn run_probed_on(
 /// evictor→victim pair. Returns the usual [`SimResult`] plus the
 /// [`AttributionReport`].
 ///
-/// When `registry` is given, each classified miss also streams into it as
-/// `cache.attr.*` metrics.
+/// When `registry` is given, the replay's `cache.attr.*` metrics are
+/// reported into it once, from [`AttributedCache::report`].
 #[must_use]
 pub fn run_case_attributed(
     study: &Study,
@@ -1518,6 +1517,7 @@ pub fn figure12_ladder() -> Vec<(&'static str, OsLayoutKind, AppSide)> {
 mod tests {
     use super::*;
     use oslay_cache::MissKind;
+    use oslay_observe::Probe;
 
     #[test]
     fn ladder_matches_figure12() {

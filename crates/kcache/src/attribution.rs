@@ -27,12 +27,12 @@
 //!   optimization.
 //!
 //! The engine is a wrapper cache ([`AttributedCache`]) so any experiment
-//! can opt in without touching the simulation driver, and it streams
-//! every classified miss through an optional
-//! [`AttributionProbe`](oslay_observe::AttributionProbe) — strictly
-//! zero-cost when absent. Two [`AttributionReport`]s from different
-//! layouts diff against each other ([`diff_attribution`]): which pairs
-//! stopped conflicting, which new conflicts appeared.
+//! can opt in without touching the simulation driver; an attached
+//! [`AttributionProbe`](oslay_observe::AttributionProbe) receives the
+//! `cache.attr.*` metrics once, from [`AttributedCache::report`]. Two
+//! [`AttributionReport`]s from different layouts diff against each other
+//! ([`diff_attribution`]): which pairs stopped conflicting, which new
+//! conflicts appeared.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -804,6 +804,8 @@ pub struct AttributedCache {
     set_accesses: Vec<u64>,
     set_misses: Vec<u64>,
     class_misses: [u64; 3],
+    /// Conflict misses whose evicting line is known.
+    evictor_known: u64,
     census_misses: [u64; CENSUS_SLOTS],
     entry_misses: [u64; 5],
     /// Current OS entry class (None = outside the OS).
@@ -899,6 +901,7 @@ impl AttributedCache {
             set_accesses: vec![0; sets],
             set_misses: vec![0; sets],
             class_misses: [0; 3],
+            evictor_known: 0,
             census_misses: [0; CENSUS_SLOTS],
             entry_misses: [0; 5],
             context: None,
@@ -909,8 +912,9 @@ impl AttributedCache {
         }
     }
 
-    /// Like [`AttributedCache::new`], additionally streaming every
-    /// classified miss into `probe`. The probe is touched only on misses.
+    /// Like [`AttributedCache::new`], additionally reporting the
+    /// `cache.attr.*` metrics into `probe` from
+    /// [`AttributedCache::report`].
     #[must_use]
     pub fn with_probe(
         inner: Cache,
@@ -928,10 +932,30 @@ impl AttributedCache {
         &self.inner
     }
 
-    /// Extracts the measured rollups.
+    /// Extracts the measured rollups. With a probe attached, it also
+    /// reports `cache.attr.{compulsory,capacity,conflict,evictor_known}`
+    /// (each only when nonzero) and the `cache.attr.set` histogram (the
+    /// set of every classified miss) into it: call it once per replay,
+    /// since every call adds the counts again.
     #[must_use]
     pub fn report(&self) -> AttributionReport {
         let _g = oslay_observe::span("cache.attr.report");
+        if let Some(probe) = &self.probe {
+            for class in AttrClass::ALL {
+                let n = self.class_misses[class.index()];
+                if n > 0 {
+                    probe.counter_add(class.metric_name(), n);
+                }
+            }
+            if self.evictor_known > 0 {
+                probe.counter_add("cache.attr.evictor_known", self.evictor_known);
+            }
+            for (set, &n) in self.set_misses.iter().enumerate() {
+                if n > 0 {
+                    probe.histogram_record("cache.attr.set", set as u64, n);
+                }
+            }
+        }
         let mut pairs: Vec<ConflictPair> = self
             .pairs
             .values()
@@ -1003,13 +1027,12 @@ impl AttributedCache {
                 AttrClass::Capacity
             };
             self.class_misses[class.index()] += 1;
-            let mut evictor_known = false;
             if class == AttrClass::Conflict {
                 if let Some(tag) = self.epoch {
                     *self.epoch_conflicts.entry(tag).or_insert(0) += 1;
                 }
                 if let Some(&evictor_line) = self.last_evictor.get(&detail.line) {
-                    evictor_known = true;
+                    self.evictor_known += 1;
                     if let (Some(victim), Some(evictor)) = (code, self.map.lookup(evictor_line)) {
                         self.pairs
                             .entry((evictor.block_key(), victim.block_key()))
@@ -1017,9 +1040,6 @@ impl AttributedCache {
                             .2 += 1;
                     }
                 }
-            }
-            if let Some(probe) = &self.probe {
-                probe.miss_attributed(detail.set, class, evictor_known);
             }
         }
         if let Some(victim) = detail.evicted {
@@ -1055,6 +1075,7 @@ impl InstructionCache for AttributedCache {
         self.set_accesses.fill(0);
         self.set_misses.fill(0);
         self.class_misses = [0; 3];
+        self.evictor_known = 0;
         self.census_misses = [0; CENSUS_SLOTS];
         self.entry_misses = [0; 5];
         self.context = None;
@@ -1531,7 +1552,8 @@ mod tests {
         for i in 0..11u64 {
             c.access(if i % 2 == 0 { 0 } else { 64 }, Domain::Os);
         }
-        c.access(0, Domain::Os); // hit: must not touch the probe
+        c.access(0, Domain::Os); // hit: counted in no metric
+        let _ = c.report();
         assert_eq!(reg.counter("cache.attr.compulsory"), 2);
         assert_eq!(reg.counter("cache.attr.conflict"), 9);
         assert_eq!(reg.counter("cache.attr.capacity"), 0);

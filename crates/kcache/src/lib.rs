@@ -23,7 +23,6 @@
 #![warn(missing_debug_implementations)]
 
 mod attribution;
-mod census;
 mod config;
 mod multisim;
 #[doc(hidden)]
@@ -38,7 +37,6 @@ pub use attribution::{
     AttributionReport, CodeClass, CodeRef, ConflictMatrix, ConflictPair, MatrixCell, PairDelta,
     RoutineKey, ShadowTags, CENSUS_SLOTS,
 };
-pub use census::SetCensus;
 pub use config::CacheConfig;
 pub use multisim::MultiSim;
 pub use reserved::ReservedCache;

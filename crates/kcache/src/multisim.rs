@@ -36,7 +36,7 @@
 use oslay_model::Domain;
 use oslay_observe::Probe;
 
-use crate::sim::EvictTable;
+use crate::sim::{report_cache_metrics, EvictTable};
 use crate::{CacheConfig, MissKind, MissStats};
 
 /// Empty stack slot, and "no victim" for a miss into a set that is not
@@ -213,17 +213,13 @@ impl Bank {
 
     /// Final per-set occupancy of one point, read off its level: a set
     /// holds `min(valid stack entries, ways)` lines.
-    fn occupancy(&self, pi: usize) -> Vec<u32> {
+    fn occupancy(&self, pi: usize) -> impl Iterator<Item = usize> + '_ {
         let point = &self.points[pi];
         let level = &self.levels[point.level];
-        level
-            .entries
-            .chunks_exact(level.depth)
-            .map(|stack| {
-                let valid = stack.iter().take_while(|&&e| e != NO_VICTIM).count();
-                valid.min(point.ways as usize) as u32
-            })
-            .collect()
+        level.entries.chunks_exact(level.depth).map(|stack| {
+            let valid = stack.iter().take_while(|&&e| e != NO_VICTIM).count();
+            valid.min(point.ways as usize)
+        })
     }
 
     /// Structural stack invariants (test hook): in every set's stack the
@@ -393,39 +389,21 @@ impl MultiSim {
         MissStats::from_parts(self.accesses, hits, mk)
     }
 
-    /// Reports one point's cache events into `probe` exactly as a probed
-    /// [`crate::Cache`] plus [`crate::Cache::record_occupancy`] would
-    /// have: per-kind miss counters and per-evictor eviction counters
-    /// (created only when nonzero, since a probed cache only touches a
-    /// counter on an event), one `cache.set_occupancy` histogram sample
-    /// per set in set order, and the `cache.occupancy` fill gauge.
+    /// Reports one point's cache events into `probe` exactly as
+    /// [`crate::Cache::report_into`] reports a dedicated cache's (both
+    /// write through one helper): per-kind miss and per-evictor eviction
+    /// counters, the per-set occupancy histogram and the fill gauge.
     pub fn report_into(&self, point: usize, probe: &dyn Probe) {
         let (bi, pi) = self.point_map[point];
         let bank = &self.banks[bi];
         let p = &bank.points[pi];
-        for kind in MissKind::ALL {
-            let n = p.misses_by_kind[kind.index()];
-            if n > 0 {
-                probe.counter_add(kind.metric_name(), n);
-            }
-        }
-        for (domain, name) in [
-            (Domain::Os, "cache.evict.by_os"),
-            (Domain::App, "cache.evict.by_app"),
-        ] {
-            let n = p.evict_by_domain[domain.index()];
-            if n > 0 {
-                probe.counter_add(name, n);
-            }
-        }
-        let occ = bank.occupancy(pi);
-        let mut valid_total = 0u64;
-        for &o in &occ {
-            valid_total += u64::from(o);
-            probe.histogram_record("cache.set_occupancy", u64::from(o));
-        }
-        let slots = u64::from(p.cfg.num_sets()) * u64::from(p.ways);
-        probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
+        report_cache_metrics(
+            probe,
+            &self.stats(point),
+            p.evict_by_domain,
+            bank.occupancy(pi),
+            p.ways as usize,
+        );
     }
 
     /// Verifies the structural invariants of every level's stacks (valid
@@ -547,52 +525,6 @@ mod tests {
         });
         for (pi, c) in dense.iter().enumerate() {
             assert_eq!(multi.stats(pi), *c.stats(), "point {pi} ({})", grid[pi]);
-        }
-    }
-
-    #[test]
-    fn report_matches_probed_cache_and_occupancy() {
-        use std::sync::Arc;
-
-        let grid = grid();
-        let mut multi = MultiSim::new(&grid);
-        let probed: Vec<(Arc<MetricRegistry>, Cache)> = grid
-            .iter()
-            .map(|&c| {
-                let reg = Arc::new(MetricRegistry::new());
-                let cache = Cache::with_probe(c, reg.clone());
-                (reg, cache)
-            })
-            .collect();
-        let mut probed = probed;
-        random_stream(0x0CC, 15_000, 6 * 1024, |base, words, domain| {
-            multi.access_words(base, words, domain);
-            for (_, c) in &mut probed {
-                c.access_words(base, words, domain);
-            }
-        });
-        for (pi, (reg, c)) in probed.iter().enumerate() {
-            c.record_occupancy();
-            let mine = MetricRegistry::new();
-            multi.report_into(pi, &mine);
-            assert_eq!(
-                mine.counters(),
-                reg.counters(),
-                "point {pi} ({}) counters",
-                grid[pi]
-            );
-            assert_eq!(
-                mine.gauges(),
-                reg.gauges(),
-                "point {pi} ({}) gauges",
-                grid[pi]
-            );
-            assert_eq!(
-                mine.histograms(),
-                reg.histograms(),
-                "point {pi} ({}) histograms",
-                grid[pi]
-            );
         }
     }
 
@@ -743,11 +675,9 @@ mod tests {
     #[test]
     fn edge_geometries_match_dense_and_reference_caches() {
         // Each case is its own simulator, differenced per point against a
-        // probed dense `Cache` and the map-based `ReferenceCache` on the
-        // same stream: stats, miss and eviction counters, the occupancy
-        // gauge and the per-set occupancy histogram.
-        use std::sync::Arc;
-
+        // dense `Cache` and the map-based `ReferenceCache` on the same
+        // stream: stats, the reported miss and eviction counters, the
+        // occupancy gauge and the per-set occupancy histogram.
         use crate::reference::ReferenceCache;
 
         let cases: [(&str, Vec<CacheConfig>); 6] = [
@@ -799,13 +729,7 @@ mod tests {
         ];
         for (name, grid) in cases {
             let mut multi = MultiSim::new(&grid);
-            let mut dense: Vec<(Arc<MetricRegistry>, Cache)> = grid
-                .iter()
-                .map(|&c| {
-                    let reg = Arc::new(MetricRegistry::new());
-                    (reg.clone(), Cache::with_probe(c, reg))
-                })
-                .collect();
+            let mut dense: Vec<Cache> = grid.iter().map(|&c| Cache::new(c)).collect();
             // Per point: the reference cache, its stats, and its
             // evictions by evictor domain.
             let mut refs: Vec<(ReferenceCache, MissStats, [u64; 2])> = grid
@@ -814,7 +738,7 @@ mod tests {
                 .collect();
             random_stream(0xED6E, 12_000, 8 * 1024, |base, words, domain| {
                 multi.access_words(base, words, domain);
-                for (_, c) in &mut dense {
+                for c in &mut dense {
                     c.access_words(base, words, domain);
                 }
                 for (r, stats, evicted) in &mut refs {
@@ -828,12 +752,12 @@ mod tests {
                 }
             });
             multi.check_inclusion().expect("stacks stay sound");
-            for (pi, ((reg, c), (_, ref_stats, ref_evicted))) in dense.iter().zip(&refs).enumerate()
-            {
+            for (pi, (c, (_, ref_stats, ref_evicted))) in dense.iter().zip(&refs).enumerate() {
                 let at = format!("{name}: point {pi} ({})", grid[pi]);
                 assert_eq!(multi.stats(pi), *c.stats(), "{at} vs dense");
                 assert_eq!(multi.stats(pi), *ref_stats, "{at} vs reference");
-                c.record_occupancy();
+                let reg = MetricRegistry::new();
+                c.report_into(&reg);
                 let mine = MetricRegistry::new();
                 multi.report_into(pi, &mine);
                 assert_eq!(mine.counters(), reg.counters(), "{at} counters");
@@ -870,8 +794,7 @@ mod tests {
         assert_eq!(cfg.num_sets(), 1);
         let lines = 4 * 4096u64;
         let mut multi = MultiSim::new(&[cfg]);
-        let reg = Arc::new(MetricRegistry::new());
-        let mut dense = Cache::with_probe(cfg, reg.clone());
+        let mut dense = Cache::new(cfg);
         let mut attributed = AttributedCache::new(
             Cache::new(cfg),
             Arc::new(AddressMap::build(std::iter::empty())),
@@ -904,9 +827,9 @@ mod tests {
         assert_eq!(*dense.stats(), want);
         assert_eq!(*attributed.inner().stats(), want);
         assert_eq!(multi.stats(0), want);
-        let mine = MetricRegistry::new();
+        let (mine, reg) = (MetricRegistry::new(), MetricRegistry::new());
         multi.report_into(0, &mine);
-        dense.record_occupancy();
+        dense.report_into(&reg);
         assert_eq!(mine.counters(), reg.counters());
         assert_eq!(mine.gauges(), reg.gauges());
         assert_eq!(mine.histograms(), reg.histograms());

@@ -11,7 +11,6 @@
 use std::ops::Range;
 
 use oslay_model::Domain;
-use oslay_observe::Probe;
 
 use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
 
@@ -87,19 +86,6 @@ impl ReservedCache {
             return 0.0;
         }
         1.0 - stats.miss_rate()
-    }
-
-    /// Reports reserved-area effectiveness to `probe`: the
-    /// `cache.reserved.hit_rate` gauge plus `cache.reserved.accesses`
-    /// and `cache.reserved.misses` counters.
-    pub fn record_reserved_metrics(&self, probe: &dyn Probe) {
-        let stats = self.small.stats();
-        if stats.total_accesses() == 0 {
-            return;
-        }
-        probe.gauge_set("cache.reserved.hit_rate", self.reserved_hit_rate());
-        probe.counter_add("cache.reserved.accesses", stats.total_accesses());
-        probe.counter_add("cache.reserved.misses", stats.total_misses());
     }
 }
 
@@ -183,9 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn reserved_hit_rate_and_metrics() {
-        use oslay_observe::MetricRegistry;
-
+    fn reserved_hit_rate() {
         let mut c = complex();
         assert_eq!(c.reserved_hit_rate(), 0.0, "no reserved traffic yet");
         c.access(0, Domain::Os); // reserved: cold miss
@@ -193,12 +177,7 @@ mod tests {
         c.access(0x2000, Domain::Os); // main cache only
         assert!((c.reserved_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(c.reserved_stats().total_accesses(), 2);
-
-        let reg = MetricRegistry::new();
-        c.record_reserved_metrics(&reg);
-        assert_eq!(reg.gauge("cache.reserved.hit_rate"), Some(0.5));
-        assert_eq!(reg.counter("cache.reserved.accesses"), 2);
-        assert_eq!(reg.counter("cache.reserved.misses"), 1);
+        assert_eq!(c.reserved_stats().total_misses(), 1);
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! suite replays randomized traces through both, asserting identical
 //! per-access outcomes.
 
-use std::sync::Arc;
-
 use oslay_model::Domain;
 use oslay_observe::timeline::{self, CacheProbeSnapshot};
 use oslay_observe::Probe;
@@ -264,9 +262,8 @@ pub struct Cache {
     evicted_by: EvictTable,
     clock: u64,
     stats: MissStats,
-    /// Consulted only on the miss path and in
-    /// [`Cache::record_occupancy`], never on hits.
-    probe: Option<Arc<dyn Probe + Send + Sync>>,
+    /// Evictions of valid lines, by evictor domain.
+    evictions: [u64; 2],
     /// Eviction-age histogram (log2 buckets of `clock - last_touch`),
     /// allocated only while the timeline has telemetry enabled.
     /// Touched only on the eviction path.
@@ -279,7 +276,6 @@ impl std::fmt::Debug for Cache {
             .field("cfg", &self.cfg)
             .field("clock", &self.clock)
             .field("stats", &self.stats)
-            .field("probe", &self.probe.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -299,25 +295,9 @@ impl Cache {
             evicted_by: EvictTable::new(),
             clock: 0,
             stats: MissStats::default(),
-            probe: None,
+            evictions: [0; 2],
             evict_ages: None,
         }
-    }
-
-    /// Creates an empty cache reporting metrics to `probe`: miss
-    /// counters by kind (`cache.miss.*`) and evictions by evictor domain
-    /// (`cache.evict.*`). The probe is touched only when an access
-    /// misses, so hit-path cost is identical to [`Cache::new`].
-    #[must_use]
-    pub fn with_probe(cfg: CacheConfig, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        let mut cache = Self::new(cfg);
-        cache.probe = Some(probe);
-        cache
-    }
-
-    /// Attaches (or with `None` detaches) a probe after construction.
-    pub fn set_probe(&mut self, probe: Option<Arc<dyn Probe + Send + Sync>>) {
-        self.probe = probe;
     }
 
     /// This cache's geometry.
@@ -326,22 +306,27 @@ impl Cache {
         self.cfg
     }
 
-    /// Reports the current fill state to the attached probe: one
-    /// `cache.set_occupancy` histogram sample per set (number of valid
-    /// ways) and the overall fill fraction as the `cache.occupancy`
-    /// gauge. No-op without a probe.
-    pub fn record_occupancy(&self) {
-        let Some(probe) = &self.probe else { return };
-        let mut valid_total = 0usize;
-        for set in self.tags.chunks(self.ways_per_set) {
-            let occupied = set.iter().filter(|&&tag| tag != TAG_EMPTY).count();
-            valid_total += occupied;
-            probe.histogram_record("cache.set_occupancy", occupied as u64);
-        }
-        probe.gauge_set(
-            "cache.occupancy",
-            valid_total as f64 / self.tags.len() as f64,
+    /// Reports the replay so far into `probe`: a `cache.miss.<kind>`
+    /// counter per miss kind and a `cache.evict.by_<domain>` counter per
+    /// evictor domain (each only when nonzero), the `cache.set_occupancy`
+    /// histogram (one sample per set: its valid ways) and the
+    /// `cache.occupancy` fill gauge. Call it once per replay; every call
+    /// adds the counts again.
+    pub fn report_into(&self, probe: &dyn Probe) {
+        report_cache_metrics(
+            probe,
+            &self.stats,
+            self.evictions,
+            self.set_occupancy(),
+            self.ways_per_set,
         );
+    }
+
+    /// Valid ways per set, in set order.
+    fn set_occupancy(&self) -> impl Iterator<Item = usize> + '_ {
+        self.tags
+            .chunks(self.ways_per_set)
+            .map(|set| set.iter().filter(|&&tag| tag != TAG_EMPTY).count())
     }
 
     /// Like [`InstructionCache::access`], but also reports the touched
@@ -395,6 +380,7 @@ impl Cache {
         self.lru[victim] = clock;
         if evicted_valid {
             self.evicted_by.record(evictee, domain);
+            self.evictions[domain.index()] += 1;
             if let Some(ages) = self.evict_ages.as_deref_mut() {
                 ages[(clock - victim_last).ilog2() as usize] += 1;
             }
@@ -403,18 +389,6 @@ impl Cache {
         // prior fill, and every displacement of a valid line leaves a
         // provenance record — so the evict table doubles as the seen-set.
         let kind = MissKind::classify(domain, self.evicted_by.lookup(key));
-        if let Some(probe) = &self.probe {
-            probe.counter_add(kind.metric_name(), 1);
-            if evicted_valid {
-                probe.counter_add(
-                    match domain {
-                        Domain::Os => "cache.evict.by_os",
-                        Domain::App => "cache.evict.by_app",
-                    },
-                    1,
-                );
-            }
-        }
         let outcome = AccessOutcome::Miss(kind);
         self.stats.record(domain, outcome);
         AccessDetail {
@@ -432,6 +406,49 @@ impl Cache {
     pub(crate) fn record_hits(&mut self, domain: Domain, n: u64) {
         self.stats.record_hits(domain, n);
     }
+}
+
+/// The one writer of the `cache.*` metrics, shared by
+/// [`Cache::report_into`] and [`crate::MultiSim::report_into`] (see the
+/// former for the names). `set_occupancy` yields each set's valid ways.
+/// The occupancy histogram takes one call per distinct value, so the
+/// probe calls are bounded by the geometry, not by the trace.
+pub(crate) fn report_cache_metrics(
+    probe: &dyn Probe,
+    stats: &MissStats,
+    evictions: [u64; 2],
+    set_occupancy: impl Iterator<Item = usize>,
+    ways: usize,
+) {
+    for kind in MissKind::ALL {
+        let n = stats.misses(kind);
+        if n > 0 {
+            probe.counter_add(kind.metric_name(), n);
+        }
+    }
+    for (domain, name) in [
+        (Domain::Os, "cache.evict.by_os"),
+        (Domain::App, "cache.evict.by_app"),
+    ] {
+        let n = evictions[domain.index()];
+        if n > 0 {
+            probe.counter_add(name, n);
+        }
+    }
+    // `sets_with[v]` = number of sets holding `v` valid ways.
+    let mut sets_with = vec![0u64; ways + 1];
+    let mut valid_total = 0usize;
+    for occupied in set_occupancy {
+        sets_with[occupied] += 1;
+        valid_total += occupied;
+    }
+    for (occupied, &n) in sets_with.iter().enumerate() {
+        if n > 0 {
+            probe.histogram_record("cache.set_occupancy", occupied as u64, n);
+        }
+    }
+    let slots = sets_with.iter().sum::<u64>() as usize * ways;
+    probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
 }
 
 /// Splits the fetch of `words` consecutive instruction words at `base`
@@ -495,6 +512,7 @@ impl InstructionCache for Cache {
         self.evicted_by.clear();
         self.clock = 0;
         self.stats = MissStats::default();
+        self.evictions = [0; 2];
         if let Some(ages) = self.evict_ages.as_deref_mut() {
             ages.fill(0);
         }
@@ -509,8 +527,7 @@ impl InstructionCache for Cache {
         // (fixed-size so the scan is one pass, no allocation per call).
         let mut counts = [0u64; 65];
         let mut valid_total = 0u64;
-        for set in self.tags.chunks(self.ways_per_set) {
-            let occupied = set.iter().filter(|&&tag| tag != TAG_EMPTY).count();
+        for occupied in self.set_occupancy() {
             valid_total += occupied as u64;
             counts[occupied.min(64)] += 1;
         }
@@ -701,18 +718,18 @@ mod tests {
     fn probe_sees_misses_evictions_and_occupancy() {
         use oslay_observe::MetricRegistry;
 
-        let reg = Arc::new(MetricRegistry::new());
-        let mut c = Cache::with_probe(CacheConfig::new(64, 16, 1), reg.clone());
+        let reg = MetricRegistry::new();
+        let mut c = Cache::new(CacheConfig::new(64, 16, 1));
         c.access(0, Domain::Os); // cold
         c.access(64, Domain::App); // cold; app evicts the OS line
         c.access(0, Domain::Os); // os-by-app; OS evicts the app line
-        c.access(0, Domain::Os); // hit: must not touch the probe
+        c.access(0, Domain::Os); // hit: counted in no metric
+        c.report_into(&reg);
         assert_eq!(reg.counter("cache.miss.cold"), 2);
         assert_eq!(reg.counter("cache.miss.os-by-app"), 1);
         assert_eq!(reg.counter("cache.evict.by_app"), 1);
         assert_eq!(reg.counter("cache.evict.by_os"), 1);
 
-        c.record_occupancy();
         // 4 direct-mapped sets, exactly one holds a line.
         let occ = reg.histogram("cache.set_occupancy").expect("histogram");
         assert_eq!(occ.count(), 4);

@@ -10,9 +10,9 @@
 //!   [`flight`] module is their one store: every span folds into a
 //!   per-name total that run reports read.
 //! * **Metric registry** ([`MetricRegistry`], [`Probe`]) — named counters,
-//!   gauges, and log2-bucketed histograms. Hot paths (the cache simulator,
-//!   the trace engine) accept an optional [`Probe`] so instrumentation is
-//!   strictly zero-cost when disabled.
+//!   gauges, and log2-bucketed histograms. The cache engines count in
+//!   their own state and report into a [`Probe`] once per replay, so no
+//!   probe call sits on a per-access path.
 //! * **JSON run reports** ([`RunReport`], [`json`]) — hand-rolled JSON
 //!   (serializer *and* parser, no serde) for machine-readable results
 //!   written beside the human-readable `.txt` figures.
@@ -26,8 +26,8 @@
 //!   `oslay.telemetry.v1` document behind `--telemetry-out` and the
 //!   `dash` viewer.
 //!
-//! Metric names are namespaced by pipeline stage: `trace.*`, `cache.*`,
-//! `study.*` (see `DESIGN.md` at the repository root).
+//! Metric names are namespaced by pipeline stage: `cache.*`,
+//! `cache.attr.*`, `study.*` (see `DESIGN.md` at the repository root).
 //!
 //! This crate depends on nothing outside `std`, so every other workspace
 //! crate can depend on it without cycles.
@@ -45,6 +45,6 @@ pub mod timeline;
 pub use flight::{span, span_with_args};
 pub use json::{JsonError, JsonValue};
 pub use metrics::{
-    AttrClass, AttributionProbe, Histogram, HistogramSummary, MetricRegistry, NoopProbe, Probe,
+    AttrClass, AttributionProbe, Histogram, HistogramSummary, MetricRegistry, Probe,
 };
 pub use report::{ReportError, RunReport, SpanEntry};

@@ -1,10 +1,11 @@
 //! Named counters, gauges, and log2-bucketed histograms, plus the
-//! [`Probe`] trait hot paths use to report them.
+//! [`Probe`] trait engines report them through.
 //!
-//! The cache simulator and the trace engine accept an optional
-//! `&dyn Probe`; passing `None` keeps instrumentation strictly off the
-//! hot path. [`MetricRegistry`] is the collecting implementation;
-//! [`NoopProbe`] exists for tests and for measuring probe overhead.
+//! The cache engines count in their own state while they replay and
+//! report once, at the end of a replay (`Cache::report_into`,
+//! `MultiSim::report_into`, `AttributedCache::report`), so no probe call
+//! sits on a per-access path. [`MetricRegistry`] is the collecting
+//! implementation.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -38,15 +39,18 @@ impl Histogram {
         }
     }
 
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
+    /// Records `n` samples of `value` (as `n` single records would).
+    pub fn record(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = Self::bucket_index(value);
         if self.buckets.len() <= idx {
             self.buckets.resize(idx + 1, 0);
         }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.buckets[idx] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.max = self.max.max(value);
     }
 
@@ -175,7 +179,7 @@ pub struct HistogramSummary {
 /// Sink for metrics emitted by instrumented code.
 ///
 /// Every method has a no-op default, so implementations override only
-/// what they collect and probe-accepting code can call unconditionally.
+/// what they collect.
 pub trait Probe {
     /// Adds `delta` to the named counter.
     fn counter_add(&self, _name: &str, _delta: u64) {}
@@ -183,8 +187,8 @@ pub trait Probe {
     /// Sets the named gauge to `value`.
     fn gauge_set(&self, _name: &str, _value: f64) {}
 
-    /// Records one sample into the named histogram.
-    fn histogram_record(&self, _name: &str, _value: u64) {}
+    /// Records `count` samples of `value` into the named histogram.
+    fn histogram_record(&self, _name: &str, _value: u64, _count: u64) {}
 }
 
 /// Why a miss happened, in the classical three-way decomposition used by
@@ -241,28 +245,12 @@ impl AttrClass {
     }
 }
 
-/// Extension of [`Probe`] for fully-attributed miss events.
+/// The probe type `AttributedCache::with_probe` accepts: any [`Probe`].
 ///
-/// The attribution engine in the cache crate calls
-/// [`AttributionProbe::miss_attributed`] once per miss — never on hits —
-/// so, like the base trait, the extension is strictly zero-cost when no
-/// probe is attached. The default implementation drops the event, so any
-/// [`Probe`] can opt in without implementing it.
-pub trait AttributionProbe: Probe {
-    /// Reports one classified miss: which cache set it landed in, its
-    /// [`AttrClass`], and whether the evicting line was identified (the
-    /// evictor is only known for refetches of previously evicted lines).
-    fn miss_attributed(&self, _set: u32, _class: AttrClass, _evictor_known: bool) {}
-}
-
-/// A probe that drops everything — for overhead measurements and as an
-/// explicit "observability off" value.
-#[derive(Copy, Clone, Debug, Default)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {}
-
-impl AttributionProbe for NoopProbe {}
+/// It adds no method; the attribution engine reports its `cache.attr.*`
+/// metrics through the [`Probe`] methods once, from
+/// `AttributedCache::report`.
+pub trait AttributionProbe: Probe {}
 
 #[derive(Debug, Default)]
 struct RegistryInner {
@@ -378,59 +366,25 @@ impl MetricRegistry {
     }
 }
 
-impl RegistryInner {
-    /// Counter bump without the per-call `String`: `entry(key.to_owned())`
-    /// allocates even when the counter exists, and probes sit on per-miss
-    /// hot paths, so the name is only owned on first touch.
-    fn bump(&mut self, name: &str, delta: u64) {
-        if let Some(mine) = self.counters.get_mut(name) {
-            *mine += delta;
-        } else {
-            self.counters.insert(name.to_owned(), delta);
-        }
-    }
-
-    /// Histogram record with the same first-touch-only allocation.
-    fn sample(&mut self, name: &str, value: u64) {
-        if let Some(hist) = self.histograms.get_mut(name) {
-            hist.record(value);
-        } else {
-            let mut hist = Histogram::default();
-            hist.record(value);
-            self.histograms.insert(name.to_owned(), hist);
-        }
-    }
-}
-
 impl Probe for MetricRegistry {
     fn counter_add(&self, name: &str, delta: u64) {
-        self.lock().bump(name, delta);
+        *self.lock().counters.entry(name.to_owned()).or_default() += delta;
     }
 
     fn gauge_set(&self, name: &str, value: f64) {
-        let mut inner = self.lock();
-        if let Some(mine) = inner.gauges.get_mut(name) {
-            *mine = value;
-        } else {
-            inner.gauges.insert(name.to_owned(), value);
-        }
+        self.lock().gauges.insert(name.to_owned(), value);
     }
 
-    fn histogram_record(&self, name: &str, value: u64) {
-        self.lock().sample(name, value);
+    fn histogram_record(&self, name: &str, value: u64, count: u64) {
+        self.lock()
+            .histograms
+            .entry(name.to_owned())
+            .or_default()
+            .record(value, count);
     }
 }
 
-impl AttributionProbe for MetricRegistry {
-    fn miss_attributed(&self, set: u32, class: AttrClass, evictor_known: bool) {
-        let mut inner = self.lock();
-        inner.bump(class.metric_name(), 1);
-        if evictor_known {
-            inner.bump("cache.attr.evictor_known", 1);
-        }
-        inner.sample("cache.attr.set", u64::from(set));
-    }
-}
+impl AttributionProbe for MetricRegistry {}
 
 #[cfg(test)]
 mod tests {
@@ -462,7 +416,7 @@ mod tests {
     fn histogram_aggregates() {
         let mut h = Histogram::default();
         for v in [0, 1, 1, 5, 9] {
-            h.record(v);
+            h.record(v, 1);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 16);
@@ -473,12 +427,25 @@ mod tests {
     }
 
     #[test]
+    fn a_batched_record_equals_single_records() {
+        let (mut batched, mut single) = (Histogram::default(), Histogram::default());
+        batched.record(5, 3);
+        batched.record(0, 2);
+        batched.record(9, 0);
+        for v in [5, 5, 5, 0, 0] {
+            single.record(v, 1);
+        }
+        assert_eq!(batched, single);
+        assert_eq!(batched.max(), 5, "a zero-count record is no sample");
+    }
+
+    #[test]
     fn registry_collects_all_three_kinds() {
         let reg = MetricRegistry::new();
         reg.counter_add("cache.miss", 3);
         reg.counter_add("cache.miss", 2);
         reg.gauge_set("cache.occupancy", 0.75);
-        reg.histogram_record("trace.burst", 10);
+        reg.histogram_record("trace.burst", 10, 1);
         assert_eq!(reg.counter("cache.miss"), 5);
         assert_eq!(reg.gauge("cache.occupancy"), Some(0.75));
         assert_eq!(reg.histogram("trace.burst").unwrap().count(), 1);
@@ -496,22 +463,14 @@ mod tests {
     }
 
     #[test]
-    fn noop_probe_accepts_everything() {
-        let p = NoopProbe;
-        p.counter_add("x", 1);
-        p.gauge_set("y", 2.0);
-        p.histogram_record("z", 3);
-    }
-
-    #[test]
     fn quantiles_are_exact_at_the_edges() {
         let mut h = Histogram::default();
         assert_eq!(h.quantile(0.5), 0, "empty histogram");
         for _ in 0..10 {
-            h.record(0);
+            h.record(0, 1);
         }
         assert_eq!(h.quantile(0.99), 0, "bucket 0 is exact");
-        h.record(1000);
+        h.record(1000, 1);
         assert_eq!(h.quantile(1.0), 1000, "max is exact");
         assert_eq!(h.quantile(0.5), 0);
     }
@@ -520,7 +479,7 @@ mod tests {
     fn quantiles_are_monotone_and_bucket_bounded() {
         let mut h = Histogram::default();
         for v in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89] {
-            h.record(v);
+            h.record(v, 1);
         }
         let mut last = 0;
         for q in [0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0] {
@@ -538,28 +497,13 @@ mod tests {
     fn summary_carries_percentiles() {
         let mut h = Histogram::default();
         for v in 0..100u64 {
-            h.record(v);
+            h.record(v, 1);
         }
         let s = h.summary();
         assert_eq!(s.p50, h.quantile(0.50));
         assert_eq!(s.p95, h.quantile(0.95));
         assert_eq!(s.p99, h.quantile(0.99));
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
-    }
-
-    #[test]
-    fn registry_collects_attributed_misses() {
-        let reg = MetricRegistry::new();
-        reg.miss_attributed(3, AttrClass::Conflict, true);
-        reg.miss_attributed(3, AttrClass::Conflict, false);
-        reg.miss_attributed(7, AttrClass::Compulsory, false);
-        assert_eq!(reg.counter("cache.attr.conflict"), 2);
-        assert_eq!(reg.counter("cache.attr.compulsory"), 1);
-        assert_eq!(reg.counter("cache.attr.capacity"), 0);
-        assert_eq!(reg.counter("cache.attr.evictor_known"), 1);
-        let sets = reg.histogram("cache.attr.set").unwrap();
-        assert_eq!(sets.count(), 3);
-        assert_eq!(sets.max(), 7);
     }
 
     #[test]
@@ -578,12 +522,12 @@ mod tests {
             Histogram::default(),
         );
         for v in [0u64, 1, 7, 100] {
-            a.record(v);
-            whole.record(v);
+            a.record(v, 1);
+            whole.record(v, 1);
         }
         for v in [3u64, 9000, 2] {
-            b.record(v);
-            whole.record(v);
+            b.record(v, 1);
+            whole.record(v, 1);
         }
         a.merge(&b);
         assert_eq!(a, whole);
@@ -596,11 +540,11 @@ mod tests {
         let shard_b = MetricRegistry::new();
         shard_a.counter_add("cache.miss", 3);
         shard_a.gauge_set("trace.call_depth_hwm", 5.0);
-        shard_a.histogram_record("trace.burst", 4);
+        shard_a.histogram_record("trace.burst", 4, 1);
         shard_b.counter_add("cache.miss", 4);
         shard_b.counter_add("cache.hit", 1);
         shard_b.gauge_set("trace.call_depth_hwm", 7.0);
-        shard_b.histogram_record("trace.burst", 16);
+        shard_b.histogram_record("trace.burst", 16, 1);
         total.merge_from(&shard_a);
         total.merge_from(&shard_b);
         assert_eq!(total.counter("cache.miss"), 7);

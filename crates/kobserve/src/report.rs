@@ -452,8 +452,8 @@ mod tests {
         let registry = MetricRegistry::new();
         registry.counter_add("cache.evictions", 42);
         registry.gauge_set("cache.miss_rate", 0.0525);
-        registry.histogram_record("trace.invocation_blocks", 100);
-        registry.histogram_record("trace.invocation_blocks", 3);
+        registry.histogram_record("trace.invocation_blocks", 100, 1);
+        registry.histogram_record("trace.invocation_blocks", 3, 1);
 
         let mut report = RunReport::new("all_experiments");
         report.add_spans([
@@ -521,7 +521,7 @@ mod tests {
             let registry = MetricRegistry::new();
             registry.counter_add("cache.evictions", evictions);
             registry.gauge_set("cache.miss_rate", 0.05);
-            registry.histogram_record("trace.invocation_blocks", 17);
+            registry.histogram_record("trace.invocation_blocks", 17, 1);
             let mut r = RunReport::new("r");
             r.add_metrics(&registry);
             r.add_section("fig12.shell", [("Base", base)]);

@@ -133,7 +133,7 @@ fn real_run_report() -> String {
     registry.counter_add("cache.miss.os-self", 1234);
     registry.gauge_set("cache.occupancy", 0.97);
     for v in [0, 3, 17, 900] {
-        registry.histogram_record("trace.invocation_len", v);
+        registry.histogram_record("trace.invocation_len", v, 1);
     }
     let mut report = RunReport::new("hostile");
     report.add_spans([SpanEntry {

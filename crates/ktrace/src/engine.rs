@@ -7,11 +7,8 @@
 //! the kernel. The application walk is suspended — call stack and all —
 //! during each OS invocation and resumed afterwards.
 
-use std::sync::Arc;
-
 use oslay_model::rng::Rng;
 use oslay_model::{BlockId, Domain, Program, SeedKind, Terminator};
-use oslay_observe::Probe;
 
 use crate::{Trace, TraceEvent, TraceSink, WorkloadSpec};
 
@@ -86,9 +83,6 @@ pub struct Engine<'a> {
     rng: Rng,
     app_walk: Option<Walk>,
     truncated_invocations: u64,
-    call_depth_hwm: usize,
-    /// Consulted once per invocation/burst, never per block.
-    probe: Option<Arc<dyn Probe + Send + Sync>>,
 }
 
 impl std::fmt::Debug for Engine<'_> {
@@ -97,8 +91,6 @@ impl std::fmt::Debug for Engine<'_> {
             .field("spec", &self.spec.name)
             .field("cfg", &self.cfg)
             .field("truncated_invocations", &self.truncated_invocations)
-            .field("call_depth_hwm", &self.call_depth_hwm)
-            .field("probe", &self.probe.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -144,25 +136,7 @@ impl<'a> Engine<'a> {
             rng: Rng::seed_from_u64(cfg.seed),
             app_walk,
             truncated_invocations: 0,
-            call_depth_hwm: 0,
-            probe: None,
         }
-    }
-
-    /// Attaches a probe receiving `trace.invocation_len` and
-    /// `trace.burst_len` histograms plus the `trace.call_depth_hwm`
-    /// gauge. The probe is consulted once per invocation or burst, not
-    /// per block, so tracing cost is unchanged within the walk.
-    #[must_use]
-    pub fn with_probe(mut self, probe: Arc<dyn Probe + Send + Sync>) -> Self {
-        self.probe = Some(probe);
-        self
-    }
-
-    /// Deepest call stack reached so far in either domain's walk.
-    #[must_use]
-    pub fn call_depth_high_water(&self) -> usize {
-        self.call_depth_hwm
     }
 
     /// Runs until at least `target_os_blocks` operating-system block events
@@ -186,9 +160,6 @@ impl<'a> Engine<'a> {
         while os_blocks < target_os_blocks {
             self.app_burst(sink);
             os_blocks += self.os_invocation(sink);
-        }
-        if let Some(probe) = &self.probe {
-            probe.gauge_set("trace.call_depth_hwm", self.call_depth_hwm as f64);
         }
     }
 
@@ -223,9 +194,6 @@ impl<'a> Engine<'a> {
             }
             self.advance(self.kernel, &mut walk);
         }
-        if let Some(probe) = &self.probe {
-            probe.histogram_record("trace.invocation_len", steps as u64);
-        }
         sink.event(TraceEvent::OsExit);
         steps as u64
     }
@@ -242,7 +210,6 @@ impl<'a> Engine<'a> {
         // instructions.
         let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let len = (-self.spec.app_burst_mean * u.ln()).ceil() as usize;
-        let mut emitted = 0u64;
         for _ in 0..len.max(1) {
             let Some(block) = walk.current else {
                 // The job loop returned all the way out (does not happen
@@ -256,30 +223,12 @@ impl<'a> Engine<'a> {
                 id: block,
                 domain: Domain::App,
             });
-            emitted += 1;
-            Self::advance_walk(
-                app,
-                walk,
-                &mut self.rng,
-                self.spec,
-                &self.cfg,
-                &mut self.call_depth_hwm,
-            );
-        }
-        if let Some(probe) = &self.probe {
-            probe.histogram_record("trace.burst_len", emitted);
+            Self::advance_walk(app, walk, &mut self.rng, self.spec, &self.cfg);
         }
     }
 
     fn advance(&mut self, program: &Program, walk: &mut Walk) {
-        Self::advance_walk(
-            program,
-            walk,
-            &mut self.rng,
-            self.spec,
-            &self.cfg,
-            &mut self.call_depth_hwm,
-        );
+        Self::advance_walk(program, walk, &mut self.rng, self.spec, &self.cfg);
     }
 
     /// Advances a walk by one control transfer.
@@ -289,7 +238,6 @@ impl<'a> Engine<'a> {
         rng: &mut Rng,
         spec: &WorkloadSpec,
         cfg: &EngineConfig,
-        depth_hwm: &mut usize,
     ) {
         let block = walk.current.expect("advance requires a current block");
         match program.block(block).terminator() {
@@ -318,7 +266,6 @@ impl<'a> Engine<'a> {
                     walk.current = Some(*ret_to);
                 } else {
                     walk.stack.push(*ret_to);
-                    *depth_hwm = (*depth_hwm).max(walk.stack.len());
                     walk.current = Some(program.routine(*callee).entry());
                 }
             }
@@ -535,51 +482,50 @@ mod tests {
     }
 
     #[test]
-    fn probe_collects_shape_metrics() {
-        use oslay_observe::MetricRegistry;
-
+    fn every_block_is_in_an_invocation_or_a_burst() {
         let (kernel, specs) = setup();
         let spec = &specs[0]; // TRFD_4: app + OS
         let app = generate_app_mix(
             &StandardWorkload::Trfd4.app_components(),
             &AppParams::new(3).with_scale(0.3),
         );
-        let reg = Arc::new(MetricRegistry::new());
-        let mut engine = Engine::new(&kernel.program, Some(&app), spec, EngineConfig::new(4))
-            .with_probe(reg.clone());
+        let mut engine = Engine::new(&kernel.program, Some(&app), spec, EngineConfig::new(4));
         let trace = engine.run(5_000);
 
-        let inv = reg.histogram("trace.invocation_len").expect("invocations");
-        assert!(inv.count() > 0);
+        let invocations = trace.invocation_lengths();
+        assert!(!invocations.is_empty());
         assert_eq!(
-            inv.sum(),
+            invocations.iter().map(|&n| u64::from(n)).sum::<u64>(),
             trace.os_blocks(),
             "every OS block is in some invocation"
         );
-        let burst = reg.histogram("trace.burst_len").expect("bursts");
+        // The app runs one non-empty burst before each invocation.
+        let mut bursts: Vec<u64> = Vec::new();
+        let (mut in_os, mut after_os) = (false, true);
+        for event in trace.events() {
+            match event {
+                TraceEvent::OsEnter(_) => in_os = true,
+                TraceEvent::OsExit => (in_os, after_os) = (false, true),
+                TraceEvent::Block {
+                    domain: Domain::App,
+                    ..
+                } => {
+                    assert!(!in_os, "app block inside an invocation");
+                    if after_os {
+                        bursts.push(0);
+                        after_os = false;
+                    }
+                    *bursts.last_mut().expect("a burst is open") += 1;
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(bursts.len(), invocations.len(), "one burst per invocation");
         assert_eq!(
-            burst.sum(),
+            bursts.iter().sum::<u64>(),
             trace.app_blocks(),
             "every app block is in some burst"
         );
-        let hwm = reg
-            .gauge("trace.call_depth_hwm")
-            .expect("gauge set after run");
-        assert!(hwm >= 1.0, "synthetic programs make calls");
-        assert_eq!(hwm as usize, engine.call_depth_high_water());
-    }
-
-    #[test]
-    fn probe_free_engine_matches_probed_engine() {
-        use oslay_observe::MetricRegistry;
-
-        let (kernel, specs) = setup();
-        let plain = Engine::new(&kernel.program, None, &specs[3], EngineConfig::new(5)).run(3_000);
-        let reg = Arc::new(MetricRegistry::new());
-        let probed = Engine::new(&kernel.program, None, &specs[3], EngineConfig::new(5))
-            .with_probe(reg)
-            .run(3_000);
-        assert_eq!(plain, probed, "instrumentation must not perturb the walk");
     }
 
     #[test]

@@ -1,23 +1,20 @@
 //! End-to-end observability: a real study run must produce a run report
 //! that survives the JSON round trip.
 
-use std::sync::Arc;
-
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_observe::{flight, MetricRegistry, Probe, RunReport};
+use oslay_observe::{flight, MetricRegistry, RunReport};
 
-/// Runs the first workload (OS + application) under Base and OptS with a
-/// probed cache and reports both miss rates.
+/// Runs the first workload (OS + application) under Base and OptS, reports
+/// each replay's cache metrics into one registry and both miss rates.
 fn probed_report(study: &Study, name: &str) -> RunReport {
-    let registry = Arc::new(MetricRegistry::new());
+    let registry = MetricRegistry::new();
     let case = &study.cases()[0]; // traces an application too
     let app = study.app_base_layout(case);
     let mut fields = Vec::new();
     for kind in [OsLayoutKind::Base, OsLayoutKind::OptS] {
         let os = study.os_layout(kind, 8192);
-        let probe: Arc<dyn Probe + Send + Sync> = Arc::clone(&registry) as _;
-        let mut cache = Cache::with_probe(CacheConfig::paper_default(), probe);
+        let mut cache = Cache::new(CacheConfig::paper_default());
         let r = study.simulate(
             case,
             &os.layout,
@@ -25,7 +22,7 @@ fn probed_report(study: &Study, name: &str) -> RunReport {
             &mut cache,
             &SimConfig::fast(),
         );
-        cache.record_occupancy();
+        cache.report_into(&registry);
         fields.push((kind.name().to_owned(), r.miss_rate()));
     }
     let mut report = RunReport::new(name);
