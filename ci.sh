@@ -43,6 +43,12 @@ echo "== census oracle at small and paper scale =="
 # (tiny scale runs in the suite above).
 cargo test --release -q -p oslay-bench --test census_oracle -- --ignored
 
+echo "== trace store hostile inputs: large budget =="
+# Seeded truncations, bit flips and block splices of a recorded archive
+# must each end in a typed error or the original stream (a small budget
+# runs in the suite above).
+cargo test --release -q -p oslay-tracestore --test hostile -- --ignored
+
 echo "== miri (optional, nightly): trace store codec roundtrips =="
 if cargo +nightly miri --version > /dev/null 2>&1; then
   MIRIFLAGS="-Zmiri-disable-isolation" \
@@ -68,6 +74,15 @@ for src in crates/bench/src/bin/*.rs; do
     exit 1
   fi
 done
+# Layout verification is a debug-build property, not a flag: the retired
+# --verify switch must be rejected as unknown with the usage text.
+status=0
+cargo run --release -q -p oslay-bench --bin fig12_optimization_levels -- \
+  --verify > /dev/null 2> "$tmpdir/err.txt" || status=$?
+if [ "$status" -ne 2 ] || ! grep -q "common experiment flags" "$tmpdir/err.txt"; then
+  echo "fig12_optimization_levels --verify exited $status (want 2 with usage)" >&2
+  exit 1
+fi
 rm -rf "$tmpdir"
 
 echo "== layout lint gate: every layout verifies clean =="

@@ -3,23 +3,22 @@
 //! The static classifier (`oslay_verify::absint`) promises, per layout:
 //! always-hit points never miss, persistent lines miss at most once per
 //! run, always-miss points miss on every execution. This module replays
-//! every workload's buffered trace against every layout — word for word,
-//! through the plain cache — and checks each promise against the
-//! *measured* per-point miss counts. One surviving violation anywhere
-//! fails the gate; the `analyze --gate` binary turns that into exit 1
-//! and ci.sh runs it on every push.
+//! every workload's buffered trace against every layout through the plain
+//! cache and checks each promise against the *measured* per-point miss
+//! counts. One surviving violation anywhere fails the gate; the `analyze
+//! --gate` binary turns that into exit 1 and ci.sh runs it on every push.
 //!
-//! The replay mirrors `oslay::sim::Replayer` exactly (same fetch-word
-//! enumeration, same cache, same trace stream), but records misses per
-//! *(block, line-slot)* access point — the unit the classifier speaks —
-//! instead of only per block.
+//! The replay mirrors `oslay::Replayer` exactly (same line runs, same
+//! cache, same trace stream), but records misses per *(block, line-slot)*
+//! access point — the unit the classifier speaks — instead of only per
+//! block.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
 
 use oslay::cache::{Cache, CacheConfig, InstructionCache};
-use oslay::{OsLayout, Study};
-use oslay_model::{Domain, WORD_BYTES};
+use oslay::layout::Layout;
+use oslay::{OsLayout, Study, WorkloadCase};
+use oslay_model::{fetch_words, Domain};
 use oslay_trace::{TraceEvent, TraceSink};
 use oslay_verify::{
     block_line_addrs, classify_layout, AbsintParams, Classification, LayoutView, LineClass,
@@ -118,56 +117,46 @@ pub fn classify_study_layout(
     )
 }
 
-/// Precomputed word-level replay geometry of one layout side: per block,
-/// its base address and each fetch word's line-slot index.
-struct LayoutWords {
-    base: Vec<u64>,
-    word_slot: Vec<Vec<u16>>,
-}
-
-impl LayoutWords {
-    fn new(view: &LayoutView, config: &CacheConfig) -> Self {
-        let n = view.num_blocks();
-        let mut base = Vec::with_capacity(n);
-        let mut word_slot = Vec::with_capacity(n);
-        for b in 0..n {
-            let addr = view.addr[b];
-            let words = oslay_model::fetch_words(view.size[b]);
-            let mut slots = Vec::with_capacity(words as usize);
-            let mut slot: u16 = 0;
-            let mut last_line = None;
-            for w in 0..words {
-                let line = config.line_addr(addr + u64::from(w) * u64::from(WORD_BYTES));
-                match last_line {
-                    None => last_line = Some(line),
-                    Some(prev) if prev != line => {
-                        slot += 1;
-                        last_line = Some(line);
-                    }
-                    Some(_) => {}
-                }
-                slots.push(slot);
-            }
-            base.push(addr);
-            word_slot.push(slots);
-        }
-        Self { base, word_slot }
-    }
-
-    fn num_slots(&self, block: usize) -> usize {
-        self.word_slot[block].last().map_or(0, |&s| s as usize + 1)
-    }
-}
-
 /// The per-point miss recorder: a [`TraceSink`] replaying the stream
-/// through the plain cache, mirroring the production replayer word for
-/// word.
+/// through the plain cache as the production replayer does, but one
+/// [`CacheConfig::line_runs`] run at a time, so each OS miss lands on its
+/// *(block, line-slot)* point: only a run's first word can miss, and run
+/// `k` of a block is slot `k` of its [`block_line_addrs`].
 struct MissRecorder<'a> {
     cache: Cache,
-    os: &'a LayoutWords,
-    app: Option<&'a LayoutWords>,
+    os: &'a LayoutView,
+    app: Option<&'a Layout>,
     point_miss: Vec<Vec<u64>>,
     exec: Vec<u64>,
+}
+
+impl<'a> MissRecorder<'a> {
+    /// Replays `case`'s trace with OS blocks placed by `os` and app
+    /// blocks by `app`.
+    fn replay(
+        case: &WorkloadCase,
+        config: CacheConfig,
+        os: &'a LayoutView,
+        app: Option<&'a Layout>,
+    ) -> Self {
+        let point_miss = (0..os.num_blocks())
+            .map(|b| {
+                let runs = config.line_runs(os.addr[b], fetch_words(os.size[b]));
+                vec![0u64; runs.count()]
+            })
+            .collect();
+        let mut recorder = Self {
+            cache: Cache::new(config),
+            os,
+            app,
+            point_miss,
+            exec: vec![0u64; os.num_blocks()],
+        };
+        for &event in case.trace.events() {
+            recorder.event(event);
+        }
+        recorder
+    }
 }
 
 impl TraceSink for MissRecorder<'_> {
@@ -175,25 +164,22 @@ impl TraceSink for MissRecorder<'_> {
         let TraceEvent::Block { id, domain } = event else {
             return;
         };
-        let b = id.index();
         match domain {
             Domain::Os => {
+                let b = id.index();
                 self.exec[b] += 1;
-                let base = self.os.base[b];
-                for (w, &slot) in self.os.word_slot[b].iter().enumerate() {
-                    let addr = base + w as u64 * u64::from(WORD_BYTES);
-                    if self.cache.access(addr, Domain::Os).is_miss() {
-                        self.point_miss[b][slot as usize] += 1;
-                    }
+                let runs = self
+                    .cache
+                    .config()
+                    .line_runs(self.os.addr[b], fetch_words(self.os.size[b]));
+                for ((addr, run), misses) in runs.zip(&mut self.point_miss[b]) {
+                    *misses += self.cache.access_words(addr, run, Domain::Os);
                 }
             }
             Domain::App => {
                 let app = self.app.expect("app block in a workload without an app");
-                let base = app.base[b];
-                for w in 0..app.word_slot[b].len() {
-                    let addr = base + w as u64 * u64::from(WORD_BYTES);
-                    let _ = self.cache.access(addr, Domain::App);
-                }
+                self.cache
+                    .access_words(app.addr(id), app.fetch_words(id), Domain::App);
             }
         }
     }
@@ -212,28 +198,19 @@ pub fn run_absint_gate(
     config: CacheConfig,
     threads: usize,
 ) -> AbsintGateOutcome {
-    let classifications: Vec<(String, Classification, Arc<LayoutView>)> = layouts
+    let classifications: Vec<(String, Classification, LayoutView)> = layouts
         .iter()
         .map(|(name, os)| {
             let mut view = LayoutView::from_layout(&os.layout);
             view.name.clone_from(name);
             let c = classify_study_layout(study, &view, config);
-            (name.clone(), c, Arc::new(view))
+            (name.clone(), c, view)
         })
         .collect();
-
-    let os_words: Vec<Arc<LayoutWords>> = classifications
-        .iter()
-        .map(|(_, _, view)| Arc::new(LayoutWords::new(view, &config)))
-        .collect();
-    let app_views: Vec<Option<LayoutWords>> = study
+    let app_layouts: Vec<Option<Layout>> = study
         .cases()
         .iter()
-        .map(|case| {
-            study
-                .app_base_layout(case)
-                .map(|l| LayoutWords::new(&LayoutView::from_layout(&l), &config))
-        })
+        .map(|case| study.app_base_layout(case))
         .collect();
 
     let jobs: Vec<(usize, usize)> = (0..layouts.len())
@@ -241,20 +218,8 @@ pub fn run_absint_gate(
         .collect();
     let rows = oslay::exec::parallel_map(threads, jobs, |_, (l, c)| {
         let case = &study.cases()[c];
-        let (name, classification, _) = &classifications[l];
-        let words = &os_words[l];
-        let mut recorder = MissRecorder {
-            cache: Cache::new(config),
-            os: words,
-            app: app_views[c].as_ref(),
-            point_miss: (0..words.base.len())
-                .map(|b| vec![0u64; words.num_slots(b)])
-                .collect(),
-            exec: vec![0u64; words.base.len()],
-        };
-        for &event in case.trace.events() {
-            recorder.event(event);
-        }
+        let (name, classification, view) = &classifications[l];
+        let recorder = MissRecorder::replay(case, config, view, app_layouts[c].as_ref());
         check_row(case.name(), name, classification, &recorder)
     });
 
@@ -337,7 +302,89 @@ fn check_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oslay::{OsLayoutKind, StudyConfig};
+    use oslay::{OsLayoutKind, SimConfig, StudyConfig};
+
+    /// Per-word replay of `case`: a block's slot advances whenever its
+    /// next fetch word falls in another line, and each OS miss is charged
+    /// to its word's slot. No line runs are involved.
+    fn per_word_points(
+        case: &WorkloadCase,
+        cfg: CacheConfig,
+        view: &LayoutView,
+        app: Option<&Layout>,
+    ) -> Vec<Vec<u64>> {
+        let word_addr = |base: u64, w: u32| base + u64::from(w * oslay_model::WORD_BYTES);
+        let word_slots: Vec<Vec<usize>> = (0..view.num_blocks())
+            .map(|b| {
+                let line = |w| cfg.line_addr(word_addr(view.addr[b], w));
+                let mut slot = 0;
+                (0..fetch_words(view.size[b]))
+                    .map(|w| {
+                        slot += usize::from(w > 0 && line(w) != line(w - 1));
+                        slot
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut points: Vec<Vec<u64>> = word_slots
+            .iter()
+            .map(|s| vec![0; s.last().map_or(0, |&k| k + 1)])
+            .collect();
+        let mut cache = Cache::new(cfg);
+        for &event in case.trace.events() {
+            let TraceEvent::Block { id, domain } = event else {
+                continue;
+            };
+            let b = id.index();
+            let (base, words) = match (domain, app) {
+                (Domain::Os, _) => (view.addr[b], fetch_words(view.size[b])),
+                (Domain::App, Some(app)) => (app.addr(id), app.fetch_words(id)),
+                (Domain::App, None) => panic!("app block without an app layout"),
+            };
+            for w in 0..words {
+                let missed = cache.access(word_addr(base, w), domain).is_miss();
+                if missed && domain == Domain::Os {
+                    points[b][word_slots[b][w as usize]] += 1;
+                }
+            }
+        }
+        points
+    }
+
+    /// The gate's per-point misses must equal a per-word replay's, point
+    /// for point, and summed per block they must equal the production
+    /// replayer's per-block counts, on every case and layout. The gate
+    /// verdicts alone (mostly zero counts) would not move if a miss were
+    /// charged to the wrong slot or a run split where no line ends.
+    #[test]
+    fn point_misses_match_per_word_replay_and_block_misses() {
+        let study = Study::generate(&StudyConfig::tiny().with_os_blocks(8_000));
+        let cfg = CacheConfig::paper_default();
+        for kind in OsLayoutKind::ALL {
+            let os = study.os_layout(kind, cfg.size());
+            let view = LayoutView::from_layout(&os.layout);
+            for case in study.cases() {
+                let tag = format!("{kind:?}/{}", case.name());
+                let app = study.app_base_layout(case);
+                let gate = MissRecorder::replay(case, cfg, &view, app.as_ref());
+                let want = per_word_points(case, cfg, &view, app.as_ref());
+                assert_eq!(gate.point_miss, want, "{tag}: per-point misses");
+                let blocks = study
+                    .simulate(
+                        case,
+                        &os.layout,
+                        app.as_ref(),
+                        &mut Cache::new(cfg),
+                        &SimConfig::full(),
+                    )
+                    .os_block_misses
+                    .expect("full config collects block misses");
+                let sums: Vec<u64> = gate.point_miss.iter().map(|p| p.iter().sum()).collect();
+                assert_eq!(sums, blocks, "{tag}: per-block misses");
+                assert!(sums.iter().sum::<u64>() > 0, "{tag}: no misses");
+            }
+        }
+    }
 
     #[test]
     fn tiny_gate_is_sound_on_base_and_opt_s() {

@@ -17,7 +17,7 @@ use oslay::cache::{Cache, CacheConfig};
 use oslay::model::synth::{generate_app_mix, AppKind, AppParams};
 use oslay::profile::Profile;
 use oslay::trace::{Engine, EngineConfig, SyscallProfile, WorkloadSpec};
-use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
 use oslay_bench::{banner, Cli};
 
 fn main() {
@@ -88,16 +88,13 @@ fn main() {
     ] {
         let os = study.os_layout(kind, cfg.size());
         let mut cache = Cache::new(cfg);
-        let mut misses = 0u64;
-        let mut accesses = 0u64;
-        for (addr, domain) in
-            oslay::layout::fetch_stream(trace.events(), &os.layout, Some(&app_base))
-        {
-            accesses += 1;
-            if oslay::cache::InstructionCache::access(&mut cache, addr, domain).is_miss() {
-                misses += 1;
-            }
+        let mut replayer =
+            Replayer::new(&os.layout, Some(&app_base), &mut cache, &SimConfig::fast());
+        for &event in trace.events() {
+            replayer.on_event(event);
         }
+        let stats = replayer.finish().stats;
+        let (misses, accesses) = (stats.total_misses(), stats.total_accesses());
         let base = *base_misses.get_or_insert(misses);
         table.row([
             kind.name().to_owned(),
@@ -105,7 +102,6 @@ fn main() {
             pct(misses as f64 / accesses as f64),
             format!("{:.1}%", misses as f64 / base as f64 * 100.0),
         ]);
-        let _ = SimConfig::fast();
     }
     print!("{}", table.render());
     println!();

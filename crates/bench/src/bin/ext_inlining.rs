@@ -13,13 +13,13 @@
 //! against plain OptS of the original.
 
 use oslay::analysis::report::{pct, TextTable};
-use oslay::cache::{Cache, CacheConfig, InstructionCache};
-use oslay::layout::{chang_hwu_layout, fetch_stream, optimize_os, OptParams};
+use oslay::cache::{Cache, CacheConfig};
+use oslay::layout::{chang_hwu_layout, optimize_os, OptParams};
 use oslay::model::transform::inline_calls;
 use oslay::model::BlockId;
 use oslay::profile::{LoopAnalysis, Profile};
 use oslay::trace::{Engine, EngineConfig};
-use oslay::{OsLayoutKind, SimConfig, Study};
+use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
 use oslay_bench::{banner, run_case, AppSide, Cli};
 
 fn main() {
@@ -90,17 +90,15 @@ fn main() {
 
         let replay = |layout: &oslay::layout::Layout| {
             let mut cache = Cache::new(cfg);
-            let mut misses = 0u64;
-            for (addr, domain) in fetch_stream(trace.events(), layout, None) {
-                if cache.access(addr, domain).is_miss() {
-                    misses += 1;
-                }
+            let mut replayer = Replayer::new(layout, None, &mut cache, &SimConfig::fast());
+            for &event in trace.events() {
+                replayer.on_event(event);
             }
-            (misses, cache.stats().miss_rate())
+            replayer.finish().stats.total_misses()
         };
-        let (ch_m, _) = replay(&chang_hwu_layout(&inlined, &iprofile, 0));
+        let ch_m = replay(&chang_hwu_layout(&inlined, &iprofile, 0));
         let opt = optimize_os(&inlined, &iprofile, &iloops, &OptParams::opt_s(cfg.size()));
-        let (opt_m, _) = replay(&opt.layout);
+        let opt_m = replay(&opt.layout);
         let growth = iprofile.executed_bytes(&inlined) as f64
             / case.os_profile.executed_bytes(program) as f64
             - 1.0;

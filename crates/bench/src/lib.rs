@@ -170,7 +170,6 @@ const COMMON: &[Flag] = &[
     Flag("--blocks", INT, "", "OS blocks per workload"),
     Flag("--seed", SEED, "", "workload generator seed"),
     Flag("--threads", COUNT, "", "worker threads (output is identical at any N)"),
-    Flag("--verify", Kind::Switch, "", "statically verify every layout before simulating"),
     Flag("--trace-out", text("FILE"), "", "write a Chrome trace-event flight recording"),
     Flag("--telemetry-out", text("FILE"), "", "write simulated-time cache telemetry"),
 ];
@@ -366,7 +365,7 @@ impl Cli {
     /// its arguments. `--help` prints the usage text and exits 0; a
     /// rejected command line exits through [`Cli::fail`]. For a binary
     /// with the common study flags it also applies their process-wide
-    /// side effects (`--verify`, `--trace-out`, `--telemetry-out`). From
+    /// side effects (`--trace-out`, `--telemetry-out`). From
     /// here on, a stdout closed by its reader ends the binary quietly
     /// with status 0.
     #[must_use]
@@ -488,7 +487,6 @@ impl Args {
             threads: self
                 .num("--threads")
                 .unwrap_or_else(oslay::exec::default_threads),
-            verify: self.on("--verify"),
             trace_out: self.path("--trace-out"),
             telemetry_out: self.path("--telemetry-out"),
         }
@@ -505,10 +503,6 @@ pub struct RunArgs {
     /// default: available parallelism). Output is byte-identical at any
     /// value; see `oslay::exec::parallel_map`.
     pub threads: usize,
-    /// Verify every layout statically before simulating it (`--verify`).
-    /// Debug builds always verify; this flag opts release builds in. See
-    /// [`oslay::set_layout_verify`].
-    pub verify: bool,
     /// Write a Chrome trace-event JSON flight recording here
     /// (`--trace-out FILE`). `None` leaves the flight recorder disabled,
     /// which is the zero-overhead default.
@@ -519,13 +513,10 @@ pub struct RunArgs {
     pub telemetry_out: Option<PathBuf>,
 }
 
-/// Applies the common arguments' process-wide side effects: layout
-/// verification (`--verify`), flight-recorder activation (`--trace-out`)
-/// and the telemetry timeline (`--telemetry-out`).
+/// Applies the common arguments' process-wide side effects:
+/// flight-recorder activation (`--trace-out`) and the telemetry timeline
+/// (`--telemetry-out`).
 fn apply_run_args(args: &RunArgs) {
-    if args.verify {
-        oslay::set_layout_verify(true);
-    }
     if let Some(path) = &args.trace_out {
         oslay_observe::flight::set_output(path);
         oslay_observe::flight::set_thread_track("main");
@@ -1079,7 +1070,6 @@ pub fn run_sweep_single_pass(
                     os_self_miss_map: None,
                     os_cross_miss_map: None,
                     os_block_misses: None,
-                    app_block_misses: None,
                 });
             }
         }
@@ -1578,7 +1568,6 @@ mod tests {
             "--blocks",
             "--seed",
             "--threads",
-            "--verify",
             "--trace-out",
             "--telemetry-out",
             "--help",
@@ -1595,7 +1584,7 @@ mod tests {
         assert!(usage.contains("(default tiny)"), "{usage}");
         assert!(usage.contains("(default 10)"), "{usage}");
         assert!(usage.contains("(repeatable)"), "{usage}");
-        assert_eq!(parse_err(&["--verify", "-h"]), ArgError::Help);
+        assert_eq!(parse_err(&["--json", "-h"]), ArgError::Help);
     }
 
     #[test]
@@ -1641,7 +1630,7 @@ mod tests {
             "--top",
             "--mode",
         ] {
-            let err = parse_err(&["--verify", flag]);
+            let err = parse_err(&["--json", flag]);
             assert_eq!(err.to_string(), format!("{flag} needs a value"));
         }
         for flag in ["--out", "--file"] {
@@ -1665,12 +1654,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_verify_flag() {
-        let args = parse(&TEST, &["--scale", "small", "--verify"]).unwrap();
-        assert!(args.run().verify);
+    fn parse_scale_flag_and_default() {
+        let args = parse(&TEST, &["--scale", "small"]).unwrap();
         assert_eq!(args.run().config.scale, Scale::Small);
+        // Layout verification is a debug-build property, not a flag.
+        assert_eq!(
+            parse_err(&["--verify"]),
+            ArgError::Unknown("--verify".to_owned())
+        );
         let plain = parse(&TEST, &[]).unwrap().run();
-        assert!(!plain.verify);
         assert_eq!(
             plain.config.scale,
             Scale::Tiny,

@@ -6,7 +6,9 @@ use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
 use oslay_bench::{run_case_attributed, AppSide};
 use oslay_cache::CacheConfig;
 use oslay_model::Domain;
-use oslay_verify::{measured_pair_ranking, predict_conflicts, ranking_overlap, LayoutView};
+use oslay_verify::{
+    measured_pair_ranking, predict_conflicts, ranking_overlap, verify_structural, LayoutView,
+};
 
 /// The static predictor never simulates, yet its top-10 routine-pair
 /// ranking must overlap the *measured* conflict matrix's top-10 by at
@@ -55,16 +57,16 @@ fn predictor_top10_overlaps_measured_ranking() {
     );
 }
 
-/// Every OS layout the Study hands to a simulation re-verifies clean when
-/// verification is forced on (the release-mode `--verify` path).
+/// Every OS layout the Study hands to a simulation verifies clean: a
+/// debug build's `os_layout` already panics on a failed invariant report,
+/// and the structural check below holds in any build.
 #[test]
-fn study_layouts_pass_forced_verification() {
-    oslay::set_layout_verify(true);
+fn study_layouts_pass_verification() {
     let study = Study::generate(&StudyConfig::tiny());
     for kind in OsLayoutKind::ALL {
-        // os_layout panics on a failed report, so building is the assert.
         let l = study.os_layout(kind, 8192);
-        assert!(l.layout.num_blocks() > 0);
+        let report =
+            verify_structural(&study.kernel().program, &LayoutView::from_layout(&l.layout));
+        assert_eq!(report.errors(), 0, "{}:\n{}", kind.name(), report.render());
     }
-    oslay::set_layout_verify(false);
 }

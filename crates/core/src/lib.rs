@@ -58,24 +58,3 @@ pub use oslay_perf as perf;
 pub use oslay_profile as profile;
 pub use oslay_trace as trace;
 pub use oslay_verify as verify;
-
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Release-build opt-in for pre-simulation layout verification (the
-/// drivers' `--verify` flag sets it).
-static LAYOUT_VERIFY: AtomicBool = AtomicBool::new(false);
-
-/// Turns pre-simulation layout verification on or off for release builds.
-/// Debug builds always verify; see [`layout_verify_enabled`].
-pub fn set_layout_verify(enabled: bool) {
-    LAYOUT_VERIFY.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether [`Study`] verifies every layout it builds before handing it to
-/// a simulation: always in debug builds, behind [`set_layout_verify`] in
-/// release. A layout that fails verification is a construction bug, so
-/// the check panics with the rendered diagnostic report.
-#[must_use]
-pub fn layout_verify_enabled() -> bool {
-    cfg!(debug_assertions) || LAYOUT_VERIFY.load(Ordering::Relaxed)
-}

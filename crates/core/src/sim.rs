@@ -30,7 +30,7 @@ fn cache_snapshot<C: InstructionCache + ?Sized>(cache: &C) -> CacheSnapshot {
 pub struct SimConfig {
     /// Collect a per-1KB histogram of OS miss addresses (Figures 1, 14).
     pub os_miss_map: bool,
-    /// Collect per-block miss counts (Figure 13, Table 2).
+    /// Collect per-OS-block miss counts (Figure 13, Table 2).
     pub block_misses: bool,
 }
 
@@ -68,9 +68,6 @@ pub struct SimResult {
     pub os_cross_miss_map: Option<AddressHistogram>,
     /// Per-OS-block miss counts, if requested.
     pub os_block_misses: Option<Vec<u64>>,
-    /// Per-app-block miss counts, if requested (empty when the workload
-    /// has no application).
-    pub app_block_misses: Option<Vec<u64>>,
 }
 
 impl SimResult {
@@ -96,7 +93,6 @@ pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     os_self_miss_map: Option<AddressHistogram>,
     os_cross_miss_map: Option<AddressHistogram>,
     os_block_misses: Option<Vec<u64>>,
-    app_block_misses: Option<Vec<u64>>,
     /// Per-word replay is only needed when address-granular miss maps are
     /// collected; otherwise block fetches take the coalesced line-run
     /// path.
@@ -117,16 +113,14 @@ impl<C: InstructionCache + ?Sized> std::fmt::Debug for Replayer<'_, C> {
 }
 
 impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
-    /// Creates a replayer. `os_blocks`/`app_blocks` size the per-block
-    /// miss vectors when `config.block_misses` is set.
+    /// Creates a replayer mapping OS blocks through `os_layout` and app
+    /// blocks through `app_layout`.
     #[must_use]
     pub fn new(
         os_layout: &'a Layout,
         app_layout: Option<&'a Layout>,
         cache: &'a mut C,
         config: &SimConfig,
-        os_blocks: usize,
-        app_blocks: usize,
     ) -> Self {
         let telemetry = timeline::recorder().map(Box::new);
         if telemetry.is_some() {
@@ -142,8 +136,9 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             os_miss_map: config.os_miss_map.then(AddressHistogram::paper),
             os_self_miss_map: config.os_miss_map.then(AddressHistogram::paper),
             os_cross_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_block_misses: config.block_misses.then(|| vec![0u64; os_blocks]),
-            app_block_misses: config.block_misses.then(|| vec![0u64; app_blocks]),
+            os_block_misses: config
+                .block_misses
+                .then(|| vec![0u64; os_layout.num_blocks()]),
             per_address: config.os_miss_map,
             telemetry,
         }
@@ -164,8 +159,8 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
     }
 
     fn handle_event(&mut self, event: TraceEvent) {
-        // Boundary and marker events feed the cache's diagnostic
-        // hooks (no-ops on plain caches) but fetch nothing.
+        // Boundary events feed the cache's diagnostic hooks (no-ops on
+        // plain caches) but fetch nothing.
         let (id, domain) = match event {
             TraceEvent::Block { id, domain } => (id, domain),
             TraceEvent::OsEnter(kind) => {
@@ -176,41 +171,30 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
                 self.cache.note_os_exit();
                 return;
             }
-            TraceEvent::Mark(tag) => {
-                self.cache.note_mark(tag);
-                return;
-            }
         };
         let layout = match domain {
             Domain::Os => self.os_layout,
             Domain::App => self.app_layout.expect("app block but no app layout"),
         };
-        let base = layout.addr(id);
+        let (base, words) = (layout.addr(id), layout.fetch_words(id));
         // Without per-address miss maps the per-word outcomes are not
         // observed, so the whole block fetch goes through the cache's
         // line-run path (identical stats and state, bulk-counted hits).
-        if !self.per_address {
-            let missed = self
-                .cache
-                .access_words(base, layout.fetch_words(id), domain);
-            if missed > 0 {
-                match domain {
-                    Domain::Os => {
-                        if let Some(v) = self.os_block_misses.as_mut() {
-                            v[id.index()] += missed;
-                        }
-                    }
-                    Domain::App => {
-                        if let Some(v) = self.app_block_misses.as_mut() {
-                            v[id.index()] += missed;
-                        }
-                    }
-                }
-            }
-            return;
+        let missed = if self.per_address {
+            self.access_mapped(base, words, domain)
+        } else {
+            self.cache.access_words(base, words, domain)
+        };
+        if let (Domain::Os, Some(v)) = (domain, self.os_block_misses.as_mut()) {
+            v[id.index()] += missed;
         }
+    }
+
+    /// Fetches `words` words at `base` one at a time, adding each OS miss
+    /// address to the miss maps; returns the number that missed.
+    fn access_mapped(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
-        for w in 0..layout.fetch_words(id) {
+        for w in 0..words {
             let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
             let outcome = self.cache.access(addr, domain);
             if let oslay_cache::AccessOutcome::Miss(kind) = outcome {
@@ -235,20 +219,7 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
                 }
             }
         }
-        if missed > 0 {
-            match domain {
-                Domain::Os => {
-                    if let Some(v) = self.os_block_misses.as_mut() {
-                        v[id.index()] += missed;
-                    }
-                }
-                Domain::App => {
-                    if let Some(v) = self.app_block_misses.as_mut() {
-                        v[id.index()] += missed;
-                    }
-                }
-            }
-        }
+        missed
     }
 
     /// Finishes the replay, reading the final statistics off the cache.
@@ -267,7 +238,6 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             os_self_miss_map: self.os_self_miss_map,
             os_cross_miss_map: self.os_cross_miss_map,
             os_block_misses: self.os_block_misses,
-            app_block_misses: self.app_block_misses,
         }
     }
 }
@@ -452,9 +422,9 @@ impl oslay_trace::TraceSink for MultiGroupReplayer {
                     .access_words(layout.addr(id), layout.fetch_words(id), domain);
             }
         }
-        // Boundary and marker events fetch nothing (and a sweep group has
-        // no diagnostic hooks), but they still advance the timeline so
-        // window boundaries line up with the per-point replays.
+        // Boundary events fetch nothing (and a sweep group has no
+        // diagnostic hooks), but they still advance the timeline so window
+        // boundaries line up with the per-point replays.
         if let Some(tl) = self.telemetry.as_deref_mut() {
             if tl.tick() {
                 tl.sample(&multi_snapshot(&self.lanes));
@@ -536,15 +506,6 @@ impl<S: oslay_trace::TraceSink + ?Sized> oslay_trace::TraceSink for HeartbeatSin
 }
 
 impl Study {
-    fn replayer_sizes(&self, case: &WorkloadCase) -> (usize, usize) {
-        (
-            self.kernel().program.num_blocks(),
-            case.app
-                .as_ref()
-                .map_or(0, oslay_model::Program::num_blocks),
-        )
-    }
-
     /// Replays `case`'s trace through `cache`, mapping OS blocks through
     /// `os_layout` and app blocks through `app_layout`.
     ///
@@ -567,9 +528,7 @@ impl Study {
             case.name()
         );
         let _span = oslay_observe::span("study.sim");
-        let (os_blocks, app_blocks) = self.replayer_sizes(case);
-        let mut replayer =
-            Replayer::new(os_layout, app_layout, cache, config, os_blocks, app_blocks);
+        let mut replayer = Replayer::new(os_layout, app_layout, cache, config);
         for event in case.trace.events() {
             replayer.on_event(*event);
         }
@@ -601,8 +560,7 @@ impl Study {
             "workload {} traces an application: supply its layout",
             case.name()
         );
-        let (os_blocks, app_blocks) = self.replayer_sizes(case);
-        Replayer::new(os_layout, app_layout, cache, config, os_blocks, app_blocks)
+        Replayer::new(os_layout, app_layout, cache, config)
     }
 }
 

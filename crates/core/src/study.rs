@@ -64,13 +64,6 @@ impl StudyConfig {
         self.os_blocks = n;
         self
     }
-
-    /// Overrides the master seed.
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for StudyConfig {
@@ -325,11 +318,11 @@ impl Study {
         }
     }
 
-    /// Runs the full invariant suite on an optimized layout when layout
-    /// verification is on (always in debug builds; `--verify` in release),
-    /// panicking on any error-severity diagnostic.
+    /// Runs the full invariant suite on an optimized layout in debug
+    /// builds, panicking on any error-severity diagnostic (release builds
+    /// leave verification to the `lint` binary).
     fn checked_opt(&self, opt: OptLayout, params: &OptParams) -> OsLayout {
-        if crate::layout_verify_enabled() {
+        if cfg!(debug_assertions) {
             let report = oslay_verify::verify_os_layout(
                 &self.kernel.program,
                 &self.os_profile_avg,
@@ -352,10 +345,10 @@ impl Study {
         }
     }
 
-    /// Structural-only verification for layouts without optimizer
-    /// provenance (`Base`, `C-H`, `Call`).
+    /// Structural-only verification, in debug builds, for layouts without
+    /// optimizer provenance (`Base`, `C-H`, `Call`).
     fn checked_structural(&self, layout: Layout) -> Layout {
-        if crate::layout_verify_enabled() {
+        if cfg!(debug_assertions) {
             let view = oslay_verify::LayoutView::from_layout(&layout);
             let report = oslay_verify::verify_structural(&self.kernel.program, &view);
             assert_eq!(

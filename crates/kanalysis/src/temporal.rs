@@ -132,8 +132,6 @@ impl ReuseDistance {
                     last_call.clear();
                     prev = None;
                 }
-                // Diagnostic markers do not affect temporal structure.
-                TraceEvent::Mark(_) => {}
                 TraceEvent::Block { id, domain } => {
                     if domain != Domain::Os || !in_os {
                         continue;

@@ -41,7 +41,6 @@ use std::sync::Arc;
 use oslay_model::{Domain, SeedKind};
 use oslay_observe::{AttrClass, AttributionProbe};
 
-use crate::sim::line_runs;
 use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
 
 /// Placement class of a code address — the categories of the paper's
@@ -677,9 +676,6 @@ pub struct AttributionReport {
     /// Misses per OS entry class (`SeedKind` order), slot 4 = outside any
     /// OS invocation (application code, idle loop).
     pub entry_misses: [u64; 5],
-    /// Conflict misses per [`TraceEvent::Mark`](oslay_model::Domain)
-    /// epoch, as `(tag, conflicts)`; empty when the trace has no marks.
-    pub epoch_conflicts: Vec<(u32, u64)>,
     /// Evictor→victim block pairs, heaviest first.
     pub pairs: Vec<ConflictPair>,
     /// The routine×routine conflict matrix.
@@ -810,9 +806,6 @@ pub struct AttributedCache {
     entry_misses: [u64; 5],
     /// Current OS entry class (None = outside the OS).
     context: Option<SeedKind>,
-    /// Current mark epoch and per-epoch conflict counts.
-    epoch: Option<u32>,
-    epoch_conflicts: BTreeMap<u32, u64>,
     pairs: PairTable,
     probe: Option<Arc<dyn AttributionProbe + Send + Sync>>,
 }
@@ -905,8 +898,6 @@ impl AttributedCache {
             census_misses: [0; CENSUS_SLOTS],
             entry_misses: [0; 5],
             context: None,
-            epoch: None,
-            epoch_conflicts: BTreeMap::new(),
             pairs: FastMap::default(),
             probe: None,
         }
@@ -990,7 +981,6 @@ impl AttributedCache {
             set_misses: self.set_misses.clone(),
             census_misses: self.census_misses,
             entry_misses: self.entry_misses,
-            epoch_conflicts: self.epoch_conflicts.iter().map(|(&t, &c)| (t, c)).collect(),
             pairs,
             matrix,
         }
@@ -1028,9 +1018,6 @@ impl AttributedCache {
             };
             self.class_misses[class.index()] += 1;
             if class == AttrClass::Conflict {
-                if let Some(tag) = self.epoch {
-                    *self.epoch_conflicts.entry(tag).or_insert(0) += 1;
-                }
                 if let Some(&evictor_line) = self.last_evictor.get(&detail.line) {
                     self.evictor_known += 1;
                     if let (Some(victim), Some(evictor)) = (code, self.map.lookup(evictor_line)) {
@@ -1056,7 +1043,7 @@ impl InstructionCache for AttributedCache {
 
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
-        for (addr, run) in line_runs(base, words, self.inner.config().line_shift()) {
+        for (addr, run) in self.inner.config().line_runs(base, words) {
             if self.access_run(addr, run, domain).is_miss() {
                 missed += 1;
             }
@@ -1079,8 +1066,6 @@ impl InstructionCache for AttributedCache {
         self.census_misses = [0; CENSUS_SLOTS];
         self.entry_misses = [0; 5];
         self.context = None;
-        self.epoch = None;
-        self.epoch_conflicts.clear();
         self.pairs.clear();
     }
 
@@ -1090,11 +1075,6 @@ impl InstructionCache for AttributedCache {
 
     fn note_os_exit(&mut self) {
         self.context = None;
-    }
-
-    fn note_mark(&mut self, tag: u32) {
-        self.epoch = Some(tag);
-        self.epoch_conflicts.entry(tag).or_insert(0);
     }
 
     fn set_telemetry(&mut self, enabled: bool) {
@@ -1476,19 +1456,6 @@ mod tests {
     }
 
     #[test]
-    fn marks_segment_conflicts_into_epochs() {
-        let mut c = rig();
-        c.note_mark(0);
-        c.access(0, Domain::Os);
-        c.access(64, Domain::Os);
-        c.note_mark(1);
-        c.access(0, Domain::Os); // conflict in epoch 1
-        c.access(64, Domain::Os); // conflict in epoch 1
-        let r = c.report();
-        assert_eq!(r.epoch_conflicts, vec![(0, 0), (1, 2)]);
-    }
-
-    #[test]
     fn diff_finds_resolved_and_introduced_pairs() {
         // Baseline: 0 and 64 ping-pong.
         let mut base = rig();
@@ -1515,7 +1482,6 @@ mod tests {
     #[test]
     fn reset_clears_all_rollups() {
         let mut c = rig();
-        c.note_mark(3);
         c.note_os_enter(SeedKind::Interrupt);
         for i in 0..10u64 {
             c.access(if i % 2 == 0 { 0 } else { 64 }, Domain::Os);
@@ -1527,7 +1493,6 @@ mod tests {
         assert_eq!(r.class_misses, [0; 3]);
         assert!(r.pairs.is_empty());
         assert!(r.matrix.is_empty());
-        assert!(r.epoch_conflicts.is_empty());
         // And the engine still classifies correctly afterwards.
         c.access(0, Domain::Os);
         assert_eq!(c.report().misses_of(AttrClass::Compulsory), 1);

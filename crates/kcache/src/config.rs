@@ -102,16 +102,45 @@ impl CacheConfig {
         u64::from(self.num_sets() - 1)
     }
 
+    /// Splits the fetch of `words` consecutive instruction words at `base`
+    /// into per-line runs `(first word address, words in the run)`: the
+    /// one place a block fetch becomes cache lines.
+    ///
+    /// Block layouts are byte-granular, so a fetch base need not be
+    /// word-aligned: a run counts the words left in the line rounding up,
+    /// and a partial trailing word still belongs to (and ends) its line.
+    /// Only the first word of a run can change replacement state; the
+    /// rest are guaranteed hits on the line it just made MRU.
+    ///
+    /// ```
+    /// use oslay_cache::CacheConfig;
+    ///
+    /// // 32-byte lines: words at 30 and 34 straddle the boundary at 32.
+    /// let runs: Vec<_> = CacheConfig::paper_default().line_runs(30, 3).collect();
+    /// assert_eq!(runs, vec![(30, 1), (34, 2)]);
+    /// ```
+    #[inline]
+    pub fn line_runs(self, base: u64, words: u32) -> impl Iterator<Item = (u64, u32)> {
+        let word = u64::from(oslay_model::WORD_BYTES);
+        let mask = u64::from(self.line - 1);
+        let (mut addr, mut left) = (base, words);
+        std::iter::from_fn(move || {
+            if left == 0 {
+                return None;
+            }
+            let in_line = (mask + 1 - (addr & mask)).div_ceil(word) as u32;
+            let run = in_line.min(left);
+            let first = addr;
+            left -= run;
+            addr += u64::from(run) * word;
+            Some((first, run))
+        })
+    }
+
     /// Returns this geometry with a different total size.
     #[must_use]
     pub fn with_size(self, size: u32) -> Self {
         Self::new(size, self.line, self.ways.min(size / self.line))
-    }
-
-    /// Returns this geometry with a different line size.
-    #[must_use]
-    pub fn with_line(self, line: u32) -> Self {
-        Self::new(self.size, line, self.ways.min(self.size / line))
     }
 
     /// Returns this geometry with a different associativity.

@@ -89,11 +89,6 @@ pub trait InstructionCache: std::fmt::Debug {
     /// Notes that the trace returned from the operating system.
     fn note_os_exit(&mut self) {}
 
-    /// Notes a diagnostic phase marker (`TraceEvent::Mark`) with its tag.
-    fn note_mark(&mut self, tag: u32) {
-        let _ = tag;
-    }
-
     /// Enables or disables telemetry collection (the timeline's
     /// eviction-age histogram). The default ignores the request;
     /// organizations without the bookkeeping simply report no probe

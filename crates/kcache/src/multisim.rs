@@ -162,7 +162,7 @@ impl Bank {
     /// replacement state untouched, exactly as the dense cache's
     /// coalesced path reasons.
     fn access_run(&mut self, base: u64, words: u32, domain: Domain) {
-        for (addr, _) in crate::sim::line_runs(base, words, self.line_shift) {
+        for (addr, _) in self.points[0].cfg.line_runs(base, words) {
             self.access_line(addr >> self.line_shift, domain);
         }
     }

@@ -451,37 +451,6 @@ pub(crate) fn report_cache_metrics(
     probe.gauge_set("cache.occupancy", valid_total as f64 / slots as f64);
 }
 
-/// Splits the fetch of `words` consecutive instruction words at `base`
-/// into per-cache-line runs `(first word address, words in the run)`, for
-/// lines of `1 << line_shift` bytes.
-///
-/// Block layouts are byte-granular, so a fetch base need not be
-/// word-aligned: a run counts the words left in the line rounding up, and
-/// a partial trailing word still belongs to (and ends) its line. Only the
-/// first word of a run can change replacement state; the rest are
-/// guaranteed hits on the line it just made MRU.
-#[inline]
-pub(crate) fn line_runs(
-    base: u64,
-    words: u32,
-    line_shift: u32,
-) -> impl Iterator<Item = (u64, u32)> {
-    let word = u64::from(oslay_model::WORD_BYTES);
-    let mask = (1u64 << line_shift) - 1;
-    let (mut addr, mut left) = (base, words);
-    std::iter::from_fn(move || {
-        if left == 0 {
-            return None;
-        }
-        let in_line = (mask + 1 - (addr & mask)).div_ceil(word) as u32;
-        let run = in_line.min(left);
-        let first = addr;
-        left -= run;
-        addr += u64::from(run) * word;
-        Some((first, run))
-    })
-}
-
 impl InstructionCache for Cache {
     #[inline]
     fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
@@ -490,7 +459,7 @@ impl InstructionCache for Cache {
 
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
-        for (addr, run) in line_runs(base, words, self.line_shift) {
+        for (addr, run) in self.cfg.line_runs(base, words) {
             if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
                 missed += 1;
             }

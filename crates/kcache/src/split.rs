@@ -36,18 +36,6 @@ impl SplitCache {
             stats: MissStats::default(),
         }
     }
-
-    /// The OS half geometry.
-    #[must_use]
-    pub fn os_config(&self) -> CacheConfig {
-        self.os.config()
-    }
-
-    /// The application half geometry.
-    #[must_use]
-    pub fn app_config(&self) -> CacheConfig {
-        self.app.config()
-    }
 }
 
 impl InstructionCache for SplitCache {

@@ -85,10 +85,6 @@ impl InstructionCache for PerWord {
     fn note_os_exit(&mut self) {
         self.0.note_os_exit();
     }
-
-    fn note_mark(&mut self, tag: u32) {
-        self.0.note_mark(tag);
-    }
 }
 
 /// One step of a random trace: a block fetch `(base, words, domain)` or a
@@ -97,13 +93,12 @@ enum Step {
     Fetch(u64, u32, Domain),
     Enter(SeedKind),
     Exit,
-    Mark(u32),
 }
 
 /// Random block fetches over `spans`: mostly a span's own fetch (from its
 /// byte-granular start, running a word or two into whatever follows it
-/// now and then), some fetches from inside gaps, and OS enter/exit and
-/// mark hooks.
+/// now and then), some fetches from inside gaps, and OS enter/exit
+/// hooks.
 fn random_steps(rng: &mut Rng, spans: &[Span], n: usize) -> Vec<Step> {
     let kinds = [
         SeedKind::Interrupt,
@@ -118,8 +113,7 @@ fn random_steps(rng: &mut Rng, spans: &[Span], n: usize) -> Vec<Step> {
         .map(|_| match rng.gen_range(0..100u32) {
             0 => Step::Enter(kinds[rng.gen_range(0..kinds.len())]),
             1 => Step::Exit,
-            2 => Step::Mark(rng.gen_range(0..5u32)),
-            3..=7 => {
+            2..=7 => {
                 let (start, len, c) = spans[rng.gen_range(0..spans.len())];
                 let base = start + len + u64::from(rng.gen_range(0..300u32));
                 Step::Fetch(base, rng.gen_range(1..20u32), c.domain)
@@ -181,10 +175,6 @@ fn line_run_access_words_equals_the_per_word_default() {
                 Step::Exit => {
                     fast.note_os_exit();
                     slow.note_os_exit();
-                }
-                Step::Mark(tag) => {
-                    fast.note_mark(tag);
-                    slow.note_mark(tag);
                 }
             }
         }

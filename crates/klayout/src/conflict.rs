@@ -121,7 +121,8 @@ mod tests {
         assert_eq!(map.len(), layout.num_blocks());
         for i in 0..layout.num_blocks() {
             let id = BlockId::new(i);
-            for addr in layout.fetch_addrs(id) {
+            for w in 0..layout.fetch_words(id) {
+                let addr = layout.addr(id) + u64::from(w * oslay_model::WORD_BYTES);
                 let code = map.lookup(addr).expect("fetch address is mapped");
                 assert_eq!(code.block as usize, i);
                 assert_eq!(code.domain, Domain::Os);

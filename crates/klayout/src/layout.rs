@@ -109,12 +109,6 @@ impl Layout {
         self.addr.len()
     }
 
-    /// Iterates the word-fetch addresses of one block execution.
-    pub fn fetch_addrs(&self, block: BlockId) -> impl Iterator<Item = u64> + '_ {
-        let base = self.addr(block);
-        (0..self.fetch_words(block)).map(move |w| base + u64::from(w) * u64::from(WORD_BYTES))
-    }
-
     /// Dynamic code-size overhead of the layout under a profile: extra
     /// words fetched (stretch) divided by baseline words fetched.
     #[must_use]
@@ -267,12 +261,6 @@ impl<'p> LayoutBuilder<'p> {
             .filter(|&b| self.program.block(b).fallthrough().is_some())
             .map_or(0, |_| u64::from(WORD_BYTES));
         self.cursor + pending_stretch
-    }
-
-    /// True if `block` has already been placed.
-    #[must_use]
-    pub fn is_placed(&self, block: BlockId) -> bool {
-        self.addr[block.index()].is_some()
     }
 
     fn resolve_pending(&mut self, next: Option<BlockId>) {
@@ -455,19 +443,6 @@ mod tests {
             lb.finish().unwrap_err(),
             LayoutError::Overlap { .. }
         ));
-    }
-
-    #[test]
-    fn fetch_addrs_are_word_spaced() {
-        let (p, blocks) = chain_program();
-        let mut lb = LayoutBuilder::new(&p, "t", 0);
-        for &b in &blocks {
-            lb.place(b);
-        }
-        let l = lb.finish().unwrap();
-        let addrs: Vec<u64> = l.fetch_addrs(blocks[0]).collect();
-        // 10 bytes → 3 words.
-        assert_eq!(addrs, vec![0, 4, 8]);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //!
 //! Given a program and a *measured* profile, each algorithm here produces a
 //! [`Layout`]: an assignment of every basic block to a memory address. The
-//! cache simulator then replays the same trace against each layout.
+//! cache simulator then replays the same trace against each layout: a
+//! block execution fetches [`Layout::fetch_words`] words from
+//! [`Layout::addr`], and `oslay_cache::CacheConfig::line_runs` splits that
+//! fetch into cache lines.
 //!
 //! Implemented layouts:
 //!
@@ -27,7 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod address;
 mod base;
 mod call_opt;
 mod chang_hwu;
@@ -39,7 +41,6 @@ mod opts;
 mod seq;
 mod summary;
 
-pub use address::{fetch_stream, FetchStream};
 pub use base::base_layout;
 pub use call_opt::{call_opt_layout, CallOptParams};
 pub use chang_hwu::chang_hwu_layout;

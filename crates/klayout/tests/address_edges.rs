@@ -1,10 +1,11 @@
-//! Edge cases of the trace→fetch-stream mapping in `klayout::address`:
+//! Edge cases of the block→fetch mapping (`Layout::addr` and
+//! `Layout::fetch_words`, split into lines by `CacheConfig::line_runs`):
 //! zero-word and minimal blocks, spans abutting a logical-cache boundary,
 //! and blocks whose final chunk is a partial word.
 
-use oslay_layout::{fetch_stream, Layout, LayoutBuilder};
+use oslay_cache::CacheConfig;
+use oslay_layout::{Layout, LayoutBuilder};
 use oslay_model::{BlockId, Domain, Program, ProgramBuilder, SeedKind, Terminator, WORD_BYTES};
-use oslay_trace::TraceEvent;
 
 const LOGICAL_CACHE: u64 = 8192;
 
@@ -52,11 +53,19 @@ fn layout_at(program: &Program, placed: &[(BlockId, u64)]) -> Layout {
     b.finish().expect("edge layout places every block")
 }
 
-fn os_event(id: BlockId) -> TraceEvent {
-    TraceEvent::Block {
-        id,
-        domain: Domain::Os,
-    }
+/// The word-fetch addresses of executing `blocks` in order. With
+/// one-word lines every line run is exactly one fetch word, so this is
+/// the fetch stream as the line splitter sees it.
+fn fetches(layout: &Layout, blocks: &[BlockId]) -> Vec<u64> {
+    let word_lines = CacheConfig::new(LOGICAL_CACHE as u32, WORD_BYTES, 1);
+    blocks
+        .iter()
+        .flat_map(|&id| word_lines.line_runs(layout.addr(id), layout.fetch_words(id)))
+        .map(|(addr, run)| {
+            assert_eq!(run, 1, "a one-word line holds one fetch");
+            addr
+        })
+        .collect()
 }
 
 #[test]
@@ -66,16 +75,19 @@ fn zero_words_fetch_nothing_and_one_byte_fetches_one_word() {
     // *spans* in hand-built views are kverify's KV008). The smallest
     // placeable block is one byte, which still costs one full word fetch.
     assert_eq!(oslay_model::fetch_words(0), 0);
+    assert_eq!(CacheConfig::paper_default().line_runs(4096, 0).count(), 0);
     let (program, ids) = sized_program(&[1, 8]);
     let layout = layout_at(&program, &[(ids[0], 4096), (ids[1], 4200)]);
-    let events = [os_event(ids[0]), os_event(ids[1])];
-    let fetches: Vec<(u64, Domain)> = fetch_stream(&events, &layout, None).collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 3, "one word for the 1-byte block, two for 8");
-    assert_eq!(fetches[0].0, 4096);
-    assert_eq!(fetches[1].0, 4200);
-    assert_eq!(fetches[2].0, 4200 + u64::from(WORD_BYTES));
+    assert_eq!(fetches[0], 4096);
+    assert_eq!(fetches[1], 4200);
+    assert_eq!(fetches[2], 4200 + u64::from(WORD_BYTES));
     assert_eq!(layout.fetch_words(ids[0]), 1);
-    assert_eq!(layout.fetch_addrs(ids[0]).count(), 1);
+    let runs: Vec<(u64, u32)> = CacheConfig::paper_default()
+        .line_runs(layout.addr(ids[0]), layout.fetch_words(ids[0]))
+        .collect();
+    assert_eq!(runs, vec![(4096, 1)]);
 }
 
 #[test]
@@ -85,16 +97,20 @@ fn final_partial_word_fetches_exactly_once() {
     let (program, ids) = sized_program(&[21]);
     let base = 4096u64;
     let layout = layout_at(&program, &[(ids[0], base)]);
-    let events = [os_event(ids[0])];
-    let fetches: Vec<u64> = fetch_stream(&events, &layout, None)
-        .map(|(addr, _)| addr)
-        .collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 6);
     assert_eq!(*fetches.last().unwrap(), base + 20);
     assert!(fetches.iter().all(|&a| a < base + 24));
-    // The iterator and the layout's own per-block view must agree.
-    let direct: Vec<u64> = layout.fetch_addrs(ids[0]).collect();
+    // The line splitter and the layout's own per-block view must agree.
+    let direct: Vec<u64> = (0..layout.fetch_words(ids[0]))
+        .map(|w| layout.addr(ids[0]) + u64::from(w * WORD_BYTES))
+        .collect();
     assert_eq!(fetches, direct);
+    // At 32-byte lines the whole block is one run of six words.
+    let runs: Vec<(u64, u32)> = CacheConfig::paper_default()
+        .line_runs(base, layout.fetch_words(ids[0]))
+        .collect();
+    assert_eq!(runs, vec![(base, 6)]);
 }
 
 #[test]
@@ -107,10 +123,7 @@ fn span_abutting_logical_cache_boundary_stays_inside_it() {
         &program,
         &[(ids[0], LOGICAL_CACHE - 32), (ids[1], LOGICAL_CACHE)],
     );
-    let events = [os_event(ids[0]), os_event(ids[1])];
-    let fetches: Vec<u64> = fetch_stream(&events, &layout, None)
-        .map(|(addr, _)| addr)
-        .collect();
+    let fetches = fetches(&layout, &ids);
     assert_eq!(fetches.len(), 16);
     let (a, b) = fetches.split_at(8);
     assert!(a.iter().all(|&addr| addr < LOGICAL_CACHE));
@@ -119,4 +132,14 @@ fn span_abutting_logical_cache_boundary_stays_inside_it() {
     assert_eq!(b[0] % LOGICAL_CACHE, 0, "first word of B maps to set 0");
     // Abutting is not overlapping: the two spans share no address.
     assert!(a.iter().all(|addr| !b.contains(addr)));
+    // Each block is exactly one 32-byte line, on either side of the
+    // boundary.
+    let cfg = CacheConfig::paper_default();
+    let line_of = |id: BlockId| -> Vec<(u64, u32)> {
+        cfg.line_runs(layout.addr(id), layout.fetch_words(id))
+            .collect()
+    };
+    assert_eq!(line_of(ids[0]), vec![(LOGICAL_CACHE - 32, 8)]);
+    assert_eq!(line_of(ids[1]), vec![(LOGICAL_CACHE, 8)]);
+    assert_eq!(cfg.set_of(LOGICAL_CACHE), 0);
 }

@@ -62,8 +62,6 @@ impl Profile {
                         prev = None;
                     }
                 }
-                // Diagnostic markers carry no execution to profile.
-                TraceEvent::Mark(_) => {}
                 TraceEvent::Block { id, domain: d } => {
                     if d != domain {
                         continue;

@@ -203,12 +203,6 @@ impl LoopAnalysis {
         self.innermost.get(&block).map(|&i| &self.loops[i])
     }
 
-    /// True if `block` belongs to any loop body.
-    #[must_use]
-    pub fn in_loop(&self, block: BlockId) -> bool {
-        self.innermost.contains_key(&block)
-    }
-
     /// Execution count of `block` with every enclosing loop flattened to
     /// one iteration per invocation — the count used to choose
     /// SelfConfFree residents (Section 4.2) and to rank blocks in Figure 8.

@@ -339,7 +339,6 @@ mod tests {
                     Domain::Os => assert!(in_os, "OS block outside invocation"),
                     Domain::App => assert!(!in_os, "app block inside invocation"),
                 },
-                TraceEvent::Mark(_) => {}
             }
         }
         assert!(!in_os, "trace ends mid-invocation");

@@ -18,10 +18,6 @@ pub enum TraceEvent {
         /// Which program the block belongs to.
         domain: Domain,
     },
-    /// A diagnostic phase marker. Carries no execution semantics; the
-    /// attribution engine (`oslay-cache`) uses it to segment conflict
-    /// counts into workload epochs, and every other consumer ignores it.
-    Mark(u32),
 }
 
 /// A consumer of trace events.
@@ -39,34 +35,6 @@ pub trait TraceSink {
 impl TraceSink for Trace {
     fn event(&mut self, event: TraceEvent) {
         self.push(event);
-    }
-}
-
-/// Fans one event stream out to two sinks, in order: `first` sees each
-/// event before `second`.
-///
-/// This is how a live run is archived while it simulates: the trace
-/// engine drives a `TeeSink` whose arms are an `oslay-tracestore` writer
-/// and the cache replayer, so the persisted file and the live result are
-/// produced from the *same* walk — there is no second traversal to
-/// diverge.
-#[derive(Debug)]
-pub struct TeeSink<'a, A: TraceSink + ?Sized, B: TraceSink + ?Sized> {
-    first: &'a mut A,
-    second: &'a mut B,
-}
-
-impl<'a, A: TraceSink + ?Sized, B: TraceSink + ?Sized> TeeSink<'a, A, B> {
-    /// Tees events to `first` then `second`.
-    pub fn new(first: &'a mut A, second: &'a mut B) -> Self {
-        Self { first, second }
-    }
-}
-
-impl<A: TraceSink + ?Sized, B: TraceSink + ?Sized> TraceSink for TeeSink<'_, A, B> {
-    fn event(&mut self, event: TraceEvent) {
-        self.first.event(event);
-        self.second.event(event);
     }
 }
 
@@ -91,7 +59,7 @@ impl Trace {
                 Domain::Os => self.os_blocks += 1,
                 Domain::App => self.app_blocks += 1,
             },
-            TraceEvent::OsExit | TraceEvent::Mark(_) => {}
+            TraceEvent::OsExit => {}
         }
         self.events.push(event);
     }
@@ -178,7 +146,6 @@ impl Trace {
                         }
                     }
                 }
-                TraceEvent::Mark(_) => {}
             }
         }
         out
@@ -261,23 +228,6 @@ mod tests {
         t.push(TraceEvent::OsExit);
         assert_eq!(t.invocation_lengths(), vec![2, 1]);
         assert!((t.mean_invocation_length() - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tee_sink_duplicates_the_stream() {
-        let mut a = Trace::default();
-        let mut b = Trace::default();
-        {
-            let mut tee = TeeSink::new(&mut a, &mut b);
-            tee.event(TraceEvent::OsEnter(SeedKind::SysCall));
-            tee.event(TraceEvent::Block {
-                id: BlockId::new(1),
-                domain: Domain::Os,
-            });
-            tee.event(TraceEvent::OsExit);
-        }
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 3);
     }
 
     #[test]

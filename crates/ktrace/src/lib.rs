@@ -29,5 +29,5 @@ mod workload;
 
 pub use buffer::{TraceBuffer, TraceRecord};
 pub use engine::{Engine, EngineConfig};
-pub use event::{TeeSink, Trace, TraceEvent, TraceSink};
+pub use event::{Trace, TraceEvent, TraceSink};
 pub use workload::{standard_workloads, StandardWorkload, SyscallProfile, WorkloadSpec};

@@ -19,7 +19,7 @@ const TAG_BLOCK_OS: u8 = 0;
 const TAG_BLOCK_APP: u8 = 1;
 const TAG_OS_ENTER: u8 = 2;
 const TAG_OS_EXIT: u8 = 3;
-const TAG_MARK: u8 = 4;
+// Tag 4 is unassigned: the decoder rejects it as an unknown tag.
 const TAG_REPEAT: u8 = 5;
 /// Inline-argument value that escapes to a trailing LEB128 varint.
 const ARG_ESCAPE: u8 = 31;
@@ -96,11 +96,6 @@ impl BlockEncoder {
                 self.last_block = None;
                 self.buf.push(op(TAG_OS_EXIT, 0));
             }
-            TraceEvent::Mark(tag) => {
-                self.flush_repeats();
-                self.last_block = None;
-                push_op(&mut self.buf, TAG_MARK, u64::from(tag));
-            }
         }
     }
 
@@ -138,8 +133,7 @@ pub(crate) fn decode_payload_into<S: TraceSink + ?Sized>(
         let byte = payload[pos];
         pos += 1;
         let (tag, arg) = (byte & 0x07, byte >> 3);
-        let value = if arg == ARG_ESCAPE
-            && matches!(tag, TAG_BLOCK_OS | TAG_BLOCK_APP | TAG_MARK | TAG_REPEAT)
+        let value = if arg == ARG_ESCAPE && matches!(tag, TAG_BLOCK_OS | TAG_BLOCK_APP | TAG_REPEAT)
         {
             read_leb(payload, &mut pos).map_err(|e| format!("at byte {pos}: {e}"))?
         } else {
@@ -178,20 +172,15 @@ pub(crate) fn decode_payload_into<S: TraceSink + ?Sized>(
                 last_block = None;
                 TraceEvent::OsExit
             }
-            TAG_MARK => {
-                if value > u64::from(u32::MAX) {
-                    return Err(format!("at byte {pos}: mark tag {value} exceeds u32"));
-                }
-                last_block = None;
-                TraceEvent::Mark(value as u32)
-            }
             TAG_REPEAT => {
                 let repeated =
                     last_block.ok_or_else(|| format!("at byte {pos}: repeat with no block"))?;
                 if value == 0 {
                     return Err(format!("at byte {pos}: empty repeat run"));
                 }
-                emitted += value;
+                // Saturating: a hostile run length must fail the check
+                // below, not wrap past it.
+                emitted = emitted.saturating_add(value);
                 if emitted > expect {
                     return Err(format!(
                         "decoded {emitted} events, block header promises {expect}"
@@ -262,8 +251,6 @@ mod tests {
             block(70_000, Domain::App),
             block(70_000, Domain::App),
             block(70_000, Domain::App),
-            TraceEvent::Mark(3),
-            TraceEvent::Mark(1_000_000),
             TraceEvent::OsEnter(SeedKind::Interrupt),
             block(4_000_000, Domain::Os),
             TraceEvent::OsExit,
@@ -317,8 +304,10 @@ mod tests {
     #[test]
     fn corrupt_payloads_are_rejected() {
         let mut sink = Vec::new();
-        // Unknown tag 7.
+        // Unknown tag 7, and the unassigned tag 4.
         assert!(decode_payload_into(&[0x07], 1, &mut Collect(&mut sink)).is_err());
+        let err = decode_payload_into(&[op(4, 3)], 1, &mut Collect(&mut sink)).unwrap_err();
+        assert_eq!(err, "at byte 1: unknown event tag 4");
         // Repeat with no preceding block.
         assert!(decode_payload_into(&[op(TAG_REPEAT, 3)], 3, &mut Collect(&mut sink)).is_err());
         // Seed kind out of range.
@@ -327,7 +316,7 @@ mod tests {
         assert!(decode_payload_into(&[op(TAG_OS_EXIT, 0)], 2, &mut Collect(&mut sink)).is_err());
         // Truncated escape varint.
         assert!(decode_payload_into(
-            &[op(TAG_MARK, ARG_ESCAPE), 0x80],
+            &[op(TAG_BLOCK_OS, ARG_ESCAPE), 0x80],
             1,
             &mut Collect(&mut sink)
         )

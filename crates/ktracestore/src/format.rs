@@ -38,7 +38,7 @@ const HEADER_LEN: u64 = 16;
 const TRAILER_LEN: u64 = 24;
 const INDEX_ENTRY_LEN: usize = 20;
 /// Bytes a fixed-width encoding needs per event: a one-byte kind
-/// discriminant plus the widest payload (a `u32` block id or mark tag).
+/// discriminant plus the widest payload (a `u32` block id).
 /// Compression ratios are quoted against this, not against the 8-byte
 /// in-memory `TraceEvent`, so they do not flatter the codec.
 pub const RAW_EVENT_BYTES: u64 = 5;
@@ -168,7 +168,7 @@ impl StreamTotals {
                 Domain::App => self.app_blocks += 1,
             },
             TraceEvent::OsEnter(kind) => self.invocations[kind.index()] += 1,
-            TraceEvent::OsExit | TraceEvent::Mark(_) => {}
+            TraceEvent::OsExit => {}
         }
     }
 }
@@ -251,9 +251,9 @@ fn read_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
 /// Streams [`TraceEvent`]s into the compressed container.
 ///
 /// Implements [`TraceSink`], so it can sit directly under the trace
-/// engine (or on one arm of a [`oslay_trace::TeeSink`]) during a live
-/// run. Sink delivery cannot surface errors, so I/O failures are held and
-/// re-raised by [`TraceWriter::finish`] — nothing is silently dropped.
+/// engine during a live run. Sink delivery cannot surface errors, so I/O
+/// failures are held and re-raised by [`TraceWriter::finish`] — nothing
+/// is silently dropped.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write> {
     inner: W,
@@ -425,7 +425,6 @@ pub struct TraceReader<R> {
     inner: R,
     index: Vec<BlockEntry>,
     totals: StreamTotals,
-    block_events: u32,
     file_bytes: u64,
 }
 
@@ -466,7 +465,6 @@ impl<R: Read + Seek> TraceReader<R> {
         if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
-        let block_events = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
 
         inner.seek(SeekFrom::End(-(TRAILER_LEN as i64)))?;
         let mut trailer = [0u8; TRAILER_LEN as usize];
@@ -507,14 +505,17 @@ impl<R: Read + Seek> TraceReader<R> {
         let mut pos = 0usize;
         let block_count = read_u64(&footer, &mut pos).ok_or_else(|| bad_footer("block count"))?;
         let block_count = usize::try_from(block_count).map_err(|_| bad_footer("block count"))?;
-        let mut index = Vec::with_capacity(block_count);
+        // A hostile count must not size the allocation: the footer bytes
+        // bound how many entries can follow.
+        let mut index = Vec::with_capacity(block_count.min(footer.len() / INDEX_ENTRY_LEN));
         for _ in 0..block_count {
             let offset = read_u64(&footer, &mut pos).ok_or_else(|| bad_footer("block index"))?;
             let payload_len =
                 read_u32(&footer, &mut pos).ok_or_else(|| bad_footer("block index"))?;
             let events = read_u32(&footer, &mut pos).ok_or_else(|| bad_footer("block index"))?;
             let crc = read_u32(&footer, &mut pos).ok_or_else(|| bad_footer("block index"))?;
-            if offset + 8 + u64::from(payload_len) + 4 > footer_offset {
+            let end = offset.checked_add(8 + u64::from(payload_len) + 4);
+            if end.is_none_or(|end| end > footer_offset) {
                 return Err(StoreError::CorruptFooter {
                     detail: format!(
                         "block {} claims bytes past the footer at {footer_offset}",
@@ -556,7 +557,6 @@ impl<R: Read + Seek> TraceReader<R> {
             inner,
             index,
             totals,
-            block_events,
             file_bytes,
         })
     }
@@ -583,12 +583,6 @@ impl<R: Read + Seek> TraceReader<R> {
     #[must_use]
     pub fn totals(&self) -> StreamTotals {
         self.totals
-    }
-
-    /// The writer's block capacity (events per block), from the header.
-    #[must_use]
-    pub fn block_capacity(&self) -> u32 {
-        self.block_events
     }
 
     /// Total file size in bytes.

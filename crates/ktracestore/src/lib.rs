@@ -5,7 +5,7 @@
 //! durable form: a block-based container with a delta/varint codec
 //! (LEB128 block-id deltas per domain, run-length coding of repeated
 //! fetches, a one-byte opcode dictionary over [`oslay_trace::TraceEvent`]
-//! variants including `Mark` epochs), per-block CRC-32 checksums, and a
+//! variants), per-block CRC-32 checksums, and a
 //! footer index of event counts and byte offsets — so readers can seek,
 //! verify, and shard an archive without decoding the whole file.
 //!
@@ -16,16 +16,16 @@
 //!
 //! The two halves:
 //!
-//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so it sits
-//!   under the live trace engine (alone, or teed next to a replayer via
-//!   [`oslay_trace::TeeSink`]) and streams events straight to disk.
+//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so a live
+//!   stream (`Study::stream_case` in `core`) writes straight to disk.
 //! - [`TraceReader`] decodes blocks back into any sink — the cache
 //!   replayer in `core`, a [`CountingSink`] for verification — and its
 //!   [`BlockEntry`] index is the shard boundary for parallel verify.
 //!
 //! Corruption robustness: a flipped bit in a block body, a truncated
-//! footer, or a foreign file all surface as a typed [`StoreError`] naming
-//! the offending block; nothing decodes silently wrong.
+//! footer, a spliced block or a foreign file all surface as a typed
+//! [`StoreError`] naming the offending block; nothing decodes silently
+//! wrong (`tests/hostile.rs` feeds seeded damage through the reader).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

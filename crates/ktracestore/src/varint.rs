@@ -1,6 +1,6 @@
 //! LEB128 varints and zigzag signed mapping.
 //!
-//! Block-id deltas and mark tags are written as unsigned LEB128; signed
+//! Block-id deltas and repeat counts are written as unsigned LEB128; signed
 //! deltas go through the zigzag mapping first so small negative jumps
 //! (backward branches) stay one byte.
 

@@ -85,12 +85,6 @@ impl AbsState {
         age_of(&self.may, line).is_some() || self.unknown[set as usize] < ways
     }
 
-    /// Number of explicit must entries (diagnostics).
-    #[must_use]
-    pub fn must_len(&self) -> usize {
-        self.must.len()
-    }
-
     /// Number of explicit may entries (diagnostics).
     #[must_use]
     pub fn may_len(&self) -> usize {

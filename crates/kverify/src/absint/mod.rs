@@ -33,7 +33,7 @@ use std::collections::HashMap;
 pub use domain::AbsState;
 
 use oslay_cache::CacheConfig;
-use oslay_model::{fetch_words, Program, SeedKind, WORD_BYTES};
+use oslay_model::{fetch_words, Program, SeedKind};
 use oslay_profile::Profile;
 
 use crate::LayoutView;
@@ -192,20 +192,16 @@ impl Classification {
 }
 
 /// The line-aligned addresses a block at `addr` with `effective_size`
-/// bytes touches, in fetch order — derived from the block's *fetch
-/// words* exactly as the replayer touches them (a byte-span enumeration
-/// can claim a trailing line no fetch ever reaches).
+/// bytes touches, in fetch order: the starts of its
+/// [`CacheConfig::line_runs`], exactly as the replayer touches them (a
+/// byte-span enumeration can claim a trailing line no fetch ever
+/// reaches). Slot `k` of a block is its `k`-th line run.
 #[must_use]
 pub fn block_line_addrs(addr: u64, effective_size: u32, config: &CacheConfig) -> Vec<u64> {
-    let words = fetch_words(effective_size);
-    let mut out = Vec::new();
-    for w in 0..words {
-        let line = config.line_addr(addr + u64::from(w) * u64::from(WORD_BYTES));
-        if out.last() != Some(&line) {
-            out.push(line);
-        }
-    }
-    out
+    config
+        .line_runs(addr, fetch_words(effective_size))
+        .map(|(first, _)| config.line_addr(first))
+        .collect()
 }
 
 /// Classifies every executed block's line accesses under `view`.

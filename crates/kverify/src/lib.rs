@@ -29,9 +29,8 @@
 //!   soundness-gated against measured misses by the `analyze` binary.
 //!
 //! The `lint` binary (in `oslay-bench`) fronts both halves with an
-//! exit-code contract; the experiment drivers run [`verify_os_layout`] on
-//! every OS layout before simulating it (always in debug builds, behind a
-//! `--verify` flag in release).
+//! exit-code contract; debug builds of the experiment drivers run
+//! [`verify_os_layout`] on every OS layout before simulating it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,11 +11,49 @@
 
 use oslay_cache::CacheConfig;
 use oslay_layout::{base_layout, chang_hwu_layout};
+use oslay_model::rng::Rng;
 use oslay_model::synth::{generate_kernel, KernelParams, Scale};
-use oslay_model::Program;
+use oslay_model::{fetch_words, Program, WORD_BYTES};
 use oslay_profile::Profile;
 use oslay_trace::{standard_workloads, Engine, EngineConfig};
-use oslay_verify::{classify_layout, AbsintParams, Classification, LayoutView, LineClass};
+use oslay_verify::{
+    block_line_addrs, classify_layout, AbsintParams, Classification, LayoutView, LineClass,
+};
+
+#[test]
+fn block_lines_match_a_per_word_enumeration() {
+    // The oracle: enumerate every fetch word, map it to its line, and
+    // drop consecutive repeats. Bases are byte-granular, so words can
+    // straddle line boundaries and a block's last word can be partial.
+    let mut rng = Rng::seed_from_u64(0x11E5);
+    for line in [4u32, 8, 16, 32, 64, 128] {
+        let config = CacheConfig::new(8192, line, 1);
+        for _ in 0..2_000 {
+            let addr = rng.gen_range(0..1u64 << 20);
+            let size = rng.gen_range(0..=200u32);
+            let words = fetch_words(size);
+            let mut oracle: Vec<u64> = Vec::new();
+            for w in 0..words {
+                let l = config.line_addr(addr + u64::from(w * WORD_BYTES));
+                if oracle.last() != Some(&l) {
+                    oracle.push(l);
+                }
+            }
+            let tag = format!("addr {addr}, size {size}, {line} B lines");
+            assert_eq!(block_line_addrs(addr, size, &config), oracle, "{tag}");
+            // The runs behind those lines partition the fetch words in
+            // order, each run inside its own line.
+            let mut next = addr;
+            for ((first, run), &l) in config.line_runs(addr, words).zip(&oracle) {
+                assert_eq!(first, next, "{tag}: runs must be contiguous");
+                let last = first + u64::from((run - 1) * WORD_BYTES);
+                assert_eq!(config.line_addr(last), l, "{tag}: run leaves its line");
+                next = last + u64::from(WORD_BYTES);
+            }
+            assert_eq!(next, addr + u64::from(words * WORD_BYTES), "{tag}");
+        }
+    }
+}
 
 // The Shell workload is the one standard spec that runs without an
 // application side; instance diversity comes from the kernel seed.

@@ -284,7 +284,6 @@ fn traces_are_well_formed_on_random_programs() {
                     assert!(in_os);
                     assert!(id.index() < program.num_blocks());
                 }
-                TraceEvent::Mark(_) => {}
             }
         }
         assert!(!in_os);
