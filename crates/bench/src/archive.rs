@@ -15,6 +15,7 @@ use oslay::cache::{Cache, CacheConfig};
 use oslay::{FanoutSink, Replayer, SimConfig, SimResult, Study, WorkloadCase};
 use oslay_layout::Layout;
 use oslay_observe::MetricRegistry;
+use oslay_trace::TraceSink;
 use oslay_tracestore::{StoreError, StoreSummary, TraceReader, TraceWriter};
 
 use crate::{app_layout_for, figure12_ladder, into_rows, ladder_os_layouts, run_ordered, Job};
@@ -39,9 +40,10 @@ pub fn archive_file_name(case: &WorkloadCase) -> String {
 /// Records every workload case of `study` into `dir` (created if
 /// missing), one store file per case, over up to `threads` workers.
 ///
-/// Returns `(file_name, summary)` per case, in case order. Traces are
-/// regenerated from each case's recorded engine seed, so the archived
-/// stream is exactly the stream a live replay consumes.
+/// Returns `(file_name, summary)` per case, in case order. Each store
+/// encodes the case's buffered trace — the stream every live replay
+/// consumes, and the one [`Study::stream_case`] regenerates from the
+/// case's engine seed — so no engine walk is repeated.
 ///
 /// # Errors
 ///
@@ -58,7 +60,7 @@ pub fn record_archive(
         let case = &study.cases()[i];
         let file = archive_file_name(case);
         let mut writer = TraceWriter::create(&dir.join(&file))?;
-        study.stream_case(case, &mut writer);
+        writer.events(case.trace.events());
         let (_, summary) = writer.finish()?;
         Ok((file, summary))
     });
@@ -124,7 +126,7 @@ pub fn run_archived_figure12_matrix(
             let mut fan = FanoutSink::new(
                 replayers
                     .iter_mut()
-                    .map(|r| r as &mut dyn oslay_trace::TraceSink)
+                    .map(|r| r as &mut dyn TraceSink)
                     .collect(),
             );
             let mut reader = TraceReader::open(&dir.join(archive_file_name(case)))?;

@@ -16,7 +16,7 @@ use oslay::analysis::report::{pct, TextTable};
 use oslay::cache::{Cache, CacheConfig};
 use oslay::model::synth::{generate_app_mix, AppKind, AppParams};
 use oslay::profile::Profile;
-use oslay::trace::{Engine, EngineConfig, SyscallProfile, WorkloadSpec};
+use oslay::trace::{Engine, EngineConfig, SyscallProfile, TraceSink, WorkloadSpec};
 use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
 use oslay_bench::{banner, Cli};
 
@@ -90,9 +90,7 @@ fn main() {
         let mut cache = Cache::new(cfg);
         let mut replayer =
             Replayer::new(&os.layout, Some(&app_base), &mut cache, &SimConfig::fast());
-        for &event in trace.events() {
-            replayer.on_event(event);
-        }
+        replayer.events(trace.events());
         let stats = replayer.finish().stats;
         let (misses, accesses) = (stats.total_misses(), stats.total_accesses());
         let base = *base_misses.get_or_insert(misses);

@@ -18,7 +18,7 @@ use oslay::layout::{chang_hwu_layout, optimize_os, OptParams};
 use oslay::model::transform::inline_calls;
 use oslay::model::BlockId;
 use oslay::profile::{LoopAnalysis, Profile};
-use oslay::trace::{Engine, EngineConfig};
+use oslay::trace::{Engine, EngineConfig, TraceSink};
 use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
 use oslay_bench::{banner, run_case, AppSide, Cli};
 
@@ -91,9 +91,7 @@ fn main() {
         let replay = |layout: &oslay::layout::Layout| {
             let mut cache = Cache::new(cfg);
             let mut replayer = Replayer::new(layout, None, &mut cache, &SimConfig::fast());
-            for &event in trace.events() {
-                replayer.on_event(event);
-            }
+            replayer.events(trace.events());
             replayer.finish().stats.total_misses()
         };
         let ch_m = replay(&chang_hwu_layout(&inlined, &iprofile, 0));

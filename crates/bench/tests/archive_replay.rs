@@ -1,6 +1,8 @@
 //! Archived re-replay must be bit-exact: the Figure-12 matrix computed
 //! from recorded `.otr` stores has to match the live matrix — results and
-//! metric registry both — at any worker count.
+//! metric registry both — at any worker count. And the stores themselves,
+//! encoded from the buffered traces, must be byte-identical to stores
+//! streamed from the engine walk.
 
 use std::sync::Arc;
 
@@ -9,6 +11,7 @@ use oslay::{SimConfig, Study, StudyConfig};
 use oslay_bench::archive::{archive_file_name, record_archive, run_archived_figure12_matrix};
 use oslay_bench::run_figure12_matrix;
 use oslay_observe::{MetricRegistry, RunReport};
+use oslay_tracestore::TraceWriter;
 
 /// Serializes a registry's full contents (counters, gauges, histograms)
 /// deterministically, for whole-registry equality checks.
@@ -63,5 +66,27 @@ fn archived_matrix_matches_live_at_one_and_two_workers() {
         );
     }
 
+    std::fs::remove_dir_all(&dir).expect("clean temp dir");
+}
+
+#[test]
+fn recorded_archive_equals_engine_streamed_stores_byte_for_byte() {
+    let study = Study::generate(&StudyConfig::tiny());
+    let dir = std::env::temp_dir().join(format!("oslay_archive_bytes_{}", std::process::id()));
+    let recorded = record_archive(&study, &dir, 2).expect("record archive");
+    for ((file, summary), case) in recorded.iter().zip(study.cases()) {
+        let mut writer = TraceWriter::new(Vec::new()).expect("header");
+        study.stream_case(case, &mut writer);
+        let (streamed, streamed_summary) = writer.finish().expect("in-memory store");
+        let bytes = std::fs::read(dir.join(file)).expect("read the recorded store");
+        assert!(
+            bytes == streamed,
+            "{file}: recorded store ({} bytes) differs from the engine-streamed one ({} bytes)",
+            bytes.len(),
+            streamed.len()
+        );
+        assert_eq!(summary.file_bytes, streamed_summary.file_bytes, "{file}");
+        assert_eq!(summary.totals, streamed_summary.totals, "{file}");
+    }
     std::fs::remove_dir_all(&dir).expect("clean temp dir");
 }

@@ -78,25 +78,62 @@ impl SimResult {
     }
 }
 
+/// The three per-1KB OS miss-address histograms of [`SimConfig::os_miss_map`].
+struct OsMissMaps {
+    all: AddressHistogram,
+    os_self: AddressHistogram,
+    os_cross: AddressHistogram,
+}
+
+impl OsMissMaps {
+    /// Fetches `words` words at `base` one at a time, adding each OS miss
+    /// address to the maps; returns the number that missed.
+    fn access_mapped<C: InstructionCache + ?Sized>(
+        &mut self,
+        cache: &mut C,
+        base: u64,
+        words: u32,
+        domain: Domain,
+    ) -> u64 {
+        let mut missed = 0u64;
+        for w in 0..words {
+            let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
+            if let oslay_cache::AccessOutcome::Miss(kind) = cache.access(addr, domain) {
+                missed += 1;
+                if domain == Domain::Os {
+                    self.all.add(addr);
+                    match kind {
+                        oslay_cache::MissKind::OsSelf => self.os_self.add(addr),
+                        oslay_cache::MissKind::OsByApp => self.os_cross.add(addr),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        missed
+    }
+}
+
 /// A streaming trace consumer that drives a cache: each [`TraceEvent`]
 /// maps through the layouts to an instruction-fetch address stream and the
 /// configured miss collectors.
 ///
-/// This is the engine's hot path. [`Study::simulate`] feeds it from the
-/// case's buffered [`oslay_trace::Trace`]; [`Study::replayer_for`] hands
-/// it out as an [`oslay_trace::TraceSink`] for archived event streams.
+/// This is the engine's hot path. [`Study::simulate`] hands it the case's
+/// buffered [`oslay_trace::Trace`] as one slice; [`Study::replayer_for`]
+/// hands it out as an [`oslay_trace::TraceSink`] for archived event
+/// streams, which arrive a decoded chunk at a time. Every delivery, a
+/// single event included, runs through the one loop of
+/// [`oslay_trace::TraceSink::events`], so results do not depend on how
+/// the stream is split.
 pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     os_layout: &'a Layout,
     app_layout: Option<&'a Layout>,
     cache: &'a mut C,
-    os_miss_map: Option<AddressHistogram>,
-    os_self_miss_map: Option<AddressHistogram>,
-    os_cross_miss_map: Option<AddressHistogram>,
+    /// Present when address-granular miss maps are collected: block
+    /// fetches are then replayed per word, otherwise they take the
+    /// cache's coalesced line path.
+    os_miss_maps: Option<OsMissMaps>,
     os_block_misses: Option<Vec<u64>>,
-    /// Per-word replay is only needed when address-granular miss maps are
-    /// collected; otherwise block fetches take the coalesced line-run
-    /// path.
-    per_address: bool,
     /// Timeline recorder, present only when the timeline is enabled and
     /// this thread is inside a recording scope — the hot path then pays
     /// one branch per event plus a periodic cache sample.
@@ -133,93 +170,16 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             os_layout,
             app_layout,
             cache,
-            os_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_self_miss_map: config.os_miss_map.then(AddressHistogram::paper),
-            os_cross_miss_map: config.os_miss_map.then(AddressHistogram::paper),
+            os_miss_maps: config.os_miss_map.then(|| OsMissMaps {
+                all: AddressHistogram::paper(),
+                os_self: AddressHistogram::paper(),
+                os_cross: AddressHistogram::paper(),
+            }),
             os_block_misses: config
                 .block_misses
                 .then(|| vec![0u64; os_layout.num_blocks()]),
-            per_address: config.os_miss_map,
             telemetry,
         }
-    }
-
-    /// Replays one event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an app block arrives but no app layout was supplied.
-    pub fn on_event(&mut self, event: TraceEvent) {
-        self.handle_event(event);
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            if tl.tick() {
-                tl.sample(&cache_snapshot(&*self.cache));
-            }
-        }
-    }
-
-    fn handle_event(&mut self, event: TraceEvent) {
-        // Boundary events feed the cache's diagnostic hooks (no-ops on
-        // plain caches) but fetch nothing.
-        let (id, domain) = match event {
-            TraceEvent::Block { id, domain } => (id, domain),
-            TraceEvent::OsEnter(kind) => {
-                self.cache.note_os_enter(kind);
-                return;
-            }
-            TraceEvent::OsExit => {
-                self.cache.note_os_exit();
-                return;
-            }
-        };
-        let layout = match domain {
-            Domain::Os => self.os_layout,
-            Domain::App => self.app_layout.expect("app block but no app layout"),
-        };
-        let (base, words) = (layout.addr(id), layout.fetch_words(id));
-        // Without per-address miss maps the per-word outcomes are not
-        // observed, so the whole block fetch goes through the cache's
-        // line-run path (identical stats and state, bulk-counted hits).
-        let missed = if self.per_address {
-            self.access_mapped(base, words, domain)
-        } else {
-            self.cache.access_words(base, words, domain)
-        };
-        if let (Domain::Os, Some(v)) = (domain, self.os_block_misses.as_mut()) {
-            v[id.index()] += missed;
-        }
-    }
-
-    /// Fetches `words` words at `base` one at a time, adding each OS miss
-    /// address to the miss maps; returns the number that missed.
-    fn access_mapped(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
-        let mut missed = 0u64;
-        for w in 0..words {
-            let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-            let outcome = self.cache.access(addr, domain);
-            if let oslay_cache::AccessOutcome::Miss(kind) = outcome {
-                missed += 1;
-                if domain == Domain::Os {
-                    if let Some(map) = self.os_miss_map.as_mut() {
-                        map.add(addr);
-                    }
-                    match kind {
-                        oslay_cache::MissKind::OsSelf => {
-                            if let Some(map) = self.os_self_miss_map.as_mut() {
-                                map.add(addr);
-                            }
-                        }
-                        oslay_cache::MissKind::OsByApp => {
-                            if let Some(map) = self.os_cross_miss_map.as_mut() {
-                                map.add(addr);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
-        missed
     }
 
     /// Finishes the replay, reading the final statistics off the cache.
@@ -232,19 +192,81 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             tl.finish(&cache_snapshot(&*self.cache));
             self.cache.set_telemetry(false);
         }
+        let (all, os_self, os_cross) = match self.os_miss_maps {
+            Some(m) => (Some(m.all), Some(m.os_self), Some(m.os_cross)),
+            None => (None, None, None),
+        };
         SimResult {
             stats: *self.cache.stats(),
-            os_miss_map: self.os_miss_map,
-            os_self_miss_map: self.os_self_miss_map,
-            os_cross_miss_map: self.os_cross_miss_map,
+            os_miss_map: all,
+            os_self_miss_map: os_self,
+            os_cross_miss_map: os_cross,
             os_block_misses: self.os_block_misses,
         }
     }
 }
 
 impl<C: InstructionCache + ?Sized> oslay_trace::TraceSink for Replayer<'_, C> {
+    /// Replays one event, as a one-event slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an app block arrives but no app layout was supplied.
     fn event(&mut self, event: TraceEvent) {
-        self.on_event(event);
+        self.events(std::slice::from_ref(&event));
+    }
+
+    /// The replay loop: layouts, cache and collectors are held in locals
+    /// for the whole slice; the timeline still ticks once per event, so
+    /// its windows do not depend on how the stream is split.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an app block arrives but no app layout was supplied.
+    fn events(&mut self, events: &[TraceEvent]) {
+        let Self {
+            os_layout,
+            app_layout,
+            cache,
+            os_miss_maps,
+            os_block_misses,
+            telemetry,
+        } = self;
+        let (os_layout, app_layout) = (*os_layout, *app_layout);
+        let cache: &mut C = cache;
+        let mut block_misses = os_block_misses.as_deref_mut();
+        let mut telemetry = telemetry.as_deref_mut();
+        for &event in events {
+            match event {
+                TraceEvent::Block { id, domain } => {
+                    let layout = match domain {
+                        Domain::Os => os_layout,
+                        Domain::App => app_layout.expect("app block but no app layout"),
+                    };
+                    let (base, words) = (layout.addr(id), layout.fetch_words(id));
+                    // Without per-address miss maps the per-word outcomes
+                    // are not observed, so the whole block fetch goes
+                    // through the cache's line path (identical stats and
+                    // state, bulk-counted hits).
+                    let missed = match os_miss_maps {
+                        Some(maps) => maps.access_mapped(cache, base, words, domain),
+                        None => cache.access_words(base, words, domain),
+                    };
+                    if let (Domain::Os, Some(v)) = (domain, block_misses.as_deref_mut()) {
+                        v[id.index()] += missed;
+                    }
+                }
+                // Boundary events feed the cache's diagnostic hooks
+                // (no-ops on plain caches) but fetch nothing.
+                TraceEvent::OsEnter(kind) => cache.note_os_enter(kind),
+                TraceEvent::OsExit => cache.note_os_exit(),
+            }
+            if let Some(tl) = telemetry.as_deref_mut() {
+                if tl.tick() {
+                    tl.sample(&cache_snapshot(&*cache));
+                }
+            }
+        }
     }
 }
 
@@ -277,8 +299,15 @@ impl<'a> FanoutSink<'a> {
 
 impl oslay_trace::TraceSink for FanoutSink<'_> {
     fn event(&mut self, event: TraceEvent) {
+        self.events(std::slice::from_ref(&event));
+    }
+
+    /// Forwards the whole slice to each sink in turn: one dynamic call
+    /// per sink per slice. The sinks are independent, so each still sees
+    /// the stream in order.
+    fn events(&mut self, events: &[TraceEvent]) {
         for sink in &mut self.sinks {
-            sink.event(event);
+            sink.events(events);
         }
     }
 }
@@ -497,10 +526,23 @@ impl<'a, S: oslay_trace::TraceSink + ?Sized> HeartbeatSink<'a, S> {
 
 impl<S: oslay_trace::TraceSink + ?Sized> oslay_trace::TraceSink for HeartbeatSink<'_, S> {
     fn event(&mut self, event: TraceEvent) {
-        self.inner.event(event);
-        self.seen += 1;
-        if self.seen.is_multiple_of(self.every) {
-            self.beat();
+        self.events(std::slice::from_ref(&event));
+    }
+
+    /// Forwards the slice in pieces cut at the heartbeat cadence, so a
+    /// beat fires after exactly every `every`-th event however the
+    /// stream is split.
+    fn events(&mut self, mut events: &[TraceEvent]) {
+        while !events.is_empty() {
+            let to_beat = self.every - self.seen % self.every;
+            let piece_len = usize::try_from(to_beat).map_or(events.len(), |n| n.min(events.len()));
+            let (piece, rest) = events.split_at(piece_len);
+            self.inner.events(piece);
+            self.seen += piece.len() as u64;
+            if self.seen.is_multiple_of(self.every) {
+                self.beat();
+            }
+            events = rest;
         }
     }
 }
@@ -529,9 +571,7 @@ impl Study {
         );
         let _span = oslay_observe::span("study.sim");
         let mut replayer = Replayer::new(os_layout, app_layout, cache, config);
-        for event in case.trace.events() {
-            replayer.on_event(*event);
-        }
+        oslay_trace::TraceSink::events(&mut replayer, case.trace.events());
         replayer.finish()
     }
 
@@ -702,38 +742,44 @@ pub(crate) mod tests {
     #[test]
     fn heartbeat_beats_on_exact_cadence_with_monotone_counters() {
         let _g = observability_gate();
-        oslay_observe::flight::reset();
-        oslay_observe::flight::enable();
         let s = study();
         let case = &s.cases()[3];
-        let total = case.trace.events().len() as u64;
+        let events = case.trace.events();
+        let total = events.len() as u64;
         let every = 64u64;
-        let mut archive = ArchiveSink::default();
-        {
-            let mut hb = HeartbeatSink::new(&mut archive, every);
-            for event in case.trace.events() {
-                oslay_trace::TraceSink::event(&mut hb, *event);
+        // Per event, as one slice, and in slices that straddle the
+        // cadence: the same beats, and the stream forwarded unchanged.
+        for slice in [1, events.len(), 100] {
+            oslay_observe::flight::reset();
+            oslay_observe::flight::enable();
+            let mut archive = ArchiveSink::default();
+            {
+                let mut hb = HeartbeatSink::new(&mut archive, every);
+                for chunk in events.chunks(slice) {
+                    oslay_trace::TraceSink::events(&mut hb, chunk);
+                }
             }
+            oslay_observe::flight::disable();
+            let beats: Vec<f64> = oslay_observe::flight::counter_events()
+                .into_iter()
+                .filter(|c| c.name == "sim.events")
+                .map(|c| c.value)
+                .collect();
+            oslay_observe::flight::reset();
+            assert_eq!(archive.0, events, "slices of {slice}");
+            assert_eq!(
+                beats.len() as u64,
+                total / every,
+                "one beat per {every} events, nothing on the partial tail"
+            );
+            for (i, &v) in beats.iter().enumerate() {
+                assert_eq!(v, ((i as u64 + 1) * every) as f64, "beat {i} cadence");
+            }
+            assert!(
+                beats.windows(2).all(|w| w[0] < w[1]),
+                "event counter strictly monotone"
+            );
         }
-        oslay_observe::flight::disable();
-        let beats: Vec<f64> = oslay_observe::flight::counter_events()
-            .into_iter()
-            .filter(|c| c.name == "sim.events")
-            .map(|c| c.value)
-            .collect();
-        oslay_observe::flight::reset();
-        assert_eq!(
-            beats.len() as u64,
-            total / every,
-            "one beat per {every} events, nothing on the partial tail"
-        );
-        for (i, &v) in beats.iter().enumerate() {
-            assert_eq!(v, ((i as u64 + 1) * every) as f64, "beat {i} cadence");
-        }
-        assert!(
-            beats.windows(2).all(|w| w[0] < w[1]),
-            "event counter strictly monotone"
-        );
     }
 
     #[test]

@@ -382,10 +382,10 @@ impl Study {
     /// Regenerates `case`'s trace from its recorded engine seed and
     /// streams every event into `sink`, in execution order.
     ///
-    /// The trace archiver (`oslay-tracestore`, behind `trace record`)
-    /// tees it to disk. Bit-identical to the
-    /// buffered `case.trace` events because the engine's walk is
-    /// deterministic in the seed.
+    /// Bit-identical to the buffered `case.trace` events because the
+    /// engine's walk is deterministic in the seed; a sink that needs
+    /// the stream without a buffered trace (or a check of the walk
+    /// itself) takes it from here.
     pub fn stream_case<S: oslay_trace::TraceSink + ?Sized>(
         &self,
         case: &WorkloadCase,

@@ -20,7 +20,8 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics unless `size`, `line` and `ways` are powers of two,
-    /// `line <= size`, and `ways <= size / line`.
+    /// `line` holds at least one instruction word, `line <= size`, and
+    /// `ways <= size / line`.
     #[must_use]
     pub fn new(size: u32, line: u32, ways: u32) -> Self {
         assert!(size.is_power_of_two(), "cache size must be a power of two");
@@ -28,6 +29,10 @@ impl CacheConfig {
         assert!(
             ways.is_power_of_two(),
             "associativity must be a power of two"
+        );
+        assert!(
+            line >= oslay_model::WORD_BYTES,
+            "line shorter than an instruction word"
         );
         assert!(line <= size, "line larger than cache");
         assert!(ways <= size / line, "more ways than lines");
@@ -137,6 +142,36 @@ impl CacheConfig {
         })
     }
 
+    /// The line keys (`addr >> line_shift`) the fetch of `words`
+    /// consecutive instruction words at `base` touches, in fetch order:
+    /// the keys of [`CacheConfig::line_runs`]' run starts, for callers
+    /// that need only which lines a fetch touches, not how many words
+    /// each run holds.
+    ///
+    /// A line holds at least one word, so consecutive words never skip a
+    /// line: the keys are exactly the range from the first word's key to
+    /// the last word's.
+    ///
+    /// ```
+    /// use oslay_cache::CacheConfig;
+    ///
+    /// // 32-byte lines: words at 30, 34 and 38 touch lines 0 and 1.
+    /// assert_eq!(CacheConfig::paper_default().line_keys(30, 3), 0..2);
+    /// ```
+    #[inline]
+    #[must_use]
+    pub fn line_keys(self, base: u64, words: u32) -> std::ops::Range<u64> {
+        let shift = self.line_shift();
+        let first = base >> shift;
+        match words.checked_sub(1) {
+            None => first..first,
+            Some(last_word) => {
+                let last = base + u64::from(last_word) * u64::from(oslay_model::WORD_BYTES);
+                first..(last >> shift) + 1
+            }
+        }
+    }
+
     /// Returns this geometry with a different total size.
     #[must_use]
     pub fn with_size(self, size: u32) -> Self {
@@ -213,6 +248,31 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_rejected() {
         let _ = CacheConfig::new(3000, 32, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "line shorter than an instruction word")]
+    fn sub_word_line_rejected() {
+        let _ = CacheConfig::new(64, 2, 1);
+    }
+
+    #[test]
+    fn line_keys_are_the_line_run_starts() {
+        use oslay_model::rng::Rng;
+        let mut rng = Rng::seed_from_u64(0x11E5);
+        for (size, line) in [(64u32, 4u32), (1024, 16), (8192, 32), (8192, 128)] {
+            let cfg = CacheConfig::new(size, line, 1);
+            for _ in 0..2_000 {
+                let base = u64::from(rng.gen_range(0..4 * size));
+                let words = rng.gen_range(0..40u32);
+                let starts: Vec<u64> = cfg
+                    .line_runs(base, words)
+                    .map(|(addr, _)| addr >> cfg.line_shift())
+                    .collect();
+                let keys: Vec<u64> = cfg.line_keys(base, words).collect();
+                assert_eq!(keys, starts, "{cfg} base {base} words {words}");
+            }
+        }
     }
 
     #[test]

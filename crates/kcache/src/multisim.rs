@@ -155,15 +155,14 @@ impl Bank {
         }
     }
 
-    /// Splits a `words`-long sequential fetch into line runs at this
-    /// bank's line size and touches the stacks once per run — after the
-    /// first word of a line the rest of the run is guaranteed hits in
-    /// every configuration of the bank (same line size), leaving all
-    /// replacement state untouched, exactly as the dense cache's
-    /// coalesced path reasons.
+    /// Touches the stacks once per line a `words`-long sequential fetch
+    /// touches at this bank's line size — after the first word of a line
+    /// the rest of its words are guaranteed hits in every configuration
+    /// of the bank (same line size), leaving all replacement state
+    /// untouched, exactly as the dense cache's coalesced path reasons.
     fn access_run(&mut self, base: u64, words: u32, domain: Domain) {
-        for (addr, _) in self.points[0].cfg.line_runs(base, words) {
-            self.access_line(addr >> self.line_shift, domain);
+        for key in self.points[0].cfg.line_keys(base, words) {
+            self.access_line(key, domain);
         }
     }
 

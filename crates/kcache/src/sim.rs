@@ -337,34 +337,58 @@ impl Cache {
     /// consulted on misses.
     #[inline]
     pub fn access_detailed(&mut self, addr: u64, domain: Domain) -> AccessDetail {
-        self.clock += 1;
-        let clock = self.clock;
         let key = addr >> self.line_shift;
-        debug_assert_ne!(key, TAG_EMPTY, "address in the topmost line");
         let set = (key & self.set_mask) as u32;
         let line = key << self.line_shift;
-        let base = set as usize * self.ways_per_set;
-        let ways = base..base + self.ways_per_set;
-
-        // Hit? (A key never equals TAG_EMPTY, so no validity check.)
-        for i in ways.clone() {
-            if self.tags[i] == key {
-                self.lru[i] = clock;
-                self.stats.record(domain, AccessOutcome::Hit);
-                return AccessDetail {
-                    outcome: AccessOutcome::Hit,
-                    line,
-                    set,
-                    evicted: None,
-                };
-            }
+        if self.touch(key) {
+            self.stats.record(domain, AccessOutcome::Hit);
+            return AccessDetail {
+                outcome: AccessOutcome::Hit,
+                line,
+                set,
+                evicted: None,
+            };
         }
+        let (kind, evicted) = self.fill(key, domain);
+        AccessDetail {
+            outcome: AccessOutcome::Miss(kind),
+            line,
+            set,
+            evicted: evicted.map(|evictee| evictee << self.line_shift),
+        }
+    }
 
-        // Miss: fill the first invalid way, else the first-least-recently
-        // used one (matching the reference implementation's tie-break).
+    /// The hit test of one line access: advances the LRU clock and, if
+    /// `key` is resident, stamps its way most recently used. Records no
+    /// statistics; a `false` must be followed by [`Cache::fill`].
+    #[inline]
+    fn touch(&mut self, key: u64) -> bool {
+        debug_assert_ne!(key, TAG_EMPTY, "address in the topmost line");
+        self.clock += 1;
+        let base = (key & self.set_mask) as usize * self.ways_per_set;
+        let ways = base..base + self.ways_per_set;
+        // A key never equals TAG_EMPTY, so no validity check.
+        match self.tags[ways.clone()].iter().position(|&tag| tag == key) {
+            Some(way) => {
+                self.lru[ways.start + way] = self.clock;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The miss path of the access [`Cache::touch`] just found absent:
+    /// fills the first invalid way, else the first-least-recently used
+    /// one (matching the reference implementation's tie-break), records
+    /// the eviction and the classified miss, and returns the miss kind
+    /// with the key of the valid line displaced (if any).
+    #[inline(never)]
+    fn fill(&mut self, key: u64, domain: Domain) -> (MissKind, Option<u64>) {
+        let clock = self.clock;
+        let base = (key & self.set_mask) as usize * self.ways_per_set;
         let mut victim = base;
         let mut best = (self.tags[base] != TAG_EMPTY, self.lru[base]);
-        for i in ways.skip(1) {
+        for i in base + 1..base + self.ways_per_set {
             let rank = (self.tags[i] != TAG_EMPTY, self.lru[i]);
             if rank < best {
                 best = rank;
@@ -389,14 +413,8 @@ impl Cache {
         // prior fill, and every displacement of a valid line leaves a
         // provenance record — so the evict table doubles as the seen-set.
         let kind = MissKind::classify(domain, self.evicted_by.lookup(key));
-        let outcome = AccessOutcome::Miss(kind);
-        self.stats.record(domain, outcome);
-        AccessDetail {
-            outcome,
-            line,
-            set,
-            evicted: evicted_valid.then(|| evictee << self.line_shift),
-        }
+        self.stats.record(domain, AccessOutcome::Miss(kind));
+        (kind, evicted_valid.then_some(evictee))
     }
 
     /// Counts `n` hits by `domain` without touching replacement state:
@@ -457,17 +475,20 @@ impl InstructionCache for Cache {
         self.access_detailed(addr, domain).outcome
     }
 
+    /// One hit test per line the block touches ([`CacheConfig::line_keys`]):
+    /// only a line's first word can change replacement state, and the
+    /// words after it are guaranteed hits on the line it just made MRU,
+    /// so hits are counted once per block as `words - misses`.
+    #[inline]
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
-        for (addr, run) in self.cfg.line_runs(base, words) {
-            if matches!(self.access(addr, domain), AccessOutcome::Miss(_)) {
+        for key in self.cfg.line_keys(base, words) {
+            if !self.touch(key) {
+                self.fill(key, domain);
                 missed += 1;
             }
-            // The remaining `run - 1` words of the line are guaranteed
-            // hits: the line is resident and already MRU, so re-touching
-            // it per word would not change any replacement state.
-            self.stats.record_hits(domain, u64::from(run) - 1);
         }
+        self.stats.record_hits(domain, u64::from(words) - missed);
         missed
     }
 
@@ -812,6 +833,76 @@ mod tests {
                 }
                 assert_eq!(fast, slow);
                 assert_eq!(coalesced.stats(), per_word.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn access_words_matches_reference_per_word_on_edge_geometries() {
+        use crate::reference::ReferenceCache;
+        use oslay_model::rng::Rng;
+
+        // One single-line set, one fully associative set, one-word
+        // lines (direct-mapped and 4-way), and the paper's cache.
+        for (seed, cfg) in [
+            (1u64, CacheConfig::new(32, 32, 1)),
+            (2, CacheConfig::new(256, 32, 8)),
+            (3, CacheConfig::new(64, 4, 1)),
+            (4, CacheConfig::new(64, 4, 4)),
+            (5, CacheConfig::paper_default()),
+        ] {
+            let mut cache = Cache::new(cfg);
+            let mut reference = ReferenceCache::new(cfg);
+            let mut ref_stats = MissStats::default();
+            // The same replay one line run at a time: pins the LRU clock
+            // (one tick per line) and with it the eviction ages.
+            let mut by_run = Cache::new(cfg);
+            cache.set_telemetry(true);
+            by_run.set_telemetry(true);
+            let mut rng = Rng::seed_from_u64(0xED6E + seed);
+            for step in 0..20_000u32 {
+                // Byte-granular bases over a few cache sizes of address
+                // space; `words = 0` included.
+                let base = u64::from(rng.gen_range(0..4 * cfg.size()));
+                let words = rng.gen_range(0..2 * cfg.line() / 4 + 3);
+                let domain = if rng.gen_range(0..3u32) == 0 {
+                    Domain::App
+                } else {
+                    Domain::Os
+                };
+                let missed = cache.access_words(base, words, domain);
+                let mut want = 0u64;
+                for w in 0..words {
+                    let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
+                    let outcome = reference.access_detailed(addr, domain).outcome;
+                    ref_stats.record(domain, outcome);
+                    want += u64::from(outcome.is_miss());
+                }
+                for (addr, run) in cfg.line_runs(base, words) {
+                    by_run.access_detailed(addr, domain);
+                    by_run.record_hits(domain, u64::from(run) - 1);
+                }
+                let what = format!("{cfg} step {step} base {base} words {words}");
+                assert_eq!(missed, want, "{what}");
+                assert_eq!(cache.stats(), &ref_stats, "{what}");
+                assert_eq!(cache.stats(), by_run.stats(), "{what}");
+                assert_eq!(cache.clock, by_run.clock, "{what}");
+                assert_eq!(cache.evictions, by_run.evictions, "{what}");
+                assert_eq!(
+                    cache.telemetry_snapshot(),
+                    by_run.telemetry_snapshot(),
+                    "{what}"
+                );
+                // A single-word probe must see the same replacement state
+                // (victim and classification) in the reference.
+                if step % 7 == 0 {
+                    let addr = u64::from(rng.gen_range(0..4 * cfg.size()));
+                    let got = cache.access_detailed(addr, domain);
+                    let want = reference.access_detailed(addr, domain);
+                    assert_eq!(got, want, "probe after {what}");
+                    ref_stats.record(domain, want.outcome);
+                    by_run.access_detailed(addr, domain);
+                }
             }
         }
     }

@@ -18,12 +18,14 @@ macro_rules! define_id {
             /// # Panics
             ///
             /// Panics if `index` does not fit in `u32`.
+            #[inline]
             #[must_use]
             pub fn new(index: usize) -> Self {
                 Self(u32::try_from(index).expect("id index overflows u32"))
             }
 
             /// Returns the dense index backing this id.
+            #[inline]
             #[must_use]
             pub fn index(self) -> usize {
                 self.0 as usize

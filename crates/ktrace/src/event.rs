@@ -27,9 +27,22 @@ pub enum TraceEvent {
 /// materialize the full event vector. [`Trace`] itself is a sink — the
 /// buffered [`crate::Engine::run`] path is just `run_into` with a `Trace`
 /// as the sink — and so is the cache replayer in `core`.
+///
+/// A producer holding a run of events at once (a buffered trace, a
+/// decoded archive chunk) hands it over with [`TraceSink::events`], so a
+/// sink behind `dyn` pays one dynamic call per slice, not per event.
 pub trait TraceSink {
     /// Receives the next event of the stream, in execution order.
     fn event(&mut self, event: TraceEvent);
+
+    /// Receives the next `events` of the stream, in execution order.
+    /// Exactly equivalent to calling [`TraceSink::event`] once per event
+    /// (and this default does just that), however the stream is split.
+    fn events(&mut self, events: &[TraceEvent]) {
+        for &event in events {
+            self.event(event);
+        }
+    }
 }
 
 impl TraceSink for Trace {

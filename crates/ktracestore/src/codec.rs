@@ -110,7 +110,14 @@ impl BlockEncoder {
     }
 }
 
-/// Decodes one self-contained payload, streaming every event into `sink`.
+/// Events a decoder hands to its sink per [`TraceSink::events`] call:
+/// one dynamic call covers this many events, and the chunk buffer lives
+/// on the stack (32 KiB), never growing with the block.
+const CHUNK_EVENTS: usize = 4096;
+
+/// Decodes one self-contained payload, streaming every event into `sink`
+/// in chunks of at most [`CHUNK_EVENTS`]. On an error the events of the
+/// unfinished chunk are dropped, never delivered.
 ///
 /// # Errors
 ///
@@ -123,90 +130,148 @@ pub(crate) fn decode_payload_into<S: TraceSink + ?Sized>(
     expect_events: u32,
     sink: &mut S,
 ) -> Result<(), String> {
-    let mut pos = 0usize;
-    let mut prev_os = 0i64;
-    let mut prev_app = 0i64;
-    let mut last_block: Option<TraceEvent> = None;
-    let mut emitted = 0u64;
-    let expect = u64::from(expect_events);
-    while pos < payload.len() {
-        let byte = payload[pos];
-        pos += 1;
-        let (tag, arg) = (byte & 0x07, byte >> 3);
-        let value = if arg == ARG_ESCAPE && matches!(tag, TAG_BLOCK_OS | TAG_BLOCK_APP | TAG_REPEAT)
-        {
-            read_leb(payload, &mut pos).map_err(|e| format!("at byte {pos}: {e}"))?
-        } else {
-            u64::from(arg)
-        };
-        let event = match tag {
-            TAG_BLOCK_OS | TAG_BLOCK_APP => {
-                let (prev, domain) = if tag == TAG_BLOCK_OS {
-                    (&mut prev_os, Domain::Os)
-                } else {
-                    (&mut prev_app, Domain::App)
-                };
-                let id = prev
-                    .checked_add(unzigzag(value))
-                    .filter(|&v| (0..=i64::from(u32::MAX)).contains(&v))
-                    .ok_or_else(|| format!("at byte {pos}: block-id delta out of range"))?;
-                *prev = id;
-                let event = TraceEvent::Block {
-                    id: BlockId::new(id as usize),
-                    domain,
-                };
-                last_block = Some(event);
-                event
-            }
-            TAG_OS_ENTER => {
-                if value >= 4 {
-                    return Err(format!("at byte {pos}: seed kind {value} out of range"));
-                }
-                last_block = None;
-                TraceEvent::OsEnter(SeedKind::from_index(value as usize))
-            }
-            TAG_OS_EXIT => {
-                if arg != 0 {
-                    return Err(format!("at byte {pos}: OsExit carries argument {arg}"));
-                }
-                last_block = None;
-                TraceEvent::OsExit
-            }
-            TAG_REPEAT => {
-                let repeated =
-                    last_block.ok_or_else(|| format!("at byte {pos}: repeat with no block"))?;
-                if value == 0 {
-                    return Err(format!("at byte {pos}: empty repeat run"));
-                }
-                // Saturating: a hostile run length must fail the check
-                // below, not wrap past it.
-                emitted = emitted.saturating_add(value);
-                if emitted > expect {
-                    return Err(format!(
-                        "decoded {emitted} events, block header promises {expect}"
-                    ));
-                }
-                for _ in 0..value {
-                    sink.event(repeated);
-                }
-                continue;
-            }
-            other => return Err(format!("at byte {pos}: unknown event tag {other}")),
-        };
-        emitted += 1;
-        if emitted > expect {
-            return Err(format!(
-                "decoded {emitted} events, block header promises {expect}"
-            ));
+    let mut decoder = PayloadDecoder {
+        payload,
+        pos: 0,
+        prev_os: 0,
+        prev_app: 0,
+        last_block: None,
+        repeats_left: 0,
+        emitted: 0,
+        expect: u64::from(expect_events),
+    };
+    let mut chunk = [TraceEvent::OsExit; CHUNK_EVENTS];
+    loop {
+        let len = decoder.fill(&mut chunk)?;
+        if len > 0 {
+            sink.events(&chunk[..len]);
         }
-        sink.event(event);
+        if len < CHUNK_EVENTS {
+            break;
+        }
     }
+    let (emitted, expect) = (decoder.emitted, decoder.expect);
     if emitted != expect {
         return Err(format!(
             "decoded {emitted} events, block header promises {expect}"
         ));
     }
     Ok(())
+}
+
+/// The codec state of one payload, carried from one chunk fill to the
+/// next. The decode loop knows nothing of the sink, so it compiles once
+/// and keeps its state in registers.
+struct PayloadDecoder<'p> {
+    payload: &'p [u8],
+    pos: usize,
+    prev_os: i64,
+    prev_app: i64,
+    last_block: Option<TraceEvent>,
+    /// Events of a repeat run still to emit (a run may straddle chunks).
+    repeats_left: u64,
+    emitted: u64,
+    expect: u64,
+}
+
+impl PayloadDecoder<'_> {
+    /// Decodes into `chunk` from its start until it is full or the
+    /// payload ends; returns the events written. After an error the
+    /// decoder is left mid-payload and must not be used again.
+    fn fill(&mut self, chunk: &mut [TraceEvent; CHUNK_EVENTS]) -> Result<usize, String> {
+        let payload = self.payload;
+        let (mut pos, mut prev_os, mut prev_app) = (self.pos, self.prev_os, self.prev_app);
+        let (mut last_block, mut repeats_left) = (self.last_block, self.repeats_left);
+        let (mut emitted, expect) = (self.emitted, self.expect);
+        let mut len = 0usize;
+        loop {
+            if repeats_left > 0 {
+                let repeated = last_block.expect("a repeat run follows a block");
+                // `repeats_left` is at most `expect`, a `u32`.
+                let run = (repeats_left as usize).min(CHUNK_EVENTS - len);
+                chunk[len..len + run].fill(repeated);
+                len += run;
+                repeats_left -= run as u64;
+            }
+            if len == CHUNK_EVENTS || pos >= payload.len() {
+                break;
+            }
+            let byte = payload[pos];
+            pos += 1;
+            let (tag, arg) = (byte & 0x07, byte >> 3);
+            let value =
+                if arg == ARG_ESCAPE && matches!(tag, TAG_BLOCK_OS | TAG_BLOCK_APP | TAG_REPEAT) {
+                    read_leb(payload, &mut pos).map_err(|e| format!("at byte {pos}: {e}"))?
+                } else {
+                    u64::from(arg)
+                };
+            let event = match tag {
+                TAG_BLOCK_OS | TAG_BLOCK_APP => {
+                    let (prev, domain) = if tag == TAG_BLOCK_OS {
+                        (&mut prev_os, Domain::Os)
+                    } else {
+                        (&mut prev_app, Domain::App)
+                    };
+                    let id = prev
+                        .checked_add(unzigzag(value))
+                        .filter(|&v| (0..=i64::from(u32::MAX)).contains(&v))
+                        .ok_or_else(|| format!("at byte {pos}: block-id delta out of range"))?;
+                    *prev = id;
+                    let event = TraceEvent::Block {
+                        id: BlockId::new(id as usize),
+                        domain,
+                    };
+                    last_block = Some(event);
+                    event
+                }
+                TAG_OS_ENTER => {
+                    if value >= 4 {
+                        return Err(format!("at byte {pos}: seed kind {value} out of range"));
+                    }
+                    last_block = None;
+                    TraceEvent::OsEnter(SeedKind::from_index(value as usize))
+                }
+                TAG_OS_EXIT => {
+                    if arg != 0 {
+                        return Err(format!("at byte {pos}: OsExit carries argument {arg}"));
+                    }
+                    last_block = None;
+                    TraceEvent::OsExit
+                }
+                TAG_REPEAT => {
+                    if last_block.is_none() {
+                        return Err(format!("at byte {pos}: repeat with no block"));
+                    }
+                    if value == 0 {
+                        return Err(format!("at byte {pos}: empty repeat run"));
+                    }
+                    // Saturating: a hostile run length must fail the check
+                    // below, not wrap past it.
+                    emitted = emitted.saturating_add(value);
+                    if emitted > expect {
+                        return Err(format!(
+                            "decoded {emitted} events, block header promises {expect}"
+                        ));
+                    }
+                    repeats_left = value;
+                    continue;
+                }
+                other => return Err(format!("at byte {pos}: unknown event tag {other}")),
+            };
+            emitted += 1;
+            if emitted > expect {
+                return Err(format!(
+                    "decoded {emitted} events, block header promises {expect}"
+                ));
+            }
+            chunk[len] = event;
+            len += 1;
+        }
+        (self.pos, self.prev_os, self.prev_app) = (pos, prev_os, prev_app);
+        (self.last_block, self.repeats_left) = (last_block, repeats_left);
+        self.emitted = emitted;
+        Ok(len)
+    }
 }
 
 #[cfg(test)]
@@ -299,6 +364,50 @@ mod tests {
         let (payload, _) = enc.take_payload();
         // First delta needs an escape varint; the rest are +1 inline.
         assert!(payload.len() <= events.len() + 2, "len {}", payload.len());
+    }
+
+    /// Records the size of every slice it is handed.
+    #[derive(Default)]
+    struct Slices {
+        events: Vec<TraceEvent>,
+        sizes: Vec<usize>,
+    }
+    impl TraceSink for Slices {
+        fn event(&mut self, event: TraceEvent) {
+            self.events(std::slice::from_ref(&event));
+        }
+        fn events(&mut self, events: &[TraceEvent]) {
+            self.events.extend_from_slice(events);
+            self.sizes.push(events.len());
+        }
+    }
+
+    #[test]
+    fn payloads_decode_in_full_chunks() {
+        // Distinct blocks up to just short of a chunk, then a repeat run
+        // straddling two chunk boundaries, then a partial tail.
+        let mut events: Vec<TraceEvent> = (0..CHUNK_EVENTS - 3)
+            .map(|i| block(i % 700, Domain::Os))
+            .collect();
+        events.extend(std::iter::repeat_n(
+            block(9, Domain::App),
+            CHUNK_EVENTS + 10,
+        ));
+        events.push(TraceEvent::OsExit);
+        let mut enc = BlockEncoder::default();
+        for &e in &events {
+            enc.push(e);
+        }
+        let (payload, n) = enc.take_payload();
+        let mut sink = Slices::default();
+        decode_payload_into(&payload, n, &mut sink).expect("decodes");
+        assert_eq!(sink.events, events);
+        assert_eq!(sink.sizes, [CHUNK_EVENTS, CHUNK_EVENTS, 8]);
+
+        // An empty payload hands over nothing, not an empty slice.
+        let mut empty = Slices::default();
+        decode_payload_into(&[], 0, &mut empty).expect("decodes");
+        assert!(empty.sizes.is_empty());
     }
 
     #[test]

@@ -160,16 +160,24 @@ impl StreamTotals {
         }
     }
 
-    fn note(&mut self, event: TraceEvent) {
-        self.events += 1;
-        match event {
-            TraceEvent::Block { domain, .. } => match domain {
-                Domain::Os => self.os_blocks += 1,
-                Domain::App => self.app_blocks += 1,
-            },
-            TraceEvent::OsEnter(kind) => self.invocations[kind.index()] += 1,
-            TraceEvent::OsExit => {}
+    /// Counts a run of events. The per-event counts accumulate in
+    /// scalar locals, so a long slice is counted in registers rather
+    /// than through memory.
+    fn note(&mut self, events: &[TraceEvent]) {
+        let (mut os_blocks, mut app_blocks) = (0u64, 0u64);
+        for &event in events {
+            match event {
+                TraceEvent::Block { domain, .. } => match domain {
+                    Domain::Os => os_blocks += 1,
+                    Domain::App => app_blocks += 1,
+                },
+                TraceEvent::OsEnter(kind) => self.invocations[kind.index()] += 1,
+                TraceEvent::OsExit => {}
+            }
         }
+        self.events += events.len() as u64;
+        self.os_blocks += os_blocks;
+        self.app_blocks += app_blocks;
     }
 }
 
@@ -183,7 +191,11 @@ pub struct CountingSink {
 
 impl TraceSink for CountingSink {
     fn event(&mut self, event: TraceEvent) {
-        self.totals.note(event);
+        self.totals.note(std::slice::from_ref(&event));
+    }
+
+    fn events(&mut self, events: &[TraceEvent]) {
+        self.totals.note(events);
     }
 }
 
@@ -351,7 +363,7 @@ impl<W: Write> TraceWriter<W> {
     /// Returns any error from flushing a filled block to the underlying
     /// writer.
     pub fn push(&mut self, event: TraceEvent) -> std::io::Result<()> {
-        self.totals.note(event);
+        self.totals.note(std::slice::from_ref(&event));
         self.encoder.push(event);
         if self.encoder.events() >= self.block_events {
             self.flush_block()?;

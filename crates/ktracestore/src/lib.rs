@@ -16,11 +16,13 @@
 //!
 //! The two halves:
 //!
-//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so a live
-//!   stream (`Study::stream_case` in `core`) writes straight to disk.
+//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so a buffered
+//!   trace or a live stream (`Study::stream_case` in `core`) writes
+//!   straight to disk.
 //! - [`TraceReader`] decodes blocks back into any sink — the cache
-//!   replayer in `core`, a [`CountingSink`] for verification — and its
-//!   [`BlockEntry`] index is the shard boundary for parallel verify.
+//!   replayer in `core`, a [`CountingSink`] for verification — handing
+//!   it slices of at most 4,096 events, and its [`BlockEntry`] index is
+//!   the shard boundary for parallel verify.
 //!
 //! Corruption robustness: a flipped bit in a block body, a truncated
 //! footer, a spliced block or a foreign file all surface as a typed

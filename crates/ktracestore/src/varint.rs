@@ -109,6 +109,52 @@ mod tests {
     }
 
     #[test]
+    fn read_leb_rejects_hostile_inputs() {
+        let read = |bytes: &[u8]| {
+            let mut pos = 0;
+            read_leb(bytes, &mut pos).map(|v| (v, pos))
+        };
+        // Truncated: empty input, and a continuation bit with nothing
+        // after it at every length up to the maximum.
+        assert_eq!(read(&[]), Err("varint truncated".to_owned()));
+        for len in 1..10 {
+            assert_eq!(
+                read(&vec![0xff; len]),
+                Err("varint truncated".to_owned()),
+                "{len} continuation bytes"
+            );
+        }
+        // Overlong: an eleventh byte is never read, even a zero one.
+        let mut overlong = vec![0x80u8; 10];
+        overlong.push(0x00);
+        assert_eq!(
+            read(&overlong),
+            Err("varint longer than 10 bytes".to_owned())
+        );
+        // Overflowing past 64 bits: the tenth byte may carry only bit 63.
+        for tenth in [0x02u8, 0x7e, 0x7f] {
+            let mut bytes = vec![0xffu8; 9];
+            bytes.push(tenth);
+            assert_eq!(
+                read(&bytes),
+                Err("varint overflows u64".to_owned()),
+                "tenth byte {tenth:#04x}"
+            );
+        }
+        // The 10-byte maximum decodes exactly, and leaves `pos` after it.
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        assert_eq!(read(&max), Ok((u64::MAX, 10)));
+        let mut top = vec![0x80u8; 9];
+        top.push(0x01);
+        assert_eq!(read(&top), Ok((1 << 63, 10)));
+        // A redundant (zero-padded) but in-range encoding is accepted.
+        assert_eq!(read(&[0x85, 0x80, 0x00]), Ok((5, 3)));
+        // Trailing bytes are left for the caller.
+        assert_eq!(read(&[0x7f, 0xff]), Ok((0x7f, 1)));
+    }
+
+    #[test]
     fn truncated_and_overlong_inputs_error() {
         let mut pos = 0;
         assert!(read_leb(&[0x80], &mut pos).is_err());

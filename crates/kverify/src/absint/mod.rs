@@ -192,15 +192,15 @@ impl Classification {
 }
 
 /// The line-aligned addresses a block at `addr` with `effective_size`
-/// bytes touches, in fetch order: the starts of its
-/// [`CacheConfig::line_runs`], exactly as the replayer touches them (a
+/// bytes touches, in fetch order: its [`CacheConfig::line_keys`] (the
+/// starts of its line runs), exactly as the replayer touches them (a
 /// byte-span enumeration can claim a trailing line no fetch ever
 /// reaches). Slot `k` of a block is its `k`-th line run.
 #[must_use]
 pub fn block_line_addrs(addr: u64, effective_size: u32, config: &CacheConfig) -> Vec<u64> {
     config
-        .line_runs(addr, fetch_words(effective_size))
-        .map(|(first, _)| config.line_addr(first))
+        .line_keys(addr, fetch_words(effective_size))
+        .map(|key| key << config.line_shift())
         .collect()
 }
 

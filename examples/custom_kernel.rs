@@ -22,7 +22,7 @@ use oslay::model::{
     BranchTarget, Domain, Program, ProgramBuilder, RoutineId, SeedKind, Terminator,
 };
 use oslay::profile::{LoopAnalysis, Profile};
-use oslay::trace::{Engine, EngineConfig, WorkloadSpec};
+use oslay::trace::{Engine, EngineConfig, TraceSink, WorkloadSpec};
 use oslay::{Replayer, SimConfig};
 
 /// One straight-line routine of `n` blocks of `size` bytes each.
@@ -125,9 +125,7 @@ fn main() {
     ] {
         let mut cache = Cache::new(cache_cfg);
         let mut replayer = Replayer::new(&layout, None, &mut cache, &SimConfig::fast());
-        for &event in trace.events() {
-            replayer.on_event(event);
-        }
+        replayer.events(trace.events());
         let stats = replayer.finish().stats;
         let (misses, fetches) = (stats.total_misses(), stats.total_accesses());
         println!("  {label:<5} {misses:>7} misses / {fetches} fetches");
