@@ -58,8 +58,7 @@ fn main() {
     }
     print!("{}", table.render());
 
-    let profiles: Vec<_> = study.cases().iter().map(|c| c.os_profile.clone()).collect();
-    let union = union_footprint(program, &profiles);
+    let union = union_footprint(program, study.cases().iter().map(|c| &c.os_profile));
     println!();
     println!(
         "Union of all workloads: {} of the OS code referenced, {} of the routines invoked ({} executed blocks).",

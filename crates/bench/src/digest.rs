@@ -50,8 +50,7 @@ pub fn run() {
         "6.9%".to_owned(),
         pct(d.fraction_le_01()),
     ]);
-    let profiles: Vec<_> = study.cases().iter().map(|c| c.os_profile.clone()).collect();
-    let union = union_footprint(program, &profiles);
+    let union = union_footprint(program, study.cases().iter().map(|c| &c.os_profile));
     table.row([
         "tab01: union code footprint".to_owned(),
         "18%".to_owned(),

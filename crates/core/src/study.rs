@@ -223,12 +223,7 @@ impl Study {
             }
         });
         let _g = oslay_observe::span("study.loops");
-        let os_profile_avg = Profile::merge_all(
-            &cases
-                .iter()
-                .map(|c| c.os_profile.clone())
-                .collect::<Vec<_>>(),
-        );
+        let os_profile_avg = Profile::merge_all(cases.iter().map(|c| &c.os_profile));
         let loops = LoopAnalysis::analyze(&kernel.program, &os_profile_avg);
         Self {
             config: config.clone(),

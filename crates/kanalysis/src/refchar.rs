@@ -66,8 +66,10 @@ pub struct UnionFootprint {
 ///
 /// Panics if `profiles` is empty.
 #[must_use]
-pub fn union_footprint(program: &Program, profiles: &[Profile]) -> UnionFootprint {
-    assert!(!profiles.is_empty(), "need at least one profile");
+pub fn union_footprint<'a>(
+    program: &Program,
+    profiles: impl IntoIterator<Item = &'a Profile>,
+) -> UnionFootprint {
     let merged = Profile::merge_all(profiles);
     UnionFootprint {
         code_fraction: merged.executed_bytes(program) as f64 / program.total_size() as f64,

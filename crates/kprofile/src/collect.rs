@@ -73,7 +73,7 @@ impl Profile {
                     self.node[id.index()] += 1;
                     self.total_node_weight += 1;
                     if let Some(p) = prev {
-                        *self.arcs.entry((p, id)).or_insert(0) += 1;
+                        self.add_arc(p, id, 1);
                         // A call transition invokes the callee routine.
                         if let Terminator::Call { callee, .. } = program.block(p).terminator() {
                             if program.routine(*callee).entry() == id {
@@ -93,7 +93,7 @@ impl Profile {
                 }
             }
         }
-        self.rebuild_adjacency();
+        self.sort_arcs();
     }
 }
 

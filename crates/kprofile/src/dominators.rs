@@ -6,16 +6,15 @@
 //! Harvey & Kennedy over the routine's static intra-procedural CFG (call
 //! terminators fall through to their continuation block).
 
-use std::collections::HashMap;
-
 use oslay_model::{BlockId, Program, RoutineId};
 
 /// Dominator tree of one routine.
 #[derive(Clone, Debug)]
 pub struct Dominators {
     routine: RoutineId,
-    blocks: Vec<BlockId>,
-    local: HashMap<BlockId, usize>,
+    /// Index of the routine's first block. A routine's blocks are
+    /// contiguous, so block `b` has local index `b - first`.
+    first: usize,
     /// Immediate dominator in local indices; `idom[entry] == entry`.
     idom: Vec<usize>,
     reachable: Vec<bool>,
@@ -26,16 +25,16 @@ impl Dominators {
     #[must_use]
     pub fn compute(program: &Program, routine: RoutineId) -> Self {
         let r = program.routine(routine);
-        let blocks: Vec<BlockId> = r.blocks().to_vec();
-        let local: HashMap<BlockId, usize> =
-            blocks.iter().enumerate().map(|(i, &b)| (b, i)).collect();
+        let blocks = r.blocks();
+        let first = blocks[0].index();
         let n = blocks.len();
-        let entry = local[&r.entry()];
+        let local = |b: BlockId| Some(b.index().wrapping_sub(first)).filter(|&i| i < n);
+        let entry = local(r.entry()).expect("entry belongs to its routine");
 
         let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, &b) in blocks.iter().enumerate() {
             for s in program.block(b).terminator().intra_successors() {
-                if let Some(&j) = local.get(&s) {
+                if let Some(j) = local(s) {
                     succs[i].push(j);
                 }
             }
@@ -113,11 +112,15 @@ impl Dominators {
 
         Self {
             routine,
-            blocks,
-            local,
+            first,
             idom,
             reachable: visited,
         }
+    }
+
+    /// `block`'s local index, if it belongs to the routine.
+    fn local(&self, block: BlockId) -> Option<usize> {
+        Some(block.index().wrapping_sub(self.first)).filter(|&i| i < self.idom.len())
     }
 
     /// The routine this tree describes.
@@ -133,23 +136,23 @@ impl Dominators {
     /// relationships.
     #[must_use]
     pub fn is_reachable(&self, block: BlockId) -> bool {
-        self.local.get(&block).is_some_and(|&i| self.reachable[i])
+        self.local(block).is_some_and(|i| self.reachable[i])
     }
 
     /// Immediate dominator of `block` (the entry dominates itself).
     #[must_use]
     pub fn idom(&self, block: BlockId) -> Option<BlockId> {
-        let &i = self.local.get(&block)?;
+        let i = self.local(block)?;
         if !self.reachable[i] || self.idom[i] == usize::MAX {
             return None;
         }
-        Some(self.blocks[self.idom[i]])
+        Some(BlockId::new(self.first + self.idom[i]))
     }
 
     /// True if `a` dominates `b` (reflexive).
     #[must_use]
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (Some(&ia), Some(&ib)) = (self.local.get(&a), self.local.get(&b)) else {
+        let (Some(ia), Some(ib)) = (self.local(a), self.local(b)) else {
             return false;
         };
         if !self.reachable[ia] || !self.reachable[ib] {

@@ -8,8 +8,6 @@
 //! loop's entries, iterations per invocation, executed body size, and
 //! executed span including the call closure.
 
-use std::collections::{HashMap, HashSet};
-
 use oslay_model::{BlockId, Program, RoutineId, Terminator};
 
 use crate::{CallGraph, Dominators, Profile};
@@ -63,9 +61,6 @@ impl NaturalLoop {
 #[derive(Clone, Debug)]
 pub struct LoopAnalysis {
     loops: Vec<NaturalLoop>,
-    /// For each block, the index of its innermost (smallest) containing
-    /// executed loop.
-    innermost: HashMap<BlockId, usize>,
     /// Per-block multiplier that converts execution counts into
     /// loop-flattened counts ("we assume that loops only perform one
     /// iteration per invocation", Section 4.2).
@@ -84,43 +79,27 @@ impl LoopAnalysis {
             }
         }
 
-        // In-arc weights per block, for entry counting.
-        let mut in_arcs: HashMap<BlockId, Vec<(BlockId, u64)>> = HashMap::new();
-        for arc in profile.arcs() {
-            in_arcs
-                .entry(arc.dst)
-                .or_default()
-                .push((arc.src, arc.count));
-        }
-
+        // Routines come in id order and each routine's heads ascending, so
+        // `loops` is ordered by (routine, head).
         let mut loops = Vec::new();
         for routine in program.routines() {
             let dom = Dominators::compute(program, routine.id());
-            // Collect back edges grouped by head.
-            let mut by_head: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+            // Back edges as (head, tail), sorted to group them by head.
+            let mut back_edges: Vec<(BlockId, BlockId)> = Vec::new();
             for &b in routine.blocks() {
                 for succ in program.block(b).terminator().intra_successors() {
                     if dom.is_reachable(b) && dom.dominates(succ, b) {
-                        by_head.entry(succ).or_default().push(b);
+                        back_edges.push((succ, b));
                     }
                 }
             }
-            for (head, tails) in by_head {
-                let body = natural_loop_body(program, head, &tails);
-                let body_set: HashSet<BlockId> = body.iter().copied().collect();
+            back_edges.sort_unstable();
+            for group in back_edges.chunk_by(|x, y| x.0 == y.0) {
+                let head = group[0].0;
+                let body = natural_loop_body(program, head, group);
                 let has_calls = body
                     .iter()
                     .any(|&b| matches!(program.block(b).terminator(), Terminator::Call { .. }));
-                let entries = in_arcs
-                    .get(&head)
-                    .map(|preds| {
-                        preds
-                            .iter()
-                            .filter(|(src, _)| !body_set.contains(src))
-                            .map(|&(_, w)| w)
-                            .sum()
-                    })
-                    .unwrap_or(0);
                 let executed_body_bytes = body
                     .iter()
                     .filter(|&&b| profile.node_weight(b) > 0)
@@ -146,23 +125,26 @@ impl LoopAnalysis {
                     head,
                     body,
                     has_calls,
-                    entries,
+                    entries: 0,
                     head_executions: profile.node_weight(head),
                     executed_body_bytes,
                     executed_span_bytes,
                 });
             }
         }
-        // Deterministic order: by routine, then head.
-        loops.sort_by_key(|l| (l.routine, l.head));
 
-        // Innermost containing loop per block: smallest body wins.
-        let mut innermost: HashMap<BlockId, usize> = HashMap::new();
-        let mut order: Vec<usize> = (0..loops.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(loops[i].body.len()));
-        for &i in &order {
-            for &b in &loops[i].body {
-                innermost.insert(b, i);
+        // Entries: arc traversals into a head from outside its body. Heads
+        // are unique, so one pass over the arcs counts every loop.
+        let mut loop_of_head = vec![None; profile.num_blocks()];
+        for (i, l) in loops.iter().enumerate() {
+            loop_of_head[l.head.index()] = Some(i);
+        }
+        for arc in profile.arcs() {
+            if let Some(i) = loop_of_head[arc.dst.index()] {
+                let l = &mut loops[i];
+                if l.body.binary_search(&arc.src).is_err() {
+                    l.entries += arc.count;
+                }
             }
         }
 
@@ -179,11 +161,7 @@ impl LoopAnalysis {
             }
         }
 
-        Self {
-            loops,
-            innermost,
-            flatten,
-        }
+        Self { loops, flatten }
     }
 
     /// All detected loops (executed or not).
@@ -197,12 +175,6 @@ impl LoopAnalysis {
         self.loops.iter().filter(|l| l.is_executed())
     }
 
-    /// The innermost executed loop containing `block`, if any.
-    #[must_use]
-    pub fn innermost(&self, block: BlockId) -> Option<&NaturalLoop> {
-        self.innermost.get(&block).map(|&i| &self.loops[i])
-    }
-
     /// Execution count of `block` with every enclosing loop flattened to
     /// one iteration per invocation — the count used to choose
     /// SelfConfFree residents (Section 4.2) and to rank blocks in Figure 8.
@@ -213,38 +185,45 @@ impl LoopAnalysis {
 }
 
 /// Standard natural-loop body: `head` plus all blocks that reach a tail
-/// without passing through `head` (computed by reverse traversal from the
-/// tails).
-fn natural_loop_body(program: &Program, head: BlockId, tails: &[BlockId]) -> Vec<BlockId> {
-    // Build intra-routine predecessor lists lazily for the routine.
-    let routine = program.block(head).routine();
-    let r = program.routine(routine);
-    let mut preds: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    for &b in r.blocks() {
+/// of `back_edges` without passing through `head` (computed by reverse
+/// traversal from the tails). Returned sorted by id.
+fn natural_loop_body(
+    program: &Program,
+    head: BlockId,
+    back_edges: &[(BlockId, BlockId)],
+) -> Vec<BlockId> {
+    // A routine's blocks are contiguous: index the tables by position.
+    let blocks = program.routine(program.block(head).routine()).blocks();
+    let local = |b: BlockId| b.index().wrapping_sub(blocks[0].index());
+    let mut preds: Vec<Vec<BlockId>> = vec![Vec::new(); blocks.len()];
+    for &b in blocks {
         for s in program.block(b).terminator().intra_successors() {
-            preds.entry(s).or_default().push(b);
+            if let Some(ps) = preds.get_mut(local(s)) {
+                ps.push(b);
+            }
         }
     }
-    let mut body: HashSet<BlockId> = HashSet::new();
-    body.insert(head);
+    let mut in_body = vec![false; blocks.len()];
+    in_body[local(head)] = true;
     let mut stack: Vec<BlockId> = Vec::new();
-    for &t in tails {
-        if body.insert(t) {
+    for &(_, t) in back_edges {
+        if !std::mem::replace(&mut in_body[local(t)], true) {
             stack.push(t);
         }
     }
     while let Some(b) = stack.pop() {
-        if let Some(ps) = preds.get(&b) {
-            for &p in ps {
-                if body.insert(p) {
-                    stack.push(p);
-                }
+        for &p in &preds[local(b)] {
+            if !std::mem::replace(&mut in_body[local(p)], true) {
+                stack.push(p);
             }
         }
     }
-    let mut v: Vec<BlockId> = body.into_iter().collect();
-    v.sort();
-    v
+    blocks
+        .iter()
+        .zip(&in_body)
+        .filter(|&(_, &inside)| inside)
+        .map(|(&b, _)| b)
+        .collect()
 }
 
 #[cfg(test)]

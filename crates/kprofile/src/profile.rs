@@ -1,7 +1,5 @@
 //! The weighted basic-block flow graph.
 
-use std::collections::HashMap;
-
 use oslay_model::{BlockId, Domain, Program, SeedKind};
 
 /// One measured arc of the flow graph.
@@ -25,12 +23,14 @@ pub struct ArcRecord {
 /// Node weights are block execution counts; arc weights are transition
 /// counts. Unexecuted blocks simply have weight zero (the paper prunes
 /// them; here pruning is implicit — iterate [`Profile::executed_blocks`]).
+///
+/// Arcs live in one store, a `(dst, count)` list per source block, sorted
+/// heaviest first (`dst` ascending on ties); most lists hold one or two.
 #[derive(Clone, Debug)]
 pub struct Profile {
     pub(crate) domain: Domain,
     pub(crate) num_blocks: usize,
     pub(crate) node: Vec<u64>,
-    pub(crate) arcs: HashMap<(BlockId, BlockId), u64>,
     pub(crate) out_adj: Vec<Vec<(BlockId, u64)>>,
     pub(crate) routine_invocations: Vec<u64>,
     pub(crate) seed_invocations: [u64; 4],
@@ -45,7 +45,6 @@ impl Profile {
             domain: program.domain(),
             num_blocks: program.num_blocks(),
             node: vec![0; program.num_blocks()],
-            arcs: HashMap::new(),
             out_adj: vec![Vec::new(); program.num_blocks()],
             routine_invocations: vec![0; program.num_routines()],
             seed_invocations: [0; 4],
@@ -90,7 +89,10 @@ impl Profile {
     /// Measured count of the `src → dst` transition.
     #[must_use]
     pub fn arc_weight(&self, src: BlockId, dst: BlockId) -> u64 {
-        self.arcs.get(&(src, dst)).copied().unwrap_or(0)
+        self.out_adj[src.index()]
+            .iter()
+            .find(|&&(d, _)| d == dst)
+            .map_or(0, |&(_, count)| count)
     }
 
     /// Probability that leaving `src` goes to `dst` (arc weight over source
@@ -110,11 +112,24 @@ impl Profile {
         &self.out_adj[block.index()]
     }
 
-    /// All measured arcs, in unspecified order.
+    /// All measured arcs, source-major (ascending `src`), each source's
+    /// arcs heaviest first.
     pub fn arcs(&self) -> impl Iterator<Item = ArcRecord> + '_ {
-        self.arcs
-            .iter()
-            .map(|(&(src, dst), &count)| ArcRecord { src, dst, count })
+        self.out_adj.iter().enumerate().flat_map(|(i, succs)| {
+            let src = BlockId::new(i);
+            succs
+                .iter()
+                .map(move |&(dst, count)| ArcRecord { src, dst, count })
+        })
+    }
+
+    /// Adds `count` traversals of `src → dst`, leaving the list unsorted.
+    pub(crate) fn add_arc(&mut self, src: BlockId, dst: BlockId, count: u64) {
+        let succs = &mut self.out_adj[src.index()];
+        match succs.iter_mut().find(|(d, _)| *d == dst) {
+            Some((_, w)) => *w += count,
+            None => succs.push((dst, count)),
+        }
     }
 
     /// Blocks with nonzero weight.
@@ -166,23 +181,18 @@ impl Profile {
         self.seed_invocations[kind.index()]
     }
 
-    /// Accumulates another profile of the same program into this one.
-    ///
-    /// The paper builds its layouts "after taking the average of the
-    /// profiles of all the workloads"; summation is equivalent to averaging
-    /// for every ratio-based decision the algorithms make.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the profiles describe different programs.
-    pub fn merge(&mut self, other: &Profile) {
+    /// Sums `other`'s counts into this profile, leaving the arc lists
+    /// unsorted.
+    fn add_counts(&mut self, other: &Profile) {
         assert_eq!(self.domain, other.domain, "domain mismatch");
         assert_eq!(self.num_blocks, other.num_blocks, "program mismatch");
         for (a, b) in self.node.iter_mut().zip(&other.node) {
             *a += b;
         }
-        for (&k, &v) in &other.arcs {
-            *self.arcs.entry(k).or_insert(0) += v;
+        for (i, succs) in other.out_adj.iter().enumerate() {
+            for &(dst, count) in succs {
+                self.add_arc(BlockId::new(i), dst, count);
+            }
         }
         for (a, b) in self
             .routine_invocations
@@ -199,34 +209,35 @@ impl Profile {
             *a += b;
         }
         self.total_node_weight += other.total_node_weight;
-        self.rebuild_adjacency();
     }
 
-    /// Merges many profiles into one (the paper's averaged profile).
+    /// Merges many profiles of one program into one (the paper's averaged
+    /// profile).
+    ///
+    /// The paper builds its layouts "after taking the average of the
+    /// profiles of all the workloads"; summation is equivalent to averaging
+    /// for every ratio-based decision the algorithms make.
     ///
     /// # Panics
     ///
     /// Panics if `profiles` is empty or the profiles describe different
     /// programs.
     #[must_use]
-    pub fn merge_all(profiles: &[Profile]) -> Profile {
-        let first = profiles.first().expect("need at least one profile");
-        let mut acc = first.clone();
-        for p in &profiles[1..] {
-            acc.merge(p);
+    pub fn merge_all<'a>(profiles: impl IntoIterator<Item = &'a Profile>) -> Profile {
+        let mut profiles = profiles.into_iter();
+        let mut acc = profiles.next().expect("need at least one profile").clone();
+        for p in profiles {
+            acc.add_counts(p);
         }
+        acc.sort_arcs();
         acc
     }
 
-    pub(crate) fn rebuild_adjacency(&mut self) {
-        for v in &mut self.out_adj {
-            v.clear();
-        }
-        for (&(src, dst), &count) in &self.arcs {
-            self.out_adj[src.index()].push((dst, count));
-        }
-        for v in &mut self.out_adj {
-            v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    /// Sorts every successor list heaviest first, `dst` ascending on ties
+    /// (destinations are unique within a list, so the order is total).
+    pub(crate) fn sort_arcs(&mut self) {
+        for succs in &mut self.out_adj {
+            succs.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         }
     }
 }
@@ -266,18 +277,16 @@ mod tests {
         let mut a = Profile::empty(&p);
         a.node[0] = 3;
         a.total_node_weight = 3;
-        a.arcs.insert((BlockId::new(0), BlockId::new(1)), 2);
-        a.rebuild_adjacency();
+        a.add_arc(BlockId::new(0), BlockId::new(1), 2);
         let mut b = Profile::empty(&p);
         b.node[0] = 5;
         b.total_node_weight = 5;
-        b.arcs.insert((BlockId::new(0), BlockId::new(1)), 4);
-        b.rebuild_adjacency();
-        a.merge(&b);
-        assert_eq!(a.node_weight(BlockId::new(0)), 8);
-        assert_eq!(a.arc_weight(BlockId::new(0), BlockId::new(1)), 6);
-        assert_eq!(a.total_node_weight(), 8);
-        assert_eq!(a.out_arcs(BlockId::new(0)), &[(BlockId::new(1), 6)]);
+        b.add_arc(BlockId::new(0), BlockId::new(1), 4);
+        let m = Profile::merge_all([&a, &b]);
+        assert_eq!(m.node_weight(BlockId::new(0)), 8);
+        assert_eq!(m.arc_weight(BlockId::new(0), BlockId::new(1)), 6);
+        assert_eq!(m.total_node_weight(), 8);
+        assert_eq!(m.out_arcs(BlockId::new(0)), &[(BlockId::new(1), 6)]);
     }
 
     #[test]

@@ -438,6 +438,9 @@ pub struct TraceReader<R> {
     index: Vec<BlockEntry>,
     totals: StreamTotals,
     file_bytes: u64,
+    /// Payload buffer reused across blocks; grown only to a length the
+    /// frame header and the index agree on.
+    payload: Vec<u8>,
 }
 
 impl TraceReader<BufReader<File>> {
@@ -570,6 +573,7 @@ impl<R: Read + Seek> TraceReader<R> {
             index,
             totals,
             file_bytes,
+            payload: Vec::new(),
         })
     }
 
@@ -652,19 +656,20 @@ impl<R: Read + Seek> TraceReader<R> {
                 entry.payload_len, entry.events
             )));
         }
-        let mut payload = vec![0u8; payload_len as usize];
-        self.inner.read_exact(&mut payload)?;
+        self.payload.resize(payload_len as usize, 0);
+        let payload = &mut self.payload[..];
+        self.inner.read_exact(payload)?;
         let mut stored = [0u8; 4];
         self.inner.read_exact(&mut stored)?;
         let stored = u32::from_le_bytes(stored);
-        let computed = crc32(&payload);
+        let computed = crc32(payload);
         if stored != entry.crc || computed != entry.crc {
             return Err(corrupt(format!(
                 "CRC stored {stored:#010x}, computed {computed:#010x}, index {:#010x}",
                 entry.crc
             )));
         }
-        decode_payload_into(&payload, events, sink).map_err(corrupt)?;
+        decode_payload_into(payload, events, sink).map_err(corrupt)?;
         Ok(events)
     }
 
