@@ -340,6 +340,27 @@ if cargo run --release -q -p oslay-bench --bin dash -- \
   echo "dash --check accepted a truncated telemetry document" >&2
   exit 1
 fi
+# An archived replay labels and orders its timeline runs as the live
+# matrix does: the two telemetry documents are byte-identical.
+cargo run --release -q -p oslay-bench --bin trace -- \
+  record --scale tiny --threads 2 --dir "$tmpdir/archive" > /dev/null
+cargo run --release -q -p oslay-bench --bin trace -- \
+  replay --scale tiny --threads 2 --dir "$tmpdir/archive" \
+  --telemetry-out "$tmpdir/tel_archive.json" > /dev/null 2>&1
+cargo run --release -q -p oslay-bench --bin trace -- \
+  replay --scale tiny --threads 2 --live \
+  --telemetry-out "$tmpdir/tel_live.json" > /dev/null 2>&1
+cmp "$tmpdir/tel_archive.json" "$tmpdir/tel_live.json"
+# A sweep records no timeline runs, but its document must still pass
+# the validator.
+(
+  cd "$tmpdir"
+  cargo run --release -q --manifest-path "$repo_root/Cargo.toml" \
+    -p oslay-bench --bin fig15_cache_size_speedup -- \
+    --scale tiny --threads 2 --telemetry-out tel_sweep.json > /dev/null 2>&1
+)
+cargo run --release -q -p oslay-bench --bin dash -- \
+  --check --telemetry "$tmpdir/tel_sweep.json"
 rm -rf "$tmpdir"
 
 echo "== layout search gate: determinism, lint-clean winner, flag checks =="

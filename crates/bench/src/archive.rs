@@ -14,7 +14,7 @@ use std::sync::Arc;
 use oslay::cache::{Cache, CacheConfig};
 use oslay::{FanoutSink, Replayer, SimConfig, SimResult, Study, WorkloadCase};
 use oslay_layout::Layout;
-use oslay_observe::MetricRegistry;
+use oslay_observe::{timeline, MetricRegistry};
 use oslay_trace::TraceSink;
 use oslay_tracestore::{StoreError, StoreSummary, TraceReader, TraceWriter};
 
@@ -76,8 +76,10 @@ pub fn record_archive(
 /// re-opening and re-decoding the store per level. A case job owns its
 /// five cells of the matrix as output slots, one registry shard each, so
 /// the shards fold into `registry` case-major, level-minor — the order
-/// of the live matrix — and against the same study this is
-/// byte-identical to it at any worker count.
+/// of the live matrix. Each replayer records its timeline run under its
+/// cell's `case/level` label, so against the same study the registry
+/// and the telemetry document are byte-identical to the live ones at any
+/// worker count.
 ///
 /// # Errors
 ///
@@ -113,10 +115,13 @@ pub fn run_archived_figure12_matrix(
             .map(|&(_, _, side)| app_layout_for(study, case, side, cache_cfg.size()))
             .collect();
         let mut caches: Vec<Cache> = shards.iter().map(|_| Cache::new(cache_cfg)).collect();
+        // Each replayer's timeline run is labelled with its cell, as the
+        // live matrix labels its one-cell jobs.
         let mut replayers: Vec<_> = caches
             .iter_mut()
-            .zip(layouts.iter().zip(&apps))
-            .map(|(cache, (os, app))| {
+            .zip(layouts.iter().zip(&apps).zip(&ladder))
+            .map(|(cache, ((os, app), (level, _, _)))| {
+                let _cell = timeline::nested_scope(format!("{}/{level}", case.name()));
                 study.replayer_for(case, &os.layout, app.as_ref(), cache, sim)
             })
             .collect();

@@ -8,7 +8,7 @@
 //! C-H at 32 KB (the cache then holds the working set); with a 30-cycle
 //! penalty the speedups are in the 10–25% range, peaking at 8 KB.
 //!
-//! The whole grid is evaluated in one trace pass per workload
+//! The whole grid is evaluated in one trace pass per layout pair
 //! (`run_sweep_single_pass`).
 
 use std::sync::Arc;

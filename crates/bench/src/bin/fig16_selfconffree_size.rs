@@ -8,7 +8,7 @@
 //! cache the smaller 3.0% one; paper SCF sizes: 0 / 376 / 1286 / 2514
 //! bytes.
 //!
-//! The whole grid is evaluated in one trace pass per workload
+//! The whole grid is evaluated in one trace pass per layout pair
 //! (`run_sweep_single_pass`).
 
 use std::sync::Arc;

@@ -9,7 +9,7 @@
 //! of the same conflicts: 55% at direct-mapped, 41% at 8-way) — yet
 //! direct-mapped OptS still beats 8-way Base.
 //!
-//! Each sweep's grid is evaluated in one trace pass per workload
+//! Each sweep's grid is evaluated in one trace pass per layout pair
 //! (`run_sweep_single_pass`): sub-figure (a) spans four line sizes (four
 //! banked tag arrays side by side), sub-figure (b) four associativities
 //! sharing one bank per layout.

@@ -8,8 +8,8 @@
 //!               [--dir DIR] [--live] [--out FILE]
 //! ```
 //!
-//! `record` regenerates every workload trace from its engine seed and
-//! writes one `.otr` store per case into the archive directory. `inspect`
+//! `record` encodes every workload's buffered trace into one `.otr`
+//! store per case in the archive directory. `inspect`
 //! answers from footers alone (no payload decode); `verify` decodes every
 //! block — sharded across `--threads` workers via the footer index — and
 //! exits non-zero naming the first corrupt block. `replay` reproduces the

@@ -28,8 +28,7 @@ use oslay::cache::{
     AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, CENSUS_SLOTS,
 };
 use oslay::{
-    MultiGroupReplayer, MultiLane, OsLayout, OsLayoutKind, SimConfig, SimResult, Study,
-    StudyConfig, WorkloadCase,
+    MultiLane, OsLayout, OsLayoutKind, SimConfig, SimResult, Study, StudyConfig, WorkloadCase,
 };
 use oslay_layout::Layout;
 use oslay_model::synth::Scale;
@@ -951,14 +950,14 @@ fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<
         .collect()
 }
 
-/// Evaluates every sweep point in **one trace pass per workload case**
+/// Evaluates every sweep point in **one trace pass per layout pair**
 /// instead of one replay per point, returning exactly what [`run_sweep`]
 /// would: the same results and the same final registry state (hence
 /// byte-identical run-report metrics) at any worker count.
 ///
 /// Points are partitioned by case in first-appearance order; each case
-/// job walks the trace once and feeds every distinct layout pair's
-/// [`MultiLane`], whose [`oslay::cache::MultiSim`] settles all cache
+/// job feeds its buffered trace to every distinct layout pair's
+/// [`MultiLane`] in turn, whose [`oslay::cache::MultiSim`] settles all cache
 /// organizations of that pair simultaneously — stack inclusion across
 /// sizes/associativities sharing a line size, banked tag arrays across
 /// line sizes. A case job owns the scattered global indices of its
@@ -966,11 +965,10 @@ fn memoized_app_layouts(study: &Study, points: &[SweepPoint]) -> Vec<Option<Arc<
 /// that slot's shard, so `run_ordered` folds them in global point
 /// order, the same order as [`run_sweep`].
 ///
-/// Only aggregate statistics can be collected this way: a [`SimConfig`]
-/// requesting miss maps or per-block counts falls back to [`run_sweep`]
-/// (no committed sweep grid requests either). The timeline stream
-/// records one run per case rather than per point, and is itself
-/// worker-count-invariant.
+/// Only aggregate statistics can be collected this way: a detailed
+/// [`SimConfig`] falls back to [`run_sweep`] (no committed sweep grid
+/// asks for one). A lane settles many caches at once, so the single
+/// pass records no timeline runs.
 #[must_use]
 pub fn run_sweep_single_pass(
     study: &Study,
@@ -979,7 +977,7 @@ pub fn run_sweep_single_pass(
     threads: usize,
     registry: &Arc<MetricRegistry>,
 ) -> Vec<SimResult> {
-    if sim.os_miss_map || sim.block_misses {
+    if sim.detailed {
         return run_sweep(study, points, sim, threads, registry);
     }
     let apps = memoized_app_layouts(study, &points);
@@ -1041,26 +1039,19 @@ pub fn run_sweep_single_pass(
         .collect();
 
     let Ok(out) = run_ordered(threads, jobs, registry, |(c, specs), shards| {
-        let lanes: Vec<MultiLane> = specs
-            .iter()
-            .map(|l| MultiLane::new(Arc::clone(&l.os), l.app.clone(), &l.configs))
-            .collect();
-        let mut replayer = MultiGroupReplayer::new(lanes);
-        {
-            // Feed the buffered trace — the same event source the
-            // per-point `Study::simulate` path iterates — rather than
-            // re-running the engine walk per case.
-            use oslay::trace::TraceSink as _;
-            let _span = oslay_observe::span("study.sim");
-            for event in study.cases()[c].trace.events() {
-                replayer.event(*event);
-            }
-        }
-        // Slots run lane by lane, organization by organization, exactly
-        // as the job declared them.
+        // Each lane takes the case's buffered trace in turn — the same
+        // event source the per-point `Study::simulate` path replays —
+        // and is dropped once its points are settled. Slots run lane by
+        // lane, organization by organization, exactly as the job
+        // declared them.
+        use oslay::trace::TraceSink as _;
+        let events = study.cases()[c].trace.events();
+        let _span = oslay_observe::span("study.sim");
         let mut shards = shards.iter();
         let mut settled = Vec::new();
-        for (lane, spec) in replayer.finish().iter().zip(&specs) {
+        for spec in &specs {
+            let mut lane = MultiLane::new(&spec.os, spec.app.as_deref(), &spec.configs);
+            lane.events(events);
             for k in 0..spec.configs.len() {
                 let shard = shards.next().expect("one shard per slot");
                 lane.sim().report_into(k, shard.as_ref());

@@ -47,7 +47,7 @@ pub mod exec;
 mod sim;
 mod study;
 
-pub use sim::{FanoutSink, MultiGroupReplayer, MultiLane, Replayer, SimConfig, SimResult};
+pub use sim::{FanoutSink, MultiLane, Replayer, SimConfig, SimResult};
 pub use study::{OsLayout, OsLayoutKind, Study, StudyConfig, WorkloadCase};
 
 pub use oslay_analysis as analysis;

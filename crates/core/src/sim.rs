@@ -1,11 +1,9 @@
 //! Trace replay through a cache under a pair of layouts.
 
-use std::sync::Arc;
-
 use oslay_analysis::missmap::AddressHistogram;
-use oslay_cache::{CacheConfig, InstructionCache, MissStats, MultiSim};
+use oslay_cache::{AccessOutcome, CacheConfig, InstructionCache, MissKind, MissStats, MultiSim};
 use oslay_layout::Layout;
-use oslay_model::Domain;
+use oslay_model::{BlockId, Domain};
 use oslay_observe::timeline::{self, CacheSnapshot, WindowRecorder};
 use oslay_trace::TraceEvent;
 
@@ -20,7 +18,7 @@ fn cache_snapshot<C: InstructionCache + ?Sized>(cache: &C) -> CacheSnapshot {
         accesses: stats.total_accesses(),
         os_accesses: stats.accesses(Domain::Os),
         misses: stats.total_misses(),
-        cold_misses: stats.misses(oslay_cache::MissKind::Cold),
+        cold_misses: stats.misses(MissKind::Cold),
         probe: cache.telemetry_snapshot(),
     }
 }
@@ -28,29 +26,22 @@ fn cache_snapshot<C: InstructionCache + ?Sized>(cache: &C) -> CacheSnapshot {
 /// What to collect during a simulation.
 #[derive(Copy, Clone, Debug)]
 pub struct SimConfig {
-    /// Collect a per-1KB histogram of OS miss addresses (Figures 1, 14).
-    pub os_miss_map: bool,
-    /// Collect per-OS-block miss counts (Figure 13, Table 2).
-    pub block_misses: bool,
+    /// Collect the per-1KB histograms of OS miss addresses (Figures 1,
+    /// 14) and per-OS-block miss counts (Figure 13, Table 2).
+    pub detailed: bool,
 }
 
 impl SimConfig {
     /// Collect nothing beyond the aggregate statistics.
     #[must_use]
     pub fn fast() -> Self {
-        Self {
-            os_miss_map: false,
-            block_misses: false,
-        }
+        Self { detailed: false }
     }
 
     /// Collect everything.
     #[must_use]
     pub fn full() -> Self {
-        Self {
-            os_miss_map: true,
-            block_misses: true,
-        }
+        Self { detailed: true }
     }
 }
 
@@ -78,45 +69,45 @@ impl SimResult {
     }
 }
 
-/// The three per-1KB OS miss-address histograms of [`SimConfig::os_miss_map`].
-struct OsMissMaps {
+/// The collectors of [`SimConfig::detailed`]: three per-1KB OS
+/// miss-address histograms and a miss count per OS block.
+struct Detail {
     all: AddressHistogram,
     os_self: AddressHistogram,
     os_cross: AddressHistogram,
+    block_misses: Vec<u64>,
 }
 
-impl OsMissMaps {
-    /// Fetches `words` words at `base` one at a time, adding each OS miss
-    /// address to the maps; returns the number that missed.
-    fn access_mapped<C: InstructionCache + ?Sized>(
+impl Detail {
+    /// Fetches block `id`'s `words` words at `base` one at a time, so
+    /// each OS miss lands at its own address.
+    fn access<C: InstructionCache + ?Sized>(
         &mut self,
         cache: &mut C,
+        id: BlockId,
         base: u64,
         words: u32,
         domain: Domain,
-    ) -> u64 {
-        let mut missed = 0u64;
+    ) {
         for w in 0..words {
             let addr = base + u64::from(w) * u64::from(oslay_model::WORD_BYTES);
-            if let oslay_cache::AccessOutcome::Miss(kind) = cache.access(addr, domain) {
-                missed += 1;
-                if domain == Domain::Os {
-                    self.all.add(addr);
-                    match kind {
-                        oslay_cache::MissKind::OsSelf => self.os_self.add(addr),
-                        oslay_cache::MissKind::OsByApp => self.os_cross.add(addr),
-                        _ => {}
-                    }
+            let outcome = cache.access(addr, domain);
+            if let (Domain::Os, AccessOutcome::Miss(kind)) = (domain, outcome) {
+                self.block_misses[id.index()] += 1;
+                self.all.add(addr);
+                match kind {
+                    MissKind::OsSelf => self.os_self.add(addr),
+                    MissKind::OsByApp => self.os_cross.add(addr),
+                    _ => {}
                 }
             }
         }
-        missed
     }
 }
 
 /// A streaming trace consumer that drives a cache: each [`TraceEvent`]
-/// maps through the layouts to an instruction-fetch address stream and the
-/// configured miss collectors.
+/// maps through the layouts to an instruction-fetch address stream and,
+/// for a detailed replay, the miss collectors.
 ///
 /// This is the engine's hot path. [`Study::simulate`] hands it the case's
 /// buffered [`oslay_trace::Trace`] as one slice; [`Study::replayer_for`]
@@ -129,11 +120,9 @@ pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     os_layout: &'a Layout,
     app_layout: Option<&'a Layout>,
     cache: &'a mut C,
-    /// Present when address-granular miss maps are collected: block
-    /// fetches are then replayed per word, otherwise they take the
-    /// cache's coalesced line path.
-    os_miss_maps: Option<OsMissMaps>,
-    os_block_misses: Option<Vec<u64>>,
+    /// Present for a detailed replay: block fetches are then replayed per
+    /// word, otherwise they take the cache's coalesced line path.
+    detail: Option<Detail>,
     /// Timeline recorder, present only when the timeline is enabled and
     /// this thread is inside a recording scope — the hot path then pays
     /// one branch per event plus a periodic cache sample.
@@ -159,49 +148,44 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
         cache: &'a mut C,
         config: &SimConfig,
     ) -> Self {
-        let telemetry = timeline::recorder().map(Box::new);
-        if telemetry.is_some() {
-            // Ask the cache to keep its side of the telemetry (the
-            // eviction-age histogram) for the duration of this replay;
-            // `finish` turns it back off.
-            cache.set_telemetry(true);
-        }
         Self {
             os_layout,
             app_layout,
             cache,
-            os_miss_maps: config.os_miss_map.then(|| OsMissMaps {
+            detail: config.detailed.then(|| Detail {
                 all: AddressHistogram::paper(),
                 os_self: AddressHistogram::paper(),
                 os_cross: AddressHistogram::paper(),
+                block_misses: vec![0u64; os_layout.num_blocks()],
             }),
-            os_block_misses: config
-                .block_misses
-                .then(|| vec![0u64; os_layout.num_blocks()]),
-            telemetry,
+            telemetry: timeline::recorder().map(Box::new),
         }
     }
 
     /// Finishes the replay, reading the final statistics off the cache.
     /// If the timeline was recording, the final (possibly partial)
-    /// window is closed, the run's phases are segmented, and the cache's
-    /// telemetry bookkeeping is released.
+    /// window is closed and the run's phases are segmented.
     #[must_use]
-    pub fn finish(mut self) -> SimResult {
-        if let Some(tl) = self.telemetry.take() {
+    pub fn finish(self) -> SimResult {
+        if let Some(tl) = self.telemetry {
             tl.finish(&cache_snapshot(&*self.cache));
-            self.cache.set_telemetry(false);
         }
-        let (all, os_self, os_cross) = match self.os_miss_maps {
-            Some(m) => (Some(m.all), Some(m.os_self), Some(m.os_cross)),
-            None => (None, None, None),
+        let (os_miss_map, os_self_miss_map, os_cross_miss_map, os_block_misses) = match self.detail
+        {
+            Some(d) => (
+                Some(d.all),
+                Some(d.os_self),
+                Some(d.os_cross),
+                Some(d.block_misses),
+            ),
+            None => (None, None, None, None),
         };
         SimResult {
             stats: *self.cache.stats(),
-            os_miss_map: all,
-            os_self_miss_map: os_self,
-            os_cross_miss_map: os_cross,
-            os_block_misses: self.os_block_misses,
+            os_miss_map,
+            os_self_miss_map,
+            os_cross_miss_map,
+            os_block_misses,
         }
     }
 }
@@ -228,13 +212,11 @@ impl<C: InstructionCache + ?Sized> oslay_trace::TraceSink for Replayer<'_, C> {
             os_layout,
             app_layout,
             cache,
-            os_miss_maps,
-            os_block_misses,
+            detail,
             telemetry,
         } = self;
         let (os_layout, app_layout) = (*os_layout, *app_layout);
         let cache: &mut C = cache;
-        let mut block_misses = os_block_misses.as_deref_mut();
         let mut telemetry = telemetry.as_deref_mut();
         for &event in events {
             match event {
@@ -244,16 +226,11 @@ impl<C: InstructionCache + ?Sized> oslay_trace::TraceSink for Replayer<'_, C> {
                         Domain::App => app_layout.expect("app block but no app layout"),
                     };
                     let (base, words) = (layout.addr(id), layout.fetch_words(id));
-                    // Without per-address miss maps the per-word outcomes
-                    // are not observed, so the whole block fetch goes
-                    // through the cache's line path (identical stats and
-                    // state, bulk-counted hits).
-                    let missed = match os_miss_maps {
-                        Some(maps) => maps.access_mapped(cache, base, words, domain),
-                        None => cache.access_words(base, words, domain),
-                    };
-                    if let (Domain::Os, Some(v)) = (domain, block_misses.as_deref_mut()) {
-                        v[id.index()] += missed;
+                    match detail {
+                        None => {
+                            cache.access_words(base, words, domain);
+                        }
+                        Some(d) => d.access(cache, id, base, words, domain),
                     }
                 }
                 // Boundary events feed the cache's diagnostic hooks
@@ -312,20 +289,24 @@ impl oslay_trace::TraceSink for FanoutSink<'_> {
     }
 }
 
-/// One layout pair within a [`MultiGroupReplayer`]: a multi-configuration
-/// simulator ([`MultiSim`]) fed through this pair's address mapping.
+/// A multi-configuration simulator ([`MultiSim`]) fed through one layout
+/// pair: the single-pass counterpart of [`Replayer`] that sweeps replay
+/// through.
 ///
 /// Points sharing a trace but differing in OS or app layout cannot share
 /// a [`MultiSim`] (their address streams differ), so each distinct layout
-/// pair gets a lane and all lanes ride the same trace walk.
+/// pair gets a lane, and each lane takes the trace in turn. Only
+/// aggregate statistics are collected (the equivalent of
+/// [`SimConfig::fast`]), and no timeline run is recorded: a timeline
+/// describes one cache, a lane settles many.
 #[derive(Clone, Debug)]
-pub struct MultiLane {
-    os_layout: Arc<Layout>,
-    app_layout: Option<Arc<Layout>>,
+pub struct MultiLane<'a> {
+    os_layout: &'a Layout,
+    app_layout: Option<&'a Layout>,
     sim: MultiSim,
 }
 
-impl MultiLane {
+impl<'a> MultiLane<'a> {
     /// Creates a lane simulating every configuration in `configs` under
     /// the given layout pair.
     ///
@@ -334,8 +315,8 @@ impl MultiLane {
     /// Panics if `configs` is empty.
     #[must_use]
     pub fn new(
-        os_layout: Arc<Layout>,
-        app_layout: Option<Arc<Layout>>,
+        os_layout: &'a Layout,
+        app_layout: Option<&'a Layout>,
         configs: &[CacheConfig],
     ) -> Self {
         Self {
@@ -345,18 +326,6 @@ impl MultiLane {
         }
     }
 
-    /// The OS layout this lane maps OS blocks through.
-    #[must_use]
-    pub fn os_layout(&self) -> &Arc<Layout> {
-        &self.os_layout
-    }
-
-    /// The app layout this lane maps app blocks through, if any.
-    #[must_use]
-    pub fn app_layout(&self) -> Option<&Arc<Layout>> {
-        self.app_layout.as_ref()
-    }
-
     /// The lane's simulator, for per-point results after the replay.
     #[must_use]
     pub fn sim(&self) -> &MultiSim {
@@ -364,185 +333,33 @@ impl MultiLane {
     }
 }
 
-/// Timeline sample for a lane group. There is no single "the cache" here;
-/// by convention the first configured point of the first lane represents
-/// the group (the committed sweep grids list the baseline point first),
-/// and no probe sample is attached.
-fn multi_snapshot(lanes: &[MultiLane]) -> CacheSnapshot {
-    let stats = lanes[0].sim.stats(0);
-    CacheSnapshot {
-        accesses: stats.total_accesses(),
-        os_accesses: stats.accesses(Domain::Os),
-        misses: stats.total_misses(),
-        cold_misses: stats.misses(oslay_cache::MissKind::Cold),
-        probe: None,
-    }
-}
-
-/// A streaming trace consumer that drives a whole sweep group — several
-/// layout-pair lanes, each simulating many cache configurations — through
-/// one walk of the trace.
-///
-/// The single-pass counterpart of [`Replayer`]: where that maps each
-/// event to one fetch against one cache, this maps it through every
-/// lane's layouts into that lane's [`MultiSim`]. Only aggregate
-/// statistics are collected (the equivalent of [`SimConfig::fast`]);
-/// sweeps needing miss maps or per-block counts replay per point.
-///
-/// # Panics
-///
-/// [`oslay_trace::TraceSink::event`] panics if an app block arrives on a
-/// lane without an app layout.
-pub struct MultiGroupReplayer {
-    lanes: Vec<MultiLane>,
-    /// Timeline recorder, present only when the timeline is enabled and
-    /// this thread is inside a recording scope (same contract as
-    /// [`Replayer`]); samples carry no per-cache probe data.
-    telemetry: Option<Box<WindowRecorder>>,
-}
-
-impl std::fmt::Debug for MultiGroupReplayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiGroupReplayer")
-            .field("lanes", &self.lanes.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl MultiGroupReplayer {
-    /// Creates a replayer over the given lanes.
+impl oslay_trace::TraceSink for MultiLane<'_> {
+    /// Replays one event, as a one-event slice.
     ///
     /// # Panics
     ///
-    /// Panics if `lanes` is empty.
-    #[must_use]
-    pub fn new(lanes: Vec<MultiLane>) -> Self {
-        assert!(!lanes.is_empty(), "a sweep group needs at least one lane");
-        Self {
-            lanes,
-            telemetry: timeline::recorder().map(Box::new),
-        }
-    }
-
-    /// Finishes the replay and hands the lanes (with their accumulated
-    /// per-point results) back. Closes the timeline run if one was
-    /// recording.
-    #[must_use]
-    pub fn finish(mut self) -> Vec<MultiLane> {
-        if let Some(tl) = self.telemetry.take() {
-            tl.finish(&multi_snapshot(&self.lanes));
-        }
-        self.lanes
-    }
-}
-
-impl oslay_trace::TraceSink for MultiGroupReplayer {
-    fn event(&mut self, event: TraceEvent) {
-        if let TraceEvent::Block { id, domain } = event {
-            for lane in &mut self.lanes {
-                let layout = match domain {
-                    Domain::Os => &lane.os_layout,
-                    Domain::App => lane
-                        .app_layout
-                        .as_ref()
-                        .expect("app block but no app layout"),
-                };
-                lane.sim
-                    .access_words(layout.addr(id), layout.fetch_words(id), domain);
-            }
-        }
-        // Boundary events fetch nothing (and a sweep group has no
-        // diagnostic hooks), but they still advance the timeline so window
-        // boundaries line up with the per-point replays.
-        if let Some(tl) = self.telemetry.as_deref_mut() {
-            if tl.tick() {
-                tl.sample(&multi_snapshot(&self.lanes));
-            }
-        }
-    }
-}
-
-/// Forwards a trace stream unchanged to an inner sink, emitting flight
-/// recorder heartbeat counters every `every` events: events streamed so
-/// far (`sim.events`), instantaneous throughput (`sim.ev_per_s`), and —
-/// when an allocation probe is installed — the live heap size
-/// (`sim.live_bytes`).
-///
-/// The telemetry substrate for long streamed walks (`trace record
-/// --trace-out`): a consumer can watch throughput evolve over a run
-/// instead of learning one aggregate number at the end. Only constructed
-/// while the flight recorder is enabled ([`Study::stream_case`] wraps its
-/// sink conditionally), so the hot path pays nothing when tracing is off
-/// — and the wrapped stream is bit-identical either way.
-pub struct HeartbeatSink<'a, S: oslay_trace::TraceSink + ?Sized> {
-    inner: &'a mut S,
-    every: u64,
-    seen: u64,
-    window_start: std::time::Instant,
-    window_seen: u64,
-}
-
-impl<S: oslay_trace::TraceSink + ?Sized> std::fmt::Debug for HeartbeatSink<'_, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HeartbeatSink")
-            .field("every", &self.every)
-            .field("seen", &self.seen)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'a, S: oslay_trace::TraceSink + ?Sized> HeartbeatSink<'a, S> {
-    /// Default heartbeat interval: one snapshot per ~1M events, frequent
-    /// enough to chart a run, far too coarse to perturb it.
-    pub const DEFAULT_EVERY: u64 = 1 << 20;
-
-    /// Wraps `inner`, beating every `every` events (min 1).
-    pub fn new(inner: &'a mut S, every: u64) -> Self {
-        Self {
-            inner,
-            every: every.max(1),
-            seen: 0,
-            window_start: std::time::Instant::now(),
-            window_seen: 0,
-        }
-    }
-
-    fn beat(&mut self) {
-        let dt = self.window_start.elapsed().as_secs_f64();
-        oslay_observe::flight::counter("sim.events", self.seen as f64);
-        if dt > 0.0 {
-            oslay_observe::flight::counter(
-                "sim.ev_per_s",
-                (self.seen - self.window_seen) as f64 / dt,
-            );
-        }
-        if let Some(alloc) = oslay_observe::flight::alloc_probe_sample() {
-            oslay_observe::flight::counter("sim.live_bytes", alloc.live_bytes as f64);
-        }
-        self.window_start = std::time::Instant::now();
-        self.window_seen = self.seen;
-    }
-}
-
-impl<S: oslay_trace::TraceSink + ?Sized> oslay_trace::TraceSink for HeartbeatSink<'_, S> {
+    /// Panics if an app block arrives but the lane has no app layout.
     fn event(&mut self, event: TraceEvent) {
         self.events(std::slice::from_ref(&event));
     }
 
-    /// Forwards the slice in pieces cut at the heartbeat cadence, so a
-    /// beat fires after exactly every `every`-th event however the
-    /// stream is split.
-    fn events(&mut self, mut events: &[TraceEvent]) {
-        while !events.is_empty() {
-            let to_beat = self.every - self.seen % self.every;
-            let piece_len = usize::try_from(to_beat).map_or(events.len(), |n| n.min(events.len()));
-            let (piece, rest) = events.split_at(piece_len);
-            self.inner.events(piece);
-            self.seen += piece.len() as u64;
-            if self.seen.is_multiple_of(self.every) {
-                self.beat();
+    /// The lane's replay loop: each block maps through its layout into
+    /// every configuration at once. Boundary events fetch nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an app block arrives but the lane has no app layout.
+    fn events(&mut self, events: &[TraceEvent]) {
+        let (os_layout, app_layout) = (self.os_layout, self.app_layout);
+        for &event in events {
+            if let TraceEvent::Block { id, domain } = event {
+                let layout = match domain {
+                    Domain::Os => os_layout,
+                    Domain::App => app_layout.expect("app block but no app layout"),
+                };
+                self.sim
+                    .access_words(layout.addr(id), layout.fetch_words(id), domain);
             }
-            events = rest;
         }
     }
 }
@@ -608,7 +425,8 @@ impl Study {
 pub(crate) mod tests {
     use super::*;
     use crate::{OsLayoutKind, StudyConfig};
-    use oslay_cache::{Cache, CacheConfig, MissKind};
+    use oslay_cache::Cache;
+    use std::sync::Arc;
 
     fn study() -> Study {
         Study::generate(&StudyConfig::tiny())
@@ -715,97 +533,61 @@ pub(crate) mod tests {
         let _ = s.simulate(case, &base.layout, None, &mut cache, &SimConfig::fast());
     }
 
+    #[test]
+    fn eviction_ages_count_every_eviction_with_the_timeline_off() {
+        use oslay_cache::{AddressMap, AttributedCache};
+        use oslay_observe::MetricRegistry;
+
+        let _g = observability_gate();
+        let s = study();
+        let case = &s.cases()[0];
+        let base = s.os_layout(OsLayoutKind::Base, 8192);
+        let app = s.app_base_layout(case);
+        let cfg = CacheConfig::paper_default();
+        let evictions = |cache: &Cache| {
+            let reg = MetricRegistry::new();
+            cache.report_into(&reg);
+            reg.counter("cache.evict.by_os") + reg.counter("cache.evict.by_app")
+        };
+        let ages = |snap: Option<timeline::CacheProbeSnapshot>| {
+            snap.expect("the dense cache samples")
+                .evict_ages
+                .iter()
+                .sum::<u64>()
+        };
+        assert!(!timeline::is_enabled());
+        let mut dense = Cache::new(cfg);
+        let _ = s.simulate(
+            case,
+            &base.layout,
+            app.as_ref(),
+            &mut dense,
+            &SimConfig::fast(),
+        );
+        assert!(evictions(&dense) > 0);
+        assert_eq!(ages(dense.telemetry_snapshot()), evictions(&dense));
+        let map = Arc::new(AddressMap::build(std::iter::empty()));
+        let mut attributed = AttributedCache::new(Cache::new(cfg), map);
+        let _ = s.simulate(
+            case,
+            &base.layout,
+            app.as_ref(),
+            &mut attributed,
+            &SimConfig::fast(),
+        );
+        assert_eq!(
+            ages(attributed.telemetry_snapshot()),
+            evictions(attributed.inner())
+        );
+        assert_eq!(evictions(attributed.inner()), evictions(&dense));
+    }
+
     // The flight recorder and timeline are process-global; serialize the
     // tests that reset them or read what they hold.
     pub(crate) fn observability_gate() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
         GATE.lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// A sink that archives every event it receives, for byte-exact
-    /// forwarding comparisons.
-    #[derive(Debug, Default)]
-    struct ArchiveSink(Vec<TraceEvent>);
-
-    impl oslay_trace::TraceSink for ArchiveSink {
-        fn event(&mut self, event: TraceEvent) {
-            self.0.push(event);
-        }
-    }
-
-    #[test]
-    fn heartbeat_default_cadence_is_two_to_the_twenty() {
-        assert_eq!(HeartbeatSink::<ArchiveSink>::DEFAULT_EVERY, 1 << 20);
-    }
-
-    #[test]
-    fn heartbeat_beats_on_exact_cadence_with_monotone_counters() {
-        let _g = observability_gate();
-        let s = study();
-        let case = &s.cases()[3];
-        let events = case.trace.events();
-        let total = events.len() as u64;
-        let every = 64u64;
-        // Per event, as one slice, and in slices that straddle the
-        // cadence: the same beats, and the stream forwarded unchanged.
-        for slice in [1, events.len(), 100] {
-            oslay_observe::flight::reset();
-            oslay_observe::flight::enable();
-            let mut archive = ArchiveSink::default();
-            {
-                let mut hb = HeartbeatSink::new(&mut archive, every);
-                for chunk in events.chunks(slice) {
-                    oslay_trace::TraceSink::events(&mut hb, chunk);
-                }
-            }
-            oslay_observe::flight::disable();
-            let beats: Vec<f64> = oslay_observe::flight::counter_events()
-                .into_iter()
-                .filter(|c| c.name == "sim.events")
-                .map(|c| c.value)
-                .collect();
-            oslay_observe::flight::reset();
-            assert_eq!(archive.0, events, "slices of {slice}");
-            assert_eq!(
-                beats.len() as u64,
-                total / every,
-                "one beat per {every} events, nothing on the partial tail"
-            );
-            for (i, &v) in beats.iter().enumerate() {
-                assert_eq!(v, ((i as u64 + 1) * every) as f64, "beat {i} cadence");
-            }
-            assert!(
-                beats.windows(2).all(|w| w[0] < w[1]),
-                "event counter strictly monotone"
-            );
-        }
-    }
-
-    #[test]
-    fn heartbeat_wrapper_forwards_events_byte_identically() {
-        let _g = observability_gate();
-        let s = study();
-        let case = &s.cases()[0]; // app+OS mix: all event kinds flow
-        let mut plain = ArchiveSink::default();
-        for event in case.trace.events() {
-            oslay_trace::TraceSink::event(&mut plain, *event);
-        }
-        // Wrapped, with an aggressive cadence and the recorder enabled:
-        // the downstream archive must not change by one byte.
-        oslay_observe::flight::reset();
-        oslay_observe::flight::enable();
-        let mut wrapped = ArchiveSink::default();
-        {
-            let mut hb = HeartbeatSink::new(&mut wrapped, 7);
-            for event in case.trace.events() {
-                oslay_trace::TraceSink::event(&mut hb, *event);
-            }
-        }
-        oslay_observe::flight::disable();
-        oslay_observe::flight::reset();
-        assert_eq!(plain.0, wrapped.0);
-        assert_eq!(format!("{:?}", plain.0), format!("{:?}", wrapped.0));
     }
 
     #[test]

@@ -392,16 +392,7 @@ impl Study {
             &case.spec,
             EngineConfig::new(case.engine_seed),
         );
-        if oslay_observe::flight::is_enabled() {
-            // Wrap the sink in a heartbeat emitter so long streaming
-            // replays chart their throughput; the forwarded stream is
-            // bit-identical, and the branch costs nothing when off.
-            let mut hb =
-                crate::sim::HeartbeatSink::new(sink, crate::sim::HeartbeatSink::<S>::DEFAULT_EVERY);
-            engine.run_into(self.config.os_blocks, &mut hb);
-        } else {
-            engine.run_into(self.config.os_blocks, sink);
-        }
+        engine.run_into(self.config.os_blocks, sink);
     }
 
     /// The unoptimized application layout for a case (if it has an app).

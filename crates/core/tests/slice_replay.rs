@@ -4,13 +4,14 @@
 //! slice, and slices cut at seeded random points — with aggregate and
 //! full collection, telemetry off and on. Statistics, per-block miss
 //! counts, the three miss-address maps and the timeline document must
-//! all be equal.
+//! all be equal. A sweep's [`MultiLane`] is held to the same rule for
+//! every point it settles.
 
 use oslay::cache::{Cache, CacheConfig};
 use oslay::model::rng::Rng;
 use oslay::trace::{TraceEvent, TraceSink};
-use oslay::{OsLayoutKind, Replayer, SimConfig, SimResult, Study, StudyConfig};
-use oslay_observe::timeline;
+use oslay::{MultiLane, OsLayoutKind, Replayer, SimConfig, SimResult, Study, StudyConfig};
+use oslay_observe::{timeline, MetricRegistry, RunReport};
 
 /// Cuts `events` into the slices one delivery hands over.
 fn split<'e>(events: &'e [TraceEvent], how: &Split) -> Vec<&'e [TraceEvent]> {
@@ -88,10 +89,10 @@ fn replay_is_independent_of_how_the_trace_is_sliced() {
             for sim in [SimConfig::fast(), SimConfig::full()] {
                 for telemetry in [false, true] {
                     let what = format!(
-                        "{} under {} (miss maps {}, telemetry {telemetry})",
+                        "{} under {} (detailed {}, telemetry {telemetry})",
                         study.cases()[case].name(),
                         kind.name(),
-                        sim.os_miss_map
+                        sim.detailed
                     );
                     seed += 1;
                     let (want, want_doc) =
@@ -117,6 +118,51 @@ fn replay_is_independent_of_how_the_trace_is_sliced() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Per point of one lane: its statistics and its reported registry,
+/// serialized deterministically.
+fn lane_points(lane: &MultiLane<'_>, points: usize) -> Vec<(oslay::cache::MissStats, String)> {
+    (0..points)
+        .map(|k| {
+            let registry = MetricRegistry::new();
+            lane.sim().report_into(k, &registry);
+            let mut report = RunReport::new("lane");
+            report.add_metrics(&registry);
+            (
+                lane.sim().stats(k),
+                report.to_json_deterministic().to_json_pretty(),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn multi_lane_is_independent_of_how_the_trace_is_sliced() {
+    let study = Study::generate(&StudyConfig::tiny());
+    // Two line sizes (two banks), direct-mapped and associative points.
+    let configs = [
+        CacheConfig::paper_default(),
+        CacheConfig::new(4096, 32, 2),
+        CacheConfig::new(16384, 64, 4),
+    ];
+    let os = study.os_layout(OsLayoutKind::OptS, 8192);
+    for case in study.cases() {
+        let app = study.app_base_layout(case);
+        let events = case.trace.events();
+        let mut by_split = [events.len(), 4096, 1].map(|chunk| {
+            let mut lane = MultiLane::new(&os.layout, app.as_ref(), &configs);
+            for slice in events.chunks(chunk) {
+                lane.events(slice);
+            }
+            lane_points(&lane, configs.len())
+        });
+        let whole = std::mem::take(&mut by_split[0]);
+        assert!(whole.iter().all(|(stats, _)| stats.total_misses() > 0));
+        for (got, chunk) in by_split[1..].iter().zip([4096, 1]) {
+            assert_eq!(got, &whole, "{} in chunks of {chunk}", case.name());
         }
     }
 }

@@ -738,9 +738,9 @@ impl AttributionReport {
     }
 
     /// Flattens the report into the numeric fields a
-    /// [`RunReport`](oslay_observe::RunReport) section stores, so
-    /// `compare()` can flag conflict-matrix regressions between runs.
-    /// All fields are lower-is-better.
+    /// [`RunReport`](oslay_observe::RunReport) section stores; the run
+    /// reports of `diag`, the digest and `fig13` record each layout's
+    /// attribution this way. All fields are lower-is-better.
     #[must_use]
     pub fn section_fields(&self) -> Vec<(String, f64)> {
         let mut out = vec![
@@ -1075,10 +1075,6 @@ impl InstructionCache for AttributedCache {
 
     fn note_os_exit(&mut self) {
         self.context = None;
-    }
-
-    fn set_telemetry(&mut self, enabled: bool) {
-        self.inner.set_telemetry(enabled);
     }
 
     fn telemetry_snapshot(&self) -> Option<oslay_observe::timeline::CacheProbeSnapshot> {

@@ -89,14 +89,6 @@ pub trait InstructionCache: std::fmt::Debug {
     /// Notes that the trace returned from the operating system.
     fn note_os_exit(&mut self) {}
 
-    /// Enables or disables telemetry collection (the timeline's
-    /// eviction-age histogram). The default ignores the request;
-    /// organizations without the bookkeeping simply report no probe
-    /// data. Disabling frees any telemetry state.
-    fn set_telemetry(&mut self, enabled: bool) {
-        let _ = enabled;
-    }
-
     /// A point-in-time telemetry sample — per-set occupancy quantiles,
     /// fill fraction, the eviction-age histogram, and (for attributing
     /// caches) the cumulative compulsory/capacity/conflict split. The

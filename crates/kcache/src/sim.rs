@@ -265,9 +265,8 @@ pub struct Cache {
     /// Evictions of valid lines, by evictor domain.
     evictions: [u64; 2],
     /// Eviction-age histogram (log2 buckets of `clock - last_touch`),
-    /// allocated only while the timeline has telemetry enabled.
-    /// Touched only on the eviction path.
-    evict_ages: Option<Box<[u64; timeline::AGE_BUCKETS]>>,
+    /// touched only on the eviction path.
+    evict_ages: [u64; timeline::AGE_BUCKETS],
 }
 
 impl std::fmt::Debug for Cache {
@@ -296,7 +295,7 @@ impl Cache {
             clock: 0,
             stats: MissStats::default(),
             evictions: [0; 2],
-            evict_ages: None,
+            evict_ages: [0; timeline::AGE_BUCKETS],
         }
     }
 
@@ -405,9 +404,7 @@ impl Cache {
         if evicted_valid {
             self.evicted_by.record(evictee, domain);
             self.evictions[domain.index()] += 1;
-            if let Some(ages) = self.evict_ages.as_deref_mut() {
-                ages[(clock - victim_last).ilog2() as usize] += 1;
-            }
+            self.evict_ages[(clock - victim_last).ilog2() as usize] += 1;
         }
         // A line is non-cold iff it was ever evicted — residency implies a
         // prior fill, and every displacement of a valid line leaves a
@@ -503,13 +500,7 @@ impl InstructionCache for Cache {
         self.clock = 0;
         self.stats = MissStats::default();
         self.evictions = [0; 2];
-        if let Some(ages) = self.evict_ages.as_deref_mut() {
-            ages.fill(0);
-        }
-    }
-
-    fn set_telemetry(&mut self, enabled: bool) {
-        self.evict_ages = enabled.then(|| Box::new([0u64; timeline::AGE_BUCKETS]));
+        self.evict_ages = [0; timeline::AGE_BUCKETS];
     }
 
     fn telemetry_snapshot(&self) -> Option<CacheProbeSnapshot> {
@@ -537,11 +528,7 @@ impl InstructionCache for Cache {
             occ_p50: quantile(1, 2),
             occ_p95: quantile(19, 20),
             fill_ppm: (valid_total * 1_000_000 / self.tags.len() as u64) as u32,
-            evict_ages: self
-                .evict_ages
-                .as_deref()
-                .copied()
-                .unwrap_or([0; timeline::AGE_BUCKETS]),
+            evict_ages: self.evict_ages,
             attr: None,
         })
     }
@@ -559,7 +546,6 @@ mod tests {
     #[test]
     fn telemetry_snapshot_tracks_occupancy_and_evict_ages() {
         let mut c = dm64();
-        c.set_telemetry(true);
         // Empty cache: zero fill, zero quantiles, no evictions.
         let snap = c.telemetry_snapshot().expect("sim cache always samples");
         assert_eq!((snap.occ_p50, snap.occ_p95, snap.fill_ppm), (0, 0, 0));
@@ -576,8 +562,7 @@ mod tests {
         let evicted = c.telemetry_snapshot().unwrap();
         assert_eq!(evicted.evict_ages.iter().sum::<u64>(), 1);
         assert_eq!(evicted.evict_ages[2], 1, "age 4 lands in bucket log2(4)");
-        // reset() clears the histogram; set_telemetry(false) frees it
-        // and zeros are reported thereafter.
+        // reset() clears the histogram along with the contents.
         c.reset();
         assert!(c
             .telemetry_snapshot()
@@ -585,14 +570,6 @@ mod tests {
             .evict_ages
             .iter()
             .all(|&n| n == 0));
-        c.set_telemetry(false);
-        for set in 0..4u64 {
-            c.access(set * 16, Domain::Os);
-        }
-        c.access(64, Domain::App);
-        let off = c.telemetry_snapshot().unwrap();
-        assert!(off.evict_ages.iter().all(|&n| n == 0), "disabled: no ages");
-        assert_eq!(off.fill_ppm, 1_000_000, "occupancy still sampled");
     }
 
     #[test]
@@ -857,8 +834,6 @@ mod tests {
             // The same replay one line run at a time: pins the LRU clock
             // (one tick per line) and with it the eviction ages.
             let mut by_run = Cache::new(cfg);
-            cache.set_telemetry(true);
-            by_run.set_telemetry(true);
             let mut rng = Rng::seed_from_u64(0xED6E + seed);
             for step in 0..20_000u32 {
                 // Byte-granular bases over a few cache sizes of address

@@ -331,8 +331,6 @@ fn attributed_telemetry_matches_the_plain_cache() {
         let mut plain = Cache::new(cfg);
         let mut attributed =
             AttributedCache::new(Cache::new(cfg), Arc::new(AddressMap::build(spans.clone())));
-        plain.set_telemetry(true);
-        attributed.set_telemetry(true);
         for (i, step) in random_steps(&mut rng, &spans, 20_000)
             .into_iter()
             .enumerate()

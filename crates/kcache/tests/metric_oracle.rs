@@ -256,3 +256,39 @@ fn probe_calls_do_not_grow_with_trace_length() {
         "{long_misses} misses, {long:?}"
     );
 }
+
+/// The eviction-age histogram counts on every eviction, with no switch
+/// to turn it on: after a replay its buckets sum to the eviction
+/// counters `report_into` writes, for the dense cache and for the
+/// attributing cache around one. The timeline is never enabled in this
+/// process.
+#[test]
+fn eviction_ages_sum_to_the_eviction_counters() {
+    for (name, cfg) in geometries() {
+        let stream = fetches(0xA6E5, 4_000, 16 * 1024);
+        let mut cache = Cache::new(cfg);
+        let mut attributed = AttributedCache::new(
+            Cache::new(cfg),
+            Arc::new(AddressMap::build(std::iter::empty())),
+        );
+        for &(base, words, domain) in &stream {
+            cache.access_words(base, words, domain);
+            attributed.access_words(base, words, domain);
+        }
+        for (engine, snapshot, inner) in [
+            ("Cache", cache.telemetry_snapshot(), &cache),
+            (
+                "AttributedCache",
+                attributed.telemetry_snapshot(),
+                attributed.inner(),
+            ),
+        ] {
+            let reg = MetricRegistry::new();
+            inner.report_into(&reg);
+            let evictions = reg.counter("cache.evict.by_os") + reg.counter("cache.evict.by_app");
+            let ages = snapshot.expect("the dense cache always samples").evict_ages;
+            assert!(evictions > 0, "{name}: the stream should evict");
+            assert_eq!(ages.iter().sum::<u64>(), evictions, "{engine}, {name}");
+        }
+    }
+}

@@ -36,8 +36,8 @@
 //!   captured span records the allocation calls/bytes its thread
 //!   performed while it was open (inclusive of children, like the time
 //!   itself).
-//! * [`counter`] events carry periodic heartbeat samples (events
-//!   simulated, events/sec, live heap bytes) as Chrome `C` events.
+//! * [`counter`] events carry named samples (the layout search's
+//!   proposal and acceptance counts) as Chrome `C` events.
 
 use std::borrow::Cow;
 use std::cell::{Cell, RefCell};

@@ -19,7 +19,7 @@
 //! * **Flight recorder** ([`flight`]) — the span store, plus opt-in
 //!   capture: while enabled, every [`span`] also keeps its full event
 //!   (hierarchy, per-thread/worker attribution, allocator deltas), with
-//!   heartbeat counters and a Chrome trace-event / Perfetto exporter.
+//!   counter samples and a Chrome trace-event / Perfetto exporter.
 //! * **Timeline** ([`timeline`]) — the flight recorder's simulated-time
 //!   twin: windowed miss/occupancy telemetry frames sampled every `2^k`
 //!   simulated events, change-point phase segmentation, and the

@@ -576,6 +576,25 @@ pub fn scope(group: u64, index: u64, label: impl Into<String>) -> ScopeGuard {
     ScopeGuard { active: true }
 }
 
+/// Opens a scope inside this thread's innermost one, under its group
+/// and index but with its own label: a job that replays several runs side
+/// by side names each of them. Runs of one index merge in the order they
+/// finish. Inert while the timeline is disabled or no scope is open.
+#[must_use]
+pub fn nested_scope(label: impl Into<String>) -> ScopeGuard {
+    if !is_enabled() {
+        return ScopeGuard { active: false };
+    }
+    SCOPE.with(|s| {
+        let mut stack = s.borrow_mut();
+        let Some(&(group, index, _)) = stack.last() else {
+            return ScopeGuard { active: false };
+        };
+        stack.push((group, index, label.into()));
+        ScopeGuard { active: true }
+    })
+}
+
 /// Guard returned by [`scope`]; closes the scope on drop.
 #[derive(Debug)]
 pub struct ScopeGuard {
@@ -1118,6 +1137,38 @@ mod tests {
             .map(|r| r.get("label").and_then(JsonValue::as_str).unwrap())
             .collect();
         assert_eq!(labels, ["a", "b", "late"]);
+        reset();
+    }
+
+    #[test]
+    fn nested_scopes_relabel_runs_of_their_job() {
+        let _g = lock();
+        reset();
+        enable();
+        {
+            let _orphan = nested_scope("orphan");
+            assert!(recorder().is_none(), "no scope open: nothing to nest in");
+        }
+        let g = group();
+        for (idx, labels) in [(1, ["b/x", "b/y"]), (0, ["a/x", "a/y"])] {
+            let _job = scope(g, idx, "job");
+            let recs: Vec<WindowRecorder> = labels
+                .iter()
+                .map(|&label| {
+                    let _cell = nested_scope(label);
+                    recorder().unwrap()
+                })
+                .collect();
+            assert_eq!(recorder().unwrap().label, "job", "nested scopes closed");
+            for mut rec in recs {
+                rec.tick();
+                rec.finish(&snap(4, 1, 1));
+            }
+        }
+        disable();
+        let doc = TelemetryDoc::parse(&document().to_json_pretty()).unwrap();
+        let labels: Vec<&str> = doc.runs.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(labels, ["a/x", "a/y", "b/x", "b/y"]);
         reset();
     }
 

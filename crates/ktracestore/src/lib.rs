@@ -16,9 +16,10 @@
 //!
 //! The two halves:
 //!
-//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so a buffered
-//!   trace or a live stream (`Study::stream_case` in `core`) writes
-//!   straight to disk.
+//! - [`TraceWriter`] implements [`oslay_trace::TraceSink`], so a case's
+//!   buffered trace writes straight to disk (`archive::record_archive`
+//!   in `oslay-bench`); the tests pin those bytes to a store fed by a
+//!   regenerated engine walk (`Study::stream_case` in `core`).
 //! - [`TraceReader`] decodes blocks back into any sink — the cache
 //!   replayer in `core`, a [`CountingSink`] for verification — handing
 //!   it slices of at most 4,096 events, and its [`BlockEntry`] index is
