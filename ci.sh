@@ -333,11 +333,14 @@ cargo run --release -q -p oslay-bench --bin dash -- \
   --telemetry "$tmpdir/tel1.json" --results "$tmpdir" \
   --out "$tmpdir/dash.html" > /dev/null
 grep -q '<svg' "$tmpdir/dash.html"
-# ...and rejects a truncated document with exit 1.
+# ...and rejects a truncated document with exit 1 (not accepted, and
+# not a panic's 101).
 head -c 120 "$tmpdir/tel1.json" > "$tmpdir/broken.json"
-if cargo run --release -q -p oslay-bench --bin dash -- \
-    --check --telemetry "$tmpdir/broken.json" > /dev/null 2>&1; then
-  echo "dash --check accepted a truncated telemetry document" >&2
+status=0
+cargo run --release -q -p oslay-bench --bin dash -- \
+  --check --telemetry "$tmpdir/broken.json" > /dev/null 2>&1 || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "dash --check on a truncated telemetry document exited $status (want 1)" >&2
   exit 1
 fi
 # An archived replay labels and orders its timeline runs as the live
@@ -457,14 +460,26 @@ grep -q "always-hit guarantee(s) withdrawn" "$tmpdir/mutate.txt"
 # The exported classification round-trips through --check...
 cargo run --release -q -p oslay-bench --bin analyze -- \
   --check "$tmpdir/classes.json" > /dev/null
-# ...and a corrupted tally must be rejected with exit 1.
+# ...and a corrupted tally, or weights whose tally overflows u64 (two
+# points of 1e19 wrap to the "weighted" entry below), must be rejected
+# with exit 1 (not accepted, and not a panic's 101).
 sed -E 's/"count":\[[0-9]+/"count":[999999/' "$tmpdir/classes.json" \
   > "$tmpdir/broken.json"
-if cargo run --release -q -p oslay-bench --bin analyze -- \
-    --check "$tmpdir/broken.json" > /dev/null 2>&1; then
-  echo "analyze --check accepted a corrupted classification" >&2
-  exit 1
-fi
+cat > "$tmpdir/overflow.json" <<'JSON'
+{"version": 1, "layouts": [{"layout": "Base", "count": [0, 0, 2, 0],
+ "weighted": [0, 0, 1553255926290448384, 0], "analyzed_blocks": 1,
+ "points": [[0, 0, 0, 0, 10000000000000000000, 2],
+            [1, 0, 32, 1, 10000000000000000000, 2]]}]}
+JSON
+for bad in broken overflow; do
+  status=0
+  cargo run --release -q -p oslay-bench --bin analyze -- \
+    --check "$tmpdir/$bad.json" > /dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "analyze --check on $bad.json exited $status (want 1)" >&2
+    exit 1
+  fi
+done
 rm -rf "$tmpdir"
 
 echo "CI OK"

@@ -12,6 +12,10 @@
 //! cache, same trace stream), but records misses per *(block, line-slot)*
 //! access point — the unit the classifier speaks — instead of only per
 //! block.
+//!
+//! It also owns the classification file `analyze --class-out` writes and
+//! `analyze --check` reads back ([`classifications_to_json`],
+//! [`check_classification_json`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -19,6 +23,7 @@ use oslay::cache::{Cache, CacheConfig, InstructionCache};
 use oslay::layout::Layout;
 use oslay::{OsLayout, Study, WorkloadCase};
 use oslay_model::{fetch_words, Domain};
+use oslay_observe::json::{self, DocError, JsonValue, Node};
 use oslay_trace::{TraceEvent, TraceSink};
 use oslay_verify::{
     block_line_addrs, classify_layout, AbsintParams, Classification, LayoutView, LineClass,
@@ -73,6 +78,100 @@ impl AbsintGateOutcome {
     pub fn ok(&self) -> bool {
         self.rows.iter().all(GateRow::ok)
     }
+}
+
+/// Serializes classifications as the classification file `analyze
+/// --class-out` writes: `{"version": 1, "layouts": [...]}`, one entry per
+/// layout with its name, per-class `count` and `weighted` tallies,
+/// `analyzed_blocks`, and its `points` as `[block, slot, line_addr, set,
+/// weight, class index]` rows.
+#[must_use]
+pub fn classifications_to_json(classifications: &[(String, Classification)]) -> String {
+    let nums =
+        |ns: &[u64]| JsonValue::Array(ns.iter().map(|&n| JsonValue::Num(n as f64)).collect());
+    let layouts = classifications.iter().map(|(name, c)| {
+        let points = c.points.iter().map(|p| {
+            nums(&[
+                u64::from(p.block),
+                u64::from(p.slot),
+                p.line_addr,
+                u64::from(p.set),
+                p.weight,
+                p.class.index() as u64,
+            ])
+        });
+        JsonValue::object([
+            ("layout".to_owned(), JsonValue::Str(name.clone())),
+            ("count".to_owned(), nums(&c.count)),
+            ("weighted".to_owned(), nums(&c.weighted)),
+            (
+                "analyzed_blocks".to_owned(),
+                JsonValue::Num(f64::from(c.analyzed_blocks)),
+            ),
+            ("points".to_owned(), JsonValue::Array(points.collect())),
+        ])
+    });
+    JsonValue::object([
+        ("version".to_owned(), JsonValue::Num(1.0)),
+        ("layouts".to_owned(), JsonValue::Array(layouts.collect())),
+    ])
+    .to_json()
+}
+
+/// Re-validates a classification file written by
+/// [`classifications_to_json`]: version 1, at least one layout, and per
+/// layout the `count` and `weighted` tallies equal to the sums over its
+/// points. Returns the number of layouts checked.
+///
+/// # Errors
+///
+/// Returns a [`DocError`] naming the first violation found, including a
+/// weight tally that overflows `u64`.
+pub fn check_classification_json(text: &str) -> Result<usize, DocError> {
+    let v = json::parse(text)?;
+    let doc = Node::root(&v);
+    let version = doc.member("version")?;
+    if version.u64()? != 1 {
+        return Err(version.rule("unsupported version (want 1)"));
+    }
+    let layouts = doc.member("layouts")?;
+    let entries = layouts.items()?;
+    let checked = entries.len();
+    if checked == 0 {
+        return Err(layouts.rule("no layouts"));
+    }
+    for entry in entries {
+        entry.member("layout")?.str()?;
+        let mut tally = [[0u64; 4]; 2]; // point counts, weights
+        for point in entry.member("points")?.items()? {
+            let fields: Vec<Node<'_>> = point.items()?.collect();
+            let [_, _, _, _, weight, class] = fields.as_slice() else {
+                return Err(point.wrong("must have 6 fields"));
+            };
+            let index = class.u64()?;
+            let Some(c) = usize::try_from(index).ok().filter(|&c| c < 4) else {
+                return Err(class.rule(format!("class index {index} out of range")));
+            };
+            tally[0][c] += 1;
+            tally[1][c] = tally[1][c]
+                .checked_add(weight.u64()?)
+                .ok_or_else(|| weight.rule("weight tally overflows u64"))?;
+        }
+        for (key, tally) in ["count", "weighted"].into_iter().zip(tally) {
+            let node = entry.member(key)?;
+            let values = node.items()?;
+            if values.len() != 4 {
+                return Err(node.wrong("must have 4 entries"));
+            }
+            let values = values.map(|n| n.u64()).collect::<Result<Vec<u64>, _>>()?;
+            if values != tally {
+                return Err(node.rule(format!(
+                    "{values:?} does not match the points tally {tally:?}"
+                )));
+            }
+        }
+    }
+    Ok(checked)
 }
 
 /// Line-aligned addresses of every application line the workloads
@@ -377,8 +476,9 @@ mod tests {
                         &mut Cache::new(cfg),
                         &SimConfig::full(),
                     )
-                    .os_block_misses
-                    .expect("full config collects block misses");
+                    .detail
+                    .expect("full config collects block misses")
+                    .block_misses;
                 let sums: Vec<u64> = gate.point_miss.iter().map(|p| p.iter().sum()).collect();
                 assert_eq!(sums, blocks, "{tag}: per-block misses");
                 assert!(sums.iter().sum::<u64>() > 0, "{tag}: no misses");

@@ -21,7 +21,10 @@ use std::collections::HashMap;
 use std::process::ExitCode;
 
 use oslay::{OsLayout, OsLayoutKind, SimConfig, Study};
-use oslay_bench::absint_gate::{classify_study_layout, run_absint_gate, AbsintGateOutcome};
+use oslay_bench::absint_gate::{
+    check_classification_json, classifications_to_json, classify_study_layout, run_absint_gate,
+    AbsintGateOutcome,
+};
 use oslay_bench::{banner, run_layout_search, Args, Cli, Flag, Kind, Reporter, FILE, INT};
 use oslay_cache::CacheConfig;
 use oslay_verify::{Classification, LayoutView, LineClass};
@@ -143,116 +146,6 @@ fn print_gate_table(outcome: &AbsintGateOutcome) {
     }
 }
 
-/// Renders the classifications as the `--class-out` JSON document.
-fn classifications_json(classifications: &[(String, Classification)]) -> String {
-    let mut out = String::from("{\"version\":1,\"layouts\":[");
-    for (i, (name, c)) in classifications.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"layout\":{:?},\"count\":[{}],\"weighted\":[{}],\"analyzed_blocks\":{},\"points\":[",
-            name,
-            c.count.map(|n| n.to_string()).join(","),
-            c.weighted.map(|n| n.to_string()).join(","),
-            c.analyzed_blocks,
-        ));
-        for (j, p) in c.points.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "[{},{},{},{},{},{}]",
-                p.block,
-                p.slot,
-                p.line_addr,
-                p.set,
-                p.weight,
-                p.class.index()
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// Re-validates an exported classification JSON: the per-class count and
-/// weight tallies must match the points list exactly. Returns the number
-/// of layouts checked, or an error message.
-fn check_classification_file(path: &std::path::Path) -> Result<usize, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let doc = oslay_observe::json::parse(&text)
-        .map_err(|e| format!("{}: not JSON: {e}", path.display()))?;
-    let layouts = doc
-        .get("layouts")
-        .and_then(|v| v.as_array())
-        .ok_or("missing \"layouts\" array")?;
-    if layouts.is_empty() {
-        return Err("empty \"layouts\" array".to_owned());
-    }
-    for entry in layouts {
-        let name = entry
-            .get("layout")
-            .and_then(|v| v.as_str())
-            .ok_or("layout entry without a name")?;
-        let quad = |key: &str| -> Result<[u64; 4], String> {
-            let arr = entry
-                .get(key)
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| format!("{name}: missing {key:?}"))?;
-            if arr.len() != 4 {
-                return Err(format!("{name}: {key:?} must have 4 entries"));
-            }
-            let mut out = [0u64; 4];
-            for (i, v) in arr.iter().enumerate() {
-                out[i] = v
-                    .as_u64()
-                    .ok_or_else(|| format!("{name}: {key:?}[{i}] not a u64"))?;
-            }
-            Ok(out)
-        };
-        let count = quad("count")?;
-        let weighted = quad("weighted")?;
-        let points = entry
-            .get("points")
-            .and_then(|v| v.as_array())
-            .ok_or_else(|| format!("{name}: missing \"points\""))?;
-        let mut tally_count = [0u64; 4];
-        let mut tally_weight = [0u64; 4];
-        for (i, p) in points.iter().enumerate() {
-            let fields = p
-                .as_array()
-                .ok_or_else(|| format!("{name}: point {i} not an array"))?;
-            if fields.len() != 6 {
-                return Err(format!("{name}: point {i} must have 6 fields"));
-            }
-            let num = |j: usize| -> Result<u64, String> {
-                fields[j]
-                    .as_u64()
-                    .ok_or_else(|| format!("{name}: point {i} field {j} not a u64"))
-            };
-            let class = num(5)? as usize;
-            if class >= 4 {
-                return Err(format!("{name}: point {i} has class index {class}"));
-            }
-            tally_count[class] += 1;
-            tally_weight[class] += num(4)?;
-        }
-        if tally_count != count {
-            return Err(format!(
-                "{name}: \"count\" {count:?} does not match the points tally {tally_count:?}"
-            ));
-        }
-        if tally_weight != weighted {
-            return Err(format!(
-                "{name}: \"weighted\" {weighted:?} does not match the points tally {tally_weight:?}"
-            ));
-        }
-    }
-    Ok(layouts.len())
-}
-
 /// Mutation mode: swap the heaviest proven always-hit block of OptS into
 /// the most contended set and count withdrawn always-hit guarantees.
 /// Returns `(degraded points, table printed)`.
@@ -330,13 +223,16 @@ fn main() -> ExitCode {
 
     // `--check` is standalone: validate the file and exit.
     if let Some(path) = flags.path("--check") {
-        return match check_classification_file(&path) {
+        let checked = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| check_classification_json(&text).map_err(|e| e.to_string()));
+        return match checked {
             Ok(n) => {
                 println!("analyze --check: {n} layout(s) internally consistent");
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("analyze --check: {e}");
+                eprintln!("analyze --check: {}: {e}", path.display());
                 ExitCode::FAILURE
             }
         };
@@ -437,7 +333,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = flags.path("--class-out") {
-        if let Err(e) = std::fs::write(&path, classifications_json(&classifications)) {
+        if let Err(e) = std::fs::write(&path, classifications_to_json(&classifications)) {
             eprintln!("analyze: cannot write {}: {e}", path.display());
             std::process::exit(1);
         }

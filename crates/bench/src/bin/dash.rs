@@ -23,7 +23,7 @@ use std::process::ExitCode;
 use oslay_analysis::dash::{html_escape, svg_heat_strip, svg_sparkline, text_sparkline, Band};
 use oslay_bench::{Cli, Flag, Kind, FILE, FILES};
 use oslay_observe::json::JsonValue;
-use oslay_observe::timeline::{validate_telemetry, TelemetryDoc, TelemetryRun};
+use oslay_observe::timeline::{TelemetryDoc, TelemetryRun};
 use oslay_observe::RunReport;
 
 #[rustfmt::skip]
@@ -80,7 +80,7 @@ fn check(telemetry: &[PathBuf]) -> ExitCode {
     let mut ok = true;
     for path in telemetry {
         match std::fs::read_to_string(path) {
-            Ok(text) => match validate_telemetry(&text) {
+            Ok(text) => match TelemetryDoc::parse(&text).map(|doc| doc.stats()) {
                 Ok(stats) => println!(
                     "{}: ok — {} run(s), {} frame(s), {} phase(s), {} event(s)",
                     path.display(),

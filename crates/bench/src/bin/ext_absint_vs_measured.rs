@@ -108,7 +108,7 @@ fn main() {
         let mut fully_ah_misses = 0u64;
         for row in &matrix {
             let (r, _) = &row[k];
-            let misses = r.os_block_misses.as_ref().expect("attributed replay");
+            let misses = &r.detail.as_ref().expect("attributed replay").block_misses;
             for (b, &m) in misses.iter().enumerate() {
                 let class = reference.class(oslay_model::BlockId::new(b));
                 *measured.entry(class).or_insert(0) += m;

@@ -20,7 +20,8 @@ use oslay::model::BlockId;
 use oslay::profile::{LoopAnalysis, Profile};
 use oslay::trace::{Engine, EngineConfig, TraceSink};
 use oslay::{OsLayoutKind, Replayer, SimConfig, Study};
-use oslay_bench::{banner, run_case, AppSide, Cli};
+use oslay_bench::{banner, Cli};
+use oslay_observe::timeline;
 
 fn main() {
     let config = Cli::study("ext_inlining").args().run().config;
@@ -32,6 +33,8 @@ fn main() {
     let program = &study.kernel().program;
     let profile = study.averaged_os_profile();
     let cfg = CacheConfig::paper_default();
+    // Plain OptS of the original kernel, the baseline of every row.
+    let orig_opts = study.os_layout(OsLayoutKind::OptS, cfg.size());
 
     // Hot call sites: executed at least 0.05% of all block executions
     // ("limited inlining to frequent routines only").
@@ -68,14 +71,16 @@ fn main() {
             continue; // compare on the OS-only workload for a clean read
         }
         // Plain OptS baseline on the original kernel.
-        let orig = run_case(
-            &study,
-            case,
-            OsLayoutKind::OptS,
-            AppSide::Base,
-            cfg,
-            &SimConfig::fast(),
-        );
+        let orig = {
+            let _t = timeline::scope(timeline::group(), 0, format!("{}/OptS", case.name()));
+            study.simulate(
+                case,
+                &orig_opts.layout,
+                study.app_base_layout(case).as_ref(),
+                &mut Cache::new(cfg),
+                &SimConfig::fast(),
+            )
+        };
 
         // Trace the inlined kernel with the same spec and engine seed.
         let mut engine = Engine::new(

@@ -9,9 +9,10 @@
 //! reproduction's conclusions are not one-seed artifacts.
 
 use oslay::analysis::report::{f, TextTable};
-use oslay::cache::CacheConfig;
+use oslay::cache::{Cache, CacheConfig};
 use oslay::{OsLayoutKind, SimConfig, Study, StudyConfig};
-use oslay_bench::{run_case, AppSide, Cli};
+use oslay_bench::Cli;
+use oslay_observe::timeline;
 
 const SEEDS: [u64; 4] = [0x05_1995, 0xBEEF, 0x1234_5678, 0xFEED_F00D];
 
@@ -43,10 +44,22 @@ fn main() {
             seed,
             ..config.clone()
         });
+        let layouts = kinds.map(|kind| study.os_layout(kind, cfg.size()));
         for (wi, case) in study.cases().iter().enumerate() {
+            let app = study.app_base_layout(case);
             let mut base = None;
-            for (li, &kind) in kinds.iter().enumerate() {
-                let misses = run_case(&study, case, kind, AppSide::Base, cfg, &SimConfig::fast())
+            for (li, (os, kind)) in layouts.iter().zip(kinds).enumerate() {
+                let label = format!("{}/{}", case.name(), kind.name());
+                let _t = timeline::scope(timeline::group(), 0, label);
+                let mut cache = Cache::new(cfg);
+                let misses = study
+                    .simulate(
+                        case,
+                        &os.layout,
+                        app.as_ref(),
+                        &mut cache,
+                        &SimConfig::fast(),
+                    )
                     .stats
                     .total_misses();
                 let b = *base.get_or_insert(misses);

@@ -35,9 +35,12 @@ fn main() {
         &SimConfig::full(),
     );
 
-    let total = r.os_miss_map.as_ref().unwrap();
-    let selfm = r.os_self_miss_map.as_ref().unwrap();
-    let cross = r.os_cross_miss_map.as_ref().unwrap();
+    let detail = r.detail.as_ref().unwrap();
+    let (total, selfm, cross) = (
+        &detail.miss_map,
+        &detail.self_miss_map,
+        &detail.cross_miss_map,
+    );
 
     let os_misses = r.stats.domain_misses(oslay::model::Domain::Os);
     println!(

@@ -9,7 +9,6 @@
 
 use oslay::cache::CacheConfig;
 use oslay::cache::MissKind;
-use oslay::model::Domain;
 use oslay::{SimConfig, Study};
 use oslay_bench::{banner, figure12_ladder, run_figure12_matrix, Cli, Reporter};
 
@@ -63,7 +62,6 @@ fn main() {
                 total as f64 / base as f64 * 100.0,
             );
             level_rates.push((name, r.miss_rate()));
-            let _ = Domain::Os;
         }
         reporter.add_section(&format!("fig12.{}", case.name()), level_rates);
         println!();

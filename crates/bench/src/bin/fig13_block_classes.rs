@@ -69,7 +69,7 @@ fn main() {
                 program,
                 &case.os_profile,
                 &reference,
-                r.os_block_misses.as_ref().unwrap(),
+                &r.detail.as_ref().unwrap().block_misses,
             );
             let mut cells = vec![kind.name().to_owned()];
             cells.extend(bd.rows.iter().map(|&(_, refs, _)| pct(refs)));

@@ -55,7 +55,7 @@ fn main() {
         let mut matrix_total = 0u64;
         for (ci, _case) in study.cases().iter().enumerate() {
             let (r, attr) = &matrix[ci][ki];
-            let misses = r.os_block_misses.as_ref().unwrap();
+            let misses = &r.detail.as_ref().unwrap().block_misses;
             for (i, &m) in misses.iter().enumerate() {
                 if m > 0 {
                     // Plot at the block's Base address.

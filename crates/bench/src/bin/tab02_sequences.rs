@@ -37,8 +37,9 @@ fn main() {
                     &mut cache,
                     &SimConfig::full(),
                 )
-                .os_block_misses
+                .detail
                 .expect("block misses requested")
+                .block_misses
         })
         .collect();
 

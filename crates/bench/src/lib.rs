@@ -33,6 +33,7 @@ use oslay::{
 use oslay_layout::Layout;
 use oslay_model::synth::Scale;
 use oslay_model::{BlockId, Domain};
+use oslay_observe::json::{self, DocError, Node};
 use oslay_observe::timeline;
 use oslay_observe::{flight, AttributionProbe, JsonValue, MetricRegistry, RunReport};
 
@@ -573,29 +574,8 @@ pub fn app_layout_for(
     }
 }
 
-/// Evaluates one workload under one OS layout kind on a unified cache.
-#[must_use]
-pub fn run_case(
-    study: &Study,
-    case: &WorkloadCase,
-    os_kind: OsLayoutKind,
-    app_side: AppSide,
-    cache_cfg: CacheConfig,
-    sim: &SimConfig,
-) -> SimResult {
-    let os = study.os_layout(os_kind, cache_cfg.size());
-    let app = app_layout_for(study, case, app_side, cache_cfg.size());
-    let mut cache = Cache::new(cache_cfg);
-    let _t = timeline::scope(
-        timeline::group(),
-        0,
-        format!("{}/{}", case.name(), os_kind.name()),
-    );
-    study.simulate(case, &os.layout, app.as_ref(), &mut cache, sim)
-}
-
-/// Like [`run_case`], but with precomputed layouts: reports the replay's
-/// miss, eviction and final set-occupancy metrics into `registry`
+/// Replays one workload through precomputed layouts and reports the
+/// replay's miss, eviction and final set-occupancy metrics into `registry`
 /// ([`Cache::report_into`]), so the run report carries `cache.*` metrics
 /// alongside the aggregate statistics.
 ///
@@ -618,7 +598,8 @@ pub fn run_probed_on(
     result
 }
 
-/// Like [`run_case`], but through the attribution engine: every miss is
+/// Evaluates one workload under one OS layout kind through the
+/// attribution engine on a unified cache: every miss is
 /// classified compulsory/capacity/conflict, charged to its cache set,
 /// Figure 13 block class, OS entry class, and (for conflicts) its
 /// evictor→victim pair. Returns the usual [`SimResult`] plus the
@@ -1057,10 +1038,7 @@ pub fn run_sweep_single_pass(
                 lane.sim().report_into(k, shard.as_ref());
                 settled.push(SimResult {
                     stats: lane.sim().stats(k),
-                    os_miss_map: None,
-                    os_self_miss_map: None,
-                    os_cross_miss_map: None,
-                    os_block_misses: None,
+                    detail: None,
                 });
             }
         }
@@ -1310,107 +1288,55 @@ pub fn run_layout_search(
     }
 }
 
-/// Why a layout file (written by [`layout_view_to_json`], read by
-/// [`layout_view_from_json`]) did not parse.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LayoutFileError {
-    /// The text is not a JSON document.
-    NotJson(oslay_observe::JsonError),
-    /// A required member is absent.
-    Missing(&'static str),
-    /// A member has the wrong JSON type or an entry is out of range.
-    WrongType {
-        /// The member.
-        key: &'static str,
-        /// What it must be, e.g. `entries must be u32 integers`.
-        expected: &'static str,
-    },
-    /// `addr` and `size` have different lengths.
-    LengthMismatch {
-        /// Entries in `addr`.
-        addr: usize,
-        /// Entries in `size`.
-        size: usize,
-    },
-}
-
-impl std::fmt::Display for LayoutFileError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::NotJson(e) => write!(f, "not JSON: {e}"),
-            Self::Missing(key) => write!(f, "missing {key:?}"),
-            Self::WrongType { key, expected } => write!(f, "{key:?} {expected}"),
-            Self::LengthMismatch { addr, size } => {
-                write!(f, "{addr} \"addr\" but {size} \"size\" entries")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LayoutFileError {}
-
 /// Serializes a layout view as the layout file `search --layout-out`
 /// writes and `lint --layout-file` reads: one JSON object with `"name"`,
 /// `"addr"` and `"size"` (addresses round-trip exactly below 2^53).
 #[must_use]
 pub fn layout_view_to_json(view: &oslay_verify::LayoutView) -> String {
+    let addr = view.addr.iter().map(|&a| JsonValue::Num(a as f64));
+    let size = view.size.iter().map(|&s| JsonValue::Num(f64::from(s)));
     let doc = JsonValue::object([
         ("name".to_owned(), JsonValue::Str(view.name.clone())),
-        (
-            "addr".to_owned(),
-            JsonValue::Array(
-                view.addr
-                    .iter()
-                    .map(|&a| JsonValue::Num(a as f64))
-                    .collect(),
-            ),
-        ),
-        (
-            "size".to_owned(),
-            JsonValue::Array(
-                view.size
-                    .iter()
-                    .map(|&s| JsonValue::Num(f64::from(s)))
-                    .collect(),
-            ),
-        ),
+        ("addr".to_owned(), JsonValue::Array(addr.collect())),
+        ("size".to_owned(), JsonValue::Array(size.collect())),
     ]);
-    let mut text = doc.to_json();
-    text.push('\n');
-    text
+    doc.to_json() + "\n"
 }
 
 /// Parses a layout file written by [`layout_view_to_json`].
 ///
 /// # Errors
 ///
-/// Returns a [`LayoutFileError`] when the text is not JSON, a member is
+/// Returns a [`DocError`] when the text is not JSON, a member is
 /// missing or mistyped, an address is not a non-negative integer, a
 /// size does not fit a `u32`, or `addr` and `size` differ in length.
-pub fn layout_view_from_json(text: &str) -> Result<oslay_verify::LayoutView, LayoutFileError> {
-    let doc = oslay_observe::json::parse(text).map_err(LayoutFileError::NotJson)?;
-    let field = |key: &'static str| doc.get(key).ok_or(LayoutFileError::Missing(key));
-    let wrong = |key, expected| LayoutFileError::WrongType { key, expected };
-    let list = |key: &'static str| field(key)?.as_array().ok_or(wrong(key, "must be an array"));
-    let name = field("name")?
-        .as_str()
-        .ok_or(wrong("name", "must be a string"))?
-        .to_owned();
-    let addr = list("addr")?
-        .iter()
-        .map(JsonValue::as_u64)
-        .collect::<Option<Vec<u64>>>()
-        .ok_or(wrong("addr", "entries must be non-negative integers"))?;
-    let size = list("size")?
-        .iter()
-        .map(|v| v.as_u64().and_then(|n| u32::try_from(n).ok()))
-        .collect::<Option<Vec<u32>>>()
-        .ok_or(wrong("size", "entries must be u32 integers"))?;
+pub fn layout_view_from_json(text: &str) -> Result<oslay_verify::LayoutView, DocError> {
+    let v = json::parse(text)?;
+    let doc = Node::root(&v);
+    let name = doc.member("name")?.str()?.to_owned();
+    // Entry errors name the entry and keep the file format's own wording.
+    let addr = doc
+        .member("addr")?
+        .items()?
+        .map(|a| {
+            let n = a.value.as_u64();
+            n.ok_or_else(|| a.wrong("\"addr\" entries must be non-negative integers"))
+        })
+        .collect::<Result<Vec<u64>, _>>()?;
+    let size = doc
+        .member("size")?
+        .items()?
+        .map(|s| {
+            let n = s.value.as_u64().and_then(|n| u32::try_from(n).ok());
+            n.ok_or_else(|| s.wrong("\"size\" entries must be u32 integers"))
+        })
+        .collect::<Result<Vec<u32>, _>>()?;
     if addr.len() != size.len() {
-        return Err(LayoutFileError::LengthMismatch {
-            addr: addr.len(),
-            size: size.len(),
-        });
+        return Err(doc.rule(format!(
+            "{} \"addr\" but {} \"size\" entries",
+            addr.len(),
+            size.len()
+        )));
     }
     Ok(oslay_verify::LayoutView { name, addr, size })
 }
@@ -1497,7 +1423,6 @@ pub fn figure12_ladder() -> Vec<(&'static str, OsLayoutKind, AppSide)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oslay_cache::MissKind;
     use oslay_observe::Probe;
 
     #[test]
@@ -1765,21 +1690,5 @@ mod tests {
         });
         assert_eq!(out, Err(1));
         assert!(registry.is_empty());
-    }
-
-    #[test]
-    fn run_case_smoke() {
-        let study = Study::generate(&StudyConfig::tiny());
-        let case = &study.cases()[3];
-        let r = run_case(
-            &study,
-            case,
-            OsLayoutKind::Base,
-            AppSide::Base,
-            CacheConfig::paper_default(),
-            &SimConfig::fast(),
-        );
-        assert!(r.stats.total_accesses() > 0);
-        assert!(r.stats.misses(MissKind::OsSelf) > 0);
     }
 }

@@ -33,7 +33,7 @@ fn figure12_matrix_is_identical_at_any_worker_count() {
         for (rows, baseline_rows) in matrix.iter().zip(&baseline) {
             for (r, b) in rows.iter().zip(baseline_rows) {
                 assert_eq!(r.stats, b.stats, "stats diverge at {threads} threads");
-                assert_eq!(r.os_block_misses, b.os_block_misses);
+                assert_eq!(r.detail, b.detail);
             }
         }
         assert_eq!(

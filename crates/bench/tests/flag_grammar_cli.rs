@@ -136,7 +136,7 @@ fn lint_rejects_bad_layout_files() {
         (
             "negative_addr",
             r#"{"name": "Search", "addr": [0, -64], "size": [64, 64]}"#,
-            "\"addr\" entries must be non-negative integers",
+            "addr[1]: \"addr\" entries must be non-negative integers",
         ),
         (
             "ragged",

@@ -130,7 +130,9 @@ fn tracing_preserves_results_and_records_wellformed_span_trees() {
     // The Chrome export of the threads=2 run passes the schema checker
     // (balanced events, monotonic timestamps, nesting) and parses back.
     let json = flight::chrome_trace().to_json();
-    let tstats = flight::validate_chrome_trace(&json).expect("trace validates");
+    let tstats = flight::ChromeTrace::parse(&json)
+        .expect("trace validates")
+        .stats;
     assert!(tstats.spans >= spans_t2.len(), "export dropped spans");
     assert!(tstats.tracks >= 3, "expected main + 2 worker tracks");
     assert!(tstats.max_depth >= 2, "expected nested spans");

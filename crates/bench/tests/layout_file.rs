@@ -2,7 +2,8 @@
 //! reads: a written view reads back equal, and hostile text yields a
 //! typed error, never a panic or a different view.
 
-use oslay_bench::{layout_view_from_json, layout_view_to_json, LayoutFileError};
+use oslay_bench::{layout_view_from_json, layout_view_to_json};
+use oslay_observe::DocError;
 use oslay_verify::LayoutView;
 
 fn view() -> LayoutView {
@@ -13,8 +14,17 @@ fn view() -> LayoutView {
     }
 }
 
-fn wrong(key: &'static str, expected: &'static str) -> LayoutFileError {
-    LayoutFileError::WrongType { key, expected }
+fn missing(path: &str) -> DocError {
+    DocError::Missing {
+        path: path.to_owned(),
+    }
+}
+
+fn wrong(path: &str, expected: &'static str) -> DocError {
+    DocError::Wrong {
+        path: path.to_owned(),
+        expected,
+    }
 }
 
 #[test]
@@ -44,7 +54,7 @@ fn every_truncation_is_an_error_or_the_whole_view() {
             }
             Err(e) => {
                 assert!(cut <= close, "the whole object failed at byte {cut}: {e}");
-                assert!(matches!(e, LayoutFileError::NotJson(_)), "{e}");
+                assert!(matches!(e, DocError::NotJson(_)), "{e}");
             }
         }
     }
@@ -53,19 +63,10 @@ fn every_truncation_is_an_error_or_the_whole_view() {
 #[test]
 fn hostile_documents_give_typed_errors() {
     let cases = [
-        ("[1, 2]", LayoutFileError::Missing("name")),
-        (
-            r#"{"addr": [], "size": []}"#,
-            LayoutFileError::Missing("name"),
-        ),
-        (
-            r#"{"name": "x", "size": []}"#,
-            LayoutFileError::Missing("addr"),
-        ),
-        (
-            r#"{"name": "x", "addr": []}"#,
-            LayoutFileError::Missing("size"),
-        ),
+        ("[1, 2]", missing("name")),
+        (r#"{"addr": [], "size": []}"#, missing("name")),
+        (r#"{"name": "x", "size": []}"#, missing("addr")),
+        (r#"{"name": "x", "addr": []}"#, missing("size")),
         (
             r#"{"name": 5, "addr": [], "size": []}"#,
             wrong("name", "must be a string"),
@@ -80,31 +81,34 @@ fn hostile_documents_give_typed_errors() {
         ),
         (
             r#"{"name": "x", "addr": [-64], "size": [4]}"#,
-            wrong("addr", "entries must be non-negative integers"),
+            wrong("addr[0]", "\"addr\" entries must be non-negative integers"),
         ),
         (
             r#"{"name": "x", "addr": [1.5], "size": [4]}"#,
-            wrong("addr", "entries must be non-negative integers"),
+            wrong("addr[0]", "\"addr\" entries must be non-negative integers"),
         ),
         (
             r#"{"name": "x", "addr": ["0"], "size": [4]}"#,
-            wrong("addr", "entries must be non-negative integers"),
+            wrong("addr[0]", "\"addr\" entries must be non-negative integers"),
         ),
         (
             r#"{"name": "x", "addr": [18446744073709551616], "size": [4]}"#,
-            wrong("addr", "entries must be non-negative integers"),
+            wrong("addr[0]", "\"addr\" entries must be non-negative integers"),
         ),
         (
             r#"{"name": "x", "addr": [0], "size": [4294967296]}"#,
-            wrong("size", "entries must be u32 integers"),
+            wrong("size[0]", "\"size\" entries must be u32 integers"),
         ),
         (
             r#"{"name": "x", "addr": [0], "size": [null]}"#,
-            wrong("size", "entries must be u32 integers"),
+            wrong("size[0]", "\"size\" entries must be u32 integers"),
         ),
         (
             r#"{"name": "x", "addr": [0, 64, 128], "size": [64, 64]}"#,
-            LayoutFileError::LengthMismatch { addr: 3, size: 2 },
+            DocError::Rule {
+                path: String::new(),
+                message: "3 \"addr\" but 2 \"size\" entries".to_owned(),
+            },
         ),
     ];
     for (text, want) in cases {
@@ -112,7 +116,7 @@ fn hostile_documents_give_typed_errors() {
     }
     assert!(matches!(
         layout_view_from_json(r#"{"name": "a"b", "addr": [], "size": []}"#),
-        Err(LayoutFileError::NotJson(_))
+        Err(DocError::NotJson(_))
     ));
 }
 
@@ -123,7 +127,7 @@ fn errors_name_the_offending_member() {
     assert_eq!(msg(r#"{"name": "x", "addr": []}"#), "missing \"size\"");
     assert_eq!(
         msg(r#"{"name": "x", "addr": [0], "size": [-1]}"#),
-        "\"size\" entries must be u32 integers"
+        "size[0]: \"size\" entries must be u32 integers"
     );
     assert_eq!(
         msg(r#"{"name": "x", "addr": [0, 64, 128], "size": [64, 64]}"#),

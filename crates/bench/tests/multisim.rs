@@ -193,9 +193,8 @@ fn detailed_sim_config_falls_back_to_per_point() {
     assert_eq!(got.len(), baseline.len());
     for (g, b) in got.iter().zip(&baseline) {
         assert_eq!(g.stats, b.stats);
-        assert_eq!(g.os_miss_map, b.os_miss_map);
-        assert!(g.os_miss_map.is_some(), "full config keeps its miss maps");
-        assert_eq!(g.os_block_misses, b.os_block_misses);
+        assert_eq!(g.detail, b.detail);
+        assert!(g.detail.is_some(), "full config keeps its miss maps");
     }
     assert_eq!(
         registry_fingerprint(&registry),

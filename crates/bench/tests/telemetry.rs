@@ -13,7 +13,7 @@ use std::sync::Arc;
 use oslay::cache::CacheConfig;
 use oslay::{SimConfig, Study, StudyConfig};
 use oslay_bench::run_figure12_matrix;
-use oslay_observe::timeline::{self, validate_telemetry};
+use oslay_observe::timeline::{self, TelemetryDoc};
 use oslay_observe::MetricRegistry;
 
 /// Per-run fingerprint of the matrix: every cell's access/miss totals.
@@ -65,7 +65,9 @@ fn telemetry_is_inert_and_worker_count_invariant() {
 
     // (3) Valid: schema, monotonicity, miss-split, and phase-coverage
     // invariants all hold; one run per matrix cell.
-    let stats = validate_telemetry(&doc_1t).expect("document validates");
+    let stats = TelemetryDoc::parse(&doc_1t)
+        .expect("document validates")
+        .stats();
     assert_eq!(stats.runs, 20, "4 cases x 5 ladder levels");
     assert!(stats.frames > 0, "frames were sampled");
     assert!(stats.events > 0, "events were counted");

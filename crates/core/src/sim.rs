@@ -50,15 +50,9 @@ impl SimConfig {
 pub struct SimResult {
     /// Aggregate access/miss statistics.
     pub stats: MissStats,
-    /// OS miss addresses at 1 KB granularity, if requested.
-    pub os_miss_map: Option<AddressHistogram>,
-    /// OS self-interference miss addresses (Figure 1-b), if requested.
-    pub os_self_miss_map: Option<AddressHistogram>,
-    /// OS-from-application interference miss addresses (Figure 1-c), if
-    /// requested.
-    pub os_cross_miss_map: Option<AddressHistogram>,
-    /// Per-OS-block miss counts, if requested.
-    pub os_block_misses: Option<Vec<u64>>,
+    /// The OS miss maps and per-block misses of a detailed replay
+    /// ([`SimConfig::full`]); `None` for a fast one.
+    pub detail: Option<SimDetail>,
 }
 
 impl SimResult {
@@ -69,16 +63,21 @@ impl SimResult {
     }
 }
 
-/// The collectors of [`SimConfig::detailed`]: three per-1KB OS
-/// miss-address histograms and a miss count per OS block.
-struct Detail {
-    all: AddressHistogram,
-    os_self: AddressHistogram,
-    os_cross: AddressHistogram,
-    block_misses: Vec<u64>,
+/// The collectors of a detailed replay: three per-1KB OS miss-address
+/// histograms and a miss count per OS block.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SimDetail {
+    /// OS miss addresses at 1 KB granularity.
+    pub miss_map: AddressHistogram,
+    /// OS self-interference miss addresses (Figure 1-b).
+    pub self_miss_map: AddressHistogram,
+    /// OS-from-application interference miss addresses (Figure 1-c).
+    pub cross_miss_map: AddressHistogram,
+    /// Miss count per OS block.
+    pub block_misses: Vec<u64>,
 }
 
-impl Detail {
+impl SimDetail {
     /// Fetches block `id`'s `words` words at `base` one at a time, so
     /// each OS miss lands at its own address.
     fn access<C: InstructionCache + ?Sized>(
@@ -94,10 +93,10 @@ impl Detail {
             let outcome = cache.access(addr, domain);
             if let (Domain::Os, AccessOutcome::Miss(kind)) = (domain, outcome) {
                 self.block_misses[id.index()] += 1;
-                self.all.add(addr);
+                self.miss_map.add(addr);
                 match kind {
-                    MissKind::OsSelf => self.os_self.add(addr),
-                    MissKind::OsByApp => self.os_cross.add(addr),
+                    MissKind::OsSelf => self.self_miss_map.add(addr),
+                    MissKind::OsByApp => self.cross_miss_map.add(addr),
                     _ => {}
                 }
             }
@@ -122,7 +121,7 @@ pub struct Replayer<'a, C: InstructionCache + ?Sized = dyn InstructionCache> {
     cache: &'a mut C,
     /// Present for a detailed replay: block fetches are then replayed per
     /// word, otherwise they take the cache's coalesced line path.
-    detail: Option<Detail>,
+    detail: Option<SimDetail>,
     /// Timeline recorder, present only when the timeline is enabled and
     /// this thread is inside a recording scope — the hot path then pays
     /// one branch per event plus a periodic cache sample.
@@ -152,10 +151,10 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
             os_layout,
             app_layout,
             cache,
-            detail: config.detailed.then(|| Detail {
-                all: AddressHistogram::paper(),
-                os_self: AddressHistogram::paper(),
-                os_cross: AddressHistogram::paper(),
+            detail: config.detailed.then(|| SimDetail {
+                miss_map: AddressHistogram::paper(),
+                self_miss_map: AddressHistogram::paper(),
+                cross_miss_map: AddressHistogram::paper(),
                 block_misses: vec![0u64; os_layout.num_blocks()],
             }),
             telemetry: timeline::recorder().map(Box::new),
@@ -170,22 +169,9 @@ impl<'a, C: InstructionCache + ?Sized> Replayer<'a, C> {
         if let Some(tl) = self.telemetry {
             tl.finish(&cache_snapshot(&*self.cache));
         }
-        let (os_miss_map, os_self_miss_map, os_cross_miss_map, os_block_misses) = match self.detail
-        {
-            Some(d) => (
-                Some(d.all),
-                Some(d.os_self),
-                Some(d.os_cross),
-                Some(d.block_misses),
-            ),
-            None => (None, None, None, None),
-        };
         SimResult {
             stats: *self.cache.stats(),
-            os_miss_map,
-            os_self_miss_map,
-            os_cross_miss_map,
-            os_block_misses,
+            detail: self.detail,
         }
     }
 }
@@ -498,12 +484,10 @@ pub(crate) mod tests {
         let base = s.os_layout(OsLayoutKind::Base, 8192);
         let mut cache = Cache::new(CacheConfig::paper_default());
         let r = s.simulate(case, &base.layout, None, &mut cache, &SimConfig::full());
-        let by_block: u64 = r.os_block_misses.as_ref().unwrap().iter().sum();
+        let detail = r.detail.as_ref().unwrap();
+        let by_block: u64 = detail.block_misses.iter().sum();
         assert_eq!(by_block, r.stats.total_misses());
-        assert_eq!(
-            r.os_miss_map.as_ref().unwrap().total(),
-            r.stats.total_misses()
-        );
+        assert_eq!(detail.miss_map.total(), r.stats.total_misses());
     }
 
     #[test]
@@ -613,7 +597,9 @@ pub(crate) mod tests {
         assert_eq!(timeline::runs_recorded(), 1);
         let doc = timeline::document().to_json_pretty();
         timeline::reset();
-        let stats = oslay_observe::timeline::validate_telemetry(&doc).expect("valid document");
+        let stats = oslay_observe::timeline::TelemetryDoc::parse(&doc)
+            .expect("valid document")
+            .stats();
         assert_eq!(stats.runs, 1);
         assert_eq!(stats.events, case.trace.events().len() as u64);
         assert!(stats.frames > 0);

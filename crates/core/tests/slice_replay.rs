@@ -102,17 +102,8 @@ fn replay_is_independent_of_how_the_trace_is_sliced() {
                         let (got, got_doc) = replay(&study, case, kind, &sim, telemetry, &how);
                         assert_eq!(got.stats, want.stats, "stats: {what}");
                         assert_eq!(
-                            got.os_block_misses, want.os_block_misses,
-                            "block misses: {what}"
-                        );
-                        assert_eq!(got.os_miss_map, want.os_miss_map, "miss map: {what}");
-                        assert_eq!(
-                            got.os_self_miss_map, want.os_self_miss_map,
-                            "self miss map: {what}"
-                        );
-                        assert_eq!(
-                            got.os_cross_miss_map, want.os_cross_miss_map,
-                            "cross miss map: {what}"
+                            got.detail, want.detail,
+                            "block misses and miss maps: {what}"
                         );
                         assert_eq!(got_doc, want_doc, "timeline: {what}");
                     }

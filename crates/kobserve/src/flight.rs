@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, DocError, JsonValue, Node};
 use crate::report::SpanEntry;
 
 /// A point-in-time reading from the allocation probe.
@@ -500,33 +500,23 @@ pub fn chrome_trace() -> JsonValue {
                 ("parent".to_owned(), JsonValue::Num(s.parent as f64)),
             ];
             args.extend(s.args.iter().map(|(k, v)| (k.clone(), JsonValue::Num(*v))));
+            let (ts, dur) = (s.start_ns as f64, s.dur_ns as f64);
             events.push(JsonValue::object([
                 ("ph".to_owned(), JsonValue::Str("X".to_owned())),
-                (
-                    "name".to_owned(),
-                    JsonValue::Str(s.name.clone().into_owned()),
-                ),
+                ("name".to_owned(), JsonValue::Str(s.name.to_string())),
                 ("cat".to_owned(), JsonValue::Str("oslay".to_owned())),
                 ("pid".to_owned(), JsonValue::Num(1.0)),
                 ("tid".to_owned(), JsonValue::Num(f64::from(s.track))),
-                (
-                    "ts".to_owned(),
-                    JsonValue::Num(s.start_ns as f64 / NS_PER_US),
-                ),
-                (
-                    "dur".to_owned(),
-                    JsonValue::Num(s.dur_ns as f64 / NS_PER_US),
-                ),
+                ("ts".to_owned(), JsonValue::Num(ts / NS_PER_US)),
+                ("dur".to_owned(), JsonValue::Num(dur / NS_PER_US)),
                 ("args".to_owned(), JsonValue::Object(args)),
             ]));
         }
     }
+    let unit = JsonValue::Str("ms".to_owned());
     JsonValue::object([
         ("traceEvents".to_owned(), JsonValue::Array(events)),
-        (
-            "displayTimeUnit".to_owned(),
-            JsonValue::Str("ms".to_owned()),
-        ),
+        ("displayTimeUnit".to_owned(), unit),
     ])
 }
 
@@ -543,21 +533,6 @@ pub struct TraceStats {
     pub tracks: usize,
     /// Deepest span nesting observed on any one track.
     pub max_depth: usize,
-}
-
-fn event_num(e: &JsonValue, key: &str) -> Option<f64> {
-    e.get(key).and_then(JsonValue::as_f64)
-}
-
-/// Validates Chrome trace-event JSON text (see [`ChromeTrace::parse`])
-/// and returns its aggregate facts. This is the schema checker behind
-/// `perf check` and the CI trace gate.
-///
-/// # Errors
-///
-/// Returns a description of the first violation found.
-pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
-    ChromeTrace::parse(text).map(|trace| trace.stats)
 }
 
 /// A trace file parsed back into a neutral form for the ASCII renderers.
@@ -577,19 +552,21 @@ impl ChromeTrace {
     /// non-negative `ts`/`dur`; `B`/`E` pairs must balance per track with
     /// matching names; within each track, timestamps must be
     /// monotonically non-decreasing in file order and every span
-    /// interval must nest inside any span still open around it.
+    /// interval must nest inside any span still open around it. This is
+    /// the schema checker behind `perf check` and the CI trace gate.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violation found.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-        let events = match v.get("traceEvents").and_then(JsonValue::as_array) {
-            Some(a) => a,
-            None => v
-                .as_array()
-                .ok_or("neither a traceEvents object nor a bare event array")?,
+    /// Returns a [`DocError`] naming the first violation found.
+    pub fn parse(text: &str) -> Result<Self, DocError> {
+        let v = json::parse(text)?;
+        let root = Node::root(&v);
+        let list = match v.get("traceEvents") {
+            Some(JsonValue::Array(_)) => root.member("traceEvents")?,
+            _ if v.as_array().is_some() => root,
+            _ => return Err(root.wrong("must be a traceEvents object or a bare event array")),
         };
+        let events = list.items()?;
         let mut out = ChromeTrace::default();
         out.stats.events = events.len();
         // Per-tid state: last ts, open B/E names, open X end-times.
@@ -604,46 +581,43 @@ impl ChromeTrace {
                 &mut v.last_mut().expect("just pushed").1
             }
         }
-        for (i, e) in events.iter().enumerate() {
-            let ph = e
-                .get("ph")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| format!("event {i}: missing ph"))?;
+        for e in events {
+            let ph = e.member("ph")?.str()?;
             if ph == "M" {
-                let name = e.get("name").and_then(JsonValue::as_str);
+                let name = e.value.get("name").and_then(JsonValue::as_str);
                 let track = e
+                    .value
                     .get("args")
                     .and_then(|a| a.get("name"))
                     .and_then(JsonValue::as_str);
                 if let (Some("thread_name"), Some(track)) = (name, track) {
-                    let tid = event_num(e, "tid").unwrap_or(0.0) as u64;
-                    out.thread_names.push((tid, track.to_owned()));
+                    let tid = e.value.get("tid").and_then(JsonValue::as_f64);
+                    out.thread_names
+                        .push((tid.unwrap_or(0.0) as u64, track.to_owned()));
                 }
                 continue;
             }
-            let tid = event_num(e, "tid").ok_or_else(|| format!("event {i}: missing tid"))? as u64;
-            let ts = event_num(e, "ts").ok_or_else(|| format!("event {i}: missing ts"))?;
+            let tid = e.member("tid")?.f64()? as u64;
+            let ts_node = e.member("ts")?;
+            let ts = ts_node.f64()?;
             if ts < 0.0 {
-                return Err(format!("event {i}: negative ts {ts}"));
+                return Err(ts_node.rule(format!("negative ts {ts}")));
             }
             let prev = entry(&mut last_ts, tid);
             if ts + 1e-6 < *prev {
-                return Err(format!(
-                    "event {i}: ts {ts} goes backwards on tid {tid} (prev {prev})"
-                ));
+                return Err(
+                    ts_node.rule(format!("ts {ts} goes backwards on tid {tid} (prev {prev})"))
+                );
             }
             *prev = ts;
             match ph {
                 "X" => {
                     out.stats.spans += 1;
-                    let name = e
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("event {i}: X without name"))?;
-                    let dur = event_num(e, "dur")
-                        .ok_or_else(|| format!("event {i}: X \"{name}\" without dur"))?;
+                    let name = e.member("name")?.str()?;
+                    let dur_node = e.member("dur")?;
+                    let dur = dur_node.f64()?;
                     if dur < 0.0 {
-                        return Err(format!("event {i}: X \"{name}\" negative dur {dur}"));
+                        return Err(dur_node.rule(format!("X \"{name}\" negative dur {dur}")));
                     }
                     let ends = entry(&mut x_stack, tid);
                     while ends.last().is_some_and(|&end| end <= ts + 1e-6) {
@@ -651,11 +625,11 @@ impl ChromeTrace {
                     }
                     if let Some(&enclosing) = ends.last() {
                         if ts + dur > enclosing + 1e-6 {
-                            return Err(format!(
-                                "event {i}: span \"{name}\" [{ts}, {}] escapes its enclosing \
+                            return Err(e.rule(format!(
+                                "span \"{name}\" [{ts}, {}] escapes its enclosing \
                                  span ending at {enclosing} on tid {tid}",
                                 ts + dur
-                            ));
+                            )));
                         }
                     }
                     ends.push(ts + dur);
@@ -663,41 +637,39 @@ impl ChromeTrace {
                     out.spans.push((name.to_owned(), tid, ts, dur));
                 }
                 "B" => {
-                    let name = e
-                        .get("name")
-                        .and_then(JsonValue::as_str)
-                        .ok_or_else(|| format!("event {i}: B without name"))?;
+                    let name = e.member("name")?.str()?;
                     entry(&mut be_stack, tid).push(name.to_owned());
                 }
                 "E" => {
                     let open = entry(&mut be_stack, tid);
                     let top = open
                         .pop()
-                        .ok_or_else(|| format!("event {i}: E with no open B on tid {tid}"))?;
-                    if let Some(name) = e.get("name").and_then(JsonValue::as_str) {
+                        .ok_or_else(|| e.rule(format!("E with no open B on tid {tid}")))?;
+                    if let Some(name) = e.value.get("name").and_then(JsonValue::as_str) {
                         if name != top {
-                            return Err(format!(
-                                "event {i}: E \"{name}\" does not match open B \"{top}\""
-                            ));
+                            return Err(
+                                e.rule(format!("E \"{name}\" does not match open B \"{top}\""))
+                            );
                         }
                     }
                 }
                 "C" => {
                     out.stats.counters += 1;
                     let ok = e
+                        .value
                         .get("args")
                         .is_some_and(|a| matches!(a, JsonValue::Object(m) if !m.is_empty()));
                     if !ok {
-                        return Err(format!("event {i}: C without args"));
+                        return Err(e.rule("C without args"));
                     }
                 }
                 "i" | "I" => {}
-                other => return Err(format!("event {i}: unsupported phase {other:?}")),
+                other => return Err(e.rule(format!("unsupported phase {other:?}"))),
             }
         }
         for (tid, open) in &be_stack {
             if let Some(name) = open.last() {
-                return Err(format!("unbalanced B \"{name}\" left open on tid {tid}"));
+                return Err(list.rule(format!("unbalanced B \"{name}\" left open on tid {tid}")));
             }
         }
         out.stats.tracks = last_ts.len();
@@ -1018,7 +990,9 @@ mod tests {
         }
         disable();
         let text = chrome_trace().to_json_pretty();
-        let stats = validate_chrome_trace(&text).expect("export passes its own validator");
+        let stats = ChromeTrace::parse(&text)
+            .expect("export passes its own validator")
+            .stats;
         assert!(stats.spans >= 2, "{stats:?}");
         assert!(stats.counters >= 1, "{stats:?}");
         assert!(stats.max_depth >= 2, "{stats:?}");
@@ -1068,41 +1042,45 @@ mod tests {
             {"ph":"X","name":"a","pid":1,"tid":0,"ts":100,"dur":5},
             {"ph":"X","name":"b","pid":1,"tid":0,"ts":50,"dur":5}
         ]}"#;
-        assert!(validate_chrome_trace(bad_order)
+        assert!(ChromeTrace::parse(bad_order)
             .unwrap_err()
+            .to_string()
             .contains("backwards"));
 
         let escapes = r#"{"traceEvents": [
             {"ph":"X","name":"parent","pid":1,"tid":0,"ts":0,"dur":10},
             {"ph":"X","name":"child","pid":1,"tid":0,"ts":5,"dur":50}
         ]}"#;
-        assert!(validate_chrome_trace(escapes)
+        assert!(ChromeTrace::parse(escapes)
             .unwrap_err()
+            .to_string()
             .contains("escapes"));
 
         let unbalanced = r#"{"traceEvents": [
             {"ph":"B","name":"open","pid":1,"tid":3,"ts":0}
         ]}"#;
-        assert!(validate_chrome_trace(unbalanced)
+        assert!(ChromeTrace::parse(unbalanced)
             .unwrap_err()
+            .to_string()
             .contains("unbalanced"));
 
         let mismatched = r#"{"traceEvents": [
             {"ph":"B","name":"a","pid":1,"tid":0,"ts":0},
             {"ph":"E","name":"b","pid":1,"tid":0,"ts":1}
         ]}"#;
-        assert!(validate_chrome_trace(mismatched)
+        assert!(ChromeTrace::parse(mismatched)
             .unwrap_err()
+            .to_string()
             .contains("does not match"));
 
-        assert!(validate_chrome_trace("{}").is_err());
-        assert!(validate_chrome_trace("not json").is_err());
+        assert!(ChromeTrace::parse("{}").is_err());
+        assert!(ChromeTrace::parse("not json").is_err());
 
         let balanced = r#"{"traceEvents": [
             {"ph":"B","name":"a","pid":1,"tid":0,"ts":0},
             {"ph":"E","name":"a","pid":1,"tid":0,"ts":1}
         ]}"#;
-        validate_chrome_trace(balanced).expect("balanced B/E pass");
+        ChromeTrace::parse(balanced).expect("balanced B/E pass");
     }
 
     #[test]
@@ -1119,7 +1097,7 @@ mod tests {
         let written = flush().expect("flush").expect("path pending");
         assert_eq!(written, path);
         let text = std::fs::read_to_string(&path).expect("trace written");
-        validate_chrome_trace(&text).expect("written trace validates");
+        ChromeTrace::parse(&text).expect("written trace validates");
         assert!(flush().expect("second flush").is_none(), "flush consumed");
         std::fs::remove_dir_all(&dir).ok();
     }

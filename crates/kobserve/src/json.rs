@@ -4,7 +4,9 @@
 //! This module covers exactly what the reports need: the six JSON value
 //! kinds, deterministic member order (objects are ordered vectors, not
 //! maps), full string escaping, and a strict recursive-descent parser so
-//! reports can be read back.
+//! reports can be read back. Every reader of a workspace document walks
+//! the parsed value through [`Node`]'s typed accessors and rejects a bad
+//! file with one [`DocError`] that names the path of the bad value.
 
 use std::fmt;
 
@@ -228,6 +230,177 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// Why a document was rejected: the one error every JSON reader in the
+/// workspace returns. Each case but [`DocError::NotJson`] names the path
+/// of the offending value from the document root, e.g.
+/// `runs[2].frames[5][3]`: member names joined by `.`, array indices in
+/// brackets, and a name that is not a plain word quoted as `['a.b']`. It
+/// displays as `path: what is wrong` (`missing "path"` for an absent
+/// member; just the rule for one that concerns the whole document).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum DocError {
+    /// The text is not JSON.
+    NotJson(JsonError),
+    /// A required member is absent.
+    Missing {
+        /// Path of the absent member.
+        path: String,
+    },
+    /// A value has the wrong JSON type or is out of range.
+    Wrong {
+        /// Path of the value.
+        path: String,
+        /// What it must be, e.g. `must be a non-negative integer`.
+        expected: &'static str,
+    },
+    /// The document breaks one of its own rules (a sum, an order, a floor).
+    Rule {
+        /// Path of the value that breaks it (empty for the whole document).
+        path: String,
+        /// The rule and how it is broken.
+        message: String,
+    },
+}
+
+impl DocError {
+    /// The path the error names; `None` when the text is not JSON.
+    #[must_use]
+    pub fn path(&self) -> Option<&str> {
+        match self {
+            DocError::NotJson(_) => None,
+            DocError::Missing { path }
+            | DocError::Wrong { path, .. }
+            | DocError::Rule { path, .. } => Some(path),
+        }
+    }
+}
+
+impl fmt::Display for DocError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (path, what) = match self {
+            DocError::NotJson(e) => return write!(f, "not JSON: {e}"),
+            DocError::Missing { path } => return write!(f, "missing \"{path}\""),
+            DocError::Wrong { path, expected } => (path, *expected),
+            DocError::Rule { path, message } => (path, message.as_str()),
+        };
+        if path.is_empty() {
+            f.write_str(what)
+        } else {
+            write!(f, "{path}: {what}")
+        }
+    }
+}
+
+impl std::error::Error for DocError {}
+
+impl From<JsonError> for DocError {
+    fn from(e: JsonError) -> Self {
+        DocError::NotJson(e)
+    }
+}
+
+/// A value inside a parsed document together with its path from the
+/// root: the typed accessors the document readers share. Each accessor
+/// returns the value or a [`DocError`] naming the path.
+#[derive(Clone, Debug)]
+pub struct Node<'a> {
+    /// The value.
+    pub value: &'a JsonValue,
+    path: String,
+}
+
+impl<'a> Node<'a> {
+    /// The document root.
+    #[must_use]
+    pub fn root(value: &'a JsonValue) -> Self {
+        Self {
+            value,
+            path: String::new(),
+        }
+    }
+
+    fn member_path(&self, key: &str) -> String {
+        let plain = !key.is_empty() && key.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_');
+        match (plain, self.path.is_empty()) {
+            (true, true) => key.to_owned(),
+            (true, false) => format!("{}.{key}", self.path),
+            (false, _) => format!("{}['{key}']", self.path),
+        }
+    }
+
+    /// The required member `key`, or [`DocError::Missing`].
+    pub fn member(&self, key: &str) -> Result<Node<'a>, DocError> {
+        let path = self.member_path(key);
+        match self.value.get(key) {
+            Some(value) => Ok(Node { value, path }),
+            None => Err(DocError::Missing { path }),
+        }
+    }
+
+    /// The value as a `u64` ([`JsonValue::as_u64`]), or [`DocError::Wrong`].
+    pub fn u64(&self) -> Result<u64, DocError> {
+        self.value
+            .as_u64()
+            .ok_or_else(|| self.wrong("must be a non-negative integer"))
+    }
+
+    /// The value as an `f64`, or [`DocError::Wrong`].
+    pub fn f64(&self) -> Result<f64, DocError> {
+        self.value
+            .as_f64()
+            .ok_or_else(|| self.wrong("must be a number"))
+    }
+
+    /// The value as a string, or [`DocError::Wrong`].
+    pub fn str(&self) -> Result<&'a str, DocError> {
+        self.value
+            .as_str()
+            .ok_or_else(|| self.wrong("must be a string"))
+    }
+
+    /// The elements of an array with their paths, or [`DocError::Wrong`].
+    pub fn items(&self) -> Result<impl ExactSizeIterator<Item = Node<'a>> + '_, DocError> {
+        let items = self
+            .value
+            .as_array()
+            .ok_or_else(|| self.wrong("must be an array"))?;
+        Ok(items.iter().enumerate().map(|(i, value)| {
+            let path = format!("{}[{i}]", self.path);
+            Node { value, path }
+        }))
+    }
+
+    /// An object's members in document order with their paths, or
+    /// [`DocError::Wrong`].
+    pub fn members(&self) -> Result<impl Iterator<Item = (&'a str, Node<'a>)> + '_, DocError> {
+        let JsonValue::Object(members) = self.value else {
+            return Err(self.wrong("must be an object"));
+        };
+        Ok(members.iter().map(|(key, value)| {
+            let path = self.member_path(key);
+            (key.as_str(), Node { value, path })
+        }))
+    }
+
+    /// A [`DocError::Wrong`] at this value.
+    #[must_use]
+    pub fn wrong(&self, expected: &'static str) -> DocError {
+        DocError::Wrong {
+            path: self.path.clone(),
+            expected,
+        }
+    }
+
+    /// A [`DocError::Rule`] at this value.
+    #[must_use]
+    pub fn rule(&self, message: impl Into<String>) -> DocError {
+        DocError::Rule {
+            path: self.path.clone(),
+            message: message.into(),
+        }
+    }
+}
 
 /// Deepest array/object nesting [`parse`] accepts. The documents this
 /// workspace writes nest at most six levels; the bound keeps a hostile
@@ -617,5 +790,33 @@ mod tests {
             Some(1)
         );
         assert_eq!(v.get("missing"), None);
+    }
+
+    #[test]
+    fn doc_errors_name_the_path() {
+        let v = parse(r#"{"runs": [{"a.b": [1, "x"]}]}"#).unwrap();
+        let root = Node::root(&v);
+        let run = root
+            .member("runs")
+            .unwrap()
+            .items()
+            .unwrap()
+            .next()
+            .unwrap();
+        let cell = run.member("a.b").unwrap().items().unwrap().nth(1).unwrap();
+        let err = cell.u64().unwrap_err();
+        assert_eq!(err.path(), Some("runs[0]['a.b'][1]"));
+        assert_eq!(
+            err.to_string(),
+            "runs[0]['a.b'][1]: must be a non-negative integer"
+        );
+        let err = run.member("gone").unwrap_err();
+        assert_eq!(err.to_string(), "missing \"runs[0].gone\"");
+        assert_eq!(cell.str(), Ok("x"));
+        assert!(cell.f64().is_err() && cell.items().is_err() && cell.members().is_err());
+        assert_eq!(root.rule("no runs").to_string(), "no runs");
+        let err = DocError::from(parse("[").unwrap_err());
+        assert_eq!(err.path(), None);
+        assert!(err.to_string().starts_with("not JSON: "), "{err}");
     }
 }

@@ -43,8 +43,8 @@ mod report;
 pub mod timeline;
 
 pub use flight::{span, span_with_args};
-pub use json::{JsonError, JsonValue};
+pub use json::{DocError, JsonError, JsonValue};
 pub use metrics::{
     AttrClass, AttributionProbe, Histogram, HistogramSummary, MetricRegistry, Probe,
 };
-pub use report::{ReportError, RunReport, SpanEntry};
+pub use report::{RunReport, SpanEntry};

@@ -6,11 +6,11 @@
 //! speedups per penalty, ...). It serializes to JSON beside the
 //! human-readable `.txt` outputs and parses back.
 
-use std::fmt;
 use std::fs;
+use std::io;
 use std::path::Path;
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, DocError, JsonValue, Node};
 use crate::metrics::{HistogramSummary, MetricRegistry};
 
 /// One aggregated phase span in a report.
@@ -135,95 +135,53 @@ impl RunReport {
     /// Serializes the report to a JSON value.
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
+        let num = |n: u64| JsonValue::Num(n as f64);
+        let numbers = |fields: &[(String, f64)]| {
+            JsonValue::Object(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
+                    .collect(),
+            )
+        };
+        let spans = self.spans.iter().map(|s| {
+            JsonValue::object([
+                ("name".to_owned(), JsonValue::Str(s.name.clone())),
+                ("secs".to_owned(), JsonValue::Num(s.secs)),
+                ("count".to_owned(), num(s.count)),
+            ])
+        });
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let buckets = h
+                .buckets
+                .iter()
+                .map(|&(lo, c)| JsonValue::Array(vec![num(lo), num(c)]));
+            let summary = JsonValue::object([
+                ("count".to_owned(), num(h.count)),
+                ("sum".to_owned(), num(h.sum)),
+                ("max".to_owned(), num(h.max)),
+                ("p50".to_owned(), num(h.p50)),
+                ("p95".to_owned(), num(h.p95)),
+                ("p99".to_owned(), num(h.p99)),
+                ("buckets".to_owned(), JsonValue::Array(buckets.collect())),
+            ]);
+            (k.clone(), summary)
+        });
+        let counters = self.counters.iter().map(|(k, v)| (k.clone(), num(*v)));
+        let sections = self
+            .sections
+            .iter()
+            .map(|s| (s.name.clone(), numbers(&s.fields)));
         JsonValue::object([
             ("name".to_owned(), JsonValue::Str(self.name.clone())),
-            (
-                "spans".to_owned(),
-                JsonValue::Array(
-                    self.spans
-                        .iter()
-                        .map(|s| {
-                            JsonValue::object([
-                                ("name".to_owned(), JsonValue::Str(s.name.clone())),
-                                ("secs".to_owned(), JsonValue::Num(s.secs)),
-                                ("count".to_owned(), JsonValue::Num(s.count as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "counters".to_owned(),
-                JsonValue::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::Num(*v as f64)))
-                        .collect(),
-                ),
-            ),
-            (
-                "gauges".to_owned(),
-                JsonValue::Object(
-                    self.gauges
-                        .iter()
-                        .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
-                        .collect(),
-                ),
-            ),
+            ("spans".to_owned(), JsonValue::Array(spans.collect())),
+            ("counters".to_owned(), JsonValue::Object(counters.collect())),
+            ("gauges".to_owned(), numbers(&self.gauges)),
             (
                 "histograms".to_owned(),
-                JsonValue::Object(
-                    self.histograms
-                        .iter()
-                        .map(|(k, h)| {
-                            (
-                                k.clone(),
-                                JsonValue::object([
-                                    ("count".to_owned(), JsonValue::Num(h.count as f64)),
-                                    ("sum".to_owned(), JsonValue::Num(h.sum as f64)),
-                                    ("max".to_owned(), JsonValue::Num(h.max as f64)),
-                                    ("p50".to_owned(), JsonValue::Num(h.p50 as f64)),
-                                    ("p95".to_owned(), JsonValue::Num(h.p95 as f64)),
-                                    ("p99".to_owned(), JsonValue::Num(h.p99 as f64)),
-                                    (
-                                        "buckets".to_owned(),
-                                        JsonValue::Array(
-                                            h.buckets
-                                                .iter()
-                                                .map(|&(lo, c)| {
-                                                    JsonValue::Array(vec![
-                                                        JsonValue::Num(lo as f64),
-                                                        JsonValue::Num(c as f64),
-                                                    ])
-                                                })
-                                                .collect(),
-                                        ),
-                                    ),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
+                JsonValue::Object(histograms.collect()),
             ),
-            (
-                "sections".to_owned(),
-                JsonValue::Object(
-                    self.sections
-                        .iter()
-                        .map(|s| {
-                            (
-                                s.name.clone(),
-                                JsonValue::Object(
-                                    s.fields
-                                        .iter()
-                                        .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
-                                        .collect(),
-                                ),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
+            ("sections".to_owned(), JsonValue::Object(sections.collect())),
         ])
     }
 
@@ -252,24 +210,16 @@ impl RunReport {
             unreachable!("to_json always builds an object");
         };
         for (key, val) in members.iter_mut() {
-            match key.as_str() {
-                "spans" => {
-                    *val = JsonValue::Array(
-                        self.spans
-                            .iter()
-                            .map(|s| {
-                                JsonValue::object([
-                                    ("name".to_owned(), JsonValue::Str(s.name.clone())),
-                                    ("count".to_owned(), JsonValue::Num(s.count as f64)),
-                                ])
-                            })
-                            .collect(),
-                    );
-                }
-                "sections" => {
-                    if let JsonValue::Object(sections) = val {
-                        sections.retain(|(name, _)| !name.starts_with("perf."));
+            match (key.as_str(), val) {
+                ("spans", JsonValue::Array(spans)) => {
+                    for span in spans {
+                        if let JsonValue::Object(fields) = span {
+                            fields.retain(|(k, _)| k != "secs");
+                        }
                     }
+                }
+                ("sections", JsonValue::Object(sections)) => {
+                    sections.retain(|(name, _)| !name.starts_with("perf."));
                 }
                 _ => {}
             }
@@ -281,99 +231,65 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Returns [`ReportError`] if the text is not valid JSON or lacks the
+    /// Returns a [`DocError`] if the text is not valid JSON or lacks the
     /// report structure.
-    pub fn from_json(text: &str) -> Result<Self, ReportError> {
-        let v = json::parse(text)?;
-        let bad = |what: &str| ReportError::Shape(what.to_owned());
-        let name = v
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| bad("missing name"))?
-            .to_owned();
-        let mut report = RunReport::new(&name);
+    pub fn from_json(text: &str) -> Result<Self, DocError> {
+        Self::from_value(&json::parse(text)?)
+    }
 
-        for s in v
-            .get("spans")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| bad("missing spans"))?
-        {
+    /// Reads a report from a parsed JSON document.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DocError`] if the value lacks the report structure.
+    pub fn from_value(v: &JsonValue) -> Result<Self, DocError> {
+        let doc = Node::root(v);
+        let mut report = RunReport::new(doc.member("name")?.str()?);
+        for s in doc.member("spans")?.items()? {
             report.spans.push(SpanEntry {
-                name: s
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("span without name"))?
-                    .to_owned(),
-                secs: s
-                    .get("secs")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| bad("span without secs"))?,
-                count: s
-                    .get("count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("span without count"))?,
+                name: s.member("name")?.str()?.to_owned(),
+                secs: s.member("secs")?.f64()?,
+                count: s.member("count")?.u64()?,
             });
         }
-
-        let object_members = |key: &str| -> Result<Vec<(String, JsonValue)>, ReportError> {
-            match v.get(key) {
-                Some(JsonValue::Object(members)) => Ok(members.clone()),
-                _ => Err(bad(&format!("missing {key}"))),
-            }
-        };
-        for (k, val) in object_members("counters")? {
-            let n = val.as_u64().ok_or_else(|| bad("non-integer counter"))?;
-            report.counters.push((k, n));
+        for (k, val) in doc.member("counters")?.members()? {
+            report.counters.push((k.to_owned(), val.u64()?));
         }
-        for (k, val) in object_members("gauges")? {
-            let n = val.as_f64().ok_or_else(|| bad("non-numeric gauge"))?;
-            report.gauges.push((k, n));
+        for (k, val) in doc.member("gauges")?.members()? {
+            report.gauges.push((k.to_owned(), val.f64()?));
         }
-        for (k, val) in object_members("histograms")? {
+        for (k, val) in doc.member("histograms")?.members()? {
+            // Percentiles were added after the first reports were
+            // written; default to 0 so old files still parse.
+            let percentile = |key| val.member(key).and_then(|n| n.u64()).unwrap_or(0);
             let mut summary = HistogramSummary {
-                count: val
-                    .get("count")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("histogram without count"))?,
-                sum: val
-                    .get("sum")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("histogram without sum"))?,
-                max: val
-                    .get("max")
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| bad("histogram without max"))?,
-                // Percentiles were added after the first reports were
-                // written; default to 0 so old files still parse.
-                p50: val.get("p50").and_then(JsonValue::as_u64).unwrap_or(0),
-                p95: val.get("p95").and_then(JsonValue::as_u64).unwrap_or(0),
-                p99: val.get("p99").and_then(JsonValue::as_u64).unwrap_or(0),
+                count: val.member("count")?.u64()?,
+                sum: val.member("sum")?.u64()?,
+                max: val.member("max")?.u64()?,
+                p50: percentile("p50"),
+                p95: percentile("p95"),
+                p99: percentile("p99"),
                 buckets: Vec::new(),
             };
-            for pair in val
-                .get("buckets")
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| bad("histogram without buckets"))?
-            {
-                let pair = pair.as_array().ok_or_else(|| bad("bucket not a pair"))?;
-                if pair.len() != 2 {
-                    return Err(bad("bucket not a pair"));
-                }
-                let lo = pair[0].as_u64().ok_or_else(|| bad("bucket low"))?;
-                let c = pair[1].as_u64().ok_or_else(|| bad("bucket count"))?;
-                summary.buckets.push((lo, c));
+            for pair in val.member("buckets")?.items()? {
+                let mut lo_count = pair.items()?;
+                let (Some(lo), Some(c), None) = (lo_count.next(), lo_count.next(), lo_count.next())
+                else {
+                    return Err(pair.wrong("must be a [low, count] pair"));
+                };
+                summary.buckets.push((lo.u64()?, c.u64()?));
             }
-            report.histograms.push((k, summary));
+            report.histograms.push((k.to_owned(), summary));
         }
-        for (name, val) in object_members("sections")? {
-            let JsonValue::Object(members) = val else {
-                return Err(bad("section not an object"));
-            };
-            let mut fields = Vec::with_capacity(members.len());
-            for (k, fv) in members {
-                fields.push((k, fv.as_f64().ok_or_else(|| bad("non-numeric field"))?));
-            }
-            report.sections.push(Section { name, fields });
+        for (name, val) in doc.member("sections")?.members()? {
+            let fields = val
+                .members()?
+                .map(|(k, fv)| Ok((k.to_owned(), fv.f64()?)))
+                .collect::<Result<_, DocError>>()?;
+            report.sections.push(Section {
+                name: name.to_owned(),
+                fields,
+            });
         }
         Ok(report)
     }
@@ -383,48 +299,12 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Returns [`ReportError::Io`] on filesystem failure.
-    pub fn write(&self, path: &Path) -> Result<(), ReportError> {
+    /// Returns the filesystem error on failure.
+    pub fn write(&self, path: &Path) -> io::Result<()> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
         }
-        fs::write(path, self.to_json().to_json_pretty())?;
-        Ok(())
-    }
-}
-
-/// A report could not be written, read, or parsed.
-#[derive(Debug)]
-pub enum ReportError {
-    /// Filesystem failure.
-    Io(std::io::Error),
-    /// The text was not valid JSON.
-    Json(json::JsonError),
-    /// The JSON was valid but not shaped like a report.
-    Shape(String),
-}
-
-impl fmt::Display for ReportError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReportError::Io(e) => write!(f, "report I/O error: {e}"),
-            ReportError::Json(e) => write!(f, "report JSON error: {e}"),
-            ReportError::Shape(s) => write!(f, "malformed report: {s}"),
-        }
-    }
-}
-
-impl std::error::Error for ReportError {}
-
-impl From<std::io::Error> for ReportError {
-    fn from(e: std::io::Error) -> Self {
-        ReportError::Io(e)
-    }
-}
-
-impl From<json::JsonError> for ReportError {
-    fn from(e: json::JsonError) -> Self {
-        ReportError::Json(e)
+        fs::write(path, self.to_json().to_json_pretty())
     }
 }
 

@@ -26,7 +26,7 @@
 //!   any worker count.
 //!
 //! The serialized document (`--telemetry-out FILE`) is the
-//! `oslay.telemetry.v1` schema; [`validate_telemetry`] is the strict
+//! `oslay.telemetry.v1` schema; [`TelemetryDoc::parse`] is the strict
 //! checker behind `dash --check`.
 
 use std::cell::RefCell;
@@ -35,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::json::{self, JsonValue};
+use crate::json::{self, DocError, JsonValue, Node};
 
 /// Schema identifier written into every telemetry document.
 pub const SCHEMA: &str = "oslay.telemetry.v1";
@@ -627,57 +627,31 @@ pub fn recorder() -> Option<WindowRecorder> {
 }
 
 fn run_to_json(run: &CompletedRun) -> JsonValue {
+    let num = |n: u64| JsonValue::Num(n as f64);
+    let frames = run
+        .frames
+        .iter()
+        .map(|f| JsonValue::Array(f.row().map(num).to_vec()));
+    let phases = run.phases.iter().map(|p| {
+        JsonValue::object([
+            ("id".to_owned(), num(u64::from(p.id))),
+            ("start_frame".to_owned(), num(p.start_frame as u64)),
+            ("end_frame".to_owned(), num(p.end_frame as u64)),
+            ("events_start".to_owned(), num(p.events_start)),
+            ("events_end".to_owned(), num(p.events_end)),
+            ("accesses".to_owned(), num(p.accesses)),
+            ("misses".to_owned(), num(p.misses)),
+            ("compulsory".to_owned(), num(p.compulsory)),
+            ("capacity".to_owned(), num(p.capacity)),
+            ("conflict".to_owned(), num(p.conflict)),
+            ("miss_rate_ppm".to_owned(), num(p.miss_rate_ppm)),
+        ])
+    });
     JsonValue::object([
         ("label".to_owned(), JsonValue::Str(run.label.clone())),
-        (
-            "window_log2".to_owned(),
-            JsonValue::Num(f64::from(run.window_log2)),
-        ),
-        (
-            "frames".to_owned(),
-            JsonValue::Array(
-                run.frames
-                    .iter()
-                    .map(|f| {
-                        JsonValue::Array(
-                            f.row().iter().map(|&v| JsonValue::Num(v as f64)).collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "phases".to_owned(),
-            JsonValue::Array(
-                run.phases
-                    .iter()
-                    .map(|p| {
-                        JsonValue::object([
-                            ("id".to_owned(), JsonValue::Num(f64::from(p.id))),
-                            (
-                                "start_frame".to_owned(),
-                                JsonValue::Num(p.start_frame as f64),
-                            ),
-                            ("end_frame".to_owned(), JsonValue::Num(p.end_frame as f64)),
-                            (
-                                "events_start".to_owned(),
-                                JsonValue::Num(p.events_start as f64),
-                            ),
-                            ("events_end".to_owned(), JsonValue::Num(p.events_end as f64)),
-                            ("accesses".to_owned(), JsonValue::Num(p.accesses as f64)),
-                            ("misses".to_owned(), JsonValue::Num(p.misses as f64)),
-                            ("compulsory".to_owned(), JsonValue::Num(p.compulsory as f64)),
-                            ("capacity".to_owned(), JsonValue::Num(p.capacity as f64)),
-                            ("conflict".to_owned(), JsonValue::Num(p.conflict as f64)),
-                            (
-                                "miss_rate_ppm".to_owned(),
-                                JsonValue::Num(p.miss_rate_ppm as f64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("window_log2".to_owned(), num(u64::from(run.window_log2))),
+        ("frames".to_owned(), JsonValue::Array(frames.collect())),
+        ("phases".to_owned(), JsonValue::Array(phases.collect())),
     ])
 }
 
@@ -717,7 +691,7 @@ pub fn flush() -> io::Result<Option<PathBuf>> {
     Ok(Some(path))
 }
 
-/// Summary statistics returned by a successful [`validate_telemetry`].
+/// Summary counts of a telemetry document ([`TelemetryDoc::stats`]).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryStats {
     /// Runs in the document.
@@ -773,23 +747,22 @@ impl TelemetryDoc {
     /// increasing event counts, miss-split and OS-mix consistency, and
     /// phase coverage/summation. Sums that overflow `u64` are violations
     /// too, so hostile numbers yield an `Err`, never a panic or a wrap.
+    /// This is the strict checker behind `dash --check`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first violation found.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let v = json::parse(text).map_err(|e| format!("not valid JSON: {e}"))?;
-        if v.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
-            return Err(format!("missing or wrong schema tag (want {SCHEMA:?})"));
+    /// Returns a [`DocError`] naming the first violation found.
+    pub fn parse(text: &str) -> Result<Self, DocError> {
+        let v = json::parse(text)?;
+        let doc = Node::root(&v);
+        let schema = doc.member("schema")?;
+        if schema.value.as_str() != Some(SCHEMA) {
+            return Err(schema.rule(format!("wrong schema tag (want {SCHEMA:?})")));
         }
-        let runs = v
-            .get("runs")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing runs array")?;
-        let runs = runs
-            .iter()
-            .enumerate()
-            .map(|(ri, run)| parse_run(ri, run))
+        let runs = doc
+            .member("runs")?
+            .items()?
+            .map(|run| parse_run(&run))
             .collect::<Result<_, _>>()?;
         Ok(Self { runs })
     }
@@ -810,149 +783,121 @@ impl TelemetryDoc {
     }
 }
 
-/// `a + b`, or the named violation when the sum overflows `u64`.
-fn add(a: u64, b: u64, what: impl FnOnce() -> String) -> Result<u64, String> {
+/// `a + b`, or a violation at `at` when the sum overflows `u64`.
+fn add(a: u64, b: u64, at: &Node<'_>, what: &str) -> Result<u64, DocError> {
     a.checked_add(b)
-        .ok_or_else(|| format!("{} overflows", what()))
+        .ok_or_else(|| at.rule(format!("{what} overflows")))
 }
 
-/// Parses and validates run `ri` of a telemetry document.
-fn parse_run(ri: usize, run: &JsonValue) -> Result<TelemetryRun, String> {
-    let label = run
-        .get("label")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("run {ri}: missing label"))?;
-    if label.is_empty() {
-        return Err(format!("run {ri}: empty label"));
+/// Parses and validates one run of a telemetry document.
+fn parse_run(run: &Node<'_>) -> Result<TelemetryRun, DocError> {
+    let label = run.member("label")?;
+    if label.str()?.is_empty() {
+        return Err(label.rule("empty label"));
     }
-    let window = run
-        .get("window_log2")
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("run {label:?}: missing window_log2"))?;
+    let window_node = run.member("window_log2")?;
+    let window = window_node.u64()?;
     if window > 63 {
-        return Err(format!("run {label:?}: window_log2 {window} out of range"));
+        return Err(window_node.rule(format!("window_log2 {window} out of range")));
     }
-    let frames = run
-        .get("frames")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("run {label:?}: missing frames"))?;
-    let mut rows = Vec::with_capacity(frames.len());
+    let frames = run.member("frames")?;
+    let frames = frames.items()?;
+    let n_frames = frames.len();
+    let mut rows = Vec::with_capacity(n_frames);
     let mut prev_events = 0u64;
     let mut frame_sums = (0u64, 0u64); // (accesses, misses)
-    for (fi, row) in frames.iter().enumerate() {
-        let cells = row
-            .as_array()
-            .ok_or_else(|| format!("run {label:?} frame {fi}: not an array"))?;
+    for row in frames {
+        let cells = row.items()?;
         if cells.len() != 12 {
-            return Err(format!(
-                "run {label:?} frame {fi}: {} cells, want 12",
-                cells.len()
-            ));
+            return Err(row.wrong("must have 12 cells"));
         }
         let mut r = [0u64; 12];
-        for (i, cell) in cells.iter().enumerate() {
-            r[i] = cell.as_u64().ok_or_else(|| {
-                format!("run {label:?} frame {fi} cell {i}: not a non-negative integer")
-            })?;
+        for (slot, cell) in r.iter_mut().zip(cells) {
+            *slot = cell.u64()?;
         }
         let [events, accesses, os_accesses, misses, compulsory, capacity, conflict, occ_p50, occ_p95, fill_ppm, _, _] =
             r;
         if events <= prev_events {
-            return Err(format!(
-                "run {label:?} frame {fi}: events {events} not strictly increasing (prev {prev_events})"
-            ));
+            return Err(row.rule(format!(
+                "events {events} not strictly increasing (prev {prev_events})"
+            )));
         }
         prev_events = events;
         if misses > accesses {
-            return Err(format!(
-                "run {label:?} frame {fi}: misses {misses} exceed accesses {accesses}"
-            ));
+            return Err(row.rule(format!("misses {misses} exceed accesses {accesses}")));
         }
         if os_accesses > accesses {
-            return Err(format!(
-                "run {label:?} frame {fi}: os_accesses {os_accesses} exceed accesses {accesses}"
-            ));
+            return Err(row.rule(format!(
+                "os_accesses {os_accesses} exceed accesses {accesses}"
+            )));
         }
         let split = compulsory
             .checked_add(capacity)
             .and_then(|s| s.checked_add(conflict));
         if split != Some(misses) {
-            return Err(format!(
-                "run {label:?} frame {fi}: miss split {compulsory}+{capacity}+{conflict} != {misses}"
-            ));
+            return Err(row.rule(format!(
+                "miss split {compulsory}+{capacity}+{conflict} != {misses}"
+            )));
         }
         if occ_p50 > occ_p95 {
-            return Err(format!(
-                "run {label:?} frame {fi}: occ_p50 {occ_p50} exceeds occ_p95 {occ_p95}"
-            ));
+            return Err(row.rule(format!("occ_p50 {occ_p50} exceeds occ_p95 {occ_p95}")));
         }
         if fill_ppm > 1_000_000 {
-            return Err(format!(
-                "run {label:?} frame {fi}: fill_ppm {fill_ppm} exceeds 1e6"
-            ));
+            return Err(row.rule(format!("fill_ppm {fill_ppm} exceeds 1e6")));
         }
-        let what = || format!("run {label:?}: frame sum at frame {fi}");
         frame_sums = (
-            add(frame_sums.0, accesses, what)?,
-            add(frame_sums.1, misses, what)?,
+            add(frame_sums.0, accesses, &row, "frame sum")?,
+            add(frame_sums.1, misses, &row, "frame sum")?,
         );
         rows.push(r);
     }
-    let phase_values = run
-        .get("phases")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| format!("run {label:?}: missing phases"))?;
-    if frames.is_empty() && !phase_values.is_empty() {
-        return Err(format!("run {label:?}: phases without frames"));
+    let phase_values = run.member("phases")?;
+    let phase_values = phase_values.items()?;
+    if n_frames == 0 && phase_values.len() > 0 {
+        return Err(run.rule("phases without frames"));
     }
     let mut phases = Vec::with_capacity(phase_values.len());
     let mut next_start = 0usize;
     let mut phase_sums = (0u64, 0u64);
-    for (pi, phase) in phase_values.iter().enumerate() {
-        let f = |key: &str| {
-            phase
-                .get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("run {label:?} phase {pi}: missing {key}"))
-        };
-        let id = f("id")?;
-        if id != pi as u64 {
-            return Err(format!("run {label:?} phase {pi}: non-sequential id"));
+    for phase in phase_values {
+        let id = phase.member("id")?.u64()?;
+        if id != phases.len() as u64 {
+            return Err(phase.rule("non-sequential id"));
         }
-        let start = f("start_frame")? as usize;
-        let end = f("end_frame")? as usize;
-        if start != next_start || end <= start || end > frames.len() {
-            return Err(format!(
-                "run {label:?} phase {pi}: range {start}..{end} breaks contiguous coverage"
-            ));
+        let start = phase.member("start_frame")?.u64()? as usize;
+        let end = phase.member("end_frame")?.u64()? as usize;
+        if start != next_start || end <= start || end > n_frames {
+            return Err(phase.rule(format!("range {start}..{end} breaks contiguous coverage")));
         }
         next_start = end;
-        let (accesses, misses) = (f("accesses")?, f("misses")?);
-        let (compulsory, capacity, conflict) = (f("compulsory")?, f("capacity")?, f("conflict")?);
+        let accesses = phase.member("accesses")?.u64()?;
+        let misses = phase.member("misses")?.u64()?;
+        let compulsory = phase.member("compulsory")?.u64()?;
+        let capacity = phase.member("capacity")?.u64()?;
+        let conflict = phase.member("conflict")?.u64()?;
         let split = compulsory
             .checked_add(capacity)
             .and_then(|s| s.checked_add(conflict));
         if split != Some(misses) {
-            return Err(format!("run {label:?} phase {pi}: miss split mismatch"));
+            return Err(phase.rule("miss split mismatch"));
         }
         let scaled = misses
             .checked_mul(1_000_000)
-            .ok_or_else(|| format!("run {label:?} phase {pi}: misses x 1e6 overflows"))?;
-        let miss_rate_ppm = f("miss_rate_ppm")?;
+            .ok_or_else(|| phase.rule("misses x 1e6 overflows"))?;
+        let miss_rate_ppm = phase.member("miss_rate_ppm")?.u64()?;
         if miss_rate_ppm != scaled.checked_div(accesses).unwrap_or(0) {
-            return Err(format!("run {label:?} phase {pi}: miss_rate_ppm mismatch"));
+            return Err(phase.rule("miss_rate_ppm mismatch"));
         }
-        let what = || format!("run {label:?}: phase sum at phase {pi}");
         phase_sums = (
-            add(phase_sums.0, accesses, what)?,
-            add(phase_sums.1, misses, what)?,
+            add(phase_sums.0, accesses, &phase, "phase sum")?,
+            add(phase_sums.1, misses, &phase, "phase sum")?,
         );
         phases.push(Phase {
             id: id as u32,
             start_frame: start,
             end_frame: end,
-            events_start: f("events_start")?,
-            events_end: f("events_end")?,
+            events_start: phase.member("events_start")?.u64()?,
+            events_end: phase.member("events_end")?.u64()?,
             accesses,
             misses,
             compulsory,
@@ -961,34 +906,20 @@ fn parse_run(ri: usize, run: &JsonValue) -> Result<TelemetryRun, String> {
             miss_rate_ppm,
         });
     }
-    if !frames.is_empty() && next_start != frames.len() {
-        return Err(format!(
-            "run {label:?}: phases cover {next_start} of {} frames",
-            frames.len()
-        ));
+    if n_frames > 0 && next_start != n_frames {
+        return Err(run.rule(format!("phases cover {next_start} of {n_frames} frames")));
     }
-    if !frames.is_empty() && phase_sums != frame_sums {
-        return Err(format!(
-            "run {label:?}: phase sums {phase_sums:?} disagree with frame sums {frame_sums:?}"
-        ));
+    if n_frames > 0 && phase_sums != frame_sums {
+        return Err(run.rule(format!(
+            "phase sums {phase_sums:?} disagree with frame sums {frame_sums:?}"
+        )));
     }
     Ok(TelemetryRun {
-        label: label.to_owned(),
+        label: label.str()?.to_owned(),
         window_log2: window as u32,
         rows,
         phases,
     })
-}
-
-/// Strictly validates a serialized telemetry document (see
-/// [`TelemetryDoc::parse`]) and returns its summary counts. Powers
-/// `dash --check` (exit 0 on `Ok`, 1 on `Err`).
-///
-/// # Errors
-///
-/// Returns a description of the first violation found.
-pub fn validate_telemetry(text: &str) -> Result<TelemetryStats, String> {
-    TelemetryDoc::parse(text).map(|doc| doc.stats())
 }
 
 #[cfg(test)]
@@ -1091,7 +1022,7 @@ mod tests {
         rec.finish(&snap(100, 7, 7));
         disable();
         let doc = document().to_json_pretty();
-        let stats = validate_telemetry(&doc).expect("valid");
+        let stats = TelemetryDoc::parse(&doc).expect("valid").stats();
         assert_eq!(stats.frames, 1);
         assert_eq!(stats.events, 10);
         reset();
@@ -1267,15 +1198,17 @@ mod tests {
         disable();
         let text = document().to_json_pretty();
         reset();
-        let stats = validate_telemetry(&text).expect("fresh document validates");
+        let stats = TelemetryDoc::parse(&text)
+            .expect("fresh document validates")
+            .stats();
         assert_eq!(stats.runs, 1);
         assert_eq!(stats.frames, 3);
         // Truncation must fail.
         let truncated = &text[..text.len() / 2];
-        assert!(validate_telemetry(truncated).is_err());
+        assert!(TelemetryDoc::parse(truncated).is_err());
         // A tampered cell (misses > accesses) must fail.
         let tampered = text.replacen("\"schema\"", "\"schema_x\"", 1);
-        assert!(validate_telemetry(&tampered).is_err());
+        assert!(TelemetryDoc::parse(&tampered).is_err());
         // Round-trip through the viewer model.
         let doc = TelemetryDoc::parse(&text).expect("parse back");
         assert_eq!(doc.runs.len(), 1);
@@ -1289,10 +1222,10 @@ mod tests {
             "{{\"schema\": {SCHEMA:?}, \"runs\": [{{\"label\": \"x\", \"window_log2\": 8, \
              \"frames\": [[256,10,5,2,1,0,1,0,0,0,0,0]], \"phases\": []}}]}}"
         );
-        let err = validate_telemetry(&bad).expect_err("uncovered frames");
-        assert!(err.contains("cover"), "{err}");
+        let err = TelemetryDoc::parse(&bad).expect_err("uncovered frames");
+        assert!(err.to_string().contains("cover"), "{err}");
         let empty = format!("{{\"schema\": {SCHEMA:?}, \"runs\": []}}");
-        assert_eq!(validate_telemetry(&empty).unwrap().runs, 0);
+        assert_eq!(TelemetryDoc::parse(&empty).unwrap().runs.len(), 0);
     }
 
     #[test]
@@ -1306,8 +1239,8 @@ mod tests {
         let big = 18_000_000_000_000_000_000u64;
         // A frame whose miss split overflows u64.
         let split = doc(&format!("[256,10,5,2,{big},{big},{big},0,0,0,0,0]"), "");
-        let err = validate_telemetry(&split).expect_err("overflowing miss split");
-        assert!(err.contains("miss split"), "{err}");
+        let err = TelemetryDoc::parse(&split).expect_err("overflowing miss split");
+        assert!(err.to_string().contains("miss split"), "{err}");
         // A phase whose misses overflow the ppm scaling.
         let phase = format!(
             "{{\"id\": 0, \"start_frame\": 0, \"end_frame\": 1, \"events_start\": 0, \
@@ -1315,14 +1248,14 @@ mod tests {
              \"capacity\": 0, \"conflict\": 0, \"miss_rate_ppm\": 0}}"
         );
         let ppm = doc("[256,10,5,2,1,0,1,0,0,0,0,0]", &phase);
-        let err = validate_telemetry(&ppm).expect_err("overflowing ppm scaling");
-        assert!(err.contains("overflows"), "{err}");
+        let err = TelemetryDoc::parse(&ppm).expect_err("overflowing ppm scaling");
+        assert!(err.to_string().contains("overflows"), "{err}");
         // Frame accesses whose running sum overflows.
         let sums = doc(
             &format!("[256,{big},0,0,0,0,0,0,0,0,0,0],[512,{big},0,0,0,0,0,0,0,0,0,0]"),
             "",
         );
-        let err = validate_telemetry(&sums).expect_err("overflowing frame sum");
-        assert!(err.contains("overflows"), "{err}");
+        let err = TelemetryDoc::parse(&sums).expect_err("overflowing frame sum");
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 }

@@ -4,6 +4,7 @@
 //! seed alone.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{Mutex, PoisonError};
 
 use oslay_observe::flight::{self, ChromeTrace};
 use oslay_observe::json::{parse, JsonValue};
@@ -146,9 +147,14 @@ fn real_run_report() -> String {
     report.to_json().to_json_pretty()
 }
 
+/// Serializes the tests that record through the process-global flight
+/// recorder and timeline.
+static RECORDERS: Mutex<()> = Mutex::new(());
+
 /// A Chrome trace as `--trace-out` writes it: nested spans with
 /// arguments on two tracks, plus counter samples.
 fn real_chrome_trace() -> String {
+    let _serial = RECORDERS.lock().unwrap_or_else(PoisonError::into_inner);
     flight::reset();
     flight::enable();
     flight::set_thread_track("main");
@@ -173,6 +179,7 @@ fn real_chrome_trace() -> String {
 /// A telemetry document as `--telemetry-out` writes it: one run of
 /// several windows with probe state.
 fn real_telemetry() -> String {
+    let _serial = RECORDERS.lock().unwrap_or_else(PoisonError::into_inner);
     timeline::reset();
     timeline::enable();
     let snap = |events: u64| CacheSnapshot {
@@ -250,4 +257,75 @@ fn readers_reject_hostile_input_without_panicking() {
     survives_hostile_input("telemetry", &real_telemetry(), 0x5eed_0003, |t| {
         TelemetryDoc::parse(t).is_ok()
     });
+}
+
+/// Replaces the value at `path` (member names and array indices) in a
+/// parsed document.
+fn corrupt(text: &str, path: &[&str], with: JsonValue) -> String {
+    let mut doc = parse(text).expect("a written document parses");
+    let mut at = &mut doc;
+    for step in path {
+        at = match at {
+            JsonValue::Object(members) => {
+                &mut members
+                    .iter_mut()
+                    .find(|(k, _)| k == step)
+                    .expect("member")
+                    .1
+            }
+            JsonValue::Array(items) => &mut items[step.parse::<usize>().expect("index")],
+            other => panic!("cannot step into {other:?}"),
+        };
+    }
+    *at = with;
+    doc.to_json_pretty()
+}
+
+#[test]
+fn a_corrupt_value_is_named_by_its_path() {
+    let report = corrupt(
+        &real_run_report(),
+        &["histograms", "trace.invocation_len", "buckets", "2", "1"],
+        JsonValue::Num(-1.0),
+    );
+    let err = RunReport::from_json(&report).unwrap_err();
+    assert_eq!(
+        err.path(),
+        Some("histograms['trace.invocation_len'].buckets[2][1]"),
+        "{err}"
+    );
+
+    let trace = real_chrome_trace();
+    let first_span = parse(&trace)
+        .expect("valid")
+        .get("traceEvents")
+        .and_then(JsonValue::as_array)
+        .expect("events")
+        .iter()
+        .position(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
+        .expect("a span")
+        .to_string();
+    let trace = corrupt(
+        &trace,
+        &["traceEvents", &first_span, "dur"],
+        JsonValue::Str("long".to_owned()),
+    );
+    let err = ChromeTrace::parse(&trace).unwrap_err();
+    assert_eq!(
+        err.path(),
+        Some(format!("traceEvents[{first_span}].dur").as_str()),
+        "{err}"
+    );
+
+    let telemetry = corrupt(
+        &real_telemetry(),
+        &["runs", "0", "frames", "2", "3"],
+        JsonValue::Num(0.5),
+    );
+    let err = TelemetryDoc::parse(&telemetry).unwrap_err();
+    assert_eq!(err.path(), Some("runs[0].frames[2][3]"), "{err}");
+    assert_eq!(
+        err.to_string(),
+        "runs[0].frames[2][3]: must be a non-negative integer"
+    );
 }

@@ -15,6 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use oslay_observe::json::{self, DocError, JsonValue, Node};
 use oslay_observe::RunReport;
 
 use crate::alloc;
@@ -327,72 +328,69 @@ pub const MIN_ABSINT_CLASSIFY_POINTS_PER_SEC: f64 = 2_000.0;
 ///
 /// # Errors
 ///
-/// Returns a description of the first schema violation found.
-pub fn validate(text: &str) -> Result<(), String> {
-    let report = RunReport::from_json(text).map_err(|e| format!("not a RunReport: {e}"))?;
-    let case_sections: Vec<String> = report
-        .section_names()
-        .into_iter()
-        .filter(|n| n.starts_with("bench.") && *n != "bench.meta" && *n != "bench.derived")
-        .map(str::to_owned)
+/// Returns a [`DocError`] naming the first violation found.
+pub fn validate(text: &str) -> Result<(), DocError> {
+    let v = json::parse(text)?;
+    // A run report's section fields are all numbers once this passes.
+    RunReport::from_value(&v)?;
+    let sections = Node::root(&v).member("sections")?;
+    let cases: Vec<(&str, Node)> = sections
+        .members()?
+        .filter(|(n, _)| n.starts_with("bench.") && *n != "bench.meta" && *n != "bench.derived")
         .collect();
-    if case_sections.is_empty() {
-        return Err("no bench.<case> sections".to_owned());
+    if cases.is_empty() {
+        return Err(sections.rule("no bench.<case> sections"));
     }
-    for (i, name) in case_sections.iter().enumerate() {
-        if case_sections[..i].contains(name) {
-            return Err(format!("duplicate case section {name}"));
+    for (i, (name, case)) in cases.iter().enumerate() {
+        if cases[..i].iter().any(|(n, _)| n == name) {
+            return Err(case.rule(format!("duplicate case section {name}")));
         }
-    }
-    for name in &case_sections {
-        let eps = report
-            .section_field(name, "events_per_sec")
-            .ok_or_else(|| format!("section {name} lacks events_per_sec"))?;
+        let mut fields = [0.0; 5];
+        for (field, key) in
+            fields
+                .iter_mut()
+                .zip(["events_per_sec", "secs_q1", "secs", "secs_q3", "reps"])
+        {
+            *field = case
+                .value
+                .get(key)
+                .and_then(JsonValue::as_f64)
+                .ok_or_else(|| case.rule(format!("lacks {key}")))?;
+        }
+        let [eps, q1, median, q3, reps] = fields;
         if eps <= 0.0 {
-            return Err(format!("section {name} has non-positive throughput {eps}"));
+            return Err(case.rule(format!("non-positive throughput {eps}")));
         }
-        let field = |key: &str| {
-            report
-                .section_field(name, key)
-                .ok_or_else(|| format!("section {name} lacks {key}"))
-        };
-        let (q1, median, q3) = (field("secs_q1")?, field("secs")?, field("secs_q3")?);
         if !(q1 <= median && median <= q3) {
-            return Err(format!(
-                "section {name}: quartiles {q1}..{q3} do not bracket the median {median}"
-            ));
+            return Err(case.rule(format!(
+                "quartiles {q1}..{q3} do not bracket the median {median}"
+            )));
         }
-        let reps = field("reps")?;
         if reps < REPS as f64 {
-            return Err(format!(
-                "section {name}: {reps} repetitions, below the {REPS} required"
-            ));
+            return Err(case.rule(format!("{reps} repetitions, below the {REPS} required")));
+        }
+        let floor = match *name {
+            "bench.search_score" => MIN_SEARCH_SCORE_EVALS_PER_SEC,
+            "bench.search_walk" => MIN_SEARCH_WALK_CANDIDATES_PER_SEC,
+            "bench.absint_classify" => MIN_ABSINT_CLASSIFY_POINTS_PER_SEC,
+            _ => 0.0,
+        };
+        if eps < floor {
+            let message = format!("{name} rate {eps:.0}/s below the {floor:.0}/s floor");
+            return Err(case.rule(message));
         }
     }
-    if let Some(ratio) = report.section_field("bench.derived", "trace_compression_ratio") {
-        if ratio < MIN_TRACE_COMPRESSION_RATIO {
-            return Err(format!(
-                "trace_compression_ratio {ratio:.2} below the {MIN_TRACE_COMPRESSION_RATIO}x floor"
-            ));
-        }
-    }
-    if let Some(ratio) = report.section_field("bench.derived", "sweep_speedup") {
-        if ratio < MIN_SWEEP_SPEEDUP {
-            return Err(format!(
-                "sweep_speedup {ratio:.2} below the {MIN_SWEEP_SPEEDUP}x floor"
-            ));
-        }
-    }
-    for (case, floor) in [
-        ("bench.search_score", MIN_SEARCH_SCORE_EVALS_PER_SEC),
-        ("bench.search_walk", MIN_SEARCH_WALK_CANDIDATES_PER_SEC),
-        ("bench.absint_classify", MIN_ABSINT_CLASSIFY_POINTS_PER_SEC),
-    ] {
-        if let Some(rate) = report.section_field(case, "events_per_sec") {
-            if rate < floor {
-                return Err(format!(
-                    "{case} rate {rate:.0}/s below the {floor:.0}/s floor"
-                ));
+    if let Ok(derived) = sections.member("bench.derived") {
+        for (key, floor) in [
+            ("trace_compression_ratio", MIN_TRACE_COMPRESSION_RATIO),
+            ("sweep_speedup", MIN_SWEEP_SPEEDUP),
+        ] {
+            let Ok(node) = derived.member(key) else {
+                continue;
+            };
+            let ratio = node.f64()?;
+            if ratio < floor {
+                return Err(node.rule(format!("{key} {ratio:.2} below the {floor}x floor")));
             }
         }
     }
@@ -507,7 +505,8 @@ mod tests {
         r.push_case(case("replay_base", 10_000, 0.5));
         let err = validate(&r.to_json()).expect_err("a case measured twice fails");
         assert!(
-            err.contains("duplicate case section bench.replay_base"),
+            err.to_string()
+                .contains("duplicate case section bench.replay_base"),
             "{err}"
         );
     }
@@ -519,11 +518,14 @@ mod tests {
             r.cases[0].secs_q1 = q1;
             r.cases[0].secs_q3 = q3;
             let err = validate(&r.to_json()).expect_err("median outside Q1..Q3");
-            assert!(err.contains("do not bracket the median"), "{err}");
+            assert!(
+                err.to_string().contains("do not bracket the median"),
+                "{err}"
+            );
         }
         let text = sample().to_json().replace("\"secs_q3\"", "\"secs_q9\"");
         let err = validate(&text).expect_err("no Q3 field");
-        assert!(err.contains("lacks secs_q3"), "{err}");
+        assert!(err.to_string().contains("lacks secs_q3"), "{err}");
     }
 
     #[test]
@@ -531,7 +533,7 @@ mod tests {
         let mut r = sample();
         r.cases[0].reps = REPS - 1;
         let err = validate(&r.to_json()).expect_err("too few repetitions");
-        assert!(err.contains("repetitions"), "{err}");
+        assert!(err.to_string().contains("repetitions"), "{err}");
     }
 
     #[test]
@@ -542,7 +544,7 @@ mod tests {
         let mut r = sample();
         r.push_derived("trace_compression_ratio", 2.1);
         let err = validate(&r.to_json()).expect_err("ratio below the floor fails");
-        assert!(err.contains("trace_compression_ratio"), "{err}");
+        assert!(err.to_string().contains("trace_compression_ratio"), "{err}");
     }
 
     #[test]
@@ -553,7 +555,7 @@ mod tests {
         let mut r = sample();
         r.push_derived("sweep_speedup", 3.1);
         let err = validate(&r.to_json()).expect_err("speedup below the floor fails");
-        assert!(err.contains("sweep_speedup"), "{err}");
+        assert!(err.to_string().contains("sweep_speedup"), "{err}");
         let r = sample();
         validate(&r.to_json()).expect("absent speedup field is not gated");
     }
@@ -568,12 +570,12 @@ mod tests {
         let mut r = sample();
         r.push_case(case("search_score", 1_000, 1.0));
         let err = validate(&r.to_json()).expect_err("slow scorer fails");
-        assert!(err.contains("search_score"), "{err}");
+        assert!(err.to_string().contains("search_score"), "{err}");
 
         let mut r = sample();
         r.push_case(case("search_walk", 500, 1.0));
         let err = validate(&r.to_json()).expect_err("slow walk fails");
-        assert!(err.contains("search_walk"), "{err}");
+        assert!(err.to_string().contains("search_walk"), "{err}");
 
         let r = sample();
         validate(&r.to_json()).expect("absent search cases are not gated");
@@ -588,7 +590,7 @@ mod tests {
         let mut r = sample();
         r.push_case(case("absint_classify", 500, 1.0));
         let err = validate(&r.to_json()).expect_err("slow classifier fails");
-        assert!(err.contains("absint_classify"), "{err}");
+        assert!(err.to_string().contains("absint_classify"), "{err}");
 
         let r = sample();
         validate(&r.to_json()).expect("absent absint case is not gated");
