@@ -43,6 +43,12 @@ echo "== census oracle at small and paper scale =="
 # (tiny scale runs in the suite above).
 cargo test --release -q -p oslay-bench --test census_oracle -- --ignored
 
+echo "== engine equality: large budget =="
+# Cache, AttributedCache and MultiSim must report equal MissStats for the
+# same seeded streams on five edge geometries (a small budget runs in
+# the suite above).
+cargo test --release -q -p oslay-cache --test attribution_fast_paths -- --ignored
+
 echo "== trace store hostile inputs: large budget =="
 # Seeded truncations, bit flips and block splices of a recorded archive
 # must each end in a typed error or the original stream (a small budget
@@ -92,12 +98,15 @@ cargo run --release -q -p oslay-bench --bin lint -- \
 grep -q "0 error(s), 0 warning(s)" "$tmpdir/lint.txt"
 
 echo "== layout lint gate: mutations must fail with their KV code =="
+# A failed lint exits 1; any other status (a panic's 101 included) fails.
 for m in "block-swap:KV002" "loop-shift:KV004" "scf-overlap:KV005"; do
   mutation="${m%%:*}"
   code="${m##*:}"
-  if cargo run --release -q -p oslay-bench --bin lint -- \
-      --scale tiny --mutate "$mutation" > "$tmpdir/mutate.txt"; then
-    echo "mutation $mutation passed the lint (should have failed)" >&2
+  status=0
+  cargo run --release -q -p oslay-bench --bin lint -- \
+    --scale tiny --mutate "$mutation" > "$tmpdir/mutate.txt" || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "lint --mutate $mutation exited $status (want 1)" >&2
     exit 1
   fi
   grep -q "$code" "$tmpdir/mutate.txt"
@@ -252,14 +261,17 @@ for v in archive_2 live_1 live_2; do
   diff "$tmpdir/replay_archive_1.txt" "$tmpdir/replay_$v.txt"
   diff "$tmpdir/replay_archive_1.json" "$tmpdir/replay_$v.json"
 done
-# A flipped payload byte must fail verification (and name the block).
+# A flipped payload byte must fail verification with exit 1 (not pass,
+# and not panic) and name the block.
 store="$tmpdir/archive/shell.otr"
 byte="$(od -An -tu1 -j1000 -N1 "$store" | tr -d ' ')"
 printf "$(printf '\\%03o' $(( byte ^ 255 )))" \
   | dd of="$store" bs=1 seek=1000 conv=notrunc status=none
-if cargo run --release -q -p oslay-bench --bin trace -- \
-    verify --file "$store" 2> "$tmpdir/verify_err.txt"; then
-  echo "corrupted store passed verification" >&2
+status=0
+cargo run --release -q -p oslay-bench --bin trace -- \
+  verify --file "$store" 2> "$tmpdir/verify_err.txt" || status=$?
+if [ "$status" -ne 1 ]; then
+  echo "trace verify on a corrupted store exited $status (want 1)" >&2
   exit 1
 fi
 grep -q "corrupt block" "$tmpdir/verify_err.txt"

@@ -70,9 +70,11 @@ fn main() {
         if case.app.is_some() {
             continue; // compare on the OS-only workload for a clean read
         }
+        // One telemetry run per replay, in table-column order.
+        let group = timeline::group();
         // Plain OptS baseline on the original kernel.
         let orig = {
-            let _t = timeline::scope(timeline::group(), 0, format!("{}/OptS", case.name()));
+            let _t = timeline::scope(group, 0, format!("{}/OptS", case.name()));
             study.simulate(
                 case,
                 &orig_opts.layout,
@@ -93,15 +95,20 @@ fn main() {
         let iprofile = Profile::collect(&inlined, &trace);
         let iloops = LoopAnalysis::analyze(&inlined, &iprofile);
 
-        let replay = |layout: &oslay::layout::Layout| {
+        let replay = |index: u64, label: &str, layout: &oslay::layout::Layout| {
+            let _t = timeline::scope(group, index, format!("{}/{label}", case.name()));
             let mut cache = Cache::new(cfg);
             let mut replayer = Replayer::new(layout, None, &mut cache, &SimConfig::fast());
             replayer.events(trace.events());
             replayer.finish().stats.total_misses()
         };
-        let ch_m = replay(&chang_hwu_layout(&inlined, &iprofile, 0));
+        let ch_m = replay(
+            1,
+            "C-H (inlined)",
+            &chang_hwu_layout(&inlined, &iprofile, 0),
+        );
         let opt = optimize_os(&inlined, &iprofile, &iloops, &OptParams::opt_s(cfg.size()));
-        let opt_m = replay(&opt.layout);
+        let opt_m = replay(2, "OptS (inlined)", &opt.layout);
         let growth = iprofile.executed_bytes(&inlined) as f64
             / case.os_profile.executed_bytes(program) as f64
             - 1.0;

@@ -12,7 +12,7 @@
 //! store per case in the archive directory. `inspect`
 //! answers from footers alone (no payload decode); `verify` decodes every
 //! block — sharded across `--threads` workers via the footer index — and
-//! exits non-zero naming the first corrupt block. `replay` reproduces the
+//! exits 1 naming the first corrupt block. `replay` reproduces the
 //! Figure-12 matrix from the archive (or from a live regeneration with
 //! `--live`); its stdout and `--out` report are byte-identical between
 //! the two sources and at any worker count, which is what the CI

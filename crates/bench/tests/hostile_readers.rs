@@ -2,7 +2,9 @@
 //! file and the layout file: every truncation, byte flip and deep-nesting
 //! splice of a document its writer produced ends in a `DocError` or the
 //! original value, never a panic; a value corrupted deep inside a
-//! document is rejected with an error that names its path.
+//! document is rejected with an error that names its path. Every
+//! committed `results/*.json` and `BENCH_sim.json` loads through its
+//! reader.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -11,7 +13,7 @@ use oslay_bench::absint_gate::{check_classification_json, classifications_to_jso
 use oslay_bench::{layout_view_from_json, layout_view_to_json};
 use oslay_model::rng::Rng;
 use oslay_observe::json::{self, JsonValue};
-use oslay_observe::DocError;
+use oslay_observe::{DocError, RunReport};
 use oslay_verify::{ClassPoint, Classification, LayoutView, LineClass};
 
 /// Feeds every mutant of `doc` to `read`: truncations every `k` bytes
@@ -232,4 +234,67 @@ fn a_corrupt_value_is_named_by_its_path() {
         err.to_string(),
         "addr[40]: \"addr\" entries must be non-negative integers"
     );
+}
+
+#[test]
+fn a_repeated_key_is_rejected_by_name() {
+    // Each document gains a second copy of one member ahead of the
+    // first; a reader that kept either copy would accept the file.
+    let repeat = |text: &str, key: &str, value: &str| {
+        let member = format!("\"{key}\":");
+        assert!(text.contains(&member), "{key} is written");
+        text.replacen(&member, &format!("{member} {value}, {member}"), 1)
+    };
+    let cases = [
+        (
+            "bench ledger",
+            validate(&repeat(&bench_ledger(), "secs", "9")).map(|_| ()),
+            "secs",
+        ),
+        (
+            "classification",
+            check_classification_json(&repeat(
+                &classifications_to_json(&classifications()),
+                "version",
+                "1",
+            ))
+            .map(|_| ()),
+            "version",
+        ),
+        (
+            "layout file",
+            layout_view_from_json(&repeat(&layout_view_to_json(&layout_view()), "addr", "[]"))
+                .map(|_| ()),
+            "addr",
+        ),
+    ];
+    for (what, result, key) in cases {
+        let err = result.expect_err(what);
+        assert!(matches!(err, DocError::NotJson(_)), "{what}: {err}");
+        assert!(
+            err.to_string().contains(&format!("repeated key \"{key}\"")),
+            "{what}: {err}"
+        );
+    }
+}
+
+#[test]
+fn every_committed_document_passes_its_reader() {
+    // The readers reject a repeated key, so a committed document that
+    // carried one would no longer load.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |path: &std::path::Path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    };
+    let mut reports = 0;
+    for entry in std::fs::read_dir(root.join("results")).expect("results/") {
+        let path = entry.expect("results/ entry").path();
+        if path.extension().is_some_and(|ext| ext == "json") {
+            RunReport::from_json(&read(&path))
+                .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            reports += 1;
+        }
+    }
+    assert!(reports > 0, "no committed run report found");
+    validate(&read(&root.join("BENCH_sim.json"))).expect("BENCH_sim.json");
 }

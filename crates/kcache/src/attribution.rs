@@ -41,7 +41,7 @@ use std::sync::Arc;
 use oslay_model::{Domain, SeedKind};
 use oslay_observe::{AttrClass, AttributionProbe};
 
-use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissStats};
+use crate::{AccessOutcome, Cache, CacheConfig, InstructionCache, MissKind, MissStats};
 
 /// Placement class of a code address — the categories of the paper's
 /// Figure 13 (mirrors the layout crate's block classes; the cache crate
@@ -350,18 +350,19 @@ impl AddressMap {
 /// Touch and evict are O(1) and allocation-free after construction: an
 /// intrusive doubly-linked LRU list threaded through a fixed slab of
 /// nodes, found via a preallocated open-addressed hash index (linear
-/// probing, backward-shift deletion, so no tombstones accumulate). The
-/// map-based original survives as
-/// [`crate::reference::ReferenceShadowTags`]; the equivalence tests drive
-/// both with identical touch sequences.
+/// probing, backward-shift deletion, so no tombstones accumulate). A
+/// caller that already knows a line's node ([`AttributedCache`] links
+/// nodes to cache slots) promotes it without the index. The map-based
+/// original survives as [`crate::reference::ReferenceShadowTags`]; the
+/// equivalence tests drive both with identical touch sequences.
 #[derive(Clone, Debug)]
 pub struct ShadowTags {
     capacity: usize,
     /// Slab: line tag per node.
     lines: Vec<u64>,
-    /// Intrusive list links per node ([`SHADOW_NIL`] terminated).
-    prev: Vec<u32>,
-    next: Vec<u32>,
+    /// Intrusive list links per node, `(prev, next)` ([`SHADOW_NIL`]
+    /// terminated).
+    links: Vec<(u32, u32)>,
     /// Most-recently-used node.
     head: u32,
     /// Least-recently-used node (the eviction candidate).
@@ -373,7 +374,8 @@ pub struct ShadowTags {
     index: Vec<(u64, u32)>,
 }
 
-/// Null node index for [`ShadowTags`]' intrusive list and hash index.
+/// Null node index for [`ShadowTags`]' intrusive list and hash index,
+/// and the "no node" / "no slot" mark of [`AttributedCache`]'s links.
 const SHADOW_NIL: u32 = u32::MAX;
 
 impl ShadowTags {
@@ -389,8 +391,7 @@ impl ShadowTags {
         Self {
             capacity,
             lines: vec![0; capacity],
-            prev: vec![SHADOW_NIL; capacity],
-            next: vec![SHADOW_NIL; capacity],
+            links: vec![(SHADOW_NIL, SHADOW_NIL); capacity],
             head: SHADOW_NIL,
             tail: SHADOW_NIL,
             len: 0,
@@ -448,63 +449,83 @@ impl ShadowTags {
     /// Unlinks `node` from the LRU list.
     #[inline]
     fn unlink(&mut self, node: u32) {
-        let (p, n) = (self.prev[node as usize], self.next[node as usize]);
+        let (p, n) = self.links[node as usize];
         if p == SHADOW_NIL {
             self.head = n;
         } else {
-            self.next[p as usize] = n;
+            self.links[p as usize].1 = n;
         }
         if n == SHADOW_NIL {
             self.tail = p;
         } else {
-            self.prev[n as usize] = p;
+            self.links[n as usize].0 = p;
         }
     }
 
     /// Links `node` at the MRU end.
     #[inline]
     fn push_front(&mut self, node: u32) {
-        self.prev[node as usize] = SHADOW_NIL;
-        self.next[node as usize] = self.head;
-        if self.head != SHADOW_NIL {
-            self.prev[self.head as usize] = node;
+        self.links[node as usize] = (SHADOW_NIL, self.head);
+        if self.head == SHADOW_NIL {
+            self.tail = node;
+        } else {
+            self.links[self.head as usize].0 = node;
         }
         self.head = node;
-        if self.tail == SHADOW_NIL {
-            self.tail = node;
+    }
+
+    /// The node holding `line`, if it is resident: one index probe.
+    #[inline]
+    fn find(&self, line: u64) -> Option<u32> {
+        let (_, node) = self.index[self.index_pos(line)];
+        (node != SHADOW_NIL).then_some(node)
+    }
+
+    /// Makes resident `node` the most-recently-used.
+    #[inline]
+    fn promote(&mut self, node: u32) {
+        if self.head != node {
+            self.unlink(node);
+            self.push_front(node);
         }
+    }
+
+    /// Inserts `line`, which must not be resident, as the
+    /// most-recently-used tag: into a free node, or, once the store is
+    /// full, into the least-recently-used node, whose line it evicts.
+    /// Returns the node.
+    fn insert(&mut self, line: u64) -> u32 {
+        let node = if self.len == self.capacity {
+            let victim = self.tail;
+            self.unlink(victim);
+            self.index_remove(self.lines[victim as usize]);
+            victim
+        } else {
+            self.len += 1;
+            (self.len - 1) as u32
+        };
+        self.lines[node as usize] = line;
+        // Probed after the eviction, which may have shifted entries.
+        let pos = self.index_pos(line);
+        self.index[pos] = (line, node);
+        self.push_front(node);
+        node
     }
 
     /// Touches `line`, returning true if it was resident (an LRU-stack
     /// hit). Non-resident lines are inserted, evicting the coldest tag
     /// once the store is full.
     pub fn touch(&mut self, line: u64) -> bool {
-        let pos = self.index_pos(line);
-        let (_, node) = self.index[pos];
-        if node != SHADOW_NIL {
-            // Resident: promote to MRU.
-            if self.head != node {
-                self.unlink(node);
-                self.push_front(node);
+        match self.find(line) {
+            Some(node) => {
+                self.promote(node);
+                true
             }
-            return true;
+            None => {
+                self.insert(line);
+                false
+            }
         }
-        // Not resident: take a free slab slot, or recycle the LRU node.
-        let slot = if self.len < self.capacity {
-            self.len += 1;
-            (self.len - 1) as u32
-        } else {
-            let victim = self.tail;
-            self.unlink(victim);
-            self.index_remove(self.lines[victim as usize]);
-            victim
-        };
-        self.lines[slot as usize] = line;
-        // The eviction above may have shifted entries; re-probe.
-        let pos = self.index_pos(line);
-        self.index[pos] = (line, slot);
-        self.push_front(slot);
-        false
     }
 
     /// Number of resident tags.
@@ -522,8 +543,7 @@ impl ShadowTags {
     /// Clears all tags.
     pub fn clear(&mut self) {
         self.lines.fill(0);
-        self.prev.fill(SHADOW_NIL);
-        self.next.fill(SHADOW_NIL);
+        self.links.fill((SHADOW_NIL, SHADOW_NIL));
         self.head = SHADOW_NIL;
         self.tail = SHADOW_NIL;
         self.len = 0;
@@ -781,21 +801,34 @@ impl AttributionReport {
 
 /// A cache wrapper that attributes every miss.
 ///
-/// Wraps a concrete [`Cache`] (it needs the eviction detail of
-/// [`Cache::access_detailed`]), consults the shadow tag store on every
-/// access, and keeps per-set, per-class, and per-pair rollups. Only a
-/// miss resolves code through the [`AddressMap`] (its own block, and
-/// its evictor's). Implements [`InstructionCache`], so the standard
-/// simulation driver works unchanged; call [`AttributedCache::report`]
-/// afterwards for the rollups. Its `access_words` touches the cache and
-/// the shadow store once per cache line and bulk-counts the line's
-/// remaining words; the rollups and statistics equal a word-by-word
-/// replay's.
+/// Wraps a concrete [`Cache`] and replays each block through the same
+/// line-run walk as [`Cache::access_words`]: per line, the cache's
+/// inlined hit test, and on a miss an out-of-line path that fills, asks
+/// the shadow tag store for its verdict and updates the per-set,
+/// per-class and per-pair rollups. Hits are counted once per block. The
+/// shadow store sees every line access, but a hit reaches the line's
+/// shadow node through the cache slot it hit (`slot_node`), not through
+/// the store's hash index; only a miss resolves code through the
+/// [`AddressMap`] (its own block, and its evictor's). Implements
+/// [`InstructionCache`], so the standard simulation driver works
+/// unchanged; call [`AttributedCache::report`] afterwards for the
+/// rollups, which equal a word-by-word replay's.
 pub struct AttributedCache {
     inner: Cache,
     map: Arc<AddressMap>,
     shadow: ShadowTags,
-    /// victim line → line whose fill displaced it.
+    /// `log2(line)` and `num_sets - 1` of the geometry.
+    line_shift: u32,
+    set_mask: u64,
+    /// Per cache slot (`set * ways + way`): the shadow node of the line
+    /// the slot holds, or [`SHADOW_NIL`] when the slot is empty or the
+    /// shadow store has evicted its line.
+    slot_node: Vec<u32>,
+    /// Per shadow node: the cache slot linked to it ([`SHADOW_NIL`] when
+    /// the cache does not hold the node's line). The inverse of
+    /// `slot_node` on every linked pair.
+    node_slot: Vec<u32>,
+    /// victim line key → key of the line whose fill displaced it.
     last_evictor: FastMap<u64, u64>,
     set_accesses: Vec<u64>,
     set_misses: Vec<u64>,
@@ -890,6 +923,10 @@ impl AttributedCache {
             inner,
             map,
             shadow: ShadowTags::new(lines),
+            line_shift: cfg.line_shift(),
+            set_mask: cfg.set_mask(),
+            slot_node: vec![SHADOW_NIL; sets * cfg.ways() as usize],
+            node_slot: vec![SHADOW_NIL; lines],
             last_evictor: FastMap::default(),
             set_accesses: vec![0; sets],
             set_misses: vec![0; sets],
@@ -993,61 +1030,122 @@ impl AttributedCache {
     /// One line run: the attributed access of the word at `addr`, then
     /// `run - 1` further words of the same line. Those are hits on the
     /// line the first access just made MRU, in the cache and in the
-    /// shadow store alike, so they only bump the hit and set counts. The
-    /// address map is consulted only on a miss.
+    /// shadow store alike, so they only bump the set's access count.
+    /// Records the miss, if any, but no hit: the caller bulk-counts hits.
     #[inline]
-    fn access_run(&mut self, addr: u64, run: u32, domain: Domain) -> AccessOutcome {
-        let detail = self.inner.access_detailed(addr, domain);
-        self.inner.record_hits(domain, u64::from(run - 1));
-        self.set_accesses[detail.set as usize] += u64::from(run);
-        // The shadow stack sees every access (hits keep the LRU order
-        // honest); its verdict is read before this touch takes effect.
-        let was_resident = self.shadow.touch(detail.line);
+    fn access_line(&mut self, addr: u64, run: u32, domain: Domain) -> Option<MissKind> {
+        let key = addr >> self.line_shift;
+        self.set_accesses[(key & self.set_mask) as usize] += u64::from(run);
+        let Some(slot) = self.inner.hit_slot(key) else {
+            return Some(self.miss(addr, key, domain));
+        };
+        // The shadow stack sees every access (hits keep its LRU order
+        // honest); a hit's verdict is never read, so the store is reached
+        // through the slot link, not the index.
+        match self.slot_node[slot] {
+            SHADOW_NIL => self.shadow_insert(key, slot),
+            node => {
+                debug_assert_eq!(self.shadow.lines[node as usize], key, "stale slot link");
+                self.shadow.promote(node);
+            }
+        }
+        None
+    }
 
-        if let AccessOutcome::Miss(kind) = detail.outcome {
-            self.set_misses[detail.set as usize] += 1;
-            let code = self.map.lookup(addr);
-            self.census_misses[Self::census_slot(code)] += 1;
-            self.entry_misses[self.context.map_or(4, SeedKind::index)] += 1;
-            let class = if kind == crate::MissKind::Cold {
-                AttrClass::Compulsory
-            } else if was_resident {
-                AttrClass::Conflict
-            } else {
-                AttrClass::Capacity
-            };
-            self.class_misses[class.index()] += 1;
-            if class == AttrClass::Conflict {
-                if let Some(&evictor_line) = self.last_evictor.get(&detail.line) {
-                    self.evictor_known += 1;
-                    if let (Some(victim), Some(evictor)) = (code, self.map.lookup(evictor_line)) {
-                        self.pairs
-                            .entry((evictor.block_key(), victim.block_key()))
-                            .or_insert((evictor, victim, 0))
-                            .2 += 1;
-                    }
+    /// The miss path of [`AttributedCache::access_line`]: fills the line
+    /// into the cache, reads the shadow store's verdict (before touching
+    /// it) through its index, and attributes the miss.
+    #[inline(never)]
+    fn miss(&mut self, addr: u64, key: u64, domain: Domain) -> MissKind {
+        let fill = self.inner.fill(key, domain);
+        // The fill overwrote the slot: its old line's node loses the link.
+        let old = std::mem::replace(&mut self.slot_node[fill.slot], SHADOW_NIL);
+        if old != SHADOW_NIL {
+            self.node_slot[old as usize] = SHADOW_NIL;
+        }
+        let was_resident = match self.shadow.find(key) {
+            Some(node) => {
+                self.shadow.promote(node);
+                self.link(fill.slot, node);
+                true
+            }
+            None => {
+                self.shadow_insert(key, fill.slot);
+                false
+            }
+        };
+
+        self.set_misses[(key & self.set_mask) as usize] += 1;
+        let code = self.map.lookup(addr);
+        self.census_misses[Self::census_slot(code)] += 1;
+        self.entry_misses[self.context.map_or(4, SeedKind::index)] += 1;
+        let class = if fill.kind == MissKind::Cold {
+            AttrClass::Compulsory
+        } else if was_resident {
+            AttrClass::Conflict
+        } else {
+            AttrClass::Capacity
+        };
+        self.class_misses[class.index()] += 1;
+        if class == AttrClass::Conflict {
+            if let Some(&evictor) = self.last_evictor.get(&key) {
+                self.evictor_known += 1;
+                let evictor_line = evictor << self.line_shift;
+                if let (Some(victim), Some(evictor)) = (code, self.map.lookup(evictor_line)) {
+                    self.pairs
+                        .entry((evictor.block_key(), victim.block_key()))
+                        .or_insert((evictor, victim, 0))
+                        .2 += 1;
                 }
             }
         }
-        if let Some(victim) = detail.evicted {
-            self.last_evictor.insert(victim, detail.line);
+        if let Some(victim) = fill.evicted {
+            self.last_evictor.insert(victim, key);
         }
-        detail.outcome
+        fill.kind
+    }
+
+    /// Inserts `key`, held in cache `slot` and absent from the shadow
+    /// store, into the store and links it to `slot`. A node recycled from
+    /// an evicted shadow line first drops that line's slot link.
+    fn shadow_insert(&mut self, key: u64, slot: usize) {
+        let node = self.shadow.insert(key);
+        let old = std::mem::replace(&mut self.node_slot[node as usize], SHADOW_NIL);
+        if old != SHADOW_NIL {
+            self.slot_node[old as usize] = SHADOW_NIL;
+        }
+        self.link(slot, node);
+    }
+
+    /// Links cache `slot` and shadow `node`, both unlinked.
+    #[inline]
+    fn link(&mut self, slot: usize, node: u32) {
+        debug_assert_eq!(
+            self.node_slot[node as usize], SHADOW_NIL,
+            "node linked twice"
+        );
+        self.slot_node[slot] = node;
+        self.node_slot[node as usize] = slot as u32;
     }
 }
 
 impl InstructionCache for AttributedCache {
     fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
-        self.access_run(addr, 1, domain)
+        match self.access_line(addr, 1, domain) {
+            Some(kind) => AccessOutcome::Miss(kind),
+            None => {
+                self.inner.record_hits(domain, 1);
+                AccessOutcome::Hit
+            }
+        }
     }
 
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
         for (addr, run) in self.inner.config().line_runs(base, words) {
-            if self.access_run(addr, run, domain).is_miss() {
-                missed += 1;
-            }
+            missed += u64::from(self.access_line(addr, run, domain).is_some());
         }
+        self.inner.record_hits(domain, u64::from(words) - missed);
         missed
     }
 
@@ -1058,6 +1156,8 @@ impl InstructionCache for AttributedCache {
     fn reset(&mut self) {
         self.inner.reset();
         self.shadow.clear();
+        self.slot_node.fill(SHADOW_NIL);
+        self.node_slot.fill(SHADOW_NIL);
         self.last_evictor.clear();
         self.set_accesses.fill(0);
         self.set_misses.fill(0);

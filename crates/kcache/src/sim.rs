@@ -116,9 +116,9 @@ impl AccessOutcome {
 /// coordinates diagnostics need — which line and set the access touched
 /// and, on a fill that displaced a valid line, which line was evicted.
 ///
-/// Produced by [`Cache::access_detailed`]; the attribution engine
-/// ([`crate::AttributedCache`]) consumes it to maintain evictor→victim
-/// provenance without duplicating the replacement logic.
+/// Produced by [`Cache::access_detailed`] and by the map-based
+/// [`crate::reference::ReferenceCache`], so the two compare access by
+/// access.
 #[derive(Copy, Clone, Eq, PartialEq, Hash, Debug)]
 pub struct AccessDetail {
     /// Hit, or miss with interference kind.
@@ -129,6 +129,15 @@ pub struct AccessDetail {
     pub set: u32,
     /// The valid line displaced by this fill, if any.
     pub evicted: Option<u64>,
+}
+
+/// What [`Cache::fill`] did: the miss it classified, the slot it filled
+/// (`set * ways + way`) and the key of the valid line it displaced.
+#[derive(Copy, Clone, Debug)]
+pub(crate) struct Fill {
+    pub(crate) kind: MissKind,
+    pub(crate) slot: usize,
+    pub(crate) evicted: Option<u64>,
 }
 
 /// Sentinel tag marking an invalid (never filled) way. Line keys are
@@ -339,7 +348,7 @@ impl Cache {
         let key = addr >> self.line_shift;
         let set = (key & self.set_mask) as u32;
         let line = key << self.line_shift;
-        if self.touch(key) {
+        if self.hit_slot(key).is_some() {
             self.stats.record(domain, AccessOutcome::Hit);
             return AccessDetail {
                 outcome: AccessOutcome::Hit,
@@ -348,41 +357,40 @@ impl Cache {
                 evicted: None,
             };
         }
-        let (kind, evicted) = self.fill(key, domain);
+        let fill = self.fill(key, domain);
         AccessDetail {
-            outcome: AccessOutcome::Miss(kind),
+            outcome: AccessOutcome::Miss(fill.kind),
             line,
             set,
-            evicted: evicted.map(|evictee| evictee << self.line_shift),
+            evicted: fill.evicted.map(|evictee| evictee << self.line_shift),
         }
     }
 
     /// The hit test of one line access: advances the LRU clock and, if
-    /// `key` is resident, stamps its way most recently used. Records no
-    /// statistics; a `false` must be followed by [`Cache::fill`].
+    /// `key` is resident, stamps its way most recently used and returns
+    /// that way's slot (`set * ways + way`, an index into the tag array).
+    /// Records no statistics; a `None` must be followed by
+    /// [`Cache::fill`].
     #[inline]
-    fn touch(&mut self, key: u64) -> bool {
+    pub(crate) fn hit_slot(&mut self, key: u64) -> Option<usize> {
         debug_assert_ne!(key, TAG_EMPTY, "address in the topmost line");
         self.clock += 1;
         let base = (key & self.set_mask) as usize * self.ways_per_set;
-        let ways = base..base + self.ways_per_set;
         // A key never equals TAG_EMPTY, so no validity check.
-        match self.tags[ways.clone()].iter().position(|&tag| tag == key) {
-            Some(way) => {
-                self.lru[ways.start + way] = self.clock;
-                true
-            }
-            None => false,
-        }
+        let way = self.tags[base..base + self.ways_per_set]
+            .iter()
+            .position(|&tag| tag == key)?;
+        self.lru[base + way] = self.clock;
+        Some(base + way)
     }
 
-    /// The miss path of the access [`Cache::touch`] just found absent:
+    /// The miss path of the access [`Cache::hit_slot`] just found absent:
     /// fills the first invalid way, else the first-least-recently used
     /// one (matching the reference implementation's tie-break), records
-    /// the eviction and the classified miss, and returns the miss kind
-    /// with the key of the valid line displaced (if any).
+    /// the eviction and the classified miss, and reports the miss kind,
+    /// the slot filled and the key of the valid line displaced (if any).
     #[inline(never)]
-    fn fill(&mut self, key: u64, domain: Domain) -> (MissKind, Option<u64>) {
+    pub(crate) fn fill(&mut self, key: u64, domain: Domain) -> Fill {
         let clock = self.clock;
         let base = (key & self.set_mask) as usize * self.ways_per_set;
         let mut victim = base;
@@ -411,12 +419,16 @@ impl Cache {
         // provenance record — so the evict table doubles as the seen-set.
         let kind = MissKind::classify(domain, self.evicted_by.lookup(key));
         self.stats.record(domain, AccessOutcome::Miss(kind));
-        (kind, evicted_valid.then_some(evictee))
+        Fill {
+            kind,
+            slot: victim,
+            evicted: evicted_valid.then_some(evictee),
+        }
     }
 
     /// Counts `n` hits by `domain` without touching replacement state:
-    /// the trailing words of a line run, bulk-counted after the run's
-    /// first access made the line MRU.
+    /// a block's hits, bulk-counted once its line runs have been replayed
+    /// through [`Cache::hit_slot`] and [`Cache::fill`].
     #[inline]
     pub(crate) fn record_hits(&mut self, domain: Domain, n: u64) {
         self.stats.record_hits(domain, n);
@@ -480,7 +492,7 @@ impl InstructionCache for Cache {
     fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
         let mut missed = 0u64;
         for key in self.cfg.line_keys(base, words) {
-            if !self.touch(key) {
+            if self.hit_slot(key).is_none() {
                 self.fill(key, domain);
                 missed += 1;
             }

@@ -3,21 +3,29 @@
 //! * `AttributedCache::access_words` (one attributed access per cache
 //!   line, trailing words bulk-counted) against the trait's per-word
 //!   default, reached through a wrapper that forwards only `access`.
+//! * Both of those against an independent word-by-word twin built from
+//!   the map-based reference cache and shadow store, which shares no
+//!   code with the engine's line routine or its slot↔node links.
+//! * Engine equality: `Cache`, `AttributedCache` and `MultiSim` report
+//!   the same `MissStats` for the same stream.
 //! * The rank-indexed `AddressMap::lookup` and the span arithmetic of
 //!   `AddressMap::count_words` against a plain binary search over the
 //!   same spans, one word at a time.
 //! * Telemetry inertness: an attributed replay samples the same cache
 //!   state as the plain `Cache` it wraps.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use oslay_cache::reference::{ReferenceCache, ReferenceShadowTags};
 use oslay_cache::{
-    AddressMap, AttributedCache, Cache, CacheConfig, CodeClass, CodeRef, InstructionCache,
-    MissStats, CENSUS_SLOTS,
+    AccessOutcome, AddressMap, AttributedCache, AttributionReport, Cache, CacheConfig, CodeClass,
+    CodeRef, ConflictMatrix, ConflictPair, InstructionCache, MissKind, MissStats, MultiSim,
+    RoutineKey, CENSUS_SLOTS,
 };
 use oslay_model::rng::Rng;
 use oslay_model::{Domain, SeedKind, WORD_BYTES};
-use oslay_observe::MetricRegistry;
+use oslay_observe::{AttrClass, MetricRegistry};
 
 type Span = (u64, u64, CodeRef);
 
@@ -66,7 +74,7 @@ fn random_spans(rng: &mut Rng) -> Vec<Span> {
 struct PerWord(AttributedCache);
 
 impl InstructionCache for PerWord {
-    fn access(&mut self, addr: u64, domain: Domain) -> oslay_cache::AccessOutcome {
+    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
         self.0.access(addr, domain)
     }
 
@@ -197,6 +205,258 @@ fn line_run_access_words_equals_the_per_word_default() {
             "{name}: probe histograms"
         );
     }
+}
+
+/// The attribution engine rebuilt word by word from the map-based
+/// reference cache and shadow store, with a `BTreeMap` for evictor
+/// provenance: every fetched word is one reference access and one shadow
+/// touch, and every miss is attributed the way the engine documents it.
+struct Twin {
+    cfg: CacheConfig,
+    map: Arc<AddressMap>,
+    cache: ReferenceCache,
+    shadow: ReferenceShadowTags,
+    /// victim line → line whose fill displaced it.
+    last_evictor: BTreeMap<u64, u64>,
+    stats: MissStats,
+    set_accesses: Vec<u64>,
+    set_misses: Vec<u64>,
+    class_misses: [u64; 3],
+    census_misses: [u64; CENSUS_SLOTS],
+    entry_misses: [u64; 5],
+    context: Option<SeedKind>,
+    pairs: BTreeMap<(RoutineKey, RoutineKey), (CodeRef, CodeRef, u64)>,
+    /// Cache hits on a line the shadow store had evicted.
+    shadow_dropped_cached: u64,
+}
+
+impl Twin {
+    fn new(cfg: CacheConfig, map: Arc<AddressMap>) -> Self {
+        let sets = cfg.num_sets() as usize;
+        Self {
+            cfg,
+            map,
+            cache: ReferenceCache::new(cfg),
+            shadow: ReferenceShadowTags::new((cfg.size() / cfg.line()) as usize),
+            last_evictor: BTreeMap::new(),
+            stats: MissStats::default(),
+            set_accesses: vec![0; sets],
+            set_misses: vec![0; sets],
+            class_misses: [0; 3],
+            census_misses: [0; CENSUS_SLOTS],
+            entry_misses: [0; 5],
+            context: None,
+            pairs: BTreeMap::new(),
+            shadow_dropped_cached: 0,
+        }
+    }
+
+    fn access(&mut self, addr: u64, domain: Domain) -> AccessOutcome {
+        let detail = self.cache.access_detailed(addr, domain);
+        self.stats.record(domain, detail.outcome);
+        self.set_accesses[detail.set as usize] += 1;
+        let was_resident = self.shadow.touch(detail.line);
+        match detail.outcome {
+            AccessOutcome::Hit => {
+                self.shadow_dropped_cached += u64::from(!was_resident);
+            }
+            AccessOutcome::Miss(kind) => {
+                self.set_misses[detail.set as usize] += 1;
+                let code = self.map.lookup(addr);
+                self.census_misses[code.map_or(CENSUS_SLOTS - 1, |c| c.class.index())] += 1;
+                self.entry_misses[self.context.map_or(4, SeedKind::index)] += 1;
+                let class = match (kind, was_resident) {
+                    (MissKind::Cold, _) => AttrClass::Compulsory,
+                    (_, true) => AttrClass::Conflict,
+                    (_, false) => AttrClass::Capacity,
+                };
+                self.class_misses[class.index()] += 1;
+                let evictor_line = self.last_evictor.get(&detail.line);
+                if let (AttrClass::Conflict, Some(victim), Some(evictor)) = (
+                    class,
+                    code,
+                    evictor_line.and_then(|&line| self.map.lookup(line)),
+                ) {
+                    self.pairs
+                        .entry((evictor.block_key(), victim.block_key()))
+                        .or_insert((evictor, victim, 0))
+                        .2 += 1;
+                }
+            }
+        }
+        if let Some(victim) = detail.evicted {
+            self.last_evictor.insert(victim, detail.line);
+        }
+        detail.outcome
+    }
+
+    fn access_words(&mut self, base: u64, words: u32, domain: Domain) -> u64 {
+        (0..words)
+            .map(|w| base + u64::from(w) * u64::from(WORD_BYTES))
+            .filter(|&addr| self.access(addr, domain).is_miss())
+            .count() as u64
+    }
+
+    fn report(&self) -> AttributionReport {
+        let mut pairs: Vec<ConflictPair> = self
+            .pairs
+            .values()
+            .map(|&(evictor, victim, count)| ConflictPair {
+                evictor,
+                victim,
+                count,
+            })
+            .collect();
+        pairs.sort_by(|a, b| {
+            b.count
+                .cmp(&a.count)
+                .then(a.evictor.block_key().cmp(&b.evictor.block_key()))
+                .then(a.victim.block_key().cmp(&b.victim.block_key()))
+        });
+        let mut matrix = ConflictMatrix::default();
+        for p in &pairs {
+            matrix.add(p.evictor.routine_key(), p.victim.routine_key(), p.count);
+        }
+        AttributionReport {
+            config: self.cfg,
+            total_accesses: self.stats.total_accesses(),
+            total_misses: self.stats.total_misses(),
+            class_misses: self.class_misses,
+            set_accesses: self.set_accesses.clone(),
+            set_misses: self.set_misses.clone(),
+            census_misses: self.census_misses,
+            entry_misses: self.entry_misses,
+            pairs,
+            matrix,
+        }
+    }
+}
+
+/// A fetch stream that makes the shadow store drop lines the cache still
+/// holds: one line revisited in set 0 while a sweep over more distinct
+/// lines than the store holds (all mapping to the other sets) pushes it
+/// out of the fully associative LRU order.
+fn shadow_pressure_steps(cfg: CacheConfig, n: usize) -> Vec<Step> {
+    let line = u64::from(cfg.line());
+    let sets = u64::from(cfg.num_sets());
+    let lines = u64::from(cfg.size() / cfg.line());
+    let mut sweep = (0..).filter(|i| i % sets != 0).map(|i| i * line);
+    (0..n)
+        .map(|i| {
+            let addr = if i % (2 * lines as usize) == 0 {
+                0
+            } else {
+                sweep.next().expect("endless sweep") % (8 * lines * line)
+            };
+            Step::Fetch(addr, 1, Domain::Os)
+        })
+        .collect()
+}
+
+#[test]
+fn attribution_equals_the_word_by_word_reference_twin() {
+    for (seed, (name, cfg)) in geometries().into_iter().enumerate() {
+        let mut rng = Rng::seed_from_u64(0x7A1 + seed as u64);
+        let spans = random_spans(&mut rng);
+        let map = Arc::new(AddressMap::build(spans.clone()));
+        let mut by_block = AttributedCache::new(Cache::new(cfg), Arc::clone(&map));
+        let mut by_word = PerWord(AttributedCache::new(Cache::new(cfg), Arc::clone(&map)));
+        let mut twin = Twin::new(cfg, map);
+        let mut steps = random_steps(&mut rng, &spans, 20_000);
+        if cfg.num_sets() > 1 {
+            steps.extend(shadow_pressure_steps(cfg, 4_000));
+        }
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Fetch(base, words, domain) => {
+                    let want = twin.access_words(base, words, domain);
+                    let what = format!("{name}: step {i} fetch {base:#x}+{words}w");
+                    assert_eq!(by_block.access_words(base, words, domain), want, "{what}");
+                    assert_eq!(by_word.access_words(base, words, domain), want, "{what}");
+                }
+                Step::Enter(kind) => {
+                    twin.context = Some(kind);
+                    by_block.note_os_enter(kind);
+                    by_word.note_os_enter(kind);
+                }
+                Step::Exit => {
+                    twin.context = None;
+                    by_block.note_os_exit();
+                    by_word.note_os_exit();
+                }
+            }
+        }
+        let want = twin.report();
+        // With one set the shadow store is the cache: no conflicts.
+        if cfg.num_sets() > 1 {
+            assert!(!want.pairs.is_empty(), "{name}: no conflict pair charged");
+            assert!(
+                twin.shadow_dropped_cached > 0,
+                "{name}: the shadow store never dropped a cached line"
+            );
+        }
+        assert_eq!(by_block.report(), want, "{name}: access_words report");
+        assert_eq!(by_word.0.report(), want, "{name}: access report");
+        assert_eq!(by_block.stats(), &twin.stats, "{name}: access_words stats");
+        assert_eq!(by_word.stats(), &twin.stats, "{name}: access stats");
+    }
+}
+
+/// Replays `steps` random fetches per seed through a `Cache` and an
+/// `AttributedCache` per geometry and one `MultiSim` over all five, a
+/// tenth of the fetches word by word through `access`, and requires
+/// equal `MissStats` from all three engines.
+fn check_engine_equality(seeds: u64, steps: usize) {
+    let cfgs = geometries().map(|(_, cfg)| cfg);
+    for seed in 0..seeds {
+        let mut rng = Rng::seed_from_u64(0xE9A1 + seed);
+        let spans = random_spans(&mut rng);
+        let map = Arc::new(AddressMap::build(spans.clone()));
+        let mut multi = MultiSim::new(&cfgs);
+        let mut caches = cfgs.map(Cache::new);
+        let mut attributed =
+            cfgs.map(|cfg| AttributedCache::new(Cache::new(cfg), Arc::clone(&map)));
+        for step in random_steps(&mut rng, &spans, steps) {
+            let Step::Fetch(base, words, domain) = step else {
+                continue;
+            };
+            if rng.gen_range(0..10u32) == 0 {
+                for addr in (0..words).map(|w| base + u64::from(w) * u64::from(WORD_BYTES)) {
+                    multi.access(addr, domain);
+                    for (cache, attr) in caches.iter_mut().zip(&mut attributed) {
+                        assert_eq!(cache.access(addr, domain), attr.access(addr, domain));
+                    }
+                }
+            } else {
+                multi.access_words(base, words, domain);
+                for (cache, attr) in caches.iter_mut().zip(&mut attributed) {
+                    let missed = cache.access_words(base, words, domain);
+                    assert_eq!(missed, attr.access_words(base, words, domain));
+                }
+            }
+        }
+        for (point, (name, _)) in geometries().into_iter().enumerate() {
+            let want = caches[point].stats();
+            assert_eq!(
+                attributed[point].stats(),
+                want,
+                "seed {seed} {name}: attributed"
+            );
+            assert_eq!(&multi.stats(point), want, "seed {seed} {name}: multisim");
+        }
+    }
+}
+
+#[test]
+fn cache_attributed_cache_and_multisim_report_equal_stats() {
+    check_engine_equality(2, 20_000);
+}
+
+/// The same with a larger budget (`cargo test --release -- --ignored`).
+#[test]
+#[ignore = "large budget; run by ci.sh in release"]
+fn cache_attributed_cache_and_multisim_report_equal_stats_large() {
+    check_engine_equality(8, 200_000);
 }
 
 /// The address-map answer by binary search over sorted `(start, end,

@@ -8,6 +8,7 @@
 //! the parsed value through [`Node`]'s typed accessors and rejects a bad
 //! file with one [`DocError`] that names the path of the bad value.
 
+use std::collections::HashSet;
 use std::fmt;
 
 /// A JSON value.
@@ -528,9 +529,19 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(JsonValue::Object(members));
         }
+        // Keys seen so far: a repeated key is an error, since `get` and
+        // `Node::member` would silently read only its first value.
+        let mut seen = HashSet::new();
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if !seen.insert(key.clone()) {
+                return Err(JsonError {
+                    message: format!("repeated key {}", JsonValue::Str(key).to_json()),
+                    offset: at,
+                });
+            }
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -736,6 +747,15 @@ mod tests {
             }
             other => panic!("expected object, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn rejects_a_repeated_key_by_name() {
+        let err = parse(r#"{"a": 1, "b": {"x\"y": 2, "x\"y": 3}}"#).unwrap_err();
+        assert_eq!(err.message, r#"repeated key "x\"y""#);
+        assert_eq!(err.offset, 26, "the offset of the repeated key");
+        // The same key in sibling or nested objects is not a repeat.
+        assert!(parse(r#"{"a": {"a": 1}, "b": [{"a": 1}, {"a": 2}]}"#).is_ok());
     }
 
     #[test]
